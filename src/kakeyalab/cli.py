@@ -21,7 +21,6 @@ from .harness import (
     experiment_moments,
     experiment_ratio,
     run_cell,
-    spearman_rho,
     write_results_csv,
 )
 from .lacunarity import (
@@ -308,7 +307,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify-prob", help="closed form vs exact probability sweep")
     _add_config_options(p)
     p.add_argument("--N", type=int, default=2)
-    p.add_argument("--exhaustive", action="store_true")
     p.set_defaults(fn=cmd_verify_prob)
 
     return ap

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import InvalidInput, SizeCapExceeded
-from .madic import Address, ancestor, point_address, youngest_common_ancestor
+from .madic import Address, youngest_common_ancestor
 from .pruning import PrunedSlopeTree, slope_metrics
 from .sticky import classify_roots, is_sticky_admissible, mu
 from .tubes import SlabWindow, cross_section_dilation, intersects, make_tube
@@ -181,10 +181,6 @@ def slope_complexity(pruned: PrunedSlopeTree, verts) -> int:
     if w3[: len(w2)] == w2:  # w3 inside w2
         return 2 * nu(w3) + nu(w2) + nu(w1)
     return 2 * (nu(w3) + nu(w2))
-
-
-def slope_complexity_pairs(pruned: PrunedSlopeTree, w1: Address, w2: Address) -> int:
-    return slope_complexity(pruned, [w1, w2])
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ import numpy as np
 from ._mix import GOLDEN, MASK64
 from .errors import InvalidInput
 from .pruning import PrunedSlopeTree
-from .tubes import cross_section_dilation
+from .tubes import clip_x1, cross_section_dilation
 
 
 def _np_mix64(x: np.ndarray) -> np.ndarray:
@@ -97,8 +97,7 @@ class FastInstance:
                  a0: int = 10) -> Fraction:
         """Exact sum over ordered root pairs t1 != t2 of the volume of
         P_{t1} meet P_{t2} inside the x1 window."""
-        a = max(window[0], Fraction(0))
-        b = min(window[1], Fraction(10 * a0))
+        a, b = clip_x1(*window, a0)
         if a >= b:
             return Fraction(0)
         s = cross_section_dilation(1) * Fraction(1, self.M ** self.J)
@@ -184,8 +183,7 @@ class FastInstance:
     def union_quadrature(self, codes: np.ndarray,
                          window: tuple[Fraction, Fraction],
                          slices: int, a0: int = 10) -> Fraction:
-        a = max(window[0], Fraction(0))
-        b = min(window[1], Fraction(10 * a0))
+        a, b = clip_x1(*window, a0)
         if a >= b:
             return Fraction(0)
         width = (b - a) / slices
@@ -197,8 +195,7 @@ class FastInstance:
     def slab_totals(self, codes: np.ndarray,
                     window: tuple[Fraction, Fraction], a0: int = 10):
         """(sum of per-tube volumes, pairwise sum, Cauchy-Schwarz bound)."""
-        a = max(window[0], Fraction(0))
-        b = min(window[1], Fraction(10 * a0))
+        a, b = clip_x1(*window, a0)
         if a >= b:
             return Fraction(0), Fraction(0), Fraction(0)
         s = cross_section_dilation(1) * Fraction(1, self.M ** self.J)

@@ -24,13 +24,14 @@ import statistics
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from ._mix import trial_seed
-from .errors import InfeasibleInstance, InvalidInput
+from .errors import InvalidInput
 from .fast1d import FastInstance
 from .lacunarity import GeneratorSpec, generate
-from .madic import DigitRuleTree, cantor_tree, encode_set, full_tree, point_address
+from .madic import cantor_tree, encode_set, full_tree, point_address
 from .pruning import PrunedSlopeTree, prune
 from .tubes import DEFAULT_A0
 
@@ -50,16 +51,6 @@ class ExperimentConfig:
     slices: int = 8
     ratio_c: float | None = None  # default 1/ln M
     out_dir: str = "runs"
-
-    def tree(self):
-        spec = GeneratorSpec.parse(self.generator)
-        if spec.kind == "cantor" and spec.get("depth"):
-            return cantor_tree(int(spec.get("depth")), M=self.M, d=self.d)
-        if spec.kind == "full" and spec.get("depth"):
-            return full_tree(int(spec.get("depth")), M=self.M, d=self.d)
-        pts = generate(spec)
-        J = int(spec.get("J", 12))
-        return encode_set(pts, self.M, J)
 
     def config_hash(self) -> str:
         payload = json.dumps(self.__dict__, sort_keys=True, default=str)
@@ -90,20 +81,25 @@ class ExperimentConfig:
 # instance and realization caches
 # ---------------------------------------------------------------------------
 
-_PRUNED_CACHE: dict = {}
-_CELL_CACHE: dict = {}
+@lru_cache(maxsize=None)
+def _prune_cached(generator: str, M: int, d: int, C0: int, n: int) -> PrunedSlopeTree:
+    spec = GeneratorSpec.parse(generator)
+    if spec.kind == "cantor" and spec.get("depth"):
+        tree = cantor_tree(int(spec.get("depth")), M=M, d=d)
+    elif spec.kind == "full" and spec.get("depth"):
+        tree = full_tree(int(spec.get("depth")), M=M, d=d)
+    else:
+        tree = encode_set(generate(spec), M, int(spec.get("J", 12)))
+    return prune(tree, N=n, C0=C0)
 
 
 def pruned_instance(config: ExperimentConfig, n: int) -> PrunedSlopeTree:
-    key = (config.config_hash(), n)
-    got = _PRUNED_CACHE.get(key)
-    if got is None:
-        got = prune(config.tree(), N=n, C0=config.C0)
-        _PRUNED_CACHE[key] = got
-    return got
+    """The pruned slope tree for N = n, built once per generator, M, d and
+    C0; ``_prune_cached.cache_info()`` counts hits and misses."""
+    return _prune_cached(config.generator, config.M, config.d, config.C0, n)
 
 
-def construct_kakeya(pruned: PrunedSlopeTree, seed: int, A0: int = DEFAULT_A0):
+def construct_kakeya(pruned: PrunedSlopeTree, seed: int):
     """The realized tube family K_N(X): one tube per root cube.
 
     For 1-d instances this returns (FastInstance, slope-code array); tubes
@@ -139,37 +135,43 @@ class CellMetrics:
 
 
 def run_cell(config: ExperimentConfig, n: int, trial: int) -> CellMetrics:
-    """All per-seed metrics for one (N, trial) cell, cached."""
-    key = (config.config_hash(), n, trial)
-    got = _CELL_CACHE.get(key)
-    if got is not None:
-        return got
-    pruned = pruned_instance(config, n)
-    fast = FastInstance(pruned)
-    seed = trial_seed(config.master_seed, "cell", n, trial)
-    codes = fast.assign(seed)
+    """All per-seed metrics for one (N, trial) cell.
 
-    far_window = (Fraction(config.A0), Fraction(config.A0 + 1))
-    far = fast.union_quadrature(codes, far_window, config.slices, config.A0)
+    Cached on what the cell reads, so configs that differ only in
+    ``seeds``, ``out_dir``, ``n_values`` or ``C1`` share their cells;
+    ``_cell.cache_info()`` counts hits and misses.
+    """
+    pruned = _prune_cached(config.generator, config.M, config.d, config.C0, n)
+    seed = trial_seed(config.master_seed, "cell", n, trial)
+    return _cell(pruned, seed, config.A0, config.slices, tuple(config.r_values),
+                 tuple(config.ratio_r_range(n)))
+
+
+@lru_cache(maxsize=None)
+def _cell(pruned: PrunedSlopeTree, seed: int, A0: int, slices: int,
+          r_values: tuple, rs: tuple) -> CellMetrics:
+    fast = FastInstance(pruned)
+    codes = fast.assign(seed)
+    M = pruned.M
+
+    far_window = (Fraction(A0), Fraction(A0 + 1))
+    far = fast.union_quadrature(codes, far_window, slices, A0)
 
     moment1 = {}
-    for r in config.r_values:
-        win = (Fraction(1, config.M ** r), Fraction(1, config.M ** (r - 1)))
-        moment1[r] = fast.pair_sum(codes, win, config.A0)
+    for r in r_values:
+        win = (Fraction(1, M ** r), Fraction(1, M ** (r - 1)))
+        moment1[r] = fast.pair_sum(codes, win, A0)
 
-    rs = tuple(config.ratio_r_range(n))
     near_est = Fraction(0)
     near_lb = Fraction(0)
     for r in rs:
-        win = (Fraction(1, config.M ** r), Fraction(1, config.M ** (r - 1)))
-        near_est += fast.union_quadrature(codes, win, config.slices, config.A0)
-        _, _, cs = fast.slab_totals(codes, win, config.A0)
+        win = (Fraction(1, M ** r), Fraction(1, M ** (r - 1)))
+        near_est += fast.union_quadrature(codes, win, slices, A0)
+        _, _, cs = fast.slab_totals(codes, win, A0)
         near_lb += cs
 
-    got = CellMetrics(n=n, seed=seed, far=far, moment1=moment1,
-                      near_est=near_est, near_lb=near_lb, ratio_rs=rs)
-    _CELL_CACHE[key] = got
-    return got
+    return CellMetrics(n=pruned.N, seed=seed, far=far, moment1=moment1,
+                       near_est=near_est, near_lb=near_lb, ratio_rs=rs)
 
 
 # ---------------------------------------------------------------------------

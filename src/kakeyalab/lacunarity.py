@@ -22,6 +22,7 @@ from typing import Sequence
 
 from .errors import InvalidInput, SizeCapExceeded
 from .madic import (
+    CondensedTree,
     agreement_height_scalar,
     point_digit,
     splitting_number_1d_points,
@@ -194,13 +195,13 @@ def decompose_split_one(points: Sequence[Rational], M: int):
         return []
     if len(pts) == 1:
         return [((pts[0],), pts[0])]
-    split = splitting_number_1d_points(pts, M)
+    tree = CondensedTree(pts, M)
+    split = tree.split_value()
     if split != 1:
         raise InvalidInput(f"splitting number is {split}, not 1")
 
     # the deepest splitting vertex: adjacent pair of maximal agreement height
-    heights = [agreement_height_scalar(pts[i], pts[i + 1], M)
-               for i in range(len(pts) - 1)]
+    heights = tree.heights
     deep = max(range(len(heights)), key=lambda i: heights[i])
     hmax = heights[deep]
     # points inside that vertex form a contiguous run around `deep`
@@ -256,46 +257,23 @@ def decompose_lacunary_order(points: Sequence[Rational], M: int,
         raise SizeCapExceeded("decomposition recursion too deep")
     if len(pts) <= 1:
         return [(tuple(pts), LacunaryWitness(order=0))], 0
-    N = splitting_number_1d_points(pts, M)
+    tree = CondensedTree(pts, M)
+    N = tree.split_value()
     if N == 1:
         pieces = [(seq, _witness_from_sequence(seq, alpha, M))
                   for seq, alpha in decompose_split_one(pts, M)]
         return pieces, 1
 
-    heights = [agreement_height_scalar(pts[i], pts[i + 1], M)
-               for i in range(len(pts) - 1)]
-
-    from functools import lru_cache
-
-    def grouped(i, j):
-        m = min(heights[i:j])
-        groups, start = [], i
-        for k in range(i, j):
-            if heights[k] == m:
-                groups.append((start, k))
-                start = k + 1
-        groups.append((start, j))
-        return groups
-
-    @lru_cache(maxsize=None)
-    def rec_split(i, j):
-        if i == j:
-            return 0
-        vals = sorted((rec_split(a, b) for a, b in grouped(i, j)), reverse=True)
-        if len(vals) == 1:
-            return vals[0]
-        return max(vals[0], 1 + vals[1])
-
     # all split-N vertices lie on one ray; descend to the deepest one and
     # anchor at its lexicographically minimal point
     i0, j0 = 0, len(pts) - 1
     while i0 != j0:
-        deeper = [(a, b) for a, b in grouped(i0, j0) if rec_split(a, b) == N]
+        deeper = [(a, b) for a, b in tree.children(i0, j0)
+                  if tree.split_value(a, b) == N]
         if not deeper:
             break
         i0, j0 = deeper[0]
     anchor = pts[i0]
-    rec_split.cache_clear()
 
     # group off-ray points by branch vertex, recurse into each group
     groups: dict[tuple, list] = {}

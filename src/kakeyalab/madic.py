@@ -19,6 +19,7 @@ are decided exactly, never by floating comparison.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
@@ -88,10 +89,6 @@ def cube_center(addr: Address, M: int, d: int) -> Point:
     return tuple(c + half for c in org)
 
 
-def cube_contains(addr: Address, M: int, p: Point) -> bool:
-    return point_address(p, M, len(addr)) == addr
-
-
 def cube_distance_sq(u: Address, v: Address, M: int, d: int) -> Fraction:
     """Squared Euclidean distance between the closed cubes u and v."""
     ou, ov = cube_origin(u, M, d), cube_origin(v, M, d)
@@ -105,29 +102,6 @@ def cube_distance_sq(u: Address, v: Address, M: int, d: int) -> Fraction:
 
 def point_distance_sq(p: Point, q: Point) -> Fraction:
     return sum((a - b) * (a - b) for a, b in zip(p, q))
-
-
-def agreement_height(p: Point, q: Point, M: int, J: int) -> int:
-    """Height of the youngest common ancestor of two points, capped at J.
-
-    Computed arithmetically (no digit tuples), so it stays cheap even for
-    denominators with tens of thousands of bits.
-    """
-    lo, hi = 0, J  # floors agree at lo, test up to hi
-    if any(int(a * M**J) != int(b * M**J) for a, b in zip(p, q)):
-        # binary search for the first disagreeing height per axis
-        h = J
-        for a, b in zip(p, q):
-            lo_ax, hi_ax = 0, J
-            while lo_ax < hi_ax:
-                mid = (lo_ax + hi_ax + 1) // 2
-                if int(a * M**mid) == int(b * M**mid):
-                    lo_ax = mid
-                else:
-                    hi_ax = mid - 1
-            h = min(h, lo_ax)
-        return h
-    return hi
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +157,8 @@ class MadicTree:
     def split_value(self, addr: Address) -> int:
         """split_T(addr): max over subtrees rooted there of the min number
         of splitting vertices along a ray."""
-        raise NotImplementedError
+        return split_combine(self.split_value(addr + (dg,))
+                             for dg in self.children(addr))
 
     def min_point(self, addr: Address) -> Point:
         """Lexicographically minimal backing point inside the cube."""
@@ -253,15 +228,7 @@ class PointSetTree(MadicTree):
     def split_value(self, addr: Address) -> int:
         got = self._split_memo.get(addr)
         if got is None:
-            kids = self.children(addr)
-            vals = sorted((self.split_value(addr + (dg,)) for dg in kids), reverse=True)
-            if not vals:
-                got = 0
-            elif len(vals) == 1:
-                got = vals[0]
-            else:
-                got = max(vals[0], 1 + vals[1])
-            self._split_memo[addr] = got
+            got = self._split_memo[addr] = super().split_value(addr)
         return got
 
 
@@ -298,13 +265,7 @@ class DigitRuleTree(MadicTree):
     def split_value(self, addr: Address) -> int:
         if self._split_fn is not None:
             return self._split_fn(addr)
-        kids = self.children(addr)
-        vals = sorted((self.split_value(addr + (dg,)) for dg in kids), reverse=True)
-        if not vals:
-            return 0
-        if len(vals) == 1:
-            return vals[0]
-        return max(vals[0], 1 + vals[1])
+        return super().split_value(addr)
 
     def min_point(self, addr: Address, at_height: int | None = None) -> Point:
         stop = self.height if at_height is None else at_height
@@ -346,6 +307,18 @@ def full_tree(depth: int, M: int = 2, d: int = 1) -> DigitRuleTree:
 def encode_set(points: Iterable[Point], M: int, J: int) -> PointSetTree:
     """Encode a finite rational point set as its M-adic tree of height J."""
     return PointSetTree(tuple(points), M, J)
+
+
+def split_combine(child_values) -> int:
+    """Split value of a vertex from those of its children: 0 at a leaf, the
+    child's value below a single child, and otherwise the larger of the
+    best child's value and one plus the second best's."""
+    vals = sorted(child_values, reverse=True)
+    if not vals:
+        return 0
+    if len(vals) == 1:
+        return vals[0]
+    return max(vals[0], 1 + vals[1])
 
 
 def splitting_number(tree) -> int:
@@ -431,43 +404,60 @@ def agreement_height_scalar(a: Fraction, b: Fraction, M: int) -> int:
     return lo
 
 
-def splitting_number_1d_points(points: Sequence[Fraction], M: int) -> int:
-    """Splitting number of the untruncated tree of a finite 1-d rational set.
+class CondensedTree:
+    """Branching structure of the untruncated tree of a sorted, duplicate-free
+    finite 1-d rational set.
 
-    Works on the condensed branching structure (adjacent-pair agreement
-    heights), so it handles sets whose tree is tens of thousands of levels
-    deep, like the dyadic counterexample sets.
+    A vertex is the run ``(i, j)`` of points i..j (inclusive) inside one
+    M-adic cube, with single-child chains skipped, so sets whose tree is
+    tens of thousands of levels deep, like the dyadic counterexample sets,
+    stay cheap.  ``heights[k]`` is the agreement height of points k and k+1.
     """
-    pts = sorted(set(points))
-    if len(pts) <= 1:
-        return 0
-    heights = [agreement_height_scalar(pts[i], pts[i + 1], M)
-               for i in range(len(pts) - 1)]
 
-    def rec(i: int, j: int) -> int:
-        # splitting number of the subtree spanning points i..j inclusive
-        if i == j:
-            return 0
-        m = min(heights[i:j])
-        groups = []
-        start = i
+    def __init__(self, pts: Sequence[Fraction], M: int):
+        self.pts = pts
+        self.heights = [agreement_height_scalar(a, b, M)
+                        for a, b in zip(pts, pts[1:])]
+        self._split_memo: dict[tuple[int, int], int] = {}
+
+    def children(self, i: int, j: int) -> list[tuple[int, int]]:
+        """Runs below the vertex i..j (i < j): it branches where adjacent
+        points agree least."""
+        m = min(self.heights[i:j])
+        groups, start = [], i
         for k in range(i, j):
-            if heights[k] == m:
+            if self.heights[k] == m:
                 groups.append((start, k))
                 start = k + 1
         groups.append((start, j))
-        vals = sorted((rec(a, b) for a, b in groups), reverse=True)
-        if len(vals) == 1:
-            return vals[0]
-        return max(vals[0], 1 + vals[1])
+        return groups
 
-    import sys
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 4 * len(pts) + 200))
-    try:
-        return rec(0, len(pts) - 1)
-    finally:
-        sys.setrecursionlimit(old)
+    def split_value(self, i: int = 0, j: int | None = None) -> int:
+        """Splitting number of the subtree spanning points i..j (default:
+        the whole set)."""
+        j = len(self.pts) - 1 if j is None else j
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(old, 4 * len(self.pts) + 200))
+        try:
+            return self._split(i, j)
+        finally:
+            sys.setrecursionlimit(old)
+
+    def _split(self, i: int, j: int) -> int:
+        got = self._split_memo.get((i, j))
+        if got is None:
+            got = 0 if i == j else split_combine(
+                self._split(a, b) for a, b in self.children(i, j))
+            self._split_memo[(i, j)] = got
+        return got
+
+
+def splitting_number_1d_points(points: Sequence[Fraction], M: int) -> int:
+    """Splitting number of the untruncated tree of a finite 1-d rational set."""
+    pts = sorted(set(points))
+    if len(pts) <= 1:
+        return 0
+    return CondensedTree(pts, M).split_value()
 
 
 # ---------------------------------------------------------------------------
@@ -517,14 +507,8 @@ class ToyTree:
                     yield u
             level = nxt
 
-    def split_value(self, addr: Address) -> int:
-        vals = sorted((self.split_value(addr + (dg,)) for dg in self.children(addr)),
-                      reverse=True)
-        if not vals:
-            return 0
-        if len(vals) == 1:
-            return vals[0]
-        return max(vals[0], 1 + vals[1])
+    # same vertex protocol, so the same recursion
+    split_value = MadicTree.split_value
 
 
 # ---------------------------------------------------------------------------

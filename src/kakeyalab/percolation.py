@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._mix import bit_from_keys, float01, mix_chain
+from ._mix import float01, mix_chain
 from .errors import InvalidInput
 from .madic import Address
 from .sticky import BernoulliWarehouse
@@ -29,22 +29,12 @@ def _children(tree, addr):
     return [addr + (dg,) for dg in tree.children(addr)]
 
 
-@dataclass
-class ResistorNetwork:
-    """Finite tree with per-edge retention probabilities and resistances."""
-    tree: object
-    p: Fraction = Fraction(1, 2)
-
-    def edge_resistance(self, addr: Address) -> Fraction:
-        """Resistance of the edge terminating at addr (height >= 1)."""
-        h = len(addr)
-        if h == 0:
-            raise InvalidInput("the root has no incoming edge")
-        path_prob = self.p ** h
-        return (1 - self.p) / path_prob
-
-    def total_resistance(self) -> Fraction:
-        return total_resistance(self.tree, self.p)
+def edge_resistance(addr: Address, p: Fraction = Fraction(1, 2)) -> Fraction:
+    """Resistance of the edge terminating at addr (height >= 1)."""
+    h = len(addr)
+    if h == 0:
+        raise InvalidInput("the root has no incoming edge")
+    return (1 - p) / p ** h
 
 
 def total_resistance(tree, p: Fraction = Fraction(1, 2)) -> Fraction:
@@ -57,7 +47,7 @@ def total_resistance(tree, p: Fraction = Fraction(1, 2)) -> Fraction:
         inv = Fraction(0)
         for c in kids:
             below = rec(c)
-            branch = ResistorNetwork(tree, p).edge_resistance(c) + below
+            branch = edge_resistance(c, p) + below
             inv += 1 / branch
         return 1 / inv
 

@@ -255,20 +255,6 @@ class PrunedSlopeTree:
     def lam(self, addr: Address) -> int:
         return self.gamma[addr].lam
 
-    def is_splitting(self, addr: Address) -> bool:
-        return addr in self.gamma
-
-    def gamma_of_h_cube(self, cube: Address) -> Address | None:
-        """Splitting vertex identified by a basic slope cube (None for the
-        leaf-level cubes, which identify slope points rather than vertices)."""
-        bits = self.psi_inverse(cube)
-        if len(bits) == self.N:
-            return None
-        cur = self._psi[()]
-        for b in bits:
-            cur = self.gamma[cur].next_gammas[b]
-        return cur
-
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> str:
@@ -413,6 +399,3 @@ def slope_metrics(p: PrunedSlopeTree, gamma_addr: Address) -> SlopeMetrics:
         raise AssertionError("rho exceeds the diameter of gamma")
     return m
 
-
-def rho_of_vertex(p: PrunedSlopeTree, gamma_addr: Address) -> SlopeMetrics:
-    return slope_metrics(p, gamma_addr)

@@ -73,6 +73,21 @@ class ChainStep:
     bit: int
 
 
+def walk_chain(pruned: PrunedSlopeTree, t: Address, bit_of) -> list[tuple[Address, int]]:
+    """The chain of basic spatial cubes of t, each with the bit ``bit_of``
+    gives it: at each stage the current splitting vertex gamma names the
+    basic height lambda(gamma), and the bit of t's ancestor there picks
+    gamma's branch."""
+    steps, g = [], pruned.psi(())
+    for _ in range(pruned.N):
+        info = pruned.gamma[g]
+        q = ancestor(t, info.lam)
+        b = bit_of(q)
+        steps.append((q, b))
+        g = info.next_gammas[b]
+    return steps
+
+
 class StickyMap:
     """A realized random slope assignment over all root cubes."""
 
@@ -82,26 +97,13 @@ class StickyMap:
 
     def chain(self, t: Address) -> list[ChainStep]:
         """Basic spatial cubes of the root cube t and their realized bits."""
-        p = self.pruned
-        if len(t) != p.J:
+        if len(t) != self.pruned.J:
             raise InvalidInput("chain is defined on root cubes (height J)")
-        steps, g = [], p.psi(())
-        for j in range(1, p.N + 1):
-            info = p.gamma[g]
-            q = ancestor(t, info.lam)
-            b = self.warehouse.bit(q)
-            steps.append(ChainStep(level=j, basic_cube=q, bit=b))
-            nxt = info.next_gammas[b]
-            if nxt is None:
-                break
-            g = nxt
-        return steps
+        return [ChainStep(level=j, basic_cube=q, bit=b) for j, (q, b)
+                in enumerate(walk_chain(self.pruned, t, self.warehouse.bit), start=1)]
 
     def slope_code(self, t: Address) -> int:
         return self.pruned.bits_code([s.bit for s in self.chain(t)])
-
-    def slope_point(self, t: Address):
-        return self.pruned.slopes[self.slope_code(t)]
 
     def extend(self, q: Address) -> Address:
         """Slope-tree vertex assigned to an arbitrary root-tree vertex.
@@ -141,35 +143,17 @@ class StickyMap:
             nxt = info.next_gammas[b]
             if nxt is None:
                 # consumed all N bits; q is at height >= J = lam
-                leaf = p.slope_leaf(p.bits_code(self._code_prefix(q)))
+                bits = [bit for _, bit in walk_chain(p, q, self.warehouse.bit)]
+                leaf = p.slope_leaf(p.bits_code(bits))
                 return ancestor(leaf, h), True
             if info.lam == h:
                 return info.h_cubes[b], True
             g = nxt
 
-    def _code_prefix(self, q: Address):
-        p = self.pruned
-        bits, g = [], p.psi(())
-        for j in range(1, p.N + 1):
-            info = p.gamma[g]
-            b = self.warehouse.bit(ancestor(q, info.lam))
-            bits.append(b)
-            nxt = info.next_gammas[b]
-            if nxt is None:
-                break
-            g = nxt
-        return bits
-
 
 def sample_assignment(pruned: PrunedSlopeTree, seed: int) -> StickyMap:
     """Realize the Bernoulli warehouse for a seed and wrap it as a map."""
     return StickyMap(pruned, BernoulliWarehouse(seed, pruned.M))
-
-
-def extend_sticky(sticky_map: StickyMap, q: Address) -> Address:
-    """Slope vertex assigned to an arbitrary root-tree vertex; see
-    :meth:`StickyMap.extend` for the chain convention."""
-    return sticky_map.extend(q)
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +253,7 @@ def prob_enumerate(pruned: PrunedSlopeTree, pairs, cap_bits: int = 20) -> Fracti
         table = dict(zip(cubes, assignment))
         good = True
         for t, code in pairs:
-            g, got = pruned.psi(()), []
-            for _ in range(pruned.N):
-                info = pruned.gamma[g]
-                b = table[ancestor(t, info.lam)]
-                got.append(b)
-                nxt = info.next_gammas[b]
-                if nxt is not None:
-                    g = nxt
+            got = [bit for _, bit in walk_chain(pruned, t, table.__getitem__)]
             if pruned.bits_code(got) != code:
                 good = False
                 break

@@ -41,6 +41,12 @@ def cross_section_dilation(d: int) -> Fraction:
     return cd
 
 
+def clip_x1(lo: Fraction, hi: Fraction, A0: int) -> tuple[Fraction, Fraction]:
+    """The x1 window [lo, hi] cut to the extent [0, 10 A0] of every tube;
+    empty when the first end is not below the second."""
+    return max(lo, Fraction(0)), min(hi, Fraction(10 * A0))
+
+
 @dataclass(frozen=True)
 class Tube:
     """Prism rooted at a height-J cube with orientation (1, slope)."""
@@ -65,14 +71,10 @@ class Tube:
         c = self.center()
         return tuple(ci + x1 * wi for ci, wi in zip(c, self.slope))
 
-    def x1_range(self) -> tuple[Fraction, Fraction]:
-        return Fraction(0), Fraction(10 * self.A0)
-
     def contains(self, x) -> bool:
         """Exact membership of a point (x1, y) in R^{d+1}."""
         x1, y = x[0], x[1:]
-        lo, hi = self.x1_range()
-        if not (lo <= x1 <= hi):
+        if clip_x1(x1, x1, self.A0) != (x1, x1):  # x1 outside [0, 10 A0]
             return False
         c = self.section_center(x1)
         half = self.side / 2
@@ -98,8 +100,7 @@ class SlabWindow:
         return self.rho * self.C1
 
     def clipped(self, tube: Tube) -> tuple[Fraction, Fraction]:
-        a, b = tube.x1_range()
-        return max(self.lo, a), min(self.hi, b)
+        return clip_x1(self.lo, self.hi, tube.A0)
 
 
 def make_tube(pruned: PrunedSlopeTree, root: Address, slope_code: int,

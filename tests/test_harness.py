@@ -1,6 +1,7 @@
 import json
 import math
 import statistics
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from kakeyalab.harness import (
 from kakeyalab.madic import cantor_tree
 from kakeyalab.pruning import prune
 from kakeyalab.sticky import sample_assignment
+from kakeyalab.tubes import SlabWindow, pair_intersection_volume, union_volume
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +79,35 @@ def test_far_and_moments_share_realizations(cfg):
     m = [r for r in mom["rows"] if r["N"] == 2 and r["R"] == 1][0]
     total1 = sum(run_cell(cfg, 2, t).moment1[1] for t in range(cfg.seeds))
     assert float(total1 / cfg.seeds) == m["moment1"]
+
+
+@pytest.mark.parametrize("window", [
+    SlabWindow(F(1, 3), F(3)),        # [1/3, 1], a near slab
+    SlabWindow(F(10), F(11, 10)),     # [10, 11], the far slab
+    SlabWindow(F(90), F(2)),          # [90, 180], straddles 10 A0 = 100
+])
+def test_fast_slab_sums_match_scalar_tubes(window):
+    pruned = pruned_instance(ExperimentConfig(), 2)
+    fast, codes = construct_kakeya(pruned, seed=11)
+    assert fast.K == 81
+    family = kakeya_tubes(pruned, codes)
+    bounds = (window.lo, window.hi)
+    pair = 2 * sum(pair_intersection_volume(a, b, window)
+                   for i, a in enumerate(family) for b in family[i + 1:])
+    est, cs = union_volume(family, window, slices=8)
+    assert fast.pair_sum(codes, bounds) == pair
+    assert fast.union_quadrature(codes, bounds, 8) == est
+    assert fast.slab_totals(codes, bounds)[2] == cs
+
+
+def test_caches_key_on_the_fields_they_read():
+    base = ExperimentConfig(seeds=3, n_values=(2,), slices=4)
+    for other in (replace(base, seeds=5), replace(base, out_dir="elsewhere"),
+                  replace(base, master_seed=7)):
+        assert pruned_instance(other, 2) is pruned_instance(base, 2)
+    for other in (replace(base, seeds=5), replace(base, out_dir="elsewhere")):
+        assert run_cell(other, 2, 1) is run_cell(base, 2, 1)
+    assert run_cell(replace(base, master_seed=7), 2, 1).seed != run_cell(base, 2, 1).seed
 
 
 def test_moment_of_single_root_is_zero():
@@ -212,7 +243,7 @@ def test_cli_usage_exit_code():
 
 def test_cli_verify_prob(capsys):
     rc = cli_main(["verify-prob", "--generator", "full:depth=12", "--M", "2",
-                   "--C0", "1", "--N", "2", "--exhaustive"])
+                   "--C0", "1", "--N", "2"])
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["agreement"] == "all tuples agree"

@@ -9,7 +9,7 @@ from kakeyalab.errors import InvalidInput
 from kakeyalab.madic import cantor_tree
 from kakeyalab.percolation import (
     PercolationOutcome,
-    ResistorNetwork,
+    edge_resistance,
     full_binary_tree,
     level_counts,
     path_tree,
@@ -27,10 +27,9 @@ from kakeyalab.tubes import inclusion_check, poss, reference_trees
 
 
 def test_edge_resistances_fair_coin():
-    net = ResistorNetwork(full_binary_tree(3))
-    assert net.edge_resistance(((0,),)) == 1          # 2^(1-1)
-    assert net.edge_resistance(((0,), (1,))) == 2     # 2^(2-1)
-    assert net.edge_resistance(((0,), (1,), (0,))) == 4
+    assert edge_resistance(((0,),)) == 1          # 2^(1-1)
+    assert edge_resistance(((0,), (1,))) == 2     # 2^(2-1)
+    assert edge_resistance(((0,), (1,), (0,))) == 4
 
 
 def test_total_resistance_examples():

@@ -113,13 +113,6 @@ def test_n1_slope_frequency():
     assert abs(freq - 0.5) <= 3 * math.sqrt(0.25 / 10 ** 4)
 
 
-def test_extend_sticky_alias(inst, roots):
-    from kakeyalab.sticky import extend_sticky
-    sm = sample_assignment(inst, 2)
-    q = roots[0][:2]
-    assert extend_sticky(sm, q) == sm.extend(q)
-
-
 def test_admissibility_obvious_cases(inst, roots):
     ok, cert = is_sticky_admissible(inst, [(roots[0], 2)])
     assert ok and len(cert) == inst.N
