@@ -8,29 +8,39 @@ array of slope codes.  Three quantities are computed exactly:
   with warehouse bits drawn from the same splitmix64 chain as the scalar
   warehouse (bit-for-bit identical);
 
-* pairwise slab-intersection sums: for a fixed ordered slope pair the
-  pair volume depends only on the root index difference g, and its
-  antiderivative is flat outside a window of width half a cell, so the sum
-  collapses to two rank counts plus at most a couple of exact boundary
-  terms per slope pair -- no pair enumeration;
+* pairwise slab-intersection sums, on an integer lattice.  Let D be the
+  common denominator of 1/K and the slopes, sigma = D * slope, and
+  q = lcm(den a, den b) for the window [a, b].  Two tubes with root
+  offset g overlap by a tent profile; at an endpoint p/q it is read at the
+  integer X = 4 g Q + 4 p dsigma, in units of the tube side over
+  Q = q D / K.  The profile's antiderivative is 0 or 1 outside one open
+  g-interval of length 1/2, so per slope pair and endpoint the sum is
+  2 Q^2 times a count of pairs with i - j >= g plus at most one interior
+  term, an integer quadratic in X.  The counts gather one cumulative code
+  count per slope over the roots of every steeper slope (int64, at most
+  K^2 <= 2^62); the integers, grouped by dsigma, give one Fraction;
 
 * per-slice union lengths for quadrature, by sorting integer-scaled
-  interval endpoints (all positions share a modest common denominator).
+  interval endpoints; a slice that needs more than 62 bits is refused.
 
-Everything returned is a Fraction; numpy only shuffles integers.
+Everything returned is a Fraction; numpy only holds int64 counts and
+positions, and every product that can exceed 63 bits is a Python int.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 import numpy as np
 
 from ._mix import GOLDEN, MASK64
 from .errors import InvalidInput
 from .pruning import PrunedSlopeTree
-from .tubes import clip_x1, cross_section_dilation
+from .tubes import DEFAULT_A0, clip_x1, cross_section_dilation
+
+# the tube side is one W-th of a root cell
+W = int(1 / cross_section_dilation(1))
 
 
 def _np_mix64(x: np.ndarray) -> np.ndarray:
@@ -39,6 +49,30 @@ def _np_mix64(x: np.ndarray) -> np.ndarray:
         z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
         return z ^ (z >> np.uint64(31))
+
+
+def _tent_antiderivative(x: int, Q: int) -> int:
+    """2 Q^2 times the antiderivative of the unit tent max(0, 1 - |y|),
+    taken from -1, at y = x / Q."""
+    if x <= -Q:
+        return 0
+    if x <= 0:
+        return (x + Q) ** 2
+    if x < Q:
+        return 2 * Q * Q - (Q - x) ** 2
+    return 2 * Q * Q
+
+
+def cs_bound(window: tuple[Fraction, Fraction], pair: Fraction,
+             a0: int = DEFAULT_A0) -> Fraction:
+    """Cauchy-Schwarz lower bound on the union volume in the x1 window:
+    the total tube volume squared over itself plus the pairwise sum
+    ``pair`` (the same for every K, since K tubes of side 1/(W K))."""
+    a, b = clip_x1(*window, a0)
+    if a >= b:
+        return Fraction(0)
+    diag = cross_section_dilation(1) * (b - a)
+    return diag * diag / (diag + pair)
 
 
 class FastInstance:
@@ -55,22 +89,20 @@ class FastInstance:
 
         # gamma ids in a flat table; slope codes enter at the last level
         ids = {g: i for i, g in enumerate(pruned.gamma)}
-        n = len(ids)
-        self.lam = np.zeros(n, dtype=np.int64)
-        self.child = np.zeros((n, 2), dtype=np.int64)
+        self.lam = np.zeros(len(ids), dtype=np.int64)
+        self.child = np.zeros((len(ids), 2), dtype=np.int64)
         for g, info in pruned.gamma.items():
-            i = ids[g]
-            self.lam[i] = info.lam
-            for b in (0, 1):
-                nxt = info.next_gammas[b]
-                if nxt is None:
-                    self.child[i, b] = -1
-                else:
-                    self.child[i, b] = ids[nxt]
+            self.lam[ids[g]] = info.lam
+            self.child[ids[g]] = [-1 if nxt is None else ids[nxt]
+                                  for nxt in info.next_gammas]
         self.root_gamma = ids[pruned.psi(())]
         self.pow = np.array([self.M ** k for k in range(self.J + 1)],
                             dtype=np.int64)
         self.slopes = pruned.slopes  # Fractions, code order
+        self.D = lcm(self.K, *(w[0].denominator for w in self.slopes))
+        self.sigma = [int(w[0] * self.D) for w in self.slopes]  # Python ints
+        self.by_slope = sorted(range(len(self.sigma)), key=self.sigma.__getitem__)
+        self.slope_rank = np.argsort(self.by_slope)
 
     def _bits(self, seed: int, heights: np.ndarray, cells: np.ndarray) -> np.ndarray:
         z0 = _np_mix64(np.uint64((seed ^ GOLDEN) & MASK64))
@@ -94,95 +126,69 @@ class FastInstance:
     # -- pairwise slab-intersection sums -----------------------------------
 
     def pair_sum(self, codes: np.ndarray, window: tuple[Fraction, Fraction],
-                 a0: int = 10) -> Fraction:
+                 a0: int = DEFAULT_A0) -> Fraction:
         """Exact sum over ordered root pairs t1 != t2 of the volume of
         P_{t1} meet P_{t2} inside the x1 window."""
         a, b = clip_x1(*window, a0)
         if a >= b:
             return Fraction(0)
-        s = cross_section_dilation(1) * Fraction(1, self.M ** self.J)
-        mj = Fraction(1, self.M ** self.J)
-        groups = [np.flatnonzero(codes == c) for c in range(2 ** self.N)]
-        total = Fraction(0)
-        for c1 in range(2 ** self.N):
-            A1 = groups[c1]
-            if A1.size == 0:
+        K, sigma = self.K, self.sigma
+        q = lcm(a.denominator, b.denominator)
+        Q = q * (self.D // K)
+        ends = ((1, b.numerator * (q // b.denominator)),
+                (-1, a.numerator * (q // a.denominator)))
+        # roots grouped by slope, shallowest first (the slopes are distinct)
+        sizes = np.bincount(codes, minlength=len(sigma))[self.by_slope].tolist()
+        starts = np.cumsum([0] + sizes).tolist()
+        roots = np.argsort(self.slope_rank[codes], kind="stable")
+        below = np.zeros(K + 1, dtype=np.int64)
+        by_dsigma: dict[int, int] = {}
+        for k, c2 in enumerate(self.by_slope):
+            steeper = [m for m in range(k + 1, len(sigma)) if sizes[m]]
+            if not sizes[k] or not steeper:
                 continue
-            for c2 in range(c1 + 1, 2 ** self.N):
-                A2 = groups[c2]
-                if A2.size == 0:
-                    continue
-                dslope = self.slopes[c1][0] - self.slopes[c2][0]
-                if dslope == 0:
-                    continue
-                lo_u, hi_u = sorted((a * dslope, b * dslope))
-                t_hi = self._antiderivative_sum(A1, A2, hi_u, s, mj)
-                t_lo = self._antiderivative_sum(A1, A2, lo_u, s, mj)
-                total += 2 * (t_hi - t_lo) / abs(dslope)
-        return total
-
-    def _antiderivative_sum(self, A1, A2, shift: Fraction, s: Fraction,
-                            mj: Fraction) -> Fraction:
-        """Sum over (i, j) in A1 x A2 of F((i-j) M^-J + shift), where F is
-        the antiderivative of the triangular overlap profile."""
-
-        def F(x: Fraction) -> Fraction:
-            if x <= -s:
-                return Fraction(0)
-            if x >= s:
-                return s * s
-            if x <= 0:
-                return (x + s) * (x + s) / 2
-            return s * s / 2 + s * x - x * x / 2
-
-        # g-thresholds: F = 0 for g <= G_neg, F = s^2 for g >= G_pos;
-        # G_pos - G_neg = 2 s M^J = 1/2, so at most two interior integers
-        import math
-        g_neg = (-s - shift) / mj
-        g_pos = (s - shift) / mj
-        lo_int = math.floor(g_neg)
-        hi_int = math.ceil(g_pos)
-
-        # count pairs with i - j >= hi_int
-        n_hi = int(np.searchsorted(A2, A1 - hi_int, side="right").sum())
-        total = s * s * n_hi
-        for g in range(lo_int + 1, hi_int):
-            idx = np.searchsorted(A2, A1 - g)
-            idx = np.minimum(idx, A2.size - 1)
-            n_g = int(np.count_nonzero(A2[idx] == (A1 - g)))
-            if n_g:
-                total += n_g * F(g * mj + shift)
-        return total
+            # below[m] = number of roots j < m with code c2
+            np.cumsum(codes == c2, out=below[1:])
+            dsig = [sigma[self.by_slope[m]] - sigma[c2] for m in steeper]
+            # per steeper slope and end: the least g where the profile's
+            # antiderivative reaches 1; the one g below it may be interior
+            gs = [[-((W * p * ds - Q) // (W * Q)) for _, p in ends] for ds in dsig]
+            h = np.array([[min(max(g - e, -K), K + 1) for g in row for e in (0, 1)]
+                          for row in gs], dtype=np.int64).T
+            counts = [sizes[m] for m in steeper]
+            i = roots[starts[steeper[0]]:starts[steeper[-1] + 1]]
+            # pairs (i, j) with i - j >= h, summed per steeper slope
+            ge = np.add.reduceat(
+                below[np.clip(i - np.repeat(h, counts, axis=1) + 1, 0, K)],
+                np.cumsum([0] + counts[:-1]), axis=1).T.tolist()
+            for ds, row, n_ge in zip(dsig, gs, ge):
+                for (sign, p), g, (at_g, below_g) in zip(ends, row, (n_ge[:2], n_ge[2:])):
+                    x = W * (g - 1) * Q + W * p * ds  # the interior candidate
+                    by_dsigma[ds] = by_dsigma.get(ds, 0) + sign * (
+                        2 * Q * Q * at_g + (below_g - at_g) * _tent_antiderivative(x, Q))
+        den = lcm(*by_dsigma)
+        num = sum(v * (den // ds) for ds, v in by_dsigma.items())
+        return Fraction(num, W * W * self.D * q * q * den)
 
     # -- per-slice union lengths --------------------------------------------
 
     def slice_union(self, codes: np.ndarray, x1: Fraction) -> Fraction:
         """Exact length of the union of cross-sections at abscissa x1."""
-        s = cross_section_dilation(1) * Fraction(1, self.M ** self.J)
-        scale = 2 * self.M ** self.J * x1.denominator
-        for w in self.slopes:
-            scale = scale * w[0].denominator // gcd(scale, w[0].denominator)
-        scale = scale * s.denominator // gcd(scale, s.denominator)
-        if scale.bit_length() + 5 > 62:
+        K = self.K
+        scale = lcm(2 * K * x1.denominator, W * K, self.D * x1.denominator)
+        offs = [x1.numerator * s * (scale // (self.D * x1.denominator))
+                for s in self.sigma]
+        if (scale + max(map(abs, offs))).bit_length() > 62:
             raise InvalidInput("integer scale too large for int64 slices")
-        offs = np.zeros(2 ** self.N, dtype=np.int64)
-        for c, w in enumerate(self.slopes):
-            val = x1 * w[0] * scale
-            assert val.denominator == 1
-            offs[c] = int(val)
-        base = np.arange(self.K, dtype=np.int64) * int(Fraction(scale, self.M ** self.J)) \
-            + int(Fraction(scale, 2 * self.M ** self.J))
-        pos = np.sort(base + offs[codes])
-        s_scaled = s * scale
-        assert s_scaled.denominator == 1
-        s_int = int(s_scaled)
-        gaps = np.diff(pos)
-        covered = int(np.minimum(gaps, s_int).sum()) + s_int
+        base = np.arange(K, dtype=np.int64) * (scale // K) + scale // (2 * K)
+        pos = np.sort(base + np.array(offs, dtype=np.int64)[codes])
+        side = scale // (W * K)
+        covered = int(np.minimum(np.diff(pos), side).sum()) + side
         return Fraction(covered, scale)
 
     def union_quadrature(self, codes: np.ndarray,
                          window: tuple[Fraction, Fraction],
-                         slices: int, a0: int = 10) -> Fraction:
+                         slices: int, a0: int = DEFAULT_A0) -> Fraction:
         a, b = clip_x1(*window, a0)
         if a >= b:
             return Fraction(0)
@@ -191,14 +197,3 @@ class FastInstance:
         for k in range(slices):
             total += self.slice_union(codes, a + width * k + width / 2) * width
         return total
-
-    def slab_totals(self, codes: np.ndarray,
-                    window: tuple[Fraction, Fraction], a0: int = 10):
-        """(sum of per-tube volumes, pairwise sum, Cauchy-Schwarz bound)."""
-        a, b = clip_x1(*window, a0)
-        if a >= b:
-            return Fraction(0), Fraction(0), Fraction(0)
-        s = cross_section_dilation(1) * Fraction(1, self.M ** self.J)
-        diag = self.K * s * (b - a)
-        pair = self.pair_sum(codes, window, a0)
-        return diag, pair, diag * diag / (diag + pair)

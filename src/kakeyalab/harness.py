@@ -29,7 +29,7 @@ from pathlib import Path
 
 from ._mix import trial_seed
 from .errors import InvalidInput
-from .fast1d import FastInstance
+from .fast1d import FastInstance, cs_bound
 from .lacunarity import GeneratorSpec, generate
 from .madic import cantor_tree, encode_set, full_tree, point_address
 from .pruning import PrunedSlopeTree, prune
@@ -154,21 +154,17 @@ def _cell(pruned: PrunedSlopeTree, seed: int, A0: int, slices: int,
     codes = fast.assign(seed)
     M = pruned.M
 
-    far_window = (Fraction(A0), Fraction(A0 + 1))
-    far = fast.union_quadrature(codes, far_window, slices, A0)
+    def near(r):
+        return Fraction(M) ** -r, Fraction(M) ** (1 - r)
 
-    moment1 = {}
-    for r in r_values:
-        win = (Fraction(1, M ** r), Fraction(1, M ** (r - 1)))
-        moment1[r] = fast.pair_sum(codes, win, A0)
-
-    near_est = Fraction(0)
-    near_lb = Fraction(0)
-    for r in rs:
-        win = (Fraction(1, M ** r), Fraction(1, M ** (r - 1)))
-        near_est += fast.union_quadrature(codes, win, slices, A0)
-        _, _, cs = fast.slab_totals(codes, win, A0)
-        near_lb += cs
+    far = fast.union_quadrature(codes, (Fraction(A0), Fraction(A0 + 1)), slices, A0)
+    # one pair sum per distinct window: the moments and the CS bounds share it
+    pairs = {r: fast.pair_sum(codes, near(r), A0)
+             for r in sorted(set(r_values) | set(rs))}
+    moment1 = {r: pairs[r] for r in r_values}
+    near_est = sum((fast.union_quadrature(codes, near(r), slices, A0) for r in rs),
+                   Fraction(0))
+    near_lb = sum((cs_bound(near(r), pairs[r], A0) for r in rs), Fraction(0))
 
     return CellMetrics(n=pruned.N, seed=seed, far=far, moment1=moment1,
                        near_est=near_est, near_lb=near_lb, ratio_rs=rs)
@@ -255,7 +251,13 @@ def experiment_moments(config: ExperimentConfig):
 
 
 def experiment_ratio(config: ExperimentConfig, seeds: int | None = None):
-    """Near/far volume ratios: quadrature and the lower-bound-only variant."""
+    """Near/far volume ratios: quadrature and the lower-bound-only variant.
+
+    A cell with ``far == 0`` has no ratio and is left out; ``per_n`` counts
+    them in ``dropped_far_zero``.  The medians are upper medians, the
+    element at index ``len // 2`` of the sorted ratios, and are ``None``
+    when every cell of that N was left out.
+    """
     seeds = seeds if seeds is not None else config.seeds
     rows = []
     per_n = {}
@@ -276,8 +278,9 @@ def experiment_ratio(config: ExperimentConfig, seeds: int | None = None):
         ratios_lb.sort()
         med = len(ratios_lb) // 2
         per_n[n] = {
-            "median_ratio_est": float(ratios_est[med]) if ratios_est else 0.0,
-            "median_ratio_lb": float(ratios_lb[med]) if ratios_lb else 0.0,
+            "median_ratio_est": float(ratios_est[med]) if ratios_est else None,
+            "median_ratio_lb": float(ratios_lb[med]) if ratios_lb else None,
+            "dropped_far_zero": seeds - len(ratios_lb),
             "r_range": run_cell(config, n, 0).ratio_rs,
         }
     return {"rows": rows, "per_n": per_n,

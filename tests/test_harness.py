@@ -10,7 +10,7 @@ import pytest
 
 from helpers import all_roots_1d
 from kakeyalab.cli import main as cli_main
-from kakeyalab.fast1d import FastInstance
+from kakeyalab.fast1d import FastInstance, cs_bound
 from kakeyalab.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -97,7 +97,41 @@ def test_fast_slab_sums_match_scalar_tubes(window):
     est, cs = union_volume(family, window, slices=8)
     assert fast.pair_sum(codes, bounds) == pair
     assert fast.union_quadrature(codes, bounds, 8) == est
-    assert fast.slab_totals(codes, bounds)[2] == cs
+    assert cs_bound(bounds, fast.pair_sum(codes, bounds)) == cs
+
+
+def test_ratio_reports_cells_dropped_for_empty_far():
+    # A0 = 0 clips every window to [0, 0]: every far slab is empty
+    table = experiment_ratio(ExperimentConfig(seeds=3, n_values=(2,), slices=4, A0=0))
+    assert table["rows"] == []
+    assert table["per_n"][2]["dropped_far_zero"] == 3
+    assert table["per_n"][2]["median_ratio_est"] is None
+    assert table["per_n"][2]["median_ratio_lb"] is None
+
+
+def test_ratio_takes_upper_median_of_kept_cells(monkeypatch):
+    base = ExperimentConfig(seeds=6, n_values=(2,), slices=4)
+    fars = [F(0), F(1, 2), F(0), F(1, 4), F(1, 8), F(1)]
+
+    def cell(config, n, trial):
+        return replace(run_cell(config, n, trial), far=fars[trial],
+                       near_est=F(1), near_lb=F(1, 2))
+
+    monkeypatch.setattr("kakeyalab.harness.run_cell", cell)
+    per_n = experiment_ratio(base)["per_n"][2]
+    assert per_n["dropped_far_zero"] == 2
+    # ratios 1/far over the kept cells: 1, 2, 4, 8; the upper median is 4
+    assert per_n["median_ratio_est"] == 4.0
+    assert per_n["median_ratio_lb"] == 2.0
+
+
+def test_cells_take_any_integer_r():
+    # R <= 0 names the windows [1, M] and [M, M^2]: exact, no float power
+    cfg = ExperimentConfig(seeds=1, n_values=(2,), slices=4, r_values=(0, -1))
+    cell = run_cell(cfg, 2, 0)
+    fast, codes = construct_kakeya(pruned_instance(cfg, 2), cell.seed)
+    assert cell.moment1 == {0: fast.pair_sum(codes, (F(1), F(3))),
+                            -1: fast.pair_sum(codes, (F(3), F(9)))}
 
 
 def test_caches_key_on_the_fields_they_read():
