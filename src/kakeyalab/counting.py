@@ -2,17 +2,17 @@
 
 The pair collection ``E2[u, w; rho]`` gathers sticky-admissible root-slope
 pairs with prescribed youngest common ancestors whose tubes meet inside an
-x1 window; the triple and quadruple collections are assembled from pair
-collections joined on shared tubes and filtered by root configuration
-type.  Everything here is desk-scale and exhaustive, guarded by hard size
-caps; geometric prefilters are necessary conditions of intersection, so
-the restricted scans return exactly the brute-force collections (tested
-against an unrestricted oracle).
-
-The summation diagnostics evaluate the slope-vertex and root-vertex sums
-exactly over an instance and report each against the shape of its bound;
-only the geometric-series case with an explicit constant is asserted
-outright.
+x1 window.  :func:`enumerate_E2` decides the meeting on an integer
+lattice: root centres differ by delta/M^J, the slopes are integer
+numerators over one common denominator, and whether some x1 in the window
+puts the two cross-sections within the tube side on every axis is a
+comparison of Python ints; stickiness is tested on geometric hits only.
+:func:`enumerate_E2_bruteforce` is its independent oracle, a plain loop
+over every root and slope pair through the Fraction test
+``tubes.intersects``.  The triple and quadruple collections are joins over
+pair collections filtered by root configuration type, with
+:func:`bruteforce_E4` as the quartic oracle.  Everything here is
+desk-scale and exhaustive, guarded by hard size caps.
 """
 
 from __future__ import annotations
@@ -20,12 +20,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .errors import InvalidInput, SizeCapExceeded
-from .madic import Address, youngest_common_ancestor
+from .madic import Address, cube_index, youngest_common_ancestor
 from .pruning import PrunedSlopeTree, slope_metrics
 from .sticky import classify_roots, is_sticky_admissible, mu
-from .tubes import SlabWindow, cross_section_dilation, intersects, make_tube
+from .tubes import (
+    SlabWindow,
+    assert_pair_inequalities,
+    clip_x1,
+    cross_section_dilation,
+    intersects,
+    make_tube,
+)
 
 ROOT_CAP = 3 ** 8
 
@@ -57,62 +65,145 @@ def _window(pruned, rho, C1):
     return SlabWindow(Fraction(rho), Fraction(C1))
 
 
-def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
-                 rho, C1=Fraction(2), A0: int = 10,
-                 roots=None, restricted: bool = True):
-    """All sticky-admissible intersecting pairs with D(t1,t2) = u and
-    D(v1, v2) = w, meeting inside [rho, C1 rho].
+def _slope_pairs(pruned: PrunedSlopeTree, w: Address, lo: Fraction,
+                 hi: Fraction, S: int, E: int):
+    """The code pairs (c1, c2) whose slope leaves separate exactly at w,
+    each with the lattice form of its overlap test.
 
-    With ``restricted=True`` the scan applies the necessary center-distance
-    conditions before the exact intersection test; the output is identical
-    either way, only faster.
+    With D the common denominator of the slopes, the slope difference of
+    the pair is b/D on each axis; a root offset delta (centres delta/M^J
+    apart, tube side S/(E M^J)) overlaps at some x1 in [lo, hi] exactly
+    when every axis keeps delta in its closed integer ``box`` and every
+    ``cross`` form (i, j, f_i, f_j, bound) has f_i delta_i + f_j delta_j
+    < bound.  The box comes from lo < r2 and r1 < hi on a moving axis and
+    from |a| < s on a still one; the cross forms are r1_i < r2_j.
+    """
+    K = pruned.M ** pruned.J
+    D = lcm(*(x.denominator for v in pruned.slopes for x in v))
+    sigma = [tuple(x.numerator * (D // x.denominator) for x in v)
+             for v in pruned.slopes]
+    still = -(-S // E) - 1  # |delta| E < S
+    pl, ql, ph, qh = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    codes = range(2 ** pruned.N)
+    out = []
+    for c1 in codes:
+        for c2 in codes:
+            if youngest_common_ancestor(pruned.slope_leaf(c1),
+                                        pruned.slope_leaf(c2)) != w:
+                continue
+            box, moving = [], []
+            for i, (s1, s2) in enumerate(zip(sigma[c1], sigma[c2])):
+                b = s1 - s2
+                if b == 0:
+                    box.append((-still, still))
+                    continue
+                sgn, B = (1, b) if b > 0 else (-1, -b)
+                # x = sgn delta: x < (S ql D - pl E K B) / (E ql D) and
+                # x > -(S qh D + ph E K B) / (E qh D)
+                x_hi = -((pl * E * K * B - S * ql * D) // (E * ql * D)) - 1
+                x_lo = -(S * qh * D + ph * E * K * B) // (E * qh * D) + 1
+                box.append((x_lo, x_hi) if sgn > 0 else (-x_hi, -x_lo))
+                moving.append((i, sgn, B))
+            # E (x_j B_i - x_i B_j) < S (B_i + B_j)
+            cross = [(i, j, -E * si * Bj, E * sj * Bi, S * (Bi + Bj))
+                     for i, si, Bi in moving for j, sj, Bj in moving if i != j]
+            dw = tuple(a - b for a, b in zip(pruned.slopes[c1], pruned.slopes[c2]))
+            out.append((c1, c2, box, cross, moving, dw))
+    return out, D
+
+
+def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
+                 rho, C1=Fraction(2), A0: int = 10, roots=None):
+    """All sticky-admissible intersecting pairs ((t1, c1), (t2, c2)) with
+    D(t1, t2) = u and D(v1, v2) = w, meeting inside [rho, C1 rho].
+
+    The pairs come out with t1, then t2, in ``roots`` order, then (c1, c2)
+    in code order.  Root pairs are drawn from the roots under u whose
+    digits at height h(u) differ.  The geometry is decided on an integer
+    lattice: root centres differ by delta/M^J, slopes are numerators over
+    one common denominator, and the test of ``tubes.intersects`` (closed
+    window ends, open coordinate bounds) becomes Python-int comparisons.
+    Stickiness is tested only on geometric hits, and every hit has the
+    centre and scale inequalities asserted.  ``enumerate_E2_bruteforce``
+    is the independent Fraction oracle.
     """
     if w not in pruned.gamma:
         raise InvalidInput("slope anchor must be a splitting vertex")
     if roots is None:
         roots = all_root_cubes(pruned)
     win = _window(pruned, rho, C1)
+    M, d, J, h = pruned.M, pruned.d, pruned.J, len(u)
+    K = M ** J
     rho_sq = rho_sup_sq(pruned, w)
-    cd = cross_section_dilation(pruned.d)
-    mj = Fraction(1, pruned.M ** pruned.J)
+    # a hit has M^-J / 2 <= |x1||v1 - v2| <= C1 rho rho_w
+    if 4 * win.hi ** 2 * rho_sq < Fraction(1, K * K):
+        return []
+    lo, hi = clip_x1(win.lo, win.hi, A0)
+    if lo >= hi or h >= J:
+        return []
+    cd = cross_section_dilation(d)
+    S, E = cd.numerator, cd.denominator  # tube side S / (E M^J)
+    pairs, D = _slope_pairs(pruned, w, lo, hi, S, E)
+    # a hit has |cen(t1) - cen(t2)| <= C1 rho rho_w + 2 c_d sqrt(d) M^-J
+    reach_sq = 2 * win.hi ** 2 * rho_sq + Fraction(8 * d) * cd * cd / (K * K)
+    reach = int(reach_sq * K * K)
+    under = [(t, cube_index(t, M, d), t[h]) for t in roots if t[:h] == u]
 
-    # scale prefilter: intersection within the window forces
-    # |cen(t1)-cen(t2)| <= C1 rho rho_w + 2 c_d sqrt(d) M^-J
-    if restricted:
-        reach_sq = 2 * (Fraction(C1) * Fraction(rho)) ** 2 * rho_sq \
-            + 8 * cd * cd * pruned.d * mj * mj
-        if 4 * Fraction(C1) ** 2 * Fraction(rho) ** 2 * rho_sq < mj * mj:
-            return []  # 2 C1 rho rho_w < M^-J: no pair can intersect
-
-    from .madic import cube_center, point_distance_sq
-    slope_pairs = [(c1, c2) for c1 in range(2 ** pruned.N)
-                   for c2 in range(2 ** pruned.N)
-                   if youngest_common_ancestor(pruned.slope_leaf(c1),
-                                               pruned.slope_leaf(c2)) == w]
     out = []
-    centers = {t: cube_center(t, pruned.M, pruned.d) for t in roots}
-    for i, t1 in enumerate(roots):
-        for t2 in roots:
-            if t1 == t2 or youngest_common_ancestor(t1, t2) != u:
+    for t1, k1, g1 in under:
+        for t2, k2, g2 in under:
+            if g1 == g2:
                 continue
-            if restricted:
-                if point_distance_sq(centers[t1], centers[t2]) > reach_sq:
+            delta = tuple(a - b for a, b in zip(k1, k2))
+            if sum(x * x for x in delta) > reach:
+                continue
+            for c1, c2, box, cross, moving, dw in pairs:
+                if not all(l <= x <= r for x, (l, r) in zip(delta, box)):
                     continue
-            for c1, c2 in slope_pairs:
-                pair = [(t1, c1), (t2, c2)]
-                ok, _ = is_sticky_admissible(pruned, pair)
-                if not ok:
+                if not all(fi * delta[i] + fj * delta[j] < bound
+                           for i, j, fi, fj, bound in cross):
                     continue
-                if intersects(make_tube(pruned, t1, c1, A0),
-                              make_tube(pruned, t2, c2, A0), win):
+                # the overlap interval of this axis, x = sgn delta:
+                # r1 = D (-S - E x) / (E K B) and r2 = D (S - E x) / (E K B)
+                lows, highs = [lo], [hi]
+                for i, sgn, B in moving:
+                    x = sgn * delta[i]
+                    lows.append(Fraction(D * (-S - E * x), E * K * B))
+                    highs.append(Fraction(D * (S - E * x), E * K * B))
+                dc = tuple(Fraction(x, K) for x in delta)
+                assert_pair_inequalities(dc, dw, (max(lows), min(highs)), M, J)
+                if is_sticky_admissible(pruned, [(t1, c1), (t2, c2)])[0]:
                     out.append(((t1, c1), (t2, c2)))
     return out
 
 
 def enumerate_E2_bruteforce(pruned, u, w, rho, C1=Fraction(2), A0: int = 10,
                             roots=None):
-    """Unrestricted oracle scan over all (t1, t2, v1, v2)."""
-    return enumerate_E2(pruned, u, w, rho, C1, A0, roots, restricted=False)
+    """Oracle of ``enumerate_E2``: every (t1, t2, c1, c2) with the ancestor
+    filters, stickiness and the Fraction test ``tubes.intersects``, with
+    no prefilter."""
+    if w not in pruned.gamma:
+        raise InvalidInput("slope anchor must be a splitting vertex")
+    if roots is None:
+        roots = all_root_cubes(pruned)
+    win = _window(pruned, rho, C1)
+    codes = range(2 ** pruned.N)
+    out = []
+    for t1 in roots:
+        for t2 in roots:
+            if t1 == t2 or youngest_common_ancestor(t1, t2) != u:
+                continue
+            for c1 in codes:
+                for c2 in codes:
+                    if youngest_common_ancestor(pruned.slope_leaf(c1),
+                                                pruned.slope_leaf(c2)) != w:
+                        continue
+                    if not is_sticky_admissible(pruned, [(t1, c1), (t2, c2)])[0]:
+                        continue
+                    if intersects(make_tube(pruned, t1, c1, A0),
+                                  make_tube(pruned, t2, c2, A0), win):
+                        out.append(((t1, c1), (t2, c2)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +294,12 @@ def enumerate_E3(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
     w, w2 = anchors["w"], anchors["w2"]
     e2a = enumerate_E2(pruned, u, w, rho, C1, A0, roots)
     e2b = enumerate_E2(pruned, u2, w2, rho, C1, A0, roots)
+    shared = {}  # the pairs of e2b by their first tube, in e2b order
+    for first, second in e2b:
+        shared.setdefault(first, []).append(second)
     out = []
     for (ta, ca), (tb, cb) in e2a:
-        for (tc, cc), (td, cd) in e2b:
-            if (ta, ca) != (tc, cc):
-                continue
+        for td, cd in shared.get((ta, ca), ()):
             if len({ta, tb, td}) != 3:
                 continue
             cfg = classify_roots((ta, tb, td))

@@ -74,19 +74,22 @@ def point_address(p: Point, M: int, J: int) -> Address:
     return tuple(addr)
 
 
+def cube_index(addr: Address, M: int, d: int) -> tuple[int, ...]:
+    """Origin of the cube ``addr`` per axis, in units of its side M^-len(addr)."""
+    idx = [0] * d
+    for dig in addr:
+        idx = [i * M + g for i, g in zip(idx, dig)]
+    return tuple(idx)
+
+
 def cube_origin(addr: Address, M: int, d: int) -> Point:
-    org = [Fraction(0)] * d
-    for k, dig in enumerate(addr, start=1):
-        w = Fraction(1, M**k)
-        for a in range(d):
-            org[a] += dig[a] * w
-    return tuple(org)
+    side = M ** len(addr)
+    return tuple(Fraction(i, side) for i in cube_index(addr, M, d))
 
 
 def cube_center(addr: Address, M: int, d: int) -> Point:
-    org = cube_origin(addr, M, d)
-    half = Fraction(1, 2 * M ** len(addr))
-    return tuple(c + half for c in org)
+    side = M ** len(addr)
+    return tuple(Fraction(2 * i + 1, 2 * side) for i in cube_index(addr, M, d))
 
 
 def cube_distance_sq(u: Address, v: Address, M: int, d: int) -> Fraction:

@@ -35,6 +35,7 @@ from .madic import (
     PointSetTree,
     cube_distance_sq,
     encode_set,
+    point_address,
     point_distance_sq,
 )
 
@@ -206,6 +207,7 @@ class PrunedSlopeTree:
         if len(slopes) != 2 ** N:
             raise InvalidInput(f"expected 2^{N} slopes, found {len(slopes)}")
         self.slopes: tuple[Point, ...] = tuple(slopes[c] for c in range(2 ** N))
+        self._leaves = tuple(point_address(s, self.M, self.J) for s in self.slopes)
         self.fundamental_heights = tuple(sorted(
             {info.lam for info in self.gamma.values()} | {self.J}))
         # eta[code][j-1] = height of the j-th basic slope cube on the ray
@@ -234,8 +236,8 @@ class PrunedSlopeTree:
         return self.slopes.index(point)
 
     def slope_leaf(self, code: int) -> Address:
-        from .madic import point_address
-        return point_address(self.slopes[code], self.M, self.J)
+        """Address of the height-J cube holding the slope with this code."""
+        return self._leaves[code]
 
     def psi(self, bits) -> Address:
         """Basic slope cube for a bit string of length 0..N."""

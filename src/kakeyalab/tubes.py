@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from math import lcm
 from typing import Sequence
 
 from .errors import InvalidInput, SizeCapExceeded
@@ -33,6 +35,7 @@ from .sticky import StickyMap
 DEFAULT_A0 = 10
 
 
+@cache
 def cross_section_dilation(d: int) -> Fraction:
     """The rational c_d: 1/4 in dimension 1, d^-2d beyond."""
     cd = min(Fraction(1, 4), Fraction(1, d ** (2 * d))) if d == 1 else Fraction(1, d ** (2 * d))
@@ -145,27 +148,45 @@ def _feasible_x1(p1: Tube, p2: Tube, w: SlabWindow):
     return open_lo, open_hi
 
 
+def assert_pair_inequalities(dc, dw, iv, M: int, J: int) -> None:
+    """Assert the centre inequality and the scale inequality
+    |x1||v - v'| >= M^-J / 2 at the midpoint x1 of the open overlap
+    interval ``iv`` of two tubes with distinct roots, whose centres differ
+    by ``dc`` and slopes by ``dw`` (Fractions; compared as integers)."""
+    d = len(dc)
+    x1 = (iv[0] + iv[1]) / 2
+    p, q = x1.numerator, x1.denominator
+    # dc_i + x1 dw_i = nums[i] / dens[i] and dw_i = dw_i.numerator / dw_i.denominator
+    nums = [a.numerator * b.denominator * q + p * b.numerator * a.denominator
+            for a, b in zip(dc, dw)]
+    dens = [a.denominator * b.denominator * q for a, b in zip(dc, dw)]
+    L, Lw = lcm(*dens), lcm(*(b.denominator for b in dw))
+    vec_sq = sum((n * (L // m)) ** 2 for n, m in zip(nums, dens))  # times L^2
+    speed_sq = sum((b.numerator * (Lw // b.denominator)) ** 2 for b in dw)  # times Lw^2
+    cd = cross_section_dilation(d)
+    m2 = M ** (2 * J)
+    # |dc + x1 dw|^2 <= 4 c_d^2 d M^-2J
+    if vec_sq * cd.denominator ** 2 * m2 > 4 * cd.numerator ** 2 * d * L * L:
+        raise AssertionError("centre inequality fails on an intersecting pair")
+    # x1^2 |dw|^2 >= M^-2J / 4
+    if 4 * p * p * speed_sq * m2 < q * q * Lw * Lw:
+        raise AssertionError("scale inequality |x1||v-v'| >= M^-J/2 fails")
+
+
 def intersects(p1: Tube, p2: Tube, w: SlabWindow) -> bool:
     """Exact emptiness test of the prism intersection inside the window.
 
     On a positive answer with distinct roots, the centre inequality and the
-    scale inequality |x1||v - v'| >= M^-J / 2 are asserted at an interior
-    rational point.
+    scale inequality are asserted (:func:`assert_pair_inequalities`).
+    This Fraction test is the oracle of the integer scan in
+    ``counting.enumerate_E2``.
     """
     iv = _feasible_x1(p1, p2, w)
     if iv is None:
         return False
     if p1.root != p2.root:
         dc, dw = _pair_frame(p1, p2)
-        x1 = (iv[0] + iv[1]) / 2
-        vec_sq = sum((a + x1 * b) ** 2 for a, b in zip(dc, dw))
-        cd = cross_section_dilation(p1.d)
-        bound_sq = 4 * cd * cd * p1.d * Fraction(1, p1.M ** (2 * p1.J))
-        if vec_sq > bound_sq:
-            raise AssertionError("centre inequality fails on an intersecting pair")
-        speed_sq = sum(b * b for b in dw)
-        if x1 * x1 * speed_sq < Fraction(1, 4 * p1.M ** (2 * p1.J)):
-            raise AssertionError("scale inequality |x1||v-v'| >= M^-J/2 fails")
+        assert_pair_inequalities(dc, dw, iv, p1.M, p1.J)
     return True
 
 

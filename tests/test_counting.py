@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from itertools import product
 
@@ -18,6 +19,7 @@ from kakeyalab.errors import InvalidInput, SizeCapExceeded
 from kakeyalab.madic import cantor_tree, full_tree, youngest_common_ancestor
 from kakeyalab.pruning import prune
 from kakeyalab.sticky import classify_roots
+from kakeyalab.tubes import SlabWindow, intersects, make_tube
 
 
 @pytest.fixture(scope="module")
@@ -37,16 +39,55 @@ def test_root_cap():
 
 
 def test_e2_restricted_equals_bruteforce(inst3):
+    # the lattice scan equals the Fraction oracle in content and order
     roots = all_root_cubes(inst3)
-    total = 0
-    for u_h in (0, 1):
-        for u in sorted({r[:u_h] for r in roots}):
-            for w in inst3.gamma:
-                a = enumerate_E2(inst3, u, w, F(1, 3))
-                b = enumerate_E2_bruteforce(inst3, u, w, F(1, 3))
-                assert a == b
-                total += len(a)
-    assert total > 0
+    branches = {}
+    for t in roots:
+        branches.setdefault(t[:2], []).append(t)
+    rng = random.Random(5)  # 5 roots per height-2 branch, as in the benchmark
+    subset = sorted(t for b in branches.values() for t in rng.sample(b, 5))
+    d2 = prune(cantor_tree(30, d=2), N=2, C0=1)
+    d2_roots = sorted(random.Random(1).sample(all_root_cubes(d2), 40))
+    cases = {  # name: (instance, anchors u, rhos, A0, roots, expect hits)
+        "u up to height 1": (inst3, sorted({r[:h] for r in roots for h in (0, 1)}),
+                             [F(1, 3)], 10, roots, True),
+        "u at height 2": (inst3, sorted(branches), [F(1, 3), F(1, 81)], 10,
+                          subset, True),
+        "window cut by 10 A0": (inst3, [()], [F(6)], 1, subset, True),
+        "window beyond 10 A0": (inst3, [()], [F(10)], 1, subset, False),
+        "rho over 3^30": (inst3, [()], [F(3 ** 29 + 1, 3 ** 30)], 10, subset, True),
+        "d = 2": (d2, [()], [F(3), F(1), F(1, 3), F(1, 9)], 10, d2_roots, True),
+    }
+    for name, (p, us, rhos, A0, rts, hits) in cases.items():
+        total = 0
+        for u in us:
+            for w in p.gamma:
+                for rho in rhos:
+                    a = enumerate_E2(p, u, w, rho, A0=A0, roots=rts)
+                    b = enumerate_E2_bruteforce(p, u, w, rho, A0=A0, roots=rts)
+                    assert a == b, (name, u, w, rho)
+                    total += len(a)
+        assert (total > 0) == hits, name
+
+
+def test_tangent_pairs_are_not_hits(inst3):
+    # window ends are closed and coordinate bounds open: a pair whose
+    # overlap interval (r1, r2) ends exactly at lo or at hi does not meet
+    g1 = inst3.psi(())
+    for (t1, c1), (t2, c2) in enumerate_E2(inst3, (), g1, F(1, 3)):
+        a, b = make_tube(inst3, t1, c1), make_tube(inst3, t2, c2)
+        dc, dw = a.center()[0] - b.center()[0], a.slope[0] - b.slope[0]
+        r1, r2 = sorted(((-a.side - dc) / dw, (a.side - dc) / dw))
+        if r1 > 0:
+            break
+    else:
+        pytest.fail("no hit whose overlap interval starts above 0")
+    eps = F(1, 10 ** 9)
+    for rho, hit in ((r2, False), (r2 - eps, True),
+                     (r1 / 2, False), (r1 / 2 + eps, True)):
+        assert intersects(a, b, SlabWindow(rho)) == hit
+        got = enumerate_E2(inst3, (), g1, rho, roots=[t1, t2])
+        assert (((t1, c1), (t2, c2)) in got) == hit, rho
 
 
 def test_e2_trivial_scale_empty(inst3):
@@ -129,7 +170,7 @@ def test_slope_tuple_count_bounds():
 
 
 def test_e4_matches_bruteforce_and_containment(inst2):
-    # the quartic scan is confined to a root subset; the restricted
+    # the quartic scan is confined to a root subset; the lattice
     # enumerator runs on the same subset so the comparison stays exact
     roots = all_root_cubes(inst2)[:12]
     g1 = inst2.psi(())

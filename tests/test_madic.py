@@ -10,6 +10,8 @@ from kakeyalab.madic import (
     ToyTree,
     agreement_height_scalar,
     cantor_tree,
+    cube_center,
+    cube_origin,
     encode_set,
     full_tree,
     is_sticky,
@@ -74,6 +76,17 @@ def test_yca_is_longest_common_prefix(a, b):
     n = len(got)
     assert u[:n] == v[:n]
     assert n == len(u) or n == len(v) or u[n] != v[n]
+
+
+@given(st.integers(2, 4), st.integers(1, 3), st.data())
+def test_cube_origin_and_center_lie_in_their_cube(M, d, data):
+    digit = st.tuples(*[st.integers(0, M - 1)] * d)
+    addr = tuple(data.draw(st.lists(digit, max_size=6)))
+    J = len(addr)
+    org, cen = cube_origin(addr, M, d), cube_center(addr, M, d)
+    assert point_address(org, M, J) == addr
+    assert point_address(cen, M, J) == addr
+    assert all(c - o == F(1, 2 * M ** J) for c, o in zip(cen, org))
 
 
 def test_yca_checks_membership():
