@@ -207,24 +207,33 @@ class PrunedSlopeTree:
         if len(slopes) != 2 ** N:
             raise InvalidInput(f"expected 2^{N} slopes, found {len(slopes)}")
         self.slopes: tuple[Point, ...] = tuple(slopes[c] for c in range(2 ** N))
+        self._slope_codes = {s: c for c, s in enumerate(self.slopes)}
         self._leaves = tuple(point_address(s, self.M, self.J) for s in self.slopes)
         self.fundamental_heights = tuple(sorted(
             {info.lam for info in self.gamma.values()} | {self.J}))
+        self._code_bits = tuple(
+            tuple((code >> (N - 1 - i)) & 1 for i in range(N))
+            for code in range(2 ** N))
         # eta[code][j-1] = height of the j-th basic slope cube on the ray
         self.eta = []
-        for code in range(2 ** N):
-            bits = self.code_bits(code)
+        for bits in self._code_bits:
             hts, g = [], gamma1
-            for j, b in enumerate(bits, start=1):
+            for b in bits:
                 info = self.gamma[g]
                 hts.append(info.lam)
                 g = info.next_gammas[b]
             self.eta.append(tuple(hts))
+        # lookup tables of :mod:`kakeyalab.sticky`, filled on first use: the
+        # reference cubes per (root, code) alone would be K * 2^N entries,
+        # and an instance-level table dies with the instance
+        self.ref_cubes: dict[tuple[Address, int], tuple] = {}
+        self.slope_ycas: dict[tuple[int, int], Address] = {}
+        self.mus: dict[tuple[Address, int], int] = {}
 
     # -- basic accessors -----------------------------------------------------
 
     def code_bits(self, code: int) -> tuple:
-        return tuple((code >> (self.N - 1 - i)) & 1 for i in range(self.N))
+        return self._code_bits[code]
 
     def bits_code(self, bits) -> int:
         out = 0
@@ -233,7 +242,10 @@ class PrunedSlopeTree:
         return out
 
     def slope_index(self, point: Point) -> int:
-        return self.slopes.index(point)
+        code = self._slope_codes.get(point)
+        if code is None:
+            raise InvalidInput(f"{point} is not a slope of this instance")
+        return code
 
     def slope_leaf(self, code: int) -> Address:
         """Address of the height-J cube holding the slope with this code."""

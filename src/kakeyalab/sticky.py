@@ -18,6 +18,13 @@ when no reference cube is forced to carry two different bits, which is
 what :func:`is_sticky_admissible` decides; the closed forms of
 :func:`prob_closed_form` reproduce the same exponent from the youngest
 common ancestors of roots and slopes alone.
+
+Every input of these checks is computed once per instance and then looked
+up.  The pruned tree builds its code-bit and slope-index tables up front;
+the reference cubes of a (root, code), the youngest common ancestor of a
+code pair and mu at a (vertex, height) are memoized on the tree as
+they are first asked for.  :func:`is_sticky_admissible` remains the one
+place that merges the constraints of several roots.
 """
 
 from __future__ import annotations
@@ -161,25 +168,35 @@ def sample_assignment(pruned: PrunedSlopeTree, seed: int) -> StickyMap:
 # ---------------------------------------------------------------------------
 
 def _normalize_pairs(pruned: PrunedSlopeTree, pairs):
+    """(root tuple, slope code) pairs, with each code checked before any
+    table lookup: a negative code would otherwise index from the end."""
     out = []
+    n_codes, J = len(pruned.slopes), pruned.J
     for t, v in pairs:
-        if isinstance(v, int):
-            code = v
-        else:
-            code = pruned.slope_index(tuple(v))
-        if len(t) != pruned.J:
+        code = v if isinstance(v, int) else pruned.slope_index(tuple(v))
+        if not 0 <= code < n_codes:
+            raise InvalidInput(f"slope code {code} outside 0..{n_codes - 1}")
+        if len(t) != J:
             raise InvalidInput("roots must be height-J cubes")
         out.append((tuple(t), code))
     return out
 
 
-def reference_cubes(pruned: PrunedSlopeTree, t: Address, code: int):
+def reference_cubes(pruned: PrunedSlopeTree, t: Address, code: int) -> tuple:
     """The reference cubes of a root under a prescribed slope: ancestors of
     t at the heights of the slope's basic cubes, paired with the bit each
-    must carry."""
-    bits = pruned.code_bits(code)
-    etas = pruned.eta[code]
-    return [(ancestor(t, etas[j]), bits[j]) for j in range(pruned.N)]
+    must carry.  Memoized on the instance per (t, code); repeat calls
+    return the same tuple."""
+    key = (t, code)
+    got = pruned.ref_cubes.get(key)
+    if got is None:
+        n_codes = len(pruned.slopes)
+        if not 0 <= code < n_codes:
+            raise InvalidInput(f"slope code {code} outside 0..{n_codes - 1}")
+        got = tuple((ancestor(t, h), b)
+                    for h, b in zip(pruned.eta[code], pruned.code_bits(code)))
+        pruned.ref_cubes[key] = got
+    return got
 
 
 @dataclass(frozen=True)
@@ -222,10 +239,7 @@ def is_sticky_admissible(pruned: PrunedSlopeTree, pairs):
     constraints: dict[Address, int] = {}
     for t, code in pairs:
         for cube, bit in reference_cubes(pruned, t, code):
-            old = constraints.get(cube)
-            if old is None:
-                constraints[cube] = bit
-            elif old != bit:
+            if constraints.setdefault(cube, bit) != bit:
                 return False, None
     return True, constraints
 
@@ -278,11 +292,15 @@ def theta(pruned: PrunedSlopeTree, w: Address, k: int) -> Address | None:
 
 
 def mu(pruned: PrunedSlopeTree, w: Address, k: int) -> int:
-    """Number of basic slope cubes of height <= k containing w."""
-    th = theta(pruned, w, k)
-    if th is None:
-        return 0
-    return len(pruned.psi_inverse(th))
+    """Number of basic slope cubes of height <= k containing w, that is
+    the code length of theta(w, k).  Memoized on the instance per (w, k)."""
+    key = (w, k)
+    got = pruned.mus.get(key)
+    if got is None:
+        th = theta(pruned, w, k)
+        got = 0 if th is None else len(pruned.psi_inverse(th))
+        pruned.mus[key] = got
+    return got
 
 
 def root_ancestor_at_mu(pruned: PrunedSlopeTree, u: Address, w: Address,
@@ -357,8 +375,15 @@ def classify_roots(roots) -> RootConfiguration:
     return RootConfiguration(4, ctype, ((t1, t2), (t1p, t2p)), swapped, u, u2)
 
 
-def _slope_yca(pruned, c1: int, c2: int) -> Address:
-    return youngest_common_ancestor(pruned.slope_leaf(c1), pruned.slope_leaf(c2))
+def _slope_yca(pruned: PrunedSlopeTree, c1: int, c2: int) -> Address:
+    """Youngest common ancestor of two slope leaves, memoized on the
+    instance per code pair."""
+    key = (c1, c2)
+    got = pruned.slope_ycas.get(key)
+    if got is None:
+        got = youngest_common_ancestor(pruned.slope_leaf(c1), pruned.slope_leaf(c2))
+        pruned.slope_ycas[key] = got
+    return got
 
 
 def prob_closed_form(pruned: PrunedSlopeTree, pairs) -> Fraction:

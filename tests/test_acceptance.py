@@ -186,10 +186,11 @@ class _FrequencyOracle:
             for m in range(1, 9)
         }
 
-    def frequency(self, pairs) -> F:
+    def _columns(self, roots):
+        """Per root, the warehouse columns of its two reference cubes."""
         cubes = {}
         cols = []
-        for t, _ in pairs:
+        for t in roots:
             i = int("".join(str(d[0]) for d in t), self.M)
             c1 = (self.lam1, i // self.M ** (self.J - self.lam1))
             c2 = (self.J, i)
@@ -197,13 +198,28 @@ class _FrequencyOracle:
                 if c not in cubes:
                     cubes[c] = len(cubes)
             cols.append((cubes[c1], cubes[c2]))
-        m = len(cubes)
+        return cols, len(cubes)
+
+    def frequency(self, pairs) -> F:
+        cols, m = self._columns([t for t, _ in pairs])
         A = self._assign_cache[m]
         good = np.ones(2 ** m, dtype=bool)
         for (t, code), (p1, p2) in zip(pairs, cols):
             got = 2 * A[:, p1] + A[:, p2]
             good &= got == code
         return F(int(np.count_nonzero(good)), 2 ** m)
+
+    def frequencies(self, roots) -> list[F]:
+        """``frequency`` of every code tuple of the roots, in the order of
+        ``product(range(4), repeat=len(roots))``: one count per code
+        tuple from one pass over all 2^m warehouse realizations."""
+        cols, m = self._columns(roots)
+        A = self._assign_cache[m]
+        index = np.zeros(2 ** m, dtype=np.int64)
+        for p1, p2 in cols:
+            index = 4 * index + 2 * A[:, p1] + A[:, p2]
+        counts = np.bincount(index, minlength=4 ** len(roots))
+        return [F(int(c), 2 ** m) for c in counts]
 
 
 def test_criterion_05_probability_triple_agreement():
@@ -217,19 +233,22 @@ def test_criterion_05_probability_triple_agreement():
     codes = range(2 ** pruned.N)
     oracle = _FrequencyOracle(pruned)
 
-    # the vectorized oracle must agree with the scalar enumerator
+    # the vectorized oracles must agree with the scalar enumerator
     rng = random.Random(0)
     for _ in range(60):
         prs = [(t, rng.randrange(4)) for t in rng.sample(roots, 3)]
-        assert oracle.frequency(prs) == prob_enumerate(pruned, prs)
+        ts, cs = zip(*prs)
+        at = (cs[0] * 4 + cs[1]) * 4 + cs[2]
+        assert oracle.frequencies(ts)[at] == oracle.frequency(prs) \
+            == prob_enumerate(pruned, prs)
 
     checked = {2: 0, 3: 0, 4: 0}
     for size in (2, 3, 4):
         for ts in combinations(roots, size):
-            for cs in product(codes, repeat=size):
+            freqs = oracle.frequencies(ts)
+            for cs, freq in zip(product(codes, repeat=size), freqs, strict=True):
                 prs = list(zip(ts, cs))
                 ok, _ = is_sticky_admissible(pruned, prs)
-                freq = oracle.frequency(prs)
                 if not ok:
                     assert freq == 0
                     continue

@@ -1,0 +1,44 @@
+"""The README's CLI examples for ``prune`` and ``verify-prob``, pinned.
+
+``tests/golden/cli.json`` holds, per command line, the JSON that command
+prints on stdout.  The ``prune`` output pins the pruned slope tree (slopes,
+splitting vertices, coding table, fundamental heights); the ``verify-prob``
+output pins ``pairs_checked``, the number of sticky-admissible root-slope
+pairs of its instance.  Regenerate only when a change is meant to alter
+the output:
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+import json
+from pathlib import Path
+
+from kakeyalab.cli import main as cli_main
+
+GOLDEN = Path(__file__).parent / "golden" / "cli.json"
+COMMANDS = (
+    "prune --set cantor:depth=40 --base 3 --N 3 --C0 2",
+    "verify-prob --generator full:depth=12 --M 2 --C0 1 --N 2",
+)
+
+
+def test_cli_reproduces_golden_outputs(capsys):
+    golden = json.loads(GOLDEN.read_text())
+    assert sorted(golden) == sorted(COMMANDS)
+    for command, want in golden.items():
+        assert cli_main(command.split()) == 0, command
+        assert json.loads(capsys.readouterr().out) == want, command
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+
+    table = {}
+    for command in COMMANDS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli_main(command.split()) == 0, command
+        table[command] = json.loads(out.getvalue())
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(table, indent=1) + "\n")

@@ -12,15 +12,18 @@ from kakeyalab.madic import cantor_tree, full_tree, youngest_common_ancestor
 from kakeyalab.pruning import prune
 from kakeyalab.sticky import (
     BernoulliWarehouse,
+    assignment_query,
     classify_roots,
     is_sticky_admissible,
     mu,
     prob_closed_form,
     prob_enumerate,
     prob_exact,
+    reference_cubes,
     root_ancestor_at_mu,
     sample_assignment,
     theta,
+    walk_chain,
 )
 
 
@@ -98,6 +101,40 @@ def test_extend_heights(inst, roots):
 def test_single_pair_probability(inst, roots):
     assert prob_exact(inst, [(roots[0], 0)]) == F(1, 4)
     assert prob_exact(inst, [(roots[5], 3)]) == F(1, 4)
+
+
+@pytest.mark.parametrize("bad", [-1, 4, (F(1, 3),)],
+                         ids=["negative", "past_last", "unknown_point"])
+def test_out_of_range_slopes_rejected(inst, roots, bad):
+    # code -1 must not be read as code 2^N - 1 = 3 by a table lookup
+    prs = [(roots[0], bad), (roots[5], 3)]
+    for fn in (is_sticky_admissible, prob_exact, prob_closed_form,
+               prob_enumerate, assignment_query):
+        with pytest.raises(InvalidInput):
+            fn(inst, prs)
+    if isinstance(bad, int):
+        with pytest.raises(InvalidInput):
+            reference_cubes(inst, roots[0], bad)
+
+
+@pytest.mark.parametrize("instance", [
+    lambda: prune(full_tree(16, 2), N=3, C0=1),
+    lambda: prune(cantor_tree(25), N=2, C0=1),
+], ids=["M2", "M3"])
+def test_reference_cubes_replay_the_chain_walk(instance):
+    # walk_chain finds each basic height by following the splitting
+    # vertices, independently of the eta and code-bit tables behind
+    # reference_cubes
+    p = instance()
+    for i in range(p.M ** p.J):
+        t = root_addr(i, p.M, p.J)
+        for code in range(2 ** p.N):
+            bits = iter(int(b) for b in format(code, f"0{p.N}b"))
+            want = tuple(walk_chain(p, t, lambda q: next(bits)))
+            got = reference_cubes(p, t, code)
+            assert got == want
+            assert reference_cubes(p, t, code) is got
+    assert len(p.ref_cubes) == p.M ** p.J * 2 ** p.N
 
 
 def test_n1_slope_frequency():
