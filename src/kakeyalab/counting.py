@@ -3,10 +3,13 @@
 The pair collection ``E2[u, w; rho]`` gathers sticky-admissible root-slope
 pairs with prescribed youngest common ancestors whose tubes meet inside an
 x1 window.  :func:`enumerate_E2` decides the meeting on an integer
-lattice: root centres differ by delta/M^J, the slopes are integer
-numerators over one common denominator, and whether some x1 in the window
-puts the two cross-sections within the tube side on every axis is a
-comparison of Python ints; stickiness is tested on geometric hits only.
+lattice: root centres differ by delta/M^J, the slopes are the integer
+numerators ``pruned.sigma`` over the instance's one denominator
+``pruned.D``, and whether some x1 in the window puts the two
+cross-sections within the tube side on every axis is a comparison of
+Python ints; stickiness is tested on geometric hits only.  Slope
+ancestors and the lattice are the per-instance tables every module reads;
+only the oracles recompute slope ancestors inline, to stay independent.
 :func:`enumerate_E2_bruteforce` is its independent oracle, a plain loop
 over every root and slope pair through the Fraction test
 ``tubes.intersects``.  The triple and quadruple collections are joins over
@@ -20,12 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import lcm
 
 from .errors import InvalidInput, SizeCapExceeded
 from .madic import Address, cube_index, youngest_common_ancestor
 from .pruning import PrunedSlopeTree, slope_metrics
-from .sticky import classify_roots, is_sticky_admissible, mu
+from .sticky import _max_cross, classify_roots, is_sticky_admissible, mu
 from .tubes import (
     SlabWindow,
     assert_pair_inequalities,
@@ -52,44 +54,31 @@ def all_root_cubes(pruned: PrunedSlopeTree, cap: int = ROOT_CAP):
     return out
 
 
-def rho_sup_sq(pruned: PrunedSlopeTree, w: Address) -> Fraction:
-    """Squared sup-distance between slope points separated exactly at w."""
-    return slope_metrics(pruned, w).rho_sq
-
-
 # ---------------------------------------------------------------------------
 # pair collections
 # ---------------------------------------------------------------------------
-
-def _window(pruned, rho, C1):
-    return SlabWindow(Fraction(rho), Fraction(C1))
-
 
 def _slope_pairs(pruned: PrunedSlopeTree, w: Address, lo: Fraction,
                  hi: Fraction, S: int, E: int):
     """The code pairs (c1, c2) whose slope leaves separate exactly at w,
     each with the lattice form of its overlap test.
 
-    With D the common denominator of the slopes, the slope difference of
-    the pair is b/D on each axis; a root offset delta (centres delta/M^J
+    With D the slope-lattice denominator ``pruned.D``, the slope difference
+    of the pair is b/D on each axis; a root offset delta (centres delta/M^J
     apart, tube side S/(E M^J)) overlaps at some x1 in [lo, hi] exactly
     when every axis keeps delta in its closed integer ``box`` and every
     ``cross`` form (i, j, f_i, f_j, bound) has f_i delta_i + f_j delta_j
     < bound.  The box comes from lo < r2 and r1 < hi on a moving axis and
     from |a| < s on a still one; the cross forms are r1_i < r2_j.
     """
-    K = pruned.M ** pruned.J
-    D = lcm(*(x.denominator for v in pruned.slopes for x in v))
-    sigma = [tuple(x.numerator * (D // x.denominator) for x in v)
-             for v in pruned.slopes]
+    K, D, sigma = pruned.M ** pruned.J, pruned.D, pruned.sigma
     still = -(-S // E) - 1  # |delta| E < S
     pl, ql, ph, qh = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     codes = range(2 ** pruned.N)
     out = []
     for c1 in codes:
         for c2 in codes:
-            if youngest_common_ancestor(pruned.slope_leaf(c1),
-                                        pruned.slope_leaf(c2)) != w:
+            if pruned.slope_yca(c1, c2) != w:
                 continue
             box, moving = [], []
             for i, (s1, s2) in enumerate(zip(sigma[c1], sigma[c2])):
@@ -131,10 +120,10 @@ def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
         raise InvalidInput("slope anchor must be a splitting vertex")
     if roots is None:
         roots = all_root_cubes(pruned)
-    win = _window(pruned, rho, C1)
+    win = SlabWindow(Fraction(rho), Fraction(C1))
     M, d, J, h = pruned.M, pruned.d, pruned.J, len(u)
     K = M ** J
-    rho_sq = rho_sup_sq(pruned, w)
+    rho_sq = slope_metrics(pruned, w).rho_sq
     # a hit has M^-J / 2 <= |x1||v1 - v2| <= C1 rho rho_w
     if 4 * win.hi ** 2 * rho_sq < Fraction(1, K * K):
         return []
@@ -186,7 +175,7 @@ def enumerate_E2_bruteforce(pruned, u, w, rho, C1=Fraction(2), A0: int = 10,
         raise InvalidInput("slope anchor must be a splitting vertex")
     if roots is None:
         roots = all_root_cubes(pruned)
-    win = _window(pruned, rho, C1)
+    win = SlabWindow(Fraction(rho), Fraction(C1))
     codes = range(2 ** pruned.N)
     out = []
     for t1 in roots:
@@ -311,8 +300,7 @@ def enumerate_E3(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
                 continue
             if ctype == 2:
                 t = youngest_common_ancestor(tb, td)
-                vt = youngest_common_ancestor(pruned.slope_leaf(cb),
-                                              pruned.slope_leaf(cd))
+                vt = pruned.slope_yca(cb, cd)
                 if anchors.get("t") not in (None, t):
                     continue
                 if anchors.get("vtheta") not in (None, vt):
@@ -380,13 +368,12 @@ def _assert_necessary_conditions(pruned, rec: TupleRecord, rho, C1):
     """
     (ta, ca), (tb, cb), (tc, cc), (td, cd) = rec.pairs
     cfg = rec.config
-    w = youngest_common_ancestor(pruned.slope_leaf(ca), pruned.slope_leaf(cb))
-    w2 = youngest_common_ancestor(pruned.slope_leaf(cc), pruned.slope_leaf(cd))
-    rho_w_sq = rho_sup_sq(pruned, w) if w in pruned.gamma else Fraction(0)
-    rho_w2_sq = rho_sup_sq(pruned, w2) if w2 in pruned.gamma else Fraction(0)
+    w, w2 = pruned.slope_yca(ca, cb), pruned.slope_yca(cc, cd)
+    rho_w_sq = slope_metrics(pruned, w).rho_sq if w in pruned.gamma else Fraction(0)
+    rho_w2_sq = slope_metrics(pruned, w2).rho_sq if w2 in pruned.gamma else Fraction(0)
     margin = (4 * Fraction(C1) * Fraction(rho)) ** 2
     if cfg.ctype == 2:
-        (_, _), t = _max_cross_pair((ta, tb), (tc, td))
+        _, t = _max_cross((ta, tb), (tc, td))
         dsq = _dist_to_child_boundary_sq(pruned, t, cfg.u)
         if dsq > margin * rho_w_sq:
             raise AssertionError("type-2 anchor too far from the child boundary")
@@ -404,23 +391,12 @@ def _assert_necessary_conditions(pruned, rec: TupleRecord, rho, C1):
                 raise AssertionError("type-3 anchors violate the distance constraint")
 
 
-def _max_cross_pair(pair1, pair2):
-    best = None
-    for i in range(2):
-        for j in range(2):
-            dd = youngest_common_ancestor(pair1[i], pair2[j])
-            key = (-len(dd), i, j)
-            if best is None or key < best[0]:
-                best = (key, (i, j), dd)
-    return best[1], best[2]
-
-
 def bruteforce_E4(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
                   rho, C1=Fraction(2), A0: int = 10, roots=None):
     """Quartic oracle over all root quadruples and slope assignments."""
     if roots is None:
         roots = all_root_cubes(pruned, cap=3 ** 5)
-    win = _window(pruned, rho, C1)
+    win = SlabWindow(Fraction(rho), Fraction(C1))
     u, u2, w, w2 = anchors["u"], anchors["u2"], anchors["w"], anchors["w2"]
     out = []
     codes = range(2 ** pruned.N)

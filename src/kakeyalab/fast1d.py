@@ -9,7 +9,8 @@ array of slope codes.  Three quantities are computed exactly:
   warehouse (bit-for-bit identical);
 
 * pairwise slab-intersection sums, on an integer lattice.  Let D be the
-  common denominator of 1/K and the slopes, sigma = D * slope, and
+  instance's slope-lattice denominator (a multiple of K and of every
+  slope denominator, ``PrunedSlopeTree.D``), sigma = D * slope, and
   q = lcm(den a, den b) for the window [a, b].  Two tubes with root
   offset g overlap by a tent profile; at an endpoint p/q it is read at the
   integer X = 4 g Q + 4 p dsigma, in units of the tube side over
@@ -98,9 +99,8 @@ class FastInstance:
         self.root_gamma = ids[pruned.psi(())]
         self.pow = np.array([self.M ** k for k in range(self.J + 1)],
                             dtype=np.int64)
-        self.slopes = pruned.slopes  # Fractions, code order
-        self.D = lcm(self.K, *(w[0].denominator for w in self.slopes))
-        self.sigma = [int(w[0] * self.D) for w in self.slopes]  # Python ints
+        self.D = pruned.D
+        self.sigma = [s for (s,) in pruned.sigma]  # Python ints
         self.by_slope = sorted(range(len(self.sigma)), key=self.sigma.__getitem__)
         self.slope_rank = np.argsort(self.by_slope)
 

@@ -22,7 +22,7 @@ import json
 import math
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -44,7 +44,6 @@ class ExperimentConfig:
     n_values: tuple = (2, 3, 4, 5)
     C0: int = 1
     A0: int = DEFAULT_A0
-    C1: int = 3
     r_values: tuple = (1, 2)
     seeds: int = 200
     master_seed: int = 2024
@@ -71,6 +70,9 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         obj = json.loads(text)
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+        if unknown:
+            raise InvalidInput(f"unknown config keys: {', '.join(unknown)}")
         for key in ("n_values", "r_values"):
             if key in obj:
                 obj[key] = tuple(obj[key])
@@ -138,7 +140,7 @@ def run_cell(config: ExperimentConfig, n: int, trial: int) -> CellMetrics:
     """All per-seed metrics for one (N, trial) cell.
 
     Cached on what the cell reads, so configs that differ only in
-    ``seeds``, ``out_dir``, ``n_values`` or ``C1`` share their cells;
+    ``seeds``, ``out_dir`` or ``n_values`` share their cells;
     ``_cell.cache_info()`` counts hits and misses.
     """
     pruned = _prune_cached(config.generator, config.M, config.d, config.C0, n)

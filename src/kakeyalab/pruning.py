@@ -18,8 +18,9 @@ by ``C0`` sidelengths, and the per-ray split budget drops by at most
 ``(2*C0+1)^d`` in the process.
 
 All vertex bookkeeping of the result (splitting indices, fundamental
-heights, basic slope cubes, and the binary coding of slopes) lives on
-:class:`PrunedSlopeTree`.
+heights, basic slope cubes, the binary coding of slopes, the youngest
+common ancestors of slope pairs and the integer slope lattice) lives on
+:class:`PrunedSlopeTree`; every other module reads it from there.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import InfeasibleInstance, InvalidInput
 from .madic import (
@@ -37,6 +39,7 @@ from .madic import (
     encode_set,
     point_address,
     point_distance_sq,
+    youngest_common_ancestor,
 )
 
 
@@ -209,6 +212,11 @@ class PrunedSlopeTree:
         self.slopes: tuple[Point, ...] = tuple(slopes[c] for c in range(2 ** N))
         self._slope_codes = {s: c for c, s in enumerate(self.slopes)}
         self._leaves = tuple(point_address(s, self.M, self.J) for s in self.slopes)
+        # the slope lattice: slope coordinates are sigma[code][i] / D, and D
+        # is a multiple of M^J so that root centre offsets are integers too
+        self.D = lcm(self.M ** self.J, *(x.denominator for v in self.slopes for x in v))
+        self.sigma = tuple(tuple(x.numerator * (self.D // x.denominator) for x in v)
+                           for v in self.slopes)
         self.fundamental_heights = tuple(sorted(
             {info.lam for info in self.gamma.values()} | {self.J}))
         self._code_bits = tuple(
@@ -223,9 +231,10 @@ class PrunedSlopeTree:
                 hts.append(info.lam)
                 g = info.next_gammas[b]
             self.eta.append(tuple(hts))
-        # lookup tables of :mod:`kakeyalab.sticky`, filled on first use: the
-        # reference cubes per (root, code) alone would be K * 2^N entries,
-        # and an instance-level table dies with the instance
+        # lookup tables filled on first use (slope_yca here, the rest by
+        # :mod:`kakeyalab.sticky`): the reference cubes per (root, code)
+        # alone would be K * 2^N entries, and an instance-level table dies
+        # with the instance
         self.ref_cubes: dict[tuple[Address, int], tuple] = {}
         self.slope_ycas: dict[tuple[int, int], Address] = {}
         self.mus: dict[tuple[Address, int], int] = {}
@@ -250,6 +259,16 @@ class PrunedSlopeTree:
     def slope_leaf(self, code: int) -> Address:
         """Address of the height-J cube holding the slope with this code."""
         return self._leaves[code]
+
+    def slope_yca(self, c1: int, c2: int) -> Address:
+        """Youngest common ancestor of two slope leaves, memoized per code
+        pair; repeat calls return the same address."""
+        key = (c1, c2)
+        got = self.slope_ycas.get(key)
+        if got is None:
+            got = youngest_common_ancestor(self._leaves[c1], self._leaves[c2])
+            self.slope_ycas[key] = got
+        return got
 
     def psi(self, bits) -> Address:
         """Basic slope cube for a bit string of length 0..N."""

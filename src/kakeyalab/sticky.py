@@ -19,16 +19,20 @@ what :func:`is_sticky_admissible` decides; the closed forms of
 :func:`prob_closed_form` reproduce the same exponent from the youngest
 common ancestors of roots and slopes alone.
 
-Every input of these checks is computed once per instance and then looked
-up.  The pruned tree builds its code-bit and slope-index tables up front;
-the reference cubes of a (root, code), the youngest common ancestor of a
-code pair and mu at a (vertex, height) are memoized on the tree as
-they are first asked for.  :func:`is_sticky_admissible` remains the one
-place that merges the constraints of several roots.
+Every input of these checks is computed once per instance and looked up
+in the tables that :mod:`kakeyalab.counting`, :mod:`kakeyalab.tubes` and
+:mod:`kakeyalab.fast1d` read too: the pruned tree builds its code-bit,
+slope-index and slope-lattice tables up front and memoizes
+``slope_yca`` per code pair; the reference cubes per (root, code) and mu
+per (vertex, height) are memoized on it here.  One private pass
+normalizes a prescription's pairs and merges their constraints, once per
+call of :func:`is_sticky_admissible`, :func:`prob_exact`,
+:func:`prob_closed_form` or :func:`assignment_query`.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -168,12 +172,20 @@ def sample_assignment(pruned: PrunedSlopeTree, seed: int) -> StickyMap:
 # ---------------------------------------------------------------------------
 
 def _normalize_pairs(pruned: PrunedSlopeTree, pairs):
-    """(root tuple, slope code) pairs, with each code checked before any
-    table lookup: a negative code would otherwise index from the end."""
+    """(root tuple, slope code) pairs.  A slope is an integer code (a numpy
+    integer too) or a slope point; each code is range-checked before any
+    table lookup, since a negative code would otherwise index from the end."""
     out = []
     n_codes, J = len(pruned.slopes), pruned.J
     for t, v in pairs:
-        code = v if isinstance(v, int) else pruned.slope_index(tuple(v))
+        try:
+            code = operator.index(v)
+        except TypeError:
+            try:
+                point = tuple(v)
+            except TypeError:
+                raise InvalidInput(f"slope {v!r} is neither a code nor a point") from None
+            code = pruned.slope_index(point)
         if not 0 <= code < n_codes:
             raise InvalidInput(f"slope code {code} outside 0..{n_codes - 1}")
         if len(t) != J:
@@ -218,11 +230,24 @@ class AssignmentQuery:
         return Fraction(1, 2 ** self.n)
 
 
-def assignment_query(pruned: PrunedSlopeTree, pairs) -> AssignmentQuery:
+def _constraints(pruned: PrunedSlopeTree, pairs, required: bool):
+    """The one admissibility pass: normalized pairs and the bit each of
+    their distinct reference cubes must carry, merged once.  When some
+    cube would need two bits the constraints are None, or InvalidInput is
+    raised if ``required``."""
     pairs = _normalize_pairs(pruned, pairs)
-    ok, constraints = is_sticky_admissible(pruned, pairs)
-    if not ok:
-        raise InvalidInput("assignment is not sticky-admissible")
+    constraints: dict[Address, int] = {}
+    for t, code in pairs:
+        for cube, bit in reference_cubes(pruned, t, code):
+            if constraints.setdefault(cube, bit) != bit:
+                if required:
+                    raise InvalidInput("assignment is not sticky-admissible")
+                return pairs, None
+    return pairs, constraints
+
+
+def assignment_query(pruned: PrunedSlopeTree, pairs) -> AssignmentQuery:
+    pairs, constraints = _constraints(pruned, pairs, required=True)
     levels: list[set] = [set() for _ in range(pruned.N + 1)]
     for t, code in pairs:
         for j, (cube, _) in enumerate(reference_cubes(pruned, t, code), start=1):
@@ -235,22 +260,14 @@ def assignment_query(pruned: PrunedSlopeTree, pairs) -> AssignmentQuery:
 def is_sticky_admissible(pruned: PrunedSlopeTree, pairs):
     """Whether some warehouse realization assigns every listed root its
     prescribed slope; returns (flag, certifying partial bit assignment)."""
-    pairs = _normalize_pairs(pruned, pairs)
-    constraints: dict[Address, int] = {}
-    for t, code in pairs:
-        for cube, bit in reference_cubes(pruned, t, code):
-            if constraints.setdefault(cube, bit) != bit:
-                return False, None
-    return True, constraints
+    constraints = _constraints(pruned, pairs, required=False)[1]
+    return constraints is not None, constraints
 
 
 def prob_exact(pruned: PrunedSlopeTree, pairs) -> Fraction:
     """Exact probability of the prescribed assignment: 2^-(number of
     distinct reference cubes)."""
-    ok, constraints = is_sticky_admissible(pruned, pairs)
-    if not ok:
-        raise InvalidInput("assignment is not sticky-admissible")
-    return Fraction(1, 2 ** len(constraints))
+    return Fraction(1, 2 ** len(_constraints(pruned, pairs, required=True)[1]))
 
 
 def prob_enumerate(pruned: PrunedSlopeTree, pairs, cap_bits: int = 20) -> Fraction:
@@ -375,17 +392,6 @@ def classify_roots(roots) -> RootConfiguration:
     return RootConfiguration(4, ctype, ((t1, t2), (t1p, t2p)), swapped, u, u2)
 
 
-def _slope_yca(pruned: PrunedSlopeTree, c1: int, c2: int) -> Address:
-    """Youngest common ancestor of two slope leaves, memoized on the
-    instance per code pair."""
-    key = (c1, c2)
-    got = pruned.slope_ycas.get(key)
-    if got is None:
-        got = youngest_common_ancestor(pruned.slope_leaf(c1), pruned.slope_leaf(c2))
-        pruned.slope_ycas[key] = got
-    return got
-
-
 def prob_closed_form(pruned: PrunedSlopeTree, pairs) -> Fraction:
     """Closed-form probability for 2, 3, or 4 prescribed root-slope pairs.
 
@@ -393,10 +399,7 @@ def prob_closed_form(pruned: PrunedSlopeTree, pairs) -> Fraction:
     1/2 whose exponent combines N with mu at the youngest common ancestors
     dictated by the type.  Inputs must be sticky-admissible.
     """
-    pairs = _normalize_pairs(pruned, pairs)
-    ok, _ = is_sticky_admissible(pruned, pairs)
-    if not ok:
-        raise InvalidInput("assignment is not sticky-admissible")
+    pairs = _constraints(pruned, pairs, required=True)[0]
     n = len(pairs)
     N = pruned.N
     if n == 1:
@@ -409,7 +412,7 @@ def prob_closed_form(pruned: PrunedSlopeTree, pairs) -> Fraction:
                 raise InvalidInput("one root with two slopes")
             return Fraction(1, 2 ** N)
         u = youngest_common_ancestor(t1, t2)
-        w = _slope_yca(pruned, c1, c2)
+        w = pruned.slope_yca(c1, c2)
         return Fraction(1, 2 ** (2 * N - mu(pruned, w, len(u))))
 
     if n == 3:
@@ -418,13 +421,13 @@ def prob_closed_form(pruned: PrunedSlopeTree, pairs) -> Fraction:
         if cfg.swapped:
             (tb, cb), (tc, cc) = (tc, cc), (tb, cb)
         k, k2 = len(cfg.u), len(cfg.u2)
-        w = _slope_yca(pruned, ca, cb)
-        w2 = _slope_yca(pruned, ca, cc)
+        w = pruned.slope_yca(ca, cb)
+        w2 = pruned.slope_yca(ca, cc)
         if cfg.ctype == 1:
             expo = 3 * N - mu(pruned, w, k) - mu(pruned, w2, k2)
         else:
             t = youngest_common_ancestor(tb, tc)
-            vt = _slope_yca(pruned, cb, cc)
+            vt = pruned.slope_yca(cb, cc)
             expo = 3 * N - mu(pruned, w, k) - mu(pruned, vt, len(t))
         return Fraction(1, 2 ** expo)
 
@@ -434,8 +437,8 @@ def prob_closed_form(pruned: PrunedSlopeTree, pairs) -> Fraction:
         if cfg.swapped:
             (ta, ca), (tb, cb), (tC, cC), (td, cd) = (tC, cC), (td, cd), (ta, ca), (tb, cb)
         k, k2 = len(cfg.u), len(cfg.u2)
-        w = _slope_yca(pruned, ca, cb)
-        w2 = _slope_yca(pruned, cC, cd)
+        w = pruned.slope_yca(ca, cb)
+        w2 = pruned.slope_yca(cC, cd)
         if cfg.ctype == 1:
             z = youngest_common_ancestor(cfg.u, cfg.u2)
             v = youngest_common_ancestor(w, w2)
@@ -443,15 +446,15 @@ def prob_closed_form(pruned: PrunedSlopeTree, pairs) -> Fraction:
                     - mu(pruned, v, len(z)))
         elif cfg.ctype == 2:
             (i2, j2), t = _max_cross((ta, tb), (tC, td))
-            vtheta = _slope_yca(pruned, (ca, cb)[i2], (cC, cd)[j2])
+            vtheta = pruned.slope_yca((ca, cb)[i2], (cC, cd)[j2])
             expo = (4 * N - mu(pruned, w, k) - mu(pruned, w2, k2)
                     - mu(pruned, vtheta, len(t)))
         else:
             (i2, j2), s2 = _max_cross((ta, tb), (tC, td), strictly_below=cfg.u)
             i1, j1 = 1 - i2, 1 - j2
             s1 = youngest_common_ancestor((ta, tb)[i1], (tC, td)[j1])
-            th1 = _slope_yca(pruned, (ca, cb)[i1], (cC, cd)[j1])
-            th2 = _slope_yca(pruned, (ca, cb)[i2], (cC, cd)[j2])
+            th1 = pruned.slope_yca((ca, cb)[i1], (cC, cd)[j1])
+            th2 = pruned.slope_yca((ca, cb)[i2], (cC, cd)[j2])
             expo = (4 * N - mu(pruned, w, k) - mu(pruned, th1, len(s1))
                     - mu(pruned, th2, len(s2)))
         return Fraction(1, 2 ** expo)

@@ -24,13 +24,12 @@ from .errors import InvalidInput, SizeCapExceeded
 from .madic import (
     Address,
     Point,
-    ancestor,
     cube_center,
     point_address,
     youngest_common_ancestor,
 )
 from .pruning import PrunedSlopeTree
-from .sticky import StickyMap
+from .sticky import StickyMap, reference_cubes
 
 DEFAULT_A0 = 10
 
@@ -396,21 +395,18 @@ class ReferenceTree:
                        roots=set(self.possible))
         self.levels[0][()] = root
         for t, code in self.possible.items():
-            bits = pruned.code_bits(code)
-            etas = pruned.eta[code]
-            prev = ()
-            for j in range(1, pruned.N + 1):
-                cube = ancestor(t, etas[j - 1])
-                th = pruned.psi(bits[:j])
+            prev, bits = (), ()
+            for j, (cube, bit) in enumerate(reference_cubes(pruned, t, code), start=1):
+                bits += (bit,)
+                th = pruned.psi(bits)
                 node = self.levels[j].get(cube)
                 if node is None:
                     node = RefNode(cube=cube, level=j, parent=prev, theta=th,
-                                   kappa=bits[j - 1], roots=set())
+                                   kappa=bit, roots=set())
                     self.levels[j][cube] = node
                 else:
                     # well-definedness of the tree and of kappa
-                    if node.parent != prev or node.theta != th \
-                            or node.kappa != bits[j - 1]:
+                    if node.parent != prev or node.theta != th or node.kappa != bit:
                         raise AssertionError(
                             "reference tree ill-defined: conflicting edges")
                 node.roots.add(t)
@@ -423,7 +419,7 @@ class ReferenceTree:
             for t2, c2 in items[i + 1:]:
                 if c == c2:
                     continue
-                wv = youngest_common_ancestor(p.slope_leaf(c), p.slope_leaf(c2))
+                wv = p.slope_yca(c, c2)
                 if wv not in p.gamma:
                     raise AssertionError("slope ancestor is not a splitting vertex")
                 if len(youngest_common_ancestor(t, t2)) >= p.gamma[wv].lam:
@@ -443,9 +439,7 @@ class ReferenceTree:
 
     def ray_of(self, t: Address):
         """Reference cubes along the ray identifying a possible root."""
-        code = self.possible[t]
-        etas = self.pruned.eta[code]
-        return [ancestor(t, etas[j]) for j in range(self.pruned.N)]
+        return [cube for cube, _ in reference_cubes(self.pruned, t, self.possible[t])]
 
 
 def reference_trees(x, pruned: PrunedSlopeTree, A0: int = DEFAULT_A0) -> ReferenceTree:

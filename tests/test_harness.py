@@ -246,6 +246,14 @@ def test_config_json_roundtrip(cfg):
     assert back == cfg
 
 
+def test_cli_config_with_unknown_key_exit_code(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seeds": 2, "C1": 3, "colour": "red"}))
+    assert cli_main(["volume", "--N", "2", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "C1" in err and "colour" in err
+
+
 def test_cli_split_number(capsys):
     assert cli_main(["split-number", "--set", "cantor:L=6", "--base", "3"]) == 0
     assert capsys.readouterr().out.strip() == "6"

@@ -3,7 +3,13 @@ from fractions import Fraction as F
 import pytest
 
 from kakeyalab.errors import InfeasibleInstance, InvalidInput
-from kakeyalab.madic import cantor_tree, cube_distance_sq, encode_set, full_tree
+from kakeyalab.madic import (
+    cantor_tree,
+    cube_distance_sq,
+    encode_set,
+    full_tree,
+    youngest_common_ancestor,
+)
 from kakeyalab.pruning import (
     check_pruned_invariants,
     find_separated_pair,
@@ -120,6 +126,23 @@ def test_eta_monotone_and_fundamental_heights():
         assert list(e) == sorted(e) and e[-1] == p.J
     assert p.J in p.fundamental_heights
     assert len(p.fundamental_heights) <= 2 ** p.N
+
+
+@pytest.mark.parametrize("instance", [
+    lambda: prune(cantor_tree(25), 2, 1),
+    lambda: prune(cantor_tree(30, d=2), 2, 1),
+], ids=["d1", "d2"])
+def test_slope_tables_match_their_definitions(instance):
+    p = instance()
+    for c1 in range(2 ** p.N):
+        for c2 in range(2 ** p.N):
+            got = p.slope_yca(c1, c2)
+            assert got == youngest_common_ancestor(p.slope_leaf(c1), p.slope_leaf(c2))
+            assert p.slope_yca(c1, c2) is got
+    assert p.D % p.M ** p.J == 0
+    for code, slope in enumerate(p.slopes):
+        assert len(p.sigma[code]) == p.d
+        assert all(F(s, p.D) == x for s, x in zip(p.sigma[code], slope))
 
 
 def test_minimal_j():

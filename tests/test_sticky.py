@@ -8,6 +8,7 @@ import pytest
 
 from helpers import all_roots_1d, root_addr
 from kakeyalab.errors import InvalidInput, SizeCapExceeded
+from kakeyalab.fast1d import FastInstance
 from kakeyalab.madic import cantor_tree, full_tree, youngest_common_ancestor
 from kakeyalab.pruning import prune
 from kakeyalab.sticky import (
@@ -103,8 +104,8 @@ def test_single_pair_probability(inst, roots):
     assert prob_exact(inst, [(roots[5], 3)]) == F(1, 4)
 
 
-@pytest.mark.parametrize("bad", [-1, 4, (F(1, 3),)],
-                         ids=["negative", "past_last", "unknown_point"])
+@pytest.mark.parametrize("bad", [-1, 4, (F(1, 3),), 1.0, None],
+                         ids=["negative", "past_last", "unknown_point", "float", "none"])
 def test_out_of_range_slopes_rejected(inst, roots, bad):
     # code -1 must not be read as code 2^N - 1 = 3 by a table lookup
     prs = [(roots[0], bad), (roots[5], 3)]
@@ -135,6 +136,18 @@ def test_reference_cubes_replay_the_chain_walk(instance):
             assert got == want
             assert reference_cubes(p, t, code) is got
     assert len(p.ref_cubes) == p.M ** p.J * 2 ** p.N
+
+
+def test_numpy_codes_read_as_their_ints():
+    p = prune(cantor_tree(25), N=2, C0=1)
+    codes = FastInstance(p).assign(5)
+    roots = all_roots_1d(p)
+    for idx in [(0, 1), (3, 40), (2, 9, 80), (0, 27, 54), (1, 2, 30, 31), (5, 6, 70, 71)]:
+        raw = [(roots[i], codes[i]) for i in idx]
+        ints = [(roots[i], int(codes[i])) for i in idx]
+        assert isinstance(raw[0][1], np.integer)
+        for fn in (is_sticky_admissible, prob_exact, prob_closed_form):
+            assert fn(p, raw) == fn(p, ints)
 
 
 def test_n1_slope_frequency():
