@@ -17,9 +17,11 @@ from .errors import InfeasibleInstance, InvalidInput, SizeCapExceeded
 from .harness import (
     ExperimentConfig,
     append_run_log,
+    construct_kakeya,
     experiment_far_slab,
     experiment_moments,
     experiment_ratio,
+    pruned_instance,
     run_cell,
     write_results_csv,
 )
@@ -121,14 +123,10 @@ def cmd_prune(args) -> int:
 
 def cmd_construct(args) -> int:
     cfg = _config_from_args(args)
-    n = args.N
-    from .harness import pruned_instance
-    from .fast1d import FastInstance
-    pruned = pruned_instance(cfg, n)
-    fast = FastInstance(pruned)
-    codes = fast.assign(args.seed)
+    pruned = pruned_instance(cfg, args.N)
+    _, codes = construct_kakeya(pruned, args.seed)
     out = {
-        "M": pruned.M, "J": pruned.J, "N": n, "seed": args.seed,
+        "M": pruned.M, "J": pruned.J, "N": args.N, "seed": args.seed,
         "tube_count": int(pruned.M ** pruned.J),
         "slopes": [str(s[0]) for s in pruned.slopes],
     }
@@ -195,7 +193,6 @@ def cmd_percolate(args) -> int:
 def cmd_verify_prob(args) -> int:
     from itertools import combinations, product
     from .counting import all_root_cubes
-    from .harness import pruned_instance
     from .sticky import is_sticky_admissible, prob_closed_form, prob_exact
 
     cfg = _config_from_args(args)

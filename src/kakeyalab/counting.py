@@ -20,7 +20,7 @@ desk-scale and exhaustive, guarded by hard size caps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -127,7 +127,7 @@ def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
     # a hit has M^-J / 2 <= |x1||v1 - v2| <= C1 rho rho_w
     if 4 * win.hi ** 2 * rho_sq < Fraction(1, K * K):
         return []
-    lo, hi = clip_x1(win.lo, win.hi, A0)
+    lo, hi = clip_x1(*win, A0)
     if lo >= hi or h >= J:
         return []
     cd = cross_section_dilation(d)
@@ -271,7 +271,6 @@ def slope_complexity(pruned: PrunedSlopeTree, verts) -> int:
 class TupleRecord:
     pairs: tuple
     config: object
-    anchors: dict = field(default_factory=dict)
 
 
 def enumerate_E3(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
@@ -310,11 +309,10 @@ def enumerate_E3(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
 
 
 def enumerate_E4(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
-                 rho, C1=Fraction(2), A0: int = 10, roots=None,
-                 check_necessary: bool = True):
+                 rho, C1=Fraction(2), A0: int = 10, roots=None):
     """Sticky-admissible quadruples of the given 4-point type with both
     windowed intersections; necessary location conditions are asserted on
-    every returned tuple when ``check_necessary`` is set."""
+    every returned tuple."""
     u, u2 = anchors["u"], anchors["u2"]
     w, w2 = anchors["w"], anchors["w2"]
     e2a = enumerate_E2(pruned, u, w, rho, C1, A0, roots)
@@ -333,8 +331,7 @@ def enumerate_E4(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
             if not ok:
                 continue
             rec = TupleRecord(pairs=tuple(prs), config=cfg)
-            if check_necessary:
-                _assert_necessary_conditions(pruned, rec, win_rho, C1)
+            _assert_necessary_conditions(pruned, rec, win_rho, C1)
             out.append(rec)
     return out
 
@@ -386,9 +383,8 @@ def _assert_necessary_conditions(pruned, rec: TupleRecord, rho, C1):
         d1 = _dist_to_child_boundary_sq(pruned, s1, cfg.u)
         d2 = _dist_to_child_boundary_sq(pruned, s2, cfg.u)
         # sum dist(s_i, bdry(u_i)) <= C Delta; compare via squares with slack
-        if max(d1, d2) > 4 * margin * delta_sq / Fraction(rho) ** 2 * Fraction(rho) ** 2:
-            if max(d1, d2) > 16 * Fraction(C1) ** 2 * delta_sq:
-                raise AssertionError("type-3 anchors violate the distance constraint")
+        if max(d1, d2) > 16 * Fraction(C1) ** 2 * delta_sq:
+            raise AssertionError("type-3 anchors violate the distance constraint")
 
 
 def bruteforce_E4(pruned: PrunedSlopeTree, ctype: int, anchors: dict,

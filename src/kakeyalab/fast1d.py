@@ -2,7 +2,8 @@
 
 The root hyperplane is the unit interval split into K = M^J cells, so a
 root cube is just an integer index and a realized assignment is an integer
-array of slope codes.  Three quantities are computed exactly:
+array of slope codes.  A window is any (lo, hi) pair of Fractions, clipped
+to [0, 10 A0] as [A/q, B/q].  Three quantities are computed exactly:
 
 * the slope-code array, by walking the basic-cube chain level by level
   with warehouse bits drawn from the same splitmix64 chain as the scalar
@@ -10,19 +11,20 @@ array of slope codes.  Three quantities are computed exactly:
 
 * pairwise slab-intersection sums, on an integer lattice.  Let D be the
   instance's slope-lattice denominator (a multiple of K and of every
-  slope denominator, ``PrunedSlopeTree.D``), sigma = D * slope, and
-  q = lcm(den a, den b) for the window [a, b].  Two tubes with root
-  offset g overlap by a tent profile; at an endpoint p/q it is read at the
-  integer X = 4 g Q + 4 p dsigma, in units of the tube side over
-  Q = q D / K.  The profile's antiderivative is 0 or 1 outside one open
+  slope denominator, ``PrunedSlopeTree.D``) and sigma = D * slope.  Two
+  tubes with root offset g overlap by a tent profile; at an end p/q it is
+  read at the integer X = 4 g Q + 4 p dsigma, in units of the tube side
+  over Q = q D / K.  The profile's antiderivative is 0 or 1 outside one open
   g-interval of length 1/2, so per slope pair and endpoint the sum is
   2 Q^2 times a count of pairs with i - j >= g plus at most one interior
   term, an integer quadratic in X.  The counts gather one cumulative code
   count per slope over the roots of every steeper slope (int64, at most
   K^2 <= 2^62); the integers, grouped by dsigma, give one Fraction;
 
-* per-slice union lengths for quadrature, by sorting integer-scaled
-  interval endpoints; a slice that needs more than 62 bits is refused.
+* union quadrature by the midpoint rule, on one integer scale per window:
+  the s slice midpoints share the denominator 2 s q, and each root moves
+  by a fixed step from slice to slice; a window whose positions need more
+  than 62 bits is refused.
 
 Everything returned is a Fraction; numpy only holds int64 counts and
 positions, and every product that can exceed 63 bits is a Python int.
@@ -64,15 +66,25 @@ def _tent_antiderivative(x: int, Q: int) -> int:
     return 2 * Q * Q
 
 
+def _lattice(window: tuple[Fraction, Fraction], a0: int):
+    """The window clipped to [0, 10 a0] with its ends over their common
+    denominator q: (A, B, q) for [A/q, B/q], or None when it is empty."""
+    a, b = clip_x1(*window, a0)
+    if a >= b:
+        return None
+    q = lcm(a.denominator, b.denominator)
+    return a.numerator * (q // a.denominator), b.numerator * (q // b.denominator), q
+
+
 def cs_bound(window: tuple[Fraction, Fraction], pair: Fraction,
              a0: int = DEFAULT_A0) -> Fraction:
     """Cauchy-Schwarz lower bound on the union volume in the x1 window:
     the total tube volume squared over itself plus the pairwise sum
     ``pair`` (the same for every K, since K tubes of side 1/(W K))."""
-    a, b = clip_x1(*window, a0)
-    if a >= b:
+    if (lat := _lattice(window, a0)) is None:
         return Fraction(0)
-    diag = cross_section_dilation(1) * (b - a)
+    A, B, q = lat
+    diag = cross_section_dilation(1) * Fraction(B - A, q)
     return diag * diag / (diag + pair)
 
 
@@ -123,20 +135,16 @@ class FastInstance:
             cur = self.child[cur, bits]
         return code
 
-    # -- pairwise slab-intersection sums -----------------------------------
-
     def pair_sum(self, codes: np.ndarray, window: tuple[Fraction, Fraction],
                  a0: int = DEFAULT_A0) -> Fraction:
         """Exact sum over ordered root pairs t1 != t2 of the volume of
         P_{t1} meet P_{t2} inside the x1 window."""
-        a, b = clip_x1(*window, a0)
-        if a >= b:
+        if (lat := _lattice(window, a0)) is None:
             return Fraction(0)
+        A, B, q = lat
         K, sigma = self.K, self.sigma
-        q = lcm(a.denominator, b.denominator)
         Q = q * (self.D // K)
-        ends = ((1, b.numerator * (q // b.denominator)),
-                (-1, a.numerator * (q // a.denominator)))
+        ends = ((1, B), (-1, A))
         # roots grouped by slope, shallowest first (the slopes are distinct)
         sizes = np.bincount(codes, minlength=len(sigma))[self.by_slope].tolist()
         starts = np.cumsum([0] + sizes).tolist()
@@ -170,30 +178,28 @@ class FastInstance:
         num = sum(v * (den // ds) for ds, v in by_dsigma.items())
         return Fraction(num, W * W * self.D * q * q * den)
 
-    # -- per-slice union lengths --------------------------------------------
-
-    def slice_union(self, codes: np.ndarray, x1: Fraction) -> Fraction:
-        """Exact length of the union of cross-sections at abscissa x1."""
-        K = self.K
-        scale = lcm(2 * K * x1.denominator, W * K, self.D * x1.denominator)
-        offs = [x1.numerator * s * (scale // (self.D * x1.denominator))
-                for s in self.sigma]
-        if (scale + max(map(abs, offs))).bit_length() > 62:
-            raise InvalidInput("integer scale too large for int64 slices")
-        base = np.arange(K, dtype=np.int64) * (scale // K) + scale // (2 * K)
-        pos = np.sort(base + np.array(offs, dtype=np.int64)[codes])
-        side = scale // (W * K)
-        covered = int(np.minimum(np.diff(pos), side).sum()) + side
-        return Fraction(covered, scale)
-
     def union_quadrature(self, codes: np.ndarray,
                          window: tuple[Fraction, Fraction],
                          slices: int, a0: int = DEFAULT_A0) -> Fraction:
-        a, b = clip_x1(*window, a0)
-        if a >= b:
+        """Midpoint rule over ``slices`` equal slices of the window, each
+        the exact length of the union of cross-sections there."""
+        if slices < 1:
+            raise InvalidInput("need at least one slice")
+        if (lat := _lattice(window, a0)) is None:
             return Fraction(0)
-        width = (b - a) / slices
-        total = Fraction(0)
+        A, B, q = lat
+        # slice k sits at (2 slices A + (B - A)(2k + 1)) / den
+        K, den = self.K, 2 * slices * q
+        scale = lcm(2 * K * den, W * K, self.D * den)
+        unit = scale // (self.D * den)
+        last = 2 * slices * B - (B - A)  # the largest numerator
+        if (scale + last * max(map(abs, self.sigma)) * unit).bit_length() > 62:
+            raise InvalidInput("integer scale too large for int64 slices")
+        moves = np.array(self.sigma, dtype=np.int64)[codes] * unit
+        start = (np.arange(K, dtype=np.int64) * (scale // K) + scale // (2 * K)
+                 + (2 * slices * A + B - A) * moves)
+        side, covered = scale // (W * K), 0
         for k in range(slices):
-            total += self.slice_union(codes, a + width * k + width / 2) * width
-        return total
+            pos = np.sort(start + 2 * k * (B - A) * moves)
+            covered += int(np.minimum(np.diff(pos), side).sum()) + side
+        return Fraction((B - A) * covered, slices * q * scale)

@@ -33,7 +33,7 @@ from .fast1d import FastInstance, cs_bound
 from .lacunarity import GeneratorSpec, generate
 from .madic import cantor_tree, encode_set, full_tree, point_address
 from .pruning import PrunedSlopeTree, prune
-from .tubes import DEFAULT_A0
+from .tubes import DEFAULT_A0, make_tube
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,10 @@ class ExperimentConfig:
     slices: int = 8
     ratio_c: float | None = None  # default 1/ln M
     out_dir: str = "runs"
+
+    def __post_init__(self):
+        if self.seeds < 1:
+            raise InvalidInput("need at least one seed")
 
     def config_hash(self) -> str:
         payload = json.dumps(self.__dict__, sort_keys=True, default=str)
@@ -113,12 +117,10 @@ def construct_kakeya(pruned: PrunedSlopeTree, seed: int):
 
 
 def kakeya_tubes(pruned: PrunedSlopeTree, codes, A0: int = DEFAULT_A0, cap: int = 3 ** 9):
-    from .tubes import make_tube
-    from fractions import Fraction as F
     K = pruned.M ** pruned.J
     if K > cap:
         raise InvalidInput(f"{K} tubes exceed the materialization cap")
-    return [make_tube(pruned, point_address((F(i, K),), pruned.M, pruned.J),
+    return [make_tube(pruned, point_address((Fraction(i, K),), pruned.M, pruned.J),
                       int(codes[i]), A0) for i in range(K)]
 
 
@@ -283,7 +285,7 @@ def experiment_ratio(config: ExperimentConfig, seeds: int | None = None):
             "median_ratio_est": float(ratios_est[med]) if ratios_est else None,
             "median_ratio_lb": float(ratios_lb[med]) if ratios_lb else None,
             "dropped_far_zero": seeds - len(ratios_lb),
-            "r_range": run_cell(config, n, 0).ratio_rs,
+            "r_range": tuple(config.ratio_r_range(n)),
         }
     return {"rows": rows, "per_n": per_n,
             "c": config.c_ratio()}

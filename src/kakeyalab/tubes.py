@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import lcm
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import InvalidInput, SizeCapExceeded
@@ -83,26 +84,15 @@ class Tube:
         return all(abs(yi - ci) <= half for yi, ci in zip(y, c))
 
 
-@dataclass(frozen=True)
-class SlabWindow:
-    """x1 window [rho, C1 * rho]."""
-    rho: Fraction
-    C1: Fraction = Fraction(2)
+class SlabWindow(tuple):
+    """The x1 window [rho, C1 * rho] as the plain pair (lo, hi); every
+    function that takes a window takes any such pair."""
+    lo, hi = property(itemgetter(0)), property(itemgetter(1))
 
-    def __post_init__(self):
-        if self.rho <= 0 or self.C1 <= 1:
+    def __new__(cls, rho: Fraction, C1: Fraction = Fraction(2)):
+        if rho <= 0 or C1 <= 1:
             raise InvalidInput("need rho > 0 and C1 > 1")
-
-    @property
-    def lo(self) -> Fraction:
-        return self.rho
-
-    @property
-    def hi(self) -> Fraction:
-        return self.rho * self.C1
-
-    def clipped(self, tube: Tube) -> tuple[Fraction, Fraction]:
-        return clip_x1(self.lo, self.hi, tube.A0)
+        return super().__new__(cls, (rho, rho * C1))
 
 
 def make_tube(pruned: PrunedSlopeTree, root: Address, slope_code: int,
@@ -123,11 +113,11 @@ def _pair_frame(p1: Tube, p2: Tube):
     return dc, dw
 
 
-def _feasible_x1(p1: Tube, p2: Tube, w: SlabWindow):
+def _feasible_x1(p1: Tube, p2: Tube, w: tuple[Fraction, Fraction]):
     """Open x1-interval where the cross-sections overlap, or None."""
     dc, dw = _pair_frame(p1, p2)
     s = p1.side
-    lo, hi = w.clipped(p1)
+    lo, hi = clip_x1(*w, p1.A0)
     if lo >= hi:
         return None
     open_lo, open_hi = Fraction(lo), Fraction(hi)
@@ -172,7 +162,7 @@ def assert_pair_inequalities(dc, dw, iv, M: int, J: int) -> None:
         raise AssertionError("scale inequality |x1||v-v'| >= M^-J/2 fails")
 
 
-def intersects(p1: Tube, p2: Tube, w: SlabWindow) -> bool:
+def intersects(p1: Tube, p2: Tube, w: tuple[Fraction, Fraction]) -> bool:
     """Exact emptiness test of the prism intersection inside the window.
 
     On a positive answer with distinct roots, the centre inequality and the
@@ -204,7 +194,7 @@ def _poly_integral(p, lo, hi):
     return total
 
 
-def pair_intersection_volume(p1: Tube, p2: Tube, w: SlabWindow) -> Fraction:
+def pair_intersection_volume(p1: Tube, p2: Tube, w: tuple[Fraction, Fraction]) -> Fraction:
     """Exact volume of the pair intersection inside the slab window.
 
     The overlap of the two moving cross-sections factors per axis into
@@ -214,7 +204,7 @@ def pair_intersection_volume(p1: Tube, p2: Tube, w: SlabWindow) -> Fraction:
     """
     dc, dw = _pair_frame(p1, p2)
     s = p1.side
-    lo, hi = w.clipped(p1)
+    lo, hi = clip_x1(*w, p1.A0)
     if lo >= hi:
         return Fraction(0)
     cuts = {lo, hi}
@@ -244,8 +234,8 @@ def pair_intersection_volume(p1: Tube, p2: Tube, w: SlabWindow) -> Fraction:
     return total
 
 
-def tube_slab_volume(tube: Tube, w: SlabWindow) -> Fraction:
-    lo, hi = w.clipped(tube)
+def tube_slab_volume(tube: Tube, w: tuple[Fraction, Fraction]) -> Fraction:
+    lo, hi = clip_x1(*w, tube.A0)
     if lo >= hi:
         return Fraction(0)
     return tube.side ** tube.d * (hi - lo)
@@ -299,7 +289,7 @@ def _slice_union_measure(tubes: Sequence[Tube], x1: Fraction) -> Fraction:
     return total
 
 
-def union_volume(tubes: Sequence[Tube], w: SlabWindow, slices: int = 64):
+def union_volume(tubes: Sequence[Tube], w: tuple[Fraction, Fraction], slices: int = 64):
     """(quadrature estimate, Cauchy-Schwarz lower bound) of the union volume
     inside the window.
 
@@ -311,7 +301,7 @@ def union_volume(tubes: Sequence[Tube], w: SlabWindow, slices: int = 64):
         raise InvalidInput("empty tube list")
     if slices < 1:
         raise InvalidInput("need at least one slice")
-    lo, hi = w.clipped(tubes[0])
+    lo, hi = clip_x1(*w, tubes[0].A0)
     if lo >= hi:
         return Fraction(0), Fraction(0)
     width = (hi - lo) / slices

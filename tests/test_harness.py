@@ -91,13 +91,12 @@ def test_fast_slab_sums_match_scalar_tubes(window):
     fast, codes = construct_kakeya(pruned, seed=11)
     assert fast.K == 81
     family = kakeya_tubes(pruned, codes)
-    bounds = (window.lo, window.hi)
     pair = 2 * sum(pair_intersection_volume(a, b, window)
                    for i, a in enumerate(family) for b in family[i + 1:])
     est, cs = union_volume(family, window, slices=8)
-    assert fast.pair_sum(codes, bounds) == pair
-    assert fast.union_quadrature(codes, bounds, 8) == est
-    assert cs_bound(bounds, fast.pair_sum(codes, bounds)) == cs
+    assert fast.pair_sum(codes, window) == pair
+    assert fast.union_quadrature(codes, window, 8) == est
+    assert cs_bound(window, fast.pair_sum(codes, window)) == cs
 
 
 def test_ratio_reports_cells_dropped_for_empty_far():
@@ -252,6 +251,18 @@ def test_cli_config_with_unknown_key_exit_code(tmp_path, capsys):
     assert cli_main(["volume", "--N", "2", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "C1" in err and "colour" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["volume", "--N", "2", "--slices", "-1"],
+    ["ratio", "--seeds", "2", "--n-values", "2", "--slices", "-1"],
+    ["volume", "--N", "2", "--slices", "0"],
+    ["far-slab", "--seeds", "0"],
+    ["moments", "--seeds", "0"],
+])
+def test_cli_out_of_range_slices_or_seeds_exit_code(argv, capsys):
+    assert cli_main(argv) == 2
+    assert "invalid input" in capsys.readouterr().err
 
 
 def test_cli_split_number(capsys):

@@ -97,6 +97,7 @@ def test_mismatched_instances_rejected(inst):
 
 
 def test_window_validation():
+    assert tuple(SlabWindow(F(1, 3), F(3))) == (F(1, 3), F(1))
     with pytest.raises(InvalidInput):
         SlabWindow(F(0))
     with pytest.raises(InvalidInput):
