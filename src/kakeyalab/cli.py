@@ -55,16 +55,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _tree_from_spec(text: str, base: int):
     spec = GeneratorSpec.parse(text)
-    if spec.get("depth"):
-        depth = int(spec.get("depth"))
-        if spec.kind == "cantor":
-            return cantor_tree(depth, M=base)
-        if spec.kind == "full":
-            return full_tree(depth, M=base)
+    depth = spec.integer("depth", None)  # only cantor and full read it
+    if depth is not None:
+        return (cantor_tree if spec.kind == "cantor" else full_tree)(depth, M=base)
     if spec.kind == "cantor" and spec.get("L"):
         # ``cantor:L=k`` encodes the level-k endpoints as a point tree
         pts = generate(spec)
-        return encode_set(pts, base, int(spec.get("L")))
+        return encode_set(pts, base, spec.integer("L", 3))
     pts = generate(spec)
     import math
     J = max(8, max(c.denominator for p in pts for c in p).bit_length()
@@ -80,7 +77,7 @@ def cmd_encode(args) -> int:
 
 def cmd_split_number(args) -> int:
     spec = GeneratorSpec.parse(args.set)
-    if spec.get("depth"):
+    if spec.integer("depth", None) is not None:
         tree = _tree_from_spec(args.set, args.base)
         print(splitting_number(tree))
         return 0
@@ -174,10 +171,9 @@ def cmd_ratio(args) -> int:
 
 
 def cmd_percolate(args) -> int:
-    from .percolation import (full_binary_tree, survival_exact,
-                              survival_monte_carlo, survival_upper_bound,
-                              total_resistance)
-    tree = full_binary_tree(args.N)
+    from .percolation import (survival_exact, survival_monte_carlo,
+                              survival_upper_bound, total_resistance)
+    tree = full_tree(args.N, M=2)
     q = survival_exact(tree)
     b1, b2 = survival_upper_bound(tree)
     f = survival_monte_carlo(tree, Fraction(1, 2), args.trials, args.seed)

@@ -90,12 +90,11 @@ class ExperimentConfig:
 @lru_cache(maxsize=None)
 def _prune_cached(generator: str, M: int, d: int, C0: int, n: int) -> PrunedSlopeTree:
     spec = GeneratorSpec.parse(generator)
-    if spec.kind == "cantor" and spec.get("depth"):
-        tree = cantor_tree(int(spec.get("depth")), M=M, d=d)
-    elif spec.kind == "full" and spec.get("depth"):
-        tree = full_tree(int(spec.get("depth")), M=M, d=d)
+    depth = spec.integer("depth", None)  # only cantor and full read it
+    if depth is not None:
+        tree = (cantor_tree if spec.kind == "cantor" else full_tree)(depth, M=M, d=d)
     else:
-        tree = encode_set(generate(spec), M, int(spec.get("J", 12)))
+        tree = encode_set(generate(spec), M, spec.integer("J", 12))
     return prune(tree, N=n, C0=C0)
 
 

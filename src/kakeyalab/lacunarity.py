@@ -397,6 +397,35 @@ def direction_evidence(points, M: int, directions=None):
 # example generators
 # ---------------------------------------------------------------------------
 
+# The keys each kind reads: those of ``generate``, ``depth`` for the lazy
+# trees of ``cantor`` and ``full``, and ``J``, the height at which the
+# harness encodes a point set.
+SPEC_KEYS = {
+    "cantor": ("L", "depth", "J"),
+    "full": ("depth",),
+    "dyadic": ("m", "J"),
+    "power": ("lam", "J"),
+    "two_scale": ("M1", "M2", "jmax", "kmax", "J"),
+    "perturbed_geometric": ("jmax", "J"),
+    "nsw": ("m", "ratio", "count", "J"),
+    "carbery": ("lam", "kmax", "d", "J"),
+    "counterexample_u": ("jmax", "J"),
+    "counterexample_v": ("jmax", "J"),
+    "counterexample_sum": ("jmax", "J"),
+    "parcet_rogers": ("lmax", "J"),
+}
+
+
+def _spec_int(kind: str, key: str, raw: str, lo: int) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        raise InvalidInput(f"{kind}: {key}={raw!r} is not an integer") from None
+    if value < lo:
+        raise InvalidInput(f"{kind}: {key}={value} is below {lo}")
+    return value
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     kind: str
@@ -404,21 +433,48 @@ class GeneratorSpec:
 
     @classmethod
     def parse(cls, text: str) -> "GeneratorSpec":
-        """Parse minispec strings like ``cantor:L=6`` or ``dyadic:m=3``."""
-        if ":" in text:
-            kind, rest = text.split(":", 1)
-            params = []
-            for item in rest.split(","):
-                k, v = item.split("=")
-                params.append((k.strip(), v.strip()))
-            return cls(kind.strip(), tuple(params))
-        return cls(text.strip())
+        """Parse minispec strings like ``cantor:L=6`` or ``dyadic:m=3``.
+
+        An unknown kind, an item without ``=`` and a key that the kind does
+        not read (:data:`SPEC_KEYS`) raise ``InvalidInput``.
+        """
+        kind, colon, rest = (part.strip() for part in text.partition(":"))
+        if kind not in SPEC_KEYS:
+            raise InvalidInput(f"unknown generator kind {kind!r}")
+        params = []
+        for item in rest.split(",") if colon else ():
+            k, eq, v = item.partition("=")
+            if not eq:
+                raise InvalidInput(f"{kind}: item {item!r} is not key=value")
+            if k.strip() not in SPEC_KEYS[kind]:
+                raise InvalidInput(f"{kind}: unknown key {k.strip()!r}; "
+                                   f"known: {', '.join(SPEC_KEYS[kind])}")
+            params.append((k.strip(), v.strip()))
+        return cls(kind, tuple(params))
 
     def get(self, key, default=None):
         for k, v in self.params:
             if k == key:
                 return v
         return default
+
+    def integer(self, key: str, default: int | None, lo: int = 0) -> int | None:
+        """The integer value of ``key``, ``default`` when it is absent;
+        ``InvalidInput`` unless it parses and is at least ``lo``."""
+        raw = self.get(key)
+        return default if raw is None else _spec_int(self.kind, key, raw, lo)
+
+    def ratio(self, key: str, default: str) -> Fraction:
+        """The rational value of ``key`` (``default`` when absent), which
+        must lie strictly between 0 and 1."""
+        raw = self.get(key, default)
+        try:
+            value = Fraction(raw)
+        except (ValueError, ZeroDivisionError):
+            raise InvalidInput(f"{self.kind}: {key}={raw!r} is not a rational") from None
+        if not 0 < value < 1:
+            raise InvalidInput(f"{self.kind}: {key}={raw} is not in (0, 1)")
+        return value
 
 
 DENOMINATOR_CAP_BITS = 512
@@ -485,7 +541,7 @@ def generate(spec: GeneratorSpec | str, cap_bits: int = DENOMINATOR_CAP_BITS):
     kind = spec.kind
 
     if kind == "cantor":
-        L = int(spec.get("L", 3))
+        L = spec.integer("L", 3)
         digits = (0, 2)
         if L > 24:
             raise SizeCapExceeded("cantor level > 24 would materialize 2^24 points")
@@ -496,47 +552,48 @@ def generate(spec: GeneratorSpec | str, cap_bits: int = DENOMINATOR_CAP_BITS):
         return sorted(pts)
 
     if kind == "dyadic":
-        m = int(spec.get("m", 3))
+        m = spec.integer("m", 3)
         if m > 20:
             raise SizeCapExceeded("dyadic m > 20")
         return [(Fraction(k, 2 ** m),) for k in range(2 ** m)]
 
     if kind == "power":
-        lam = Fraction(spec.get("lam", "1/2"))
-        J = int(spec.get("J", 10))
+        lam = spec.ratio("lam", "1/2")
+        J = spec.integer("J", 10, lo=1)
         pts = [(lam ** j,) for j in range(1, J + 1)]
         _check_cap([p[0] for p in pts], cap_bits)
         return sorted(pts)
 
     if kind == "two_scale":
-        M1 = int(spec.get("M1", 2))
-        M2 = int(spec.get("M2", 3))
-        jmax = int(spec.get("jmax", 6))
-        kmax = int(spec.get("kmax", 6))
+        M1 = spec.integer("M1", 2, lo=2)
+        M2 = spec.integer("M2", 3, lo=2)
+        jmax = spec.integer("jmax", 6, lo=1)
+        kmax = spec.integer("kmax", 6, lo=1)
         vals = sorted({Fraction(1, M1 ** j) + Fraction(1, M2 ** k)
                        for j in range(1, jmax + 1) for k in range(1, kmax + 1)})
         # halve to keep inside [0,1)
         return [(v / 2,) for v in vals]
 
     if kind == "perturbed_geometric":
-        jmax = int(spec.get("jmax", 8))
+        jmax = spec.integer("jmax", 8, lo=1)
         vals = sorted({Fraction(1, 2 ** (2 * j)) + s * Fraction(1, 4 ** (2 * j))
                        for j in range(1, jmax + 1) for s in (1, -1)})
         _check_cap(vals, cap_bits)
         return [(v,) for v in vals]
 
     if kind == "nsw":
-        exps = tuple(int(x) for x in str(spec.get("m", "1,2")).split("+"))
-        ratio = Fraction(spec.get("ratio", "1/2"))
-        count = int(spec.get("count", 8))
+        exps = tuple(_spec_int(kind, "m", x, 1)
+                     for x in spec.get("m", "1+2").split("+"))
+        ratio = spec.ratio("ratio", "1/2")
+        count = spec.integer("count", 8, lo=1)
         pts = [tuple(ratio ** (j * m) for m in exps) for j in range(1, count + 1)]
         _check_cap([c for p in pts for c in p], cap_bits)
         return sorted(pts)
 
     if kind == "carbery":
-        lam = Fraction(spec.get("lam", "1/2"))
-        kmax = int(spec.get("kmax", 4))
-        d = int(spec.get("d", 2))
+        lam = spec.ratio("lam", "1/2")
+        kmax = spec.integer("kmax", 4, lo=1)
+        d = spec.integer("d", 2, lo=1)
         pts = [tuple(lam ** k for k in combo)
                for combo in itertools.product(range(1, kmax + 1), repeat=d)]
         _check_cap([c for p in pts for c in p], cap_bits)
@@ -545,7 +602,7 @@ def generate(spec: GeneratorSpec | str, cap_bits: int = DENOMINATOR_CAP_BITS):
     if kind in ("counterexample_u", "counterexample_v", "counterexample_sum"):
         # denominators here intrinsically reach 2^(2^(jmax^2)); the cap is
         # sized to the request rather than the package default
-        jmax = int(spec.get("jmax", 3))
+        jmax = spec.integer("jmax", 3, lo=2)
         U, V = counterexample_raw(j_hi=jmax, cap_bits=None)
         if kind == "counterexample_u":
             return [(u,) for u in U]
@@ -555,7 +612,7 @@ def generate(spec: GeneratorSpec | str, cap_bits: int = DENOMINATOR_CAP_BITS):
         return [((x + 1) / 2,) for x in s]  # affine map into [0,1)
 
     if kind == "parcet_rogers":
-        lmax = int(spec.get("lmax", 8))
+        lmax = spec.integer("lmax", 8, lo=1)
         qs = stern_brocot_rationals(Fraction(1, 2), Fraction(2, 3), lmax)
         pts = [(q * Fraction(1, 2 ** l), Fraction(1, 2 ** l))
                for l, q in enumerate(qs, start=1)]

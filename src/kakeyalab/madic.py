@@ -35,10 +35,6 @@ Point = tuple  # d-tuple of Fractions in [0,1)
 # address arithmetic
 # ---------------------------------------------------------------------------
 
-def height(addr: Address) -> int:
-    return len(addr)
-
-
 def ancestor(addr: Address, h: int) -> Address:
     if h > len(addr):
         raise InvalidInput(f"ancestor height {h} exceeds vertex height {len(addr)}")
@@ -130,16 +126,6 @@ class MadicTree:
     def children(self, addr: Address) -> tuple[Digits, ...]:
         raise NotImplementedError
 
-    def has_vertex(self, addr: Address) -> bool:
-        if len(addr) == 0:
-            return True
-        return self.has_vertex(addr[:-1]) and addr[-1] in self.children(addr[:-1])
-
-    def yca(self, u: Address, v: Address) -> Address:
-        if not (self.has_vertex(u) and self.has_vertex(v)):
-            raise InvalidInput("addresses not in this tree")
-        return youngest_common_ancestor(u, v)
-
     def vertices(self, max_height: int | None = None) -> Iterable[Address]:
         """Breadth-first enumeration up to max_height (inclusive)."""
         cap = self.height if max_height is None else min(max_height, self.height)
@@ -218,9 +204,6 @@ class PointSetTree(MadicTree):
             got = tuple(digs)
             self._child_memo[addr] = got
         return got
-
-    def has_vertex(self, addr: Address) -> bool:
-        return len(addr) <= self.height and bool(self._members(addr))
 
     def min_point(self, addr: Address) -> Point:
         members = self._members(addr)
@@ -464,63 +447,8 @@ def splitting_number_1d_points(points: Sequence[Fraction], M: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# toy trees for oracle tests (not M-adic; same vertex protocol)
-# ---------------------------------------------------------------------------
-
-class ToyTree:
-    """Arbitrary finite rooted labelled tree given as {address: child_count}
-    or built randomly; supports the same splitting-number interface."""
-
-    def __init__(self, children_map: dict[Address, int]):
-        self._map = dict(children_map)
-        self.height = max((len(a) for a in self._map), default=0) + 1
-
-    @classmethod
-    def random(cls, seed: int, max_height: int = 4, max_branch: int = 3) -> "ToyTree":
-        from ._mix import mix_chain
-        out: dict[Address, int] = {}
-        frontier = [()]
-        node_id = 0
-        for h in range(max_height):
-            nxt = []
-            for v in frontier:
-                node_id += 1
-                n = mix_chain(seed, h, node_id) % (max_branch + 1)
-                if h == 0 and n == 0:
-                    n = 1
-                out[v] = n
-                for i in range(n):
-                    nxt.append(v + ((i,),))
-            frontier = nxt
-        return cls(out)
-
-    def children(self, addr: Address) -> tuple[Digits, ...]:
-        n = self._map.get(addr, 0)
-        return tuple((i,) for i in range(n))
-
-    def vertices(self, max_height: int | None = None):
-        level = [()]
-        yield ()
-        while level:
-            nxt = []
-            for v in level:
-                for dg in self.children(v):
-                    u = v + (dg,)
-                    nxt.append(u)
-                    yield u
-            level = nxt
-
-    # same vertex protocol, so the same recursion
-    split_value = MadicTree.split_value
-
-
-# ---------------------------------------------------------------------------
 # point-set JSON interchange
 # ---------------------------------------------------------------------------
-
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
-
 
 def points_to_json(points: Sequence[Point], M: int, d: int, J: int) -> str:
     return json.dumps({
@@ -531,5 +459,5 @@ def points_to_json(points: Sequence[Point], M: int, d: int, J: int) -> str:
 
 def points_from_json(text: str) -> tuple[tuple[Point, ...], int, int, int]:
     obj = json.loads(text)
-    pts = tuple(tuple(parse_rational(c) for c in p) for p in obj["points"])
+    pts = tuple(tuple(Fraction(c) for c in p) for p in obj["points"])
     return pts, obj["M"], obj["d"], obj["J"]

@@ -9,6 +9,12 @@ edges e' on the root path including e; for fair bits this is
 lower the resistance, giving the weaker explicit bound with per-level
 vertex counts.
 
+A tree is read only through ``tree.children(addr)``: the labels ``c`` for
+which ``addr + (c,)`` is a child of the vertex ``addr``, the root being
+``()``, so ``len(addr)`` is the level.  The M-adic trees of ``madic``, the
+example trees built here and the reference tree N_x of ``tubes`` all
+qualify.
+
 All resistances and exact survival probabilities are rationals end to
 end; only Monte Carlo frequencies are floats.
 """
@@ -20,7 +26,7 @@ from fractions import Fraction
 
 from ._mix import float01, mix_chain
 from .errors import InvalidInput
-from .madic import Address
+from .madic import Address, DigitRuleTree
 from .sticky import BernoulliWarehouse
 from .tubes import ReferenceTree
 
@@ -58,10 +64,13 @@ def total_resistance(tree, p: Fraction = Fraction(1, 2)) -> Fraction:
 
 
 def level_counts(tree) -> list[int]:
-    out: dict[int, int] = {}
-    for v in tree.vertices():
-        out[len(v)] = out.get(len(v), 0) + 1
-    return [out[k] for k in sorted(out)]
+    """Number of vertices at each level, from the root's level 0 down to
+    the deepest nonempty level."""
+    counts, level = [], [()]
+    while level:
+        counts.append(len(level))
+        level = [c for v in level for c in _children(tree, v)]
+    return counts
 
 
 def survival_upper_bound(tree, p: Fraction = Fraction(1, 2)):
@@ -128,10 +137,18 @@ def survival_monte_carlo(tree, p: Fraction, trials: int, seed: int) -> float:
     return hits / trials
 
 
-def random_tree(seed: int, height: int = 4, max_branch: int = 3):
+def _counted_tree(counts: dict[Address, int]) -> DigitRuleTree:
+    """The tree whose vertex ``v`` has the children ``v + ((i,),)`` for
+    ``i < counts.get(v, 0)``; M only has to cover the labels, since these
+    trees are read through ``children`` alone."""
+    return DigitRuleTree(lambda v: tuple((i,) for i in range(counts.get(v, 0))),
+                         M=max([2, *counts.values()]), d=1,
+                         height=1 + max(map(len, counts), default=0))
+
+
+def random_tree(seed: int, height: int = 4, max_branch: int = 3) -> DigitRuleTree:
     """Uniform-depth random test tree: every vertex above the bottom level
     draws 1..max_branch children from the seeded mix chain."""
-    from .madic import ToyTree
     out: dict[Address, int] = {}
     frontier: list[Address] = [()]
     nid = 0
@@ -144,30 +161,15 @@ def random_tree(seed: int, height: int = 4, max_branch: int = 3):
             for i in range(n):
                 nxt.append(v + ((i,),))
         frontier = nxt
-    return ToyTree(out)
+    return _counted_tree(out)
 
 
-def full_binary_tree(height: int):
-    from .madic import ToyTree
-    out = {}
-    frontier = [()]
-    for _ in range(height):
-        nxt = []
-        for v in frontier:
-            out[v] = 2
-            nxt.extend([v + ((0,),), v + ((1,),)])
-        frontier = nxt
-    return ToyTree(out)
+def path_tree(length: int) -> DigitRuleTree:
+    return _counted_tree({((0,),) * k: 1 for k in range(length)})
 
 
-def path_tree(length: int):
-    from .madic import ToyTree
-    return ToyTree({((0,),) * k: 1 for k in range(length)})
-
-
-def star_tree(leaves: int):
-    from .madic import ToyTree
-    return ToyTree({(): leaves})
+def star_tree(leaves: int) -> DigitRuleTree:
+    return _counted_tree({(): leaves})
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +193,13 @@ def percolate_reference(ref: ReferenceTree,
     """
     seen_cubes = set()
     retained = {}
-    for node in ref.edges():
-        if node.cube in seen_cubes:
-            raise AssertionError("two edges share a reference cube")
-        seen_cubes.add(node.cube)
-        retained[(node.level, node.cube)] = (
-            warehouse.bit(node.cube) == node.kappa)
+    for level in ref.levels[1:]:
+        for node in level.values():
+            if node.cube in seen_cubes:
+                raise AssertionError("two edges share a reference cube")
+            seen_cubes.add(node.cube)
+            retained[(node.level, node.cube)] = (
+                warehouse.bit(node.cube) == node.kappa)
 
     survivors = []
     for t in ref.possible:

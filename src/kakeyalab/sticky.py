@@ -39,7 +39,7 @@ from itertools import product
 
 from ._mix import bit_from_keys
 from .errors import InvalidInput, SizeCapExceeded
-from .madic import Address, ancestor, youngest_common_ancestor
+from .madic import Address, ancestor, cube_index, youngest_common_ancestor
 from .pruning import PrunedSlopeTree
 
 
@@ -58,13 +58,7 @@ class BernoulliWarehouse:
         self._memo: dict[tuple, int] = {}
 
     def key_of(self, addr: Address) -> tuple:
-        h = len(addr)
-        d = len(addr[0]) if addr else 1
-        cell = [0] * d
-        for dig in addr:
-            for a in range(d):
-                cell[a] = cell[a] * self.M + dig[a]
-        return (h, tuple(cell))
+        return (len(addr), cube_index(addr, self.M, len(addr[0]) if addr else 1))
 
     def bit(self, addr: Address) -> int:
         key = self.key_of(addr)
@@ -339,10 +333,6 @@ class RootConfiguration:
     swapped: bool         # whether the canonical order swapped the input
     u: Address
     u2: Address
-
-    @property
-    def label(self) -> str:
-        return f"{self.size}pt-type{self.ctype}"
 
 
 def classify_roots(roots) -> RootConfiguration:

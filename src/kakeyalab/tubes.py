@@ -362,7 +362,6 @@ class RefNode:
     parent: Address | None
     theta: Address         # j-th basic slope cube of v(t)
     kappa: int | None      # bit of the incoming edge
-    roots: set
 
 
 class ReferenceTree:
@@ -370,7 +369,9 @@ class ReferenceTree:
 
     Vertices at level j are reference cubes; the edge into a vertex
     carries the binary label kappa telling which child of the (j-th)
-    splitting vertex the ideal slope assignment takes.
+    splitting vertex the ideal slope assignment takes.  For ``percolation``
+    a vertex is its path of reference cubes from the root, read through
+    :meth:`children`.
     """
 
     def __init__(self, x, pruned: PrunedSlopeTree, A0: int = DEFAULT_A0):
@@ -381,9 +382,8 @@ class ReferenceTree:
         self._check_weak_stickiness()
         self.levels: list[dict[Address, RefNode]] = [
             {} for _ in range(pruned.N + 1)]
-        root = RefNode(cube=(), level=0, parent=None, theta=(), kappa=None,
-                       roots=set(self.possible))
-        self.levels[0][()] = root
+        self.levels[0][()] = RefNode(cube=(), level=0, parent=None, theta=(),
+                                     kappa=None)
         for t, code in self.possible.items():
             prev, bits = (), ()
             for j, (cube, bit) in enumerate(reference_cubes(pruned, t, code), start=1):
@@ -392,14 +392,13 @@ class ReferenceTree:
                 node = self.levels[j].get(cube)
                 if node is None:
                     node = RefNode(cube=cube, level=j, parent=prev, theta=th,
-                                   kappa=bit, roots=set())
+                                   kappa=bit)
                     self.levels[j][cube] = node
                 else:
                     # well-definedness of the tree and of kappa
                     if node.parent != prev or node.theta != th or node.kappa != bit:
                         raise AssertionError(
                             "reference tree ill-defined: conflicting edges")
-                node.roots.add(t)
                 prev = cube
 
     def _check_weak_stickiness(self):
@@ -416,16 +415,19 @@ class ReferenceTree:
                     raise AssertionError(
                         "weak stickiness h(u) < lambda(w) fails; raise C0 or A0")
 
-    def n_j(self, j: int) -> int:
-        return len(self.levels[j])
+    def children(self, path: tuple) -> tuple[Address, ...]:
+        """The reference cubes one level below the end of ``path``, the
+        cubes from level 1 to level ``len(path)`` (the root is ``()``).
 
-    def vertex_counts(self) -> list[int]:
-        return [self.n_j(j) for j in range(self.pruned.N + 1)]
-
-    def edges(self):
-        for j in range(1, self.pruned.N + 1):
-            for node in self.levels[j].values():
-                yield node
+        With no possible root, N_x is the root alone, a leaf: there
+        ``survival_exact`` gives 1 while no ray of a root survives.
+        """
+        j = len(path) + 1
+        if j >= len(self.levels):
+            return ()
+        end = path[-1] if path else ()
+        return tuple(sorted(cube for cube, node in self.levels[j].items()
+                            if node.parent == end))
 
     def ray_of(self, t: Address):
         """Reference cubes along the ray identifying a possible root."""

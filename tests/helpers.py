@@ -1,10 +1,13 @@
-"""Shared test utilities: root enumeration, rasterization oracle."""
+"""Shared test utilities: root enumeration, random trees, rasterization
+oracle."""
 
 from fractions import Fraction
 
 import numpy as np
 
+from kakeyalab._mix import mix_chain
 from kakeyalab.madic import point_address
+from kakeyalab.percolation import _counted_tree as counted_tree  # noqa: F401
 
 
 def root_addr(i: int, M: int, J: int):
@@ -14,6 +17,28 @@ def root_addr(i: int, M: int, J: int):
 def all_roots_1d(pruned):
     K = pruned.M ** pruned.J
     return [root_addr(i, pruned.M, pruned.J) for i in range(K)]
+
+
+def random_counts(seed: int, max_height: int = 4, max_branch: int = 3):
+    """Child counts {address: count} of a random tree of at most max_height
+    levels: every vertex draws 0..max_branch children from the seeded mix
+    chain, the root at least one, so leaves sit at uneven depths.  Build
+    the tree with ``counted_tree``."""
+    out = {}
+    frontier = [()]
+    node_id = 0
+    for h in range(max_height):
+        nxt = []
+        for v in frontier:
+            node_id += 1
+            n = mix_chain(seed, h, node_id) % (max_branch + 1)
+            if h == 0 and n == 0:
+                n = 1
+            out[v] = n
+            for i in range(n):
+                nxt.append(v + ((i,),))
+        frontier = nxt
+    return out
 
 
 def rasterize_pair_volume(t1, t2, window, cells: int = 1000):

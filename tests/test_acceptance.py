@@ -18,7 +18,13 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from helpers import all_roots_1d, rasterize_pair_volume, root_addr
+from helpers import (
+    all_roots_1d,
+    counted_tree,
+    random_counts,
+    rasterize_pair_volume,
+    root_addr,
+)
 from kakeyalab.fast1d import FastInstance
 from kakeyalab.harness import (
     ExperimentConfig,
@@ -36,7 +42,6 @@ from kakeyalab.lacunarity import (
     verify_witness,
 )
 from kakeyalab.madic import (
-    ToyTree,
     agreement_height_scalar,
     cantor_tree,
     encode_set,
@@ -47,7 +52,7 @@ from kakeyalab.madic import (
     splitting_number_bruteforce,
 )
 from kakeyalab.percolation import (
-    full_binary_tree,
+    level_counts,
     path_tree,
     percolate_reference,
     random_tree,
@@ -107,7 +112,7 @@ def test_criterion_01_splitting_number_exactness():
 def test_criterion_02_dp_vs_bruteforce():
     t0 = time.time()
     for seed in range(200):
-        t = ToyTree.random(seed, max_height=4, max_branch=3)
+        t = counted_tree(random_counts(seed, max_height=4, max_branch=3))
         assert t.split_value(()) == splitting_number_bruteforce(t, cap=500)
     verdict(2, True, "200 random trees, DP == exhaustive subtree oracle", t0, 30)
 
@@ -264,17 +269,17 @@ def test_criterion_05_probability_triple_agreement():
 
 def test_criterion_06_percolation():
     t0 = time.time()
-    assert survival_exact(full_binary_tree(1)) == F(3, 4)
-    assert survival_exact(full_binary_tree(2)) == F(39, 64)
+    assert survival_exact(full_tree(1, M=2)) == F(3, 4)
+    assert survival_exact(full_tree(2, M=2)) == F(39, 64)
     for seed in range(100):
         t = random_tree(seed, height=5, max_branch=3)
         sharp, _ = survival_upper_bound(t)
         assert survival_exact(t) <= sharp
     q = float(F(39, 64))
-    f = survival_monte_carlo(full_binary_tree(2), F(1, 2), 10 ** 4, 12)
+    f = survival_monte_carlo(full_tree(2, M=2), F(1, 2), 10 ** 4, 12)
     assert abs(f - q) <= 3 * math.sqrt(q * (1 - q) / 10 ** 4)
     for n in range(1, 7):
-        assert total_resistance(full_binary_tree(n)) == F(n, 2)
+        assert total_resistance(full_tree(n, M=2)) == F(n, 2)
     verdict(6, True, "exact survivals, 100 random-tree bounds, MC in 3 sigma",
             t0, 120)
 
@@ -296,8 +301,8 @@ def test_criterion_07_reference_tree_percolation():
         seed = rng.randrange(10 ** 9)
         sm = sample_assignment(pruned, seed)
         rt = reference_trees(x, pruned)
-        for j in range(1, pruned.N + 1):
-            fitted_c = max(fitted_c, rt.n_j(j) / 2 ** j)
+        for j, n_j in enumerate(level_counts(rt)[1:], start=1):
+            fitted_c = max(fitted_c, n_j / 2 ** j)
         witness = inclusion_check(x, sm)
         if witness is None:
             continue

@@ -10,6 +10,7 @@ import pytest
 
 from helpers import all_roots_1d
 from kakeyalab.cli import main as cli_main
+from kakeyalab.errors import InvalidInput
 from kakeyalab.fast1d import FastInstance, cs_bound
 from kakeyalab.harness import (
     CSV_COLUMNS,
@@ -286,6 +287,19 @@ def test_cli_infeasible_exit_code(capsys):
 def test_cli_validation_exit_code(capsys):
     rc = cli_main(["split-number", "--set", "nosuchkind:x=1", "--base", "3"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("spec", [
+    "cantor:L", "cantor:L=6,", "cantor:L=abc", "dyadic:m=-1", "cantor:depht=40",
+])
+def test_cli_malformed_minispec_exit_code(spec, capsys):
+    assert cli_main(["split-number", "--set", spec, "--base", "3"]) == 2
+    assert "invalid input" in capsys.readouterr().err
+
+
+def test_config_with_malformed_generator_is_refused():
+    with pytest.raises(InvalidInput, match="unknown key"):
+        pruned_instance(ExperimentConfig(generator="cantor:depht=25"), 2)
 
 
 def test_cli_usage_exit_code():

@@ -261,3 +261,27 @@ def test_generator_spec_parser():
     assert spec.kind == "nsw" and spec.get("ratio") == "1/3"
     pts = generate(spec)
     assert len(pts) == 4 and len(pts[0]) == 2
+
+
+@pytest.mark.parametrize("text, message", [
+    ("cantor:L", "key=value"),
+    ("cantor:L=6,", "key=value"),
+    ("cantor:L=abc", "not an integer"),
+    ("dyadic:m=-1", "below 0"),
+    ("cantor:depht=40", "unknown key 'depht'"),
+    ("full:L=3", "unknown key 'L'"),
+    ("power:lam=3/2", r"not in \(0, 1\)"),
+    ("carbery:lam=1/0", "not a rational"),
+    ("nsw:m=1+x", "not an integer"),
+    ("counterexample_u:jmax=1", "below 2"),
+])
+def test_malformed_generator_specs_are_refused(text, message):
+    with pytest.raises(InvalidInput, match=message):
+        generate(text)
+
+
+def test_spec_keys_cover_what_the_readers_use():
+    # the lazy trees and the harness encoding height are legal keys too
+    assert GeneratorSpec.parse("cantor:depth=40").integer("depth", None) == 40
+    assert GeneratorSpec.parse("dyadic:m=3,J=5").integer("J", 12) == 5
+    assert len(generate("nsw")) == 8  # the default exponents 1+2

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import counted_tree, random_counts
 from kakeyalab.errors import InvalidInput, SizeCapExceeded
 from kakeyalab.madic import (
     PointSetTree,
-    ToyTree,
     agreement_height_scalar,
     cantor_tree,
     cube_center,
@@ -24,6 +24,7 @@ from kakeyalab.madic import (
     split_values,
     youngest_common_ancestor,
 )
+from kakeyalab.percolation import path_tree
 
 
 def test_encode_half_intervals():
@@ -89,12 +90,6 @@ def test_cube_origin_and_center_lie_in_their_cube(M, d, data):
     assert all(c - o == F(1, 2 * M ** J) for c, o in zip(cen, org))
 
 
-def test_yca_checks_membership():
-    t = encode_set([(F(0),)], 2, 3)
-    with pytest.raises(InvalidInput):
-        t.yca(((1,),), ((0,),))
-
-
 def test_splitting_number_examples():
     assert splitting_number(encode_set([(F(1, 2 ** j),) for j in range(1, 11)], 2, 12)) == 1
     for m in (3, 6):
@@ -107,7 +102,7 @@ def test_splitting_number_examples():
 
 
 def test_splitting_path_and_binary():
-    path = ToyTree({((0,),) * k: 1 for k in range(5)})
+    path = path_tree(5)
     assert splitting_number_bruteforce(path) == 0
     tree = full_tree(3, 2)
     assert splitting_number(tree) == 3
@@ -120,29 +115,30 @@ def test_bruteforce_cap():
 
 def test_dp_matches_bruteforce_on_random_trees():
     for seed in range(60):
-        t = ToyTree.random(seed, max_height=3, max_branch=3)
+        t = counted_tree(random_counts(seed, max_height=3, max_branch=3))
         assert t.split_value(()) == splitting_number_bruteforce(t, cap=200)
 
 
 def test_split_monotone_in_lineages_and_subtrees():
-    t = ToyTree.random(11, max_height=4, max_branch=3)
+    counts = random_counts(11, max_height=4, max_branch=3)
+    t = counted_tree(counts)
     vals = split_values(t)
     for v, sv in vals.items():
         for u, su in vals.items():
             if len(u) > len(v) and u[: len(v)] == v:
                 assert su <= sv
     # subtree monotonicity: dropping a child only lowers the value
-    trimmed = dict(t._map)
+    trimmed = dict(counts)
     for addr, n in list(trimmed.items()):
         if n > 1:
             trimmed[addr] = n - 1
             break
-    assert ToyTree(trimmed).split_value(()) <= t.split_value(())
+    assert counted_tree(trimmed).split_value(()) <= t.split_value(())
 
 
 def test_max_split_vertices_lie_on_a_ray():
     for seed in range(40):
-        t = ToyTree.random(seed, max_height=4, max_branch=3)
+        t = counted_tree(random_counts(seed, max_height=4, max_branch=3))
         n = t.split_value(())
         peaks = [v for v, s in split_values(t).items() if s == n]
         for a in peaks:

@@ -1,16 +1,16 @@
 import math
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
 from helpers import root_addr
 from kakeyalab.errors import InvalidInput
-from kakeyalab.madic import cantor_tree
+from kakeyalab.madic import cantor_tree, full_tree
 from kakeyalab.percolation import (
     PercolationOutcome,
     edge_resistance,
-    full_binary_tree,
     level_counts,
     path_tree,
     percolate_reference,
@@ -35,20 +35,20 @@ def test_edge_resistances_fair_coin():
 def test_total_resistance_examples():
     assert total_resistance(path_tree(1)) == 1
     for n in (1, 2, 3, 4):
-        assert total_resistance(full_binary_tree(n)) == F(n, 2)
+        assert total_resistance(full_tree(n, M=2)) == F(n, 2)
         assert total_resistance(path_tree(n)) == 2 ** n - 1
     assert total_resistance(star_tree(7)) == F(1, 7)
 
 
 def test_survival_exact_examples():
-    assert survival_exact(full_binary_tree(1)) == F(3, 4)
-    assert survival_exact(full_binary_tree(2)) == F(39, 64)
+    assert survival_exact(full_tree(1, M=2)) == F(3, 4)
+    assert survival_exact(full_tree(2, M=2)) == F(39, 64)
     for k in (2, 4, 6):
         assert survival_exact(path_tree(k)) == F(1, 2 ** k)
 
 
 def test_survival_upper_bound_examples():
-    sharp, merged = survival_upper_bound(full_binary_tree(2))
+    sharp, merged = survival_upper_bound(full_tree(2, M=2))
     assert sharp == merged == 1
     sharp, merged = survival_upper_bound(path_tree(3))
     assert sharp == F(2, 8) == F(1, 4)
@@ -73,7 +73,7 @@ def test_level_merge_only_decreases_resistance():
 
 
 def test_monte_carlo_within_ci():
-    t = full_binary_tree(2)
+    t = full_tree(2, M=2)
     q = float(F(39, 64))
     f = survival_monte_carlo(t, F(1, 2), 10 ** 4, 7)
     assert abs(f - q) <= 3 * math.sqrt(q * (1 - q) / 10 ** 4)
@@ -84,15 +84,14 @@ def test_monte_carlo_within_ci():
 
 
 def test_monte_carlo_deterministic():
-    t = full_binary_tree(3)
+    t = full_tree(3, M=2)
     assert survival_monte_carlo(t, F(1, 2), 500, 4) == \
         survival_monte_carlo(t, F(1, 2), 500, 4)
 
 
 def test_empty_tree_rejected():
-    from kakeyalab.madic import ToyTree
     with pytest.raises(InvalidInput):
-        total_resistance(ToyTree({}))
+        total_resistance(star_tree(0))
 
 
 @pytest.fixture(scope="module")
@@ -160,9 +159,7 @@ def test_survival_frequency_against_merged_bound(inst):
             break
     assert x is not None
     rt = reference_trees(x, inst)
-    counts = rt.vertex_counts()
-    merged_r = sum(F(2 ** (k - 1), counts[k]) for k in range(1, len(counts)))
-    bound = float(F(2, 1 + merged_r))
+    bound = float(survival_upper_bound(rt)[1])
     trials = 3000
     hits = sum(percolate_reference(rt, BernoulliWarehouse(s, inst.M)).survives
                for s in range(trials))
@@ -171,10 +168,33 @@ def test_survival_frequency_against_merged_bound(inst):
     assert freq <= min(1.0, bound) + 3 * sigma
 
 
+def test_survival_exact_on_the_reference_tree(inst):
+    """survival_exact reads N_x through ``children``; it equals the share of
+    the 2^E bit patterns on N_x's E reference cubes under which
+    percolate_reference finds a surviving ray."""
+    rng = random.Random(4)
+    populated = 0
+    while populated < 60:
+        rt = reference_trees(_sample_point(rng), inst)
+        if not rt.possible:
+            continue
+        populated += 1
+        assert level_counts(rt) == [len(level) for level in rt.levels]
+        cubes = [cube for level in rt.levels[1:] for cube in level]
+        keys = [BernoulliWarehouse(0, inst.M).key_of(c) for c in cubes]
+        hits = sum(
+            percolate_reference(rt, BernoulliWarehouse(
+                0, inst.M, overrides=dict(zip(keys, bits)))).survives
+            for bits in product((0, 1), repeat=len(cubes)))
+        assert survival_exact(rt) == F(hits, 2 ** len(cubes))
+        sharp, merged = survival_upper_bound(rt)
+        assert survival_exact(rt) <= sharp <= merged
+
+
 def test_distinct_edges_distinct_cubes(inst):
     rng = random.Random(3)
     for _ in range(100):
         x = _sample_point(rng)
         rt = reference_trees(x, inst)
-        cubes = [node.cube for node in rt.edges()]
+        cubes = [cube for level in rt.levels[1:] for cube in level]
         assert len(cubes) == len(set(cubes))

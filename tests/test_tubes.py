@@ -4,8 +4,10 @@ from fractions import Fraction as F
 import pytest
 
 from helpers import all_roots_1d, rasterize_pair_volume, root_addr
-from kakeyalab.errors import InvalidInput
+from kakeyalab.counting import all_root_cubes
+from kakeyalab.errors import InvalidInput, SizeCapExceeded
 from kakeyalab.madic import cantor_tree
+from kakeyalab.percolation import level_counts
 from kakeyalab.pruning import prune
 from kakeyalab.sticky import sample_assignment
 from kakeyalab.tubes import (
@@ -120,6 +122,39 @@ def test_union_two_disjoint(inst):
     assert est == lb == 2 * tube_slab_volume(t1, w)
 
 
+@pytest.fixture(scope="module")
+def plane():
+    """A d = 2 instance: K = 3^8 = 6,561 root squares, four slopes."""
+    pruned = prune(cantor_tree(30, d=2), N=2, C0=1)
+    return pruned, all_root_cubes(pruned, cap=pruned.M ** (2 * pruned.J))
+
+
+def test_union_in_the_plane(plane):
+    """The compressed-grid slice union of d >= 2 on disjoint, repeated and
+    meeting tubes."""
+    pruned, roots = plane
+    w = SlabWindow(F(10), C1=F(11, 10))
+    parallel = [make_tube(pruned, t, 3) for t in roots[::1000]]
+    total = sum(tube_slab_volume(t, w) for t in parallel)
+    assert union_volume(parallel, w, slices=4) == (total, total)
+    one = tube_slab_volume(parallel[0], w)
+    assert union_volume([parallel[0]] * 2, w, slices=4) == (one, one)
+    # these two meet on exactly |x1 - 10| < 1/128
+    a, b = make_tube(pruned, roots[0], 0), make_tube(pruned, roots[-1], 1)
+    w = (F(10) - F(1, 128), F(10) + F(1, 128))
+    assert intersects(a, b, w)
+    est, lb = union_volume([a, b], w, slices=4)
+    assert lb <= est < 2 * tube_slab_volume(a, w)
+    assert lb <= 2 * tube_slab_volume(a, w) - pair_intersection_volume(a, b, w)
+
+
+def test_union_in_the_plane_caps_the_box_count(plane):
+    pruned, roots = plane
+    tubes = [make_tube(pruned, t, 0) for t in roots[:4097]]
+    with pytest.raises(SizeCapExceeded, match="too many boxes"):
+        union_volume(tubes, SlabWindow(F(10), C1=F(11, 10)), slices=1)
+
+
 def test_union_quadrature_self_convergence(inst):
     rng = random.Random(4)
     tubes = [rand_tube(inst, rng) for _ in range(10)]
@@ -184,9 +219,10 @@ def test_reference_tree_well_defined(inst):
         x = (F(10) + F(rng.randrange(64), 64),
              F(rng.randrange(1, 12 * 16), 16))
         rt = reference_trees(x, inst)
-        counts = rt.vertex_counts()
+        counts = level_counts(rt)
+        assert len(counts) == (inst.N + 1 if rt.possible else 1)
         assert counts[0] == 1
-        for j in range(1, inst.N + 1):
+        for j in range(1, len(counts)):
             assert counts[j] <= 2 ** j * 8  # C recorded in acceptance run
         if len(rt.possible) > 1:
             grown += 1
@@ -205,7 +241,7 @@ def test_single_root_reference_is_a_path(inst):
              F(rng.randrange(1, 12 * 16), 16))
         rt = reference_trees(x, inst)
         if len(rt.possible) == 1:
-            assert rt.vertex_counts() == [1] * (inst.N + 1)
+            assert level_counts(rt) == [1] * (inst.N + 1)
             return
     pytest.skip("no single-root sample found")
 
