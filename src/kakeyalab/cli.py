@@ -31,11 +31,10 @@ from .lacunarity import (
     decompose_split_one,
     generate,
     is_lacunary_sequence,
+    spec_tree,
     verify_witness,
 )
 from .madic import (
-    cantor_tree,
-    encode_set,
     full_tree,
     points_to_json,
     splitting_number,
@@ -53,22 +52,6 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(USAGE_ERROR)
 
 
-def _tree_from_spec(text: str, base: int):
-    spec = GeneratorSpec.parse(text)
-    depth = spec.integer("depth", None)  # only cantor and full read it
-    if depth is not None:
-        return (cantor_tree if spec.kind == "cantor" else full_tree)(depth, M=base)
-    if spec.kind == "cantor" and spec.get("L"):
-        # ``cantor:L=k`` encodes the level-k endpoints as a point tree
-        pts = generate(spec)
-        return encode_set(pts, base, spec.integer("L", 3))
-    pts = generate(spec)
-    import math
-    J = max(8, max(c.denominator for p in pts for c in p).bit_length()
-            // max(1, int(math.log2(base))))
-    return encode_set(pts, base, min(J, 40))
-
-
 def cmd_encode(args) -> int:
     pts = generate(args.set)
     print(points_to_json(pts, args.base, len(pts[0]), args.height))
@@ -77,16 +60,12 @@ def cmd_encode(args) -> int:
 
 def cmd_split_number(args) -> int:
     spec = GeneratorSpec.parse(args.set)
-    if spec.integer("depth", None) is not None:
-        tree = _tree_from_spec(args.set, args.base)
-        print(splitting_number(tree))
-        return 0
-    pts = generate(spec)
-    if len(pts[0]) == 1:
-        print(splitting_number_1d_points([p[0] for p in pts], args.base))
-    else:
-        tree = _tree_from_spec(args.set, args.base)
-        print(splitting_number(tree))
+    if spec.integer("depth", None) is None:
+        pts = generate(spec)
+        if len(pts[0]) == 1:
+            print(splitting_number_1d_points([p[0] for p in pts], args.base))
+            return 0
+    print(splitting_number(spec_tree(spec, args.base)))
     return 0
 
 
@@ -112,8 +91,7 @@ def cmd_lacunarity(args) -> int:
 
 
 def cmd_prune(args) -> int:
-    tree = _tree_from_spec(args.set, args.base)
-    pruned = prune(tree, N=args.N, C0=args.C0)
+    pruned = prune(spec_tree(args.set, args.base), N=args.N, C0=args.C0)
     print(pruned.to_json())
     return 0
 

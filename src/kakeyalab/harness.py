@@ -8,7 +8,7 @@ estimates are deterministic given the slice count.
 
 The near/far ratio follows the slab-decomposition route: the near volume
 is accumulated over the x1 slabs [M^-R, M^-(R-1)] for integer R in
-[c log N, 2c log N] (c defaults to 1/ln M so that the range contains an
+[c log N, 2c log N] (c = 1/ln M, so that the range contains an
 integer at N = 2), each slab contributing a quadrature estimate and a
 Cauchy-Schwarz lower bound (total tube volume squared over the pairwise
 intersection sum).
@@ -30,8 +30,8 @@ from pathlib import Path
 from ._mix import trial_seed
 from .errors import InvalidInput
 from .fast1d import FastInstance, cs_bound
-from .lacunarity import GeneratorSpec, generate
-from .madic import cantor_tree, encode_set, full_tree, point_address
+from .lacunarity import spec_tree
+from .madic import point_address
 from .pruning import PrunedSlopeTree, prune
 from .tubes import DEFAULT_A0, make_tube
 
@@ -40,7 +40,6 @@ from .tubes import DEFAULT_A0, make_tube
 class ExperimentConfig:
     generator: str = "cantor:depth=25"
     M: int = 3
-    d: int = 1
     n_values: tuple = (2, 3, 4, 5)
     C0: int = 1
     A0: int = DEFAULT_A0
@@ -48,7 +47,6 @@ class ExperimentConfig:
     seeds: int = 200
     master_seed: int = 2024
     slices: int = 8
-    ratio_c: float | None = None  # default 1/ln M
     out_dir: str = "runs"
 
     def __post_init__(self):
@@ -60,7 +58,7 @@ class ExperimentConfig:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     def c_ratio(self) -> float:
-        return self.ratio_c if self.ratio_c is not None else 1.0 / math.log(self.M)
+        return 1.0 / math.log(self.M)
 
     def ratio_r_range(self, n: int) -> list[int]:
         c = self.c_ratio()
@@ -88,20 +86,14 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _prune_cached(generator: str, M: int, d: int, C0: int, n: int) -> PrunedSlopeTree:
-    spec = GeneratorSpec.parse(generator)
-    depth = spec.integer("depth", None)  # only cantor and full read it
-    if depth is not None:
-        tree = (cantor_tree if spec.kind == "cantor" else full_tree)(depth, M=M, d=d)
-    else:
-        tree = encode_set(generate(spec), M, spec.integer("J", 12))
-    return prune(tree, N=n, C0=C0)
+def _prune_cached(generator: str, M: int, C0: int, n: int) -> PrunedSlopeTree:
+    return prune(spec_tree(generator, M), N=n, C0=C0)
 
 
 def pruned_instance(config: ExperimentConfig, n: int) -> PrunedSlopeTree:
-    """The pruned slope tree for N = n, built once per generator, M, d and
+    """The pruned slope tree for N = n, built once per generator, M and
     C0; ``_prune_cached.cache_info()`` counts hits and misses."""
-    return _prune_cached(config.generator, config.M, config.d, config.C0, n)
+    return _prune_cached(config.generator, config.M, config.C0, n)
 
 
 def construct_kakeya(pruned: PrunedSlopeTree, seed: int):
@@ -144,7 +136,7 @@ def run_cell(config: ExperimentConfig, n: int, trial: int) -> CellMetrics:
     ``seeds``, ``out_dir`` or ``n_values`` share their cells;
     ``_cell.cache_info()`` counts hits and misses.
     """
-    pruned = _prune_cached(config.generator, config.M, config.d, config.C0, n)
+    pruned = _prune_cached(config.generator, config.M, config.C0, n)
     seed = trial_seed(config.master_seed, "cell", n, trial)
     return _cell(pruned, seed, config.A0, config.slices, tuple(config.r_values),
                  tuple(config.ratio_r_range(n)))

@@ -24,6 +24,9 @@ from .errors import InvalidInput, SizeCapExceeded
 from .madic import (
     CondensedTree,
     agreement_height_scalar,
+    cantor_tree,
+    encode_set,
+    full_tree,
     point_digit,
     splitting_number_1d_points,
 )
@@ -398,8 +401,8 @@ def direction_evidence(points, M: int, directions=None):
 # ---------------------------------------------------------------------------
 
 # The keys each kind reads: those of ``generate``, ``depth`` for the lazy
-# trees of ``cantor`` and ``full``, and ``J``, the height at which the
-# harness encodes a point set.
+# trees of ``cantor`` and ``full``, and ``J``, the height at which
+# :func:`spec_tree` encodes a point set.
 SPEC_KEYS = {
     "cantor": ("L", "depth", "J"),
     "full": ("depth",),
@@ -475,6 +478,24 @@ class GeneratorSpec:
         if not 0 < value < 1:
             raise InvalidInput(f"{self.kind}: {key}={raw} is not in (0, 1)")
         return value
+
+
+def spec_tree(spec: GeneratorSpec | str, M: int):
+    """The M-adic tree of a minispec.  A spec with ``depth`` gives the lazy
+    ``cantor`` or ``full`` tree; any other spec gives the tree of its
+    points, encoded at the spec's ``J`` or, without one, at the bit length
+    of the largest denominator over floor(log2 M), clipped to 8..40."""
+    if isinstance(spec, str):
+        spec = GeneratorSpec.parse(spec)
+    depth = spec.integer("depth", None)  # only cantor and full read it
+    if depth is not None:
+        return (cantor_tree if spec.kind == "cantor" else full_tree)(depth, M=M)
+    pts = generate(spec)
+    J = spec.integer("J", None, lo=1)
+    if J is None:
+        bits = max(c.denominator for p in pts for c in p).bit_length()
+        J = min(max(8, bits // max(1, M.bit_length() - 1)), 40)
+    return encode_set(pts, M, J)
 
 
 DENOMINATOR_CAP_BITS = 512

@@ -12,8 +12,8 @@ vertex counts.
 A tree is read only through ``tree.children(addr)``: the labels ``c`` for
 which ``addr + (c,)`` is a child of the vertex ``addr``, the root being
 ``()``, so ``len(addr)`` is the level.  The M-adic trees of ``madic``, the
-example trees built here and the reference tree N_x of ``tubes`` all
-qualify.
+example trees built here and the reference trees of ``sticky`` (N_x
+among them) all qualify.
 
 All resistances and exact survival probabilities are rationals end to
 end; only Monte Carlo frequencies are floats.
@@ -27,8 +27,7 @@ from fractions import Fraction
 from ._mix import float01, mix_chain
 from .errors import InvalidInput
 from .madic import Address, DigitRuleTree
-from .sticky import BernoulliWarehouse
-from .tubes import ReferenceTree
+from .sticky import BernoulliWarehouse, ReferenceTree
 
 
 def _children(tree, addr):
@@ -113,10 +112,15 @@ def survival_monte_carlo(tree, p: Fraction, trials: int, seed: int) -> float:
         raise InvalidInput("need at least one trial")
     pf = float(p)
 
-    def edge_key(addr: Address) -> int:
+    def edge_key(addr: tuple) -> int:
+        # a digit-tuple label gives its digits; a reference cube gives its
+        # height, then its digits, so that distinct paths of N_x differ
         flat = [len(addr)]
-        for dig in addr:
-            flat.extend(dig)
+        for label in addr:
+            if label and isinstance(label[0], tuple):
+                flat.append(len(label))
+                label = [x for dig in label for x in dig]
+            flat.extend(label)
         return mix_chain(0, *flat)
 
     hits = 0
@@ -178,7 +182,6 @@ def star_tree(leaves: int) -> DigitRuleTree:
 
 @dataclass
 class PercolationOutcome:
-    retained: dict
     survives: bool
     surviving_roots: tuple
 
@@ -186,25 +189,12 @@ class PercolationOutcome:
 def percolate_reference(ref: ReferenceTree,
                         warehouse: BernoulliWarehouse) -> PercolationOutcome:
     """Retain the edge into each reference cube iff the warehouse bit of
-    that cube matches the edge's reference slope label.
+    that cube matches the edge's label kappa; a root's ray survives when
+    every edge on it is retained.
 
-    Distinct edges terminate in distinct reference cubes (asserted), so
+    Each cube has one parent, so distinct edges end in distinct cubes and
     retention decisions are independent across edges.
     """
-    seen_cubes = set()
-    retained = {}
-    for level in ref.levels[1:]:
-        for node in level.values():
-            if node.cube in seen_cubes:
-                raise AssertionError("two edges share a reference cube")
-            seen_cubes.add(node.cube)
-            retained[(node.level, node.cube)] = (
-                warehouse.bit(node.cube) == node.kappa)
-
-    survivors = []
-    for t in ref.possible:
-        ray = ref.ray_of(t)
-        if all(retained[(j + 1, cube)] for j, cube in enumerate(ray)):
-            survivors.append(t)
-    return PercolationOutcome(retained=retained, survives=bool(survivors),
-                              surviving_roots=tuple(sorted(survivors)))
+    survivors = tuple(sorted(t for t, ray in ref.rays.items()
+                             if all(warehouse.bit(c) == ref.bits[c] for c in ray)))
+    return PercolationOutcome(survives=bool(survivors), surviving_roots=survivors)

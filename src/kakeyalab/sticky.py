@@ -27,7 +27,7 @@ slope-index and slope-lattice tables up front and memoizes
 per (vertex, height) are memoized on it here.  One private pass
 normalizes a prescription's pairs and merges their constraints, once per
 call of :func:`is_sticky_admissible`, :func:`prob_exact`,
-:func:`prob_closed_form` or :func:`assignment_query`.
+:func:`prob_closed_form` or :class:`ReferenceTree`.
 """
 
 from __future__ import annotations
@@ -130,30 +130,20 @@ class StickyMap:
     def _extendad(self, q: Address):
         p = self.pruned
         h = len(q)
+        if h > p.J:
+            raise InvalidInput(f"vertex height {h} exceeds J = {p.J}")
         g = p.psi(())
-        if h == 0:
-            return (), True
-        while True:
+        lex_min_root = q + ((0,) * p.d,) * (p.J - h)
+        for _, b in walk_chain(p, lex_min_root, self.warehouse.bit):
             info = p.gamma[g]
-            if info.lam > h:
+            if info.lam >= h:
                 if h <= len(g):
                     return ancestor(g, h), True
-                # window case: h(gamma) < h < lambda(gamma): follow the
-                # lex-min basic subcube of q
-                pad = q + ((0,) * p.d,) * (info.lam - h)
-                b = self.warehouse.bit(pad)
-                return ancestor(info.h_cubes[b], h), False
-            q_b = ancestor(q, info.lam)
-            b = self.warehouse.bit(q_b)
-            nxt = info.next_gammas[b]
-            if nxt is None:
-                # consumed all N bits; q is at height >= J = lam
-                bits = [bit for _, bit in walk_chain(p, q, self.warehouse.bit)]
-                leaf = p.slope_leaf(p.bits_code(bits))
-                return ancestor(leaf, h), True
-            if info.lam == h:
-                return info.h_cubes[b], True
-            g = nxt
+                # h(gamma) < h <= lambda(gamma): the basic cube of the
+                # lex-min root's bit, which any root below q shares iff
+                # lambda = h
+                return ancestor(info.h_cubes[b], h), info.lam == h
+            g = info.next_gammas[b]
 
 
 def sample_assignment(pruned: PrunedSlopeTree, seed: int) -> StickyMap:
@@ -205,25 +195,6 @@ def reference_cubes(pruned: PrunedSlopeTree, t: Address, code: int) -> tuple:
     return got
 
 
-@dataclass(frozen=True)
-class AssignmentQuery:
-    """Prescribed roots and slopes with their derived reference structure.
-
-    ``levels[j]`` holds the distinct reference cubes of depth j (the tree
-    of the prescription, root omitted); ``n`` counts them all, which is
-    the exponent of the assignment probability.  Only well-defined for
-    admissible prescriptions.
-    """
-    pairs: tuple
-    levels: tuple
-    n: int
-    bits: dict
-
-    @property
-    def probability(self) -> Fraction:
-        return Fraction(1, 2 ** self.n)
-
-
 def _constraints(pruned: PrunedSlopeTree, pairs, required: bool):
     """The one admissibility pass: normalized pairs and the bit each of
     their distinct reference cubes must carry, merged once.  When some
@@ -240,15 +211,40 @@ def _constraints(pruned: PrunedSlopeTree, pairs, required: bool):
     return pairs, constraints
 
 
-def assignment_query(pruned: PrunedSlopeTree, pairs) -> AssignmentQuery:
-    pairs, constraints = _constraints(pruned, pairs, required=True)
-    levels: list[set] = [set() for _ in range(pruned.N + 1)]
-    for t, code in pairs:
-        for j, (cube, _) in enumerate(reference_cubes(pruned, t, code), start=1):
-            levels[j].add(cube)
-    return AssignmentQuery(pairs=tuple(pairs),
-                           levels=tuple(tuple(sorted(s)) for s in levels),
-                           n=len(constraints), bits=constraints)
+class ReferenceTree:
+    """The tree of the reference cubes of an admissible prescription.
+
+    ``rays[t]`` lists root t's N reference cubes, top down; ``bits`` maps
+    every cube to the bit kappa it must carry and ``parent`` to the cube
+    above it on its ray (the root ``()`` at level 1).  ``n`` counts the
+    cubes, the exponent of the probability.  Percolation reads a vertex
+    as its path of cubes from the root through :meth:`children`; N_x is
+    this tree for the prescription poss(x).  An inadmissible prescription
+    raises ``InvalidInput``.
+    """
+
+    def __init__(self, pruned: PrunedSlopeTree, pairs):
+        pairs, self.bits = _constraints(pruned, pairs, required=True)
+        self.pairs = tuple(pairs)
+        self.rays = {t: tuple(cube for cube, _ in reference_cubes(pruned, t, code))
+                     for t, code in self.pairs}
+        self.parent: dict[Address, Address] = {}
+        for ray in self.rays.values():
+            for up, cube in zip(((),) + ray, ray):
+                if self.parent.setdefault(cube, up) != up:
+                    raise AssertionError("reference tree ill-defined: conflicting edges")
+        self.n = len(self.bits)
+
+    @property
+    def probability(self) -> Fraction:
+        return Fraction(1, 2 ** self.n)
+
+    def children(self, path: tuple) -> tuple[Address, ...]:
+        """The cubes one level below the end of ``path``, which lists the
+        cubes from level 1 to level ``len(path)`` (the root is ``()``).
+        With no pairs the tree is the root alone, a leaf."""
+        end = path[-1] if path else ()
+        return tuple(sorted(cube for cube, up in self.parent.items() if up == end))
 
 
 def is_sticky_admissible(pruned: PrunedSlopeTree, pairs):

@@ -1,4 +1,4 @@
-"""Exact tube geometry: intersections, volumes, and the reference trees.
+"""Exact tube geometry: intersections, volumes, poss(x) and the trees N_x.
 
 A tube is the prism swept by a dilated root cube translated along a
 direction (1, w): its cross-section at abscissa x1 is an axis-aligned cube
@@ -30,7 +30,7 @@ from .madic import (
     youngest_common_ancestor,
 )
 from .pruning import PrunedSlopeTree
-from .sticky import StickyMap, reference_cubes
+from .sticky import ReferenceTree, StickyMap
 
 DEFAULT_A0 = 10
 
@@ -245,48 +245,50 @@ def tube_slab_volume(tube: Tube, w: tuple[Fraction, Fraction]) -> Fraction:
 # union volume: quadrature of exact slice measures + Cauchy-Schwarz bound
 # ---------------------------------------------------------------------------
 
-def _slice_union_measure(tubes: Sequence[Tube], x1: Fraction) -> Fraction:
-    """Exact d-dimensional measure of the union of cross-sections at x1."""
-    d = tubes[0].d
-    half = tubes[0].side / 2
-    boxes = []
-    for t in tubes:
-        c = t.section_center(x1)
-        boxes.append(tuple((ci - half, ci + half) for ci in c))
-    if d == 1:
-        ivs = sorted((b[0][0], b[0][1]) for b in boxes)
+BOX_CAP = 4096
+
+
+def _union_measure(boxes) -> Fraction:
+    """Exact measure of a union of axis-aligned boxes, each a tuple of
+    per-axis (lo, hi) pairs: cut the first axis at the box ends and recurse
+    on the boxes that cover each strip; in one dimension the boxes are
+    intervals, merged in order."""
+    if len(boxes[0]) == 1:
         total, cur_lo, cur_hi = Fraction(0), None, None
-        for lo, hi in ivs:
+        for lo, hi in sorted(b[0] for b in boxes):
             if cur_hi is None or lo > cur_hi:
                 if cur_hi is not None:
                     total += cur_hi - cur_lo
                 cur_lo, cur_hi = lo, hi
             else:
                 cur_hi = max(cur_hi, hi)
-        if cur_hi is not None:
-            total += cur_hi - cur_lo
-        return total
-    # coordinate-compressed grid for d >= 2 (exact; quadratic-and-up cost)
-    if len(boxes) > 4096:
-        raise SizeCapExceeded("too many boxes for the compressed-grid union")
-    axes = []
-    for a in range(d):
-        marks = sorted({b[a][0] for b in boxes} | {b[a][1] for b in boxes})
-        axes.append(marks)
-    total = Fraction(0)
-    from itertools import product as iproduct
-    idx_ranges = [range(len(m) - 1) for m in axes]
-    for cell in iproduct(*idx_ranges):
-        lo = [axes[a][cell[a]] for a in range(d)]
-        hi = [axes[a][cell[a] + 1] for a in range(d)]
-        covered = any(all(b[a][0] <= lo[a] and hi[a] <= b[a][1] for a in range(d))
-                      for b in boxes)
-        if covered:
-            vol = Fraction(1)
-            for a in range(d):
-                vol *= hi[a] - lo[a]
-            total += vol
+        return total + (cur_hi - cur_lo)
+    cuts = sorted({end for b in boxes for end in b[0]})
+    by_start = sorted(boxes, key=lambda b: b[0][0])
+    total, active, i = Fraction(0), [], 0
+    for lo, hi in zip(cuts, cuts[1:]):
+        while i < len(by_start) and by_start[i][0][0] <= lo:
+            active.append(by_start[i])
+            i += 1
+        # every box end is a cut, so a started box that ends after lo
+        # covers the whole strip
+        active = [b for b in active if b[0][1] > lo]
+        if active:
+            total += (hi - lo) * _union_measure([b[1:] for b in active])
     return total
+
+
+def _slice_union_measure(tubes: Sequence[Tube], x1: Fraction) -> Fraction:
+    """Exact d-dimensional measure of the union of cross-sections at x1.
+    The sweep merges intervals in up to (2n)^(d-1) strips of n boxes, so
+    sets with n^(d-1) > BOX_CAP are refused."""
+    d = tubes[0].d
+    if len(tubes) ** (d - 1) > BOX_CAP:
+        raise SizeCapExceeded(
+            f"too many boxes for the slice union: {len(tubes)}^{d - 1} > {BOX_CAP}")
+    half = tubes[0].side / 2
+    return _union_measure([tuple((ci - half, ci + half) for ci in t.section_center(x1))
+                           for t in tubes])
 
 
 def union_volume(tubes: Sequence[Tube], w: tuple[Fraction, Fraction], slices: int = 64):
@@ -355,87 +357,32 @@ def poss_strict(x, pruned: PrunedSlopeTree, A0: int = DEFAULT_A0) -> dict[Addres
     return out
 
 
-@dataclass
-class RefNode:
-    cube: Address          # reference cube Q_j^*(t)
-    level: int
-    parent: Address | None
-    theta: Address         # j-th basic slope cube of v(t)
-    kappa: int | None      # bit of the incoming edge
-
-
-class ReferenceTree:
-    """The deterministic percolation substrate N_x with its slope image.
-
-    Vertices at level j are reference cubes; the edge into a vertex
-    carries the binary label kappa telling which child of the (j-th)
-    splitting vertex the ideal slope assignment takes.  For ``percolation``
-    a vertex is its path of reference cubes from the root, read through
-    :meth:`children`.
-    """
-
-    def __init__(self, x, pruned: PrunedSlopeTree, A0: int = DEFAULT_A0):
-        self.x = tuple(x)
-        self.pruned = pruned
-        self.A0 = A0
-        self.possible = poss(x, pruned, A0)
-        self._check_weak_stickiness()
-        self.levels: list[dict[Address, RefNode]] = [
-            {} for _ in range(pruned.N + 1)]
-        self.levels[0][()] = RefNode(cube=(), level=0, parent=None, theta=(),
-                                     kappa=None)
-        for t, code in self.possible.items():
-            prev, bits = (), ()
-            for j, (cube, bit) in enumerate(reference_cubes(pruned, t, code), start=1):
-                bits += (bit,)
-                th = pruned.psi(bits)
-                node = self.levels[j].get(cube)
-                if node is None:
-                    node = RefNode(cube=cube, level=j, parent=prev, theta=th,
-                                   kappa=bit)
-                    self.levels[j][cube] = node
-                else:
-                    # well-definedness of the tree and of kappa
-                    if node.parent != prev or node.theta != th or node.kappa != bit:
-                        raise AssertionError(
-                            "reference tree ill-defined: conflicting edges")
-                prev = cube
-
-    def _check_weak_stickiness(self):
-        p = self.pruned
-        items = list(self.possible.items())
-        for i, (t, c) in enumerate(items):
-            for t2, c2 in items[i + 1:]:
-                if c == c2:
-                    continue
-                wv = p.slope_yca(c, c2)
-                if wv not in p.gamma:
-                    raise AssertionError("slope ancestor is not a splitting vertex")
-                if len(youngest_common_ancestor(t, t2)) >= p.gamma[wv].lam:
-                    raise AssertionError(
-                        "weak stickiness h(u) < lambda(w) fails; raise C0 or A0")
-
-    def children(self, path: tuple) -> tuple[Address, ...]:
-        """The reference cubes one level below the end of ``path``, the
-        cubes from level 1 to level ``len(path)`` (the root is ``()``).
-
-        With no possible root, N_x is the root alone, a leaf: there
-        ``survival_exact`` gives 1 while no ray of a root survives.
-        """
-        j = len(path) + 1
-        if j >= len(self.levels):
-            return ()
-        end = path[-1] if path else ()
-        return tuple(sorted(cube for cube, node in self.levels[j].items()
-                            if node.parent == end))
-
-    def ray_of(self, t: Address):
-        """Reference cubes along the ray identifying a possible root."""
-        return [cube for cube, _ in reference_cubes(self.pruned, t, self.possible[t])]
-
-
 def reference_trees(x, pruned: PrunedSlopeTree, A0: int = DEFAULT_A0) -> ReferenceTree:
-    return ReferenceTree(x, pruned, A0)
+    """N_x, the percolation substrate at x: the reference tree of the
+    prescription poss(x), whose edge into each reference cube carries the
+    bit kappa telling which branch of its splitting vertex the ideal slope
+    takes.  Weak stickiness and well-defined kappa labels are asserted,
+    since the paper proves both.
+
+    With no possible root, N_x is the root alone, a leaf: there
+    ``survival_exact`` gives 1 while no ray of a root survives.
+    """
+    items = list(poss(x, pruned, A0).items())
+    for i, (t, c) in enumerate(items):
+        for t2, c2 in items[i + 1:]:
+            if c == c2:
+                continue
+            wv = pruned.slope_yca(c, c2)
+            if wv not in pruned.gamma:
+                raise AssertionError("slope ancestor is not a splitting vertex")
+            if len(youngest_common_ancestor(t, t2)) >= pruned.gamma[wv].lam:
+                raise AssertionError(
+                    "weak stickiness h(u) < lambda(w) fails; raise C0 or A0")
+    try:
+        return ReferenceTree(pruned, items)
+    except InvalidInput:
+        raise AssertionError(
+            "reference tree ill-defined: conflicting kappa labels") from None
 
 
 def inclusion_check(x, sticky_map: StickyMap, A0: int = DEFAULT_A0):

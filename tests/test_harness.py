@@ -10,7 +10,7 @@ import pytest
 
 from helpers import all_roots_1d
 from kakeyalab.cli import main as cli_main
-from kakeyalab.errors import InvalidInput
+from kakeyalab.errors import InfeasibleInstance, InvalidInput
 from kakeyalab.fast1d import FastInstance, cs_bound
 from kakeyalab.harness import (
     CSV_COLUMNS,
@@ -252,6 +252,10 @@ def test_cli_config_with_unknown_key_exit_code(tmp_path, capsys):
     assert cli_main(["volume", "--N", "2", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "C1" in err and "colour" in err
+    # the dimension and the ratio constant are no longer settable
+    path.write_text(json.dumps({"seeds": 2, "d": 1, "ratio_c": 0.5}))
+    assert cli_main(["volume", "--N", "2", "--config", str(path)]) == 2
+    assert "unknown config keys: d, ratio_c" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -300,6 +304,18 @@ def test_cli_malformed_minispec_exit_code(spec, capsys):
 def test_config_with_malformed_generator_is_refused():
     with pytest.raises(InvalidInput, match="unknown key"):
         pruned_instance(ExperimentConfig(generator="cantor:depht=25"), 2)
+
+
+def test_minispec_height_is_honoured(capsys):
+    """``J`` is the encoding height for the CLI and the harness alike: the
+    points of dyadic:m=8 split 8 times at base 2, but only 5 times when
+    encoded at height 5, too few for N = 1 and C0 = 1."""
+    prune_args = ["prune", "--base", "2", "--N", "1", "--C0", "1", "--set"]
+    assert cli_main(prune_args + ["dyadic:m=8"]) == 0
+    assert cli_main(prune_args + ["dyadic:m=8,J=5"]) == 3
+    assert "splitting number 5 " in capsys.readouterr().err
+    with pytest.raises(InfeasibleInstance, match="splitting number 5 "):
+        pruned_instance(ExperimentConfig(generator="dyadic:m=8,J=5", M=2), 1)
 
 
 def test_cli_usage_exit_code():

@@ -234,14 +234,14 @@ def test_direction_evidence_detects_coordinate_sensitivity():
 def test_assignment_query_structure():
     from kakeyalab.madic import full_tree, point_address
     from kakeyalab.pruning import prune
-    from kakeyalab.sticky import assignment_query, prob_exact
+    from kakeyalab.sticky import ReferenceTree, prob_exact
     from kakeyalab.errors import InvalidInput as II
     p = prune(full_tree(12, 2), N=2, C0=1)
     t0 = point_address((F(0),), 2, p.J)
     t1 = point_address((F(1, 2),), 2, p.J)
-    q = assignment_query(p, [(t0, 0), (t1, 3)])
+    q = ReferenceTree(p, [(t0, 0), (t1, 3)])
     assert q.probability == prob_exact(p, [(t0, 0), (t1, 3)])
-    assert sum(len(l) for l in q.levels) == q.n
+    assert len(q.parent) == q.n
     import pytest as _pytest
     t2 = point_address((F(1, 2 ** p.J),), 2, p.J)
     bad = None
@@ -253,7 +253,7 @@ def test_assignment_query_structure():
             break
     if bad is not None:
         with _pytest.raises(II):
-            assignment_query(p, [(t0, 0), (t2, bad)])
+            ReferenceTree(p, [(t0, 0), (t2, bad)])
 
 
 def test_generator_spec_parser():

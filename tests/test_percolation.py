@@ -109,14 +109,13 @@ def test_forced_bits_make_a_ray_survive(inst):
     for _ in range(50):
         x = _sample_point(rng)
         rt = reference_trees(x, inst)
-        if not rt.possible:
+        if not rt.pairs:
             continue
-        t = sorted(rt.possible)[0]
-        code = rt.possible[t]
+        t, code = min(rt.pairs)
         bits = inst.code_bits(code)
         wh = BernoulliWarehouse(1, inst.M)
         overrides = {}
-        for j, cube in enumerate(rt.ray_of(t)):
+        for j, cube in enumerate(rt.rays[t]):
             overrides[wh.key_of(cube)] = bits[j]
         forced = BernoulliWarehouse(1, inst.M, overrides=overrides)
         out = percolate_reference(rt, forced)
@@ -154,7 +153,7 @@ def test_survival_frequency_against_merged_bound(inst):
     for _ in range(200):
         cand = _sample_point(rng)
         rt = reference_trees(cand, inst)
-        if len(rt.possible) >= 2:
+        if len(rt.rays) >= 2:
             x = cand
             break
     assert x is not None
@@ -176,11 +175,11 @@ def test_survival_exact_on_the_reference_tree(inst):
     populated = 0
     while populated < 60:
         rt = reference_trees(_sample_point(rng), inst)
-        if not rt.possible:
+        if not rt.rays:
             continue
         populated += 1
-        assert level_counts(rt) == [len(level) for level in rt.levels]
-        cubes = [cube for level in rt.levels[1:] for cube in level]
+        assert sum(level_counts(rt)) == 1 + rt.n
+        cubes = list(rt.bits)
         keys = [BernoulliWarehouse(0, inst.M).key_of(c) for c in cubes]
         hits = sum(
             percolate_reference(rt, BernoulliWarehouse(
@@ -191,10 +190,28 @@ def test_survival_exact_on_the_reference_tree(inst):
         assert survival_exact(rt) <= sharp <= merged
 
 
+def test_survival_monte_carlo_on_the_reference_tree(inst):
+    """survival_monte_carlo keys each edge of N_x by its own cube: the
+    2,000-trial frequency lies within 4 standard errors of survival_exact."""
+    rng = random.Random(5)
+    trials, checked = 2000, 0
+    while checked < 5:
+        rt = reference_trees(_sample_point(rng), inst)
+        if not rt.rays:
+            continue
+        q = survival_exact(rt)
+        freq = survival_monte_carlo(rt, F(1, 2), trials, checked)
+        assert abs(freq - float(q)) <= 4 * math.sqrt(float(q * (1 - q)) / trials)
+        checked += 1
+
+
 def test_distinct_edges_distinct_cubes(inst):
     rng = random.Random(3)
     for _ in range(100):
         x = _sample_point(rng)
         rt = reference_trees(x, inst)
-        cubes = [cube for level in rt.levels[1:] for cube in level]
-        assert len(cubes) == len(set(cubes))
+        edges, level = [], [()]
+        while level:
+            level = [path + (c,) for path in level for c in rt.children(path)]
+            edges += [path[-1] for path in level]
+        assert len(edges) == len(set(edges)) == rt.n

@@ -13,7 +13,7 @@ from kakeyalab.madic import cantor_tree, full_tree, youngest_common_ancestor
 from kakeyalab.pruning import prune
 from kakeyalab.sticky import (
     BernoulliWarehouse,
-    assignment_query,
+    ReferenceTree,
     classify_roots,
     is_sticky_admissible,
     mu,
@@ -97,6 +97,8 @@ def test_extend_heights(inst, roots):
     for t in roots[:4]:
         for h in range(inst.J + 1):
             assert len(sm.extend(t[:h])) == h
+        with pytest.raises(InvalidInput):
+            sm.extend(t + t[-1:])
 
 
 def test_single_pair_probability(inst, roots):
@@ -110,7 +112,7 @@ def test_out_of_range_slopes_rejected(inst, roots, bad):
     # code -1 must not be read as code 2^N - 1 = 3 by a table lookup
     prs = [(roots[0], bad), (roots[5], 3)]
     for fn in (is_sticky_admissible, prob_exact, prob_closed_form,
-               prob_enumerate, assignment_query):
+               prob_enumerate, ReferenceTree):
         with pytest.raises(InvalidInput):
             fn(inst, prs)
     if isinstance(bad, int):

@@ -130,8 +130,8 @@ def plane():
 
 
 def test_union_in_the_plane(plane):
-    """The compressed-grid slice union of d >= 2 on disjoint, repeated and
-    meeting tubes."""
+    """The slice-union sweep of d >= 2 on disjoint, repeated and meeting
+    tubes."""
     pruned, roots = plane
     w = SlabWindow(F(10), C1=F(11, 10))
     parallel = [make_tube(pruned, t, 3) for t in roots[::1000]]
@@ -220,17 +220,17 @@ def test_reference_tree_well_defined(inst):
              F(rng.randrange(1, 12 * 16), 16))
         rt = reference_trees(x, inst)
         counts = level_counts(rt)
-        assert len(counts) == (inst.N + 1 if rt.possible else 1)
+        assert len(counts) == (inst.N + 1 if rt.rays else 1)
         assert counts[0] == 1
         for j in range(1, len(counts)):
             assert counts[j] <= 2 ** j * 8  # C recorded in acceptance run
-        if len(rt.possible) > 1:
+        if len(rt.rays) > 1:
             grown += 1
         # kappa labels reproduce the slope codes along each ray
-        for t, code in rt.possible.items():
+        for t, code in rt.pairs:
             bits = inst.code_bits(code)
-            for j, cube in enumerate(rt.ray_of(t)):
-                assert rt.levels[j + 1][cube].kappa == bits[j]
+            for j, cube in enumerate(rt.rays[t]):
+                assert rt.bits[cube] == bits[j]
     assert grown > 0
 
 
@@ -240,7 +240,7 @@ def test_single_root_reference_is_a_path(inst):
         x = (F(10) + F(rng.randrange(64), 64),
              F(rng.randrange(1, 12 * 16), 16))
         rt = reference_trees(x, inst)
-        if len(rt.possible) == 1:
+        if len(rt.rays) == 1:
             assert level_counts(rt) == [1] * (inst.N + 1)
             return
     pytest.skip("no single-root sample found")
