@@ -7,6 +7,8 @@ with exact rational arithmetic wherever a quantity is exact and seeded
 Monte Carlo where it is statistical.
 """
 
+__version__ = "0.1.0"  # set before the submodules: harness imports it
+
 from .errors import InfeasibleInstance, InvalidInput, SizeCapExceeded
 from .madic import (
     MadicTree,
@@ -51,4 +53,3 @@ from .percolation import (
 from .harness import ExperimentConfig, construct_kakeya
 
 __all__ = [name for name in dir() if not name.startswith("_")]
-__version__ = "0.1.0"

@@ -9,17 +9,20 @@ to [0, 10 A0] as [A/q, B/q].  Three quantities are computed exactly:
   with warehouse bits drawn from the same splitmix64 chain as the scalar
   warehouse (bit-for-bit identical);
 
-* pairwise slab-intersection sums, on an integer lattice.  Let D be the
-  instance's slope-lattice denominator (a multiple of K and of every
-  slope denominator, ``PrunedSlopeTree.D``) and sigma = D * slope.  Two
-  tubes with root offset g overlap by a tent profile; at an end p/q it is
-  read at the integer X = 4 g Q + 4 p dsigma, in units of the tube side
-  over Q = q D / K.  The profile's antiderivative is 0 or 1 outside one open
-  g-interval of length 1/2, so per slope pair and endpoint the sum is
-  2 Q^2 times a count of pairs with i - j >= g plus at most one interior
-  term, an integer quadratic in X.  The counts gather one cumulative code
-  count per slope over the roots of every steeper slope (int64, at most
-  K^2 <= 2^62); the integers, grouped by dsigma, give one Fraction;
+* pairwise slab-intersection sums, on an integer lattice, with one pass
+  for all the windows of a call.  Let D be the instance's slope-lattice
+  denominator (a multiple of K and of every slope denominator,
+  ``PrunedSlopeTree.D``) and sigma = D * slope.  Two tubes with root
+  offset g overlap by a tent profile; at a window end p/q it is read at
+  the integer X = 4 g Q + 4 p dsigma, in units of the tube side over
+  Q = q D / K.  The profile's antiderivative is 0 or 1 outside one open
+  g-interval of length 1/2, so per slope pair and end the sum is 2 Q^2
+  times a count of pairs with i - j >= g plus at most one interior term,
+  an integer quadratic in X.  The counts gather one cumulative code count
+  per slope over the roots of every steeper slope, two columns per
+  distinct window end (int64, at most K^2 <= 2^62); each end's integers,
+  grouped by dsigma, give one Fraction F(p/q), and a window's sum is
+  F(hi) - F(lo);
 
 * union quadrature by the midpoint rule, on one integer scale per window:
   the s slice midpoints share the denominator 2 s q, and each root moves
@@ -116,41 +119,46 @@ class FastInstance:
         self.by_slope = sorted(range(len(self.sigma)), key=self.sigma.__getitem__)
         self.slope_rank = np.argsort(self.by_slope)
 
-    def _bits(self, seed: int, heights: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        z0 = _np_mix64(np.uint64((seed ^ GOLDEN) & MASK64))
-        z1 = _np_mix64(z0 ^ heights.astype(np.uint64))
-        z2 = _np_mix64(z1 ^ cells.astype(np.uint64))
-        return (z2 & np.uint64(1)).astype(np.int64)
-
     def assign(self, seed: int) -> np.ndarray:
         """Slope codes for every root index under the given seed."""
+        # the warehouse bit of a cube is mix(mix(z0 ^ height) ^ cell) & 1,
+        # and its first mix depends on the height alone
+        z0 = _np_mix64(np.uint64((seed ^ GOLDEN) & MASK64))
+        z1 = _np_mix64(z0 ^ np.arange(self.J + 1, dtype=np.uint64))
         roots = np.arange(self.K, dtype=np.int64)
         cur = np.full(self.K, self.root_gamma, dtype=np.int64)
         code = np.zeros(self.K, dtype=np.int64)
         for _ in range(self.N):
             h = self.lam[cur]
             anc = roots // self.pow[self.J - h]
-            bits = self._bits(seed, h, anc)
+            z2 = _np_mix64(z1[h] ^ anc.astype(np.uint64))
+            bits = (z2 & np.uint64(1)).astype(np.int64)
             code = code * 2 + bits
             cur = self.child[cur, bits]
         return code
 
-    def pair_sum(self, codes: np.ndarray, window: tuple[Fraction, Fraction],
-                 a0: int = DEFAULT_A0) -> Fraction:
-        """Exact sum over ordered root pairs t1 != t2 of the volume of
-        P_{t1} meet P_{t2} inside the x1 window."""
-        if (lat := _lattice(window, a0)) is None:
-            return Fraction(0)
-        A, B, q = lat
+    def pair_sum(self, codes: np.ndarray, windows, a0: int = DEFAULT_A0
+                 ) -> tuple[Fraction, ...]:
+        """Exact sums over ordered root pairs t1 != t2 of the volume of
+        P_{t1} meet P_{t2} inside each x1 (lo, hi) window, one per window.
+
+        One pass serves every window: each distinct end e of a clipped,
+        non-empty window is gathered once into F(e), the sum up to x1 = e,
+        and a window's sum is F(hi) - F(lo); an empty window gives 0."""
+        clipped = [clip_x1(*w, a0) for w in windows]
+        ends = sorted({e for lo, hi in clipped if lo < hi for e in (lo, hi)})
+        if not ends:
+            return (Fraction(0),) * len(clipped)
         K, sigma = self.K, self.sigma
-        Q = q * (self.D // K)
-        ends = ((1, B), (-1, A))
+        # each end p/q on its own scale Q = q D / K
+        ps = [e.numerator for e in ends]
+        Qs = [e.denominator * (self.D // K) for e in ends]
         # roots grouped by slope, shallowest first (the slopes are distinct)
         sizes = np.bincount(codes, minlength=len(sigma))[self.by_slope].tolist()
         starts = np.cumsum([0] + sizes).tolist()
         roots = np.argsort(self.slope_rank[codes], kind="stable")
         below = np.zeros(K + 1, dtype=np.int64)
-        by_dsigma: dict[int, int] = {}
+        by_dsigma: list[dict[int, int]] = [{} for _ in ends]
         for k, c2 in enumerate(self.by_slope):
             steeper = [m for m in range(k + 1, len(sigma)) if sizes[m]]
             if not sizes[k] or not steeper:
@@ -160,23 +168,33 @@ class FastInstance:
             dsig = [sigma[self.by_slope[m]] - sigma[c2] for m in steeper]
             # per steeper slope and end: the least g where the profile's
             # antiderivative reaches 1; the one g below it may be interior
-            gs = [[-((W * p * ds - Q) // (W * Q)) for _, p in ends] for ds in dsig]
-            h = np.array([[min(max(g - e, -K), K + 1) for g in row for e in (0, 1)]
+            gs = [[-((W * p * ds - Q) // (W * Q)) for p, Q in zip(ps, Qs)]
+                  for ds in dsig]
+            # two columns per end, 1 - g and 2 - g cut to [-K, K + 1]:
+            # below[i + column] counts the j with i - j >= g, >= g - 1
+            h = np.array([[min(max(s - g, -K), K + 1) for g in row for s in (1, 2)]
                           for row in gs], dtype=np.int64).T
             counts = [sizes[m] for m in steeper]
+            first = np.cumsum([0] + counts[:-1])
             i = roots[starts[steeper[0]]:starts[steeper[-1] + 1]]
-            # pairs (i, j) with i - j >= h, summed per steeper slope
-            ge = np.add.reduceat(
-                below[np.clip(i - np.repeat(h, counts, axis=1) + 1, 0, K)],
-                np.cumsum([0] + counts[:-1]), axis=1).T.tolist()
+            # those pairs summed per steeper slope, a column at a time so
+            # that one array over the steeper roots is alive; the table
+            # clips to 0..K
+            ge = np.stack([np.add.reduceat(
+                below.take(i + np.repeat(col, counts), mode="clip"), first)
+                for col in h], axis=1).tolist()
             for ds, row, n_ge in zip(dsig, gs, ge):
-                for (sign, p), g, (at_g, below_g) in zip(ends, row, (n_ge[:2], n_ge[2:])):
+                for acc, p, Q, g, at_g, below_g in zip(
+                        by_dsigma, ps, Qs, row, n_ge[::2], n_ge[1::2]):
                     x = W * (g - 1) * Q + W * p * ds  # the interior candidate
-                    by_dsigma[ds] = by_dsigma.get(ds, 0) + sign * (
+                    acc[ds] = acc.get(ds, 0) + (
                         2 * Q * Q * at_g + (below_g - at_g) * _tent_antiderivative(x, Q))
-        den = lcm(*by_dsigma)
-        num = sum(v * (den // ds) for ds, v in by_dsigma.items())
-        return Fraction(num, W * W * self.D * q * q * den)
+        F = {}
+        for e, acc in zip(ends, by_dsigma):
+            den = lcm(*acc)
+            num = sum(v * (den // ds) for ds, v in acc.items())
+            F[e] = Fraction(num, W * W * self.D * e.denominator ** 2 * den)
+        return tuple(F[hi] - F[lo] if lo < hi else Fraction(0) for lo, hi in clipped)
 
     def union_quadrature(self, codes: np.ndarray,
                          window: tuple[Fraction, Fraction],

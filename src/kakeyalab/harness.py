@@ -20,6 +20,7 @@ import csv
 import hashlib
 import json
 import math
+import platform
 import statistics
 import time
 from dataclasses import dataclass, field, fields
@@ -27,6 +28,9 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
+
+from . import __version__
 from ._mix import trial_seed
 from .errors import InvalidInput
 from .fast1d import FastInstance, cs_bound
@@ -153,9 +157,10 @@ def _cell(pruned: PrunedSlopeTree, seed: int, A0: int, slices: int,
         return Fraction(M) ** -r, Fraction(M) ** (1 - r)
 
     far = fast.union_quadrature(codes, (Fraction(A0), Fraction(A0 + 1)), slices, A0)
-    # one pair sum per distinct window: the moments and the CS bounds share it
-    pairs = {r: fast.pair_sum(codes, near(r), A0)
-             for r in sorted(set(r_values) | set(rs))}
+    # one pair-sum pass over every distinct window, each window end gathered
+    # once: the moments and the CS bounds share its sums
+    pair_rs = sorted(set(r_values) | set(rs))
+    pairs = dict(zip(pair_rs, fast.pair_sum(codes, [near(r) for r in pair_rs], A0)))
     moment1 = {r: pairs[r] for r in r_values}
     near_est = sum((fast.union_quadrature(codes, near(r), slices, A0) for r in rs),
                    Fraction(0))
@@ -296,6 +301,7 @@ class RunRecord:
     experiment: str
     payload: dict
     timestamp: float = field(default_factory=time.time)
+    provenance: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -303,13 +309,30 @@ class RunRecord:
             "experiment": self.experiment,
             "timestamp": self.timestamp,
             "payload": self.payload,
+            **self.provenance,
         }, default=str)
+
+
+def _provenance(config: ExperimentConfig) -> dict:
+    """The full config, the versions that computed the run and the hits
+    and misses of the instance and cell caches so far in this process."""
+
+    def counts(cached):
+        info = cached.cache_info()
+        return {"hits": info.hits, "misses": info.misses}
+
+    return {"config": config.to_jsonable(),
+            "versions": {"kakeyalab": __version__,
+                         "python": platform.python_version(),
+                         "numpy": np.__version__},
+            "caches": {"prune": counts(_prune_cached), "cell": counts(_cell)}}
 
 
 def append_run_log(config: ExperimentConfig, experiment: str, payload: dict):
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rec = RunRecord(config.config_hash(), experiment, payload)
+    rec = RunRecord(config.config_hash(), experiment, payload,
+                    provenance=_provenance(config))
     with open(out / "runlog.jsonl", "a") as fh:
         fh.write(rec.to_json() + "\n")
     return rec

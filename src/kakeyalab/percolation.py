@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from ._mix import float01, mix_chain
 from .errors import InvalidInput
@@ -123,16 +124,21 @@ def survival_monte_carlo(tree, p: Fraction, trials: int, seed: int) -> float:
             flat.extend(label)
         return mix_chain(0, *flat)
 
+    @cache
+    def edges(addr) -> list[tuple[Address, int]]:
+        # the children of addr with their edge keys, the same in every trial
+        return [(c, edge_key(c)) for c in _children(tree, addr)]
+
     hits = 0
     for trial in range(trials):
         tseed = mix_chain(seed, trial)
 
         def alive(addr) -> bool:
-            kids = _children(tree, addr)
+            kids = edges(addr)
             if not kids:
                 return True
-            for c in kids:
-                if float01(tseed, edge_key(c)) < pf and alive(c):
+            for c, key in kids:
+                if float01(tseed, key) < pf and alive(c):
                     return True
             return False
 

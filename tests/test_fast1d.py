@@ -46,7 +46,7 @@ def check_against_scalar(pruned, fast, codes, w, may_refuse=True):
     """The window w is an (lo, hi) pair whose ends may lie outside
     [0, 10 A0]; both paths clip it with ``tubes.clip_x1``."""
     family = kakeya_tubes(pruned, codes)
-    pair = fast.pair_sum(codes, w)
+    (pair,) = fast.pair_sum(codes, [w])
     assert pair == scalar_pair_sum(family, w)
     est, cs = union_volume(family, w, SLICES)
     assert cs_bound(w, pair) == cs
@@ -88,9 +88,47 @@ def test_lattice_kernels_match_scalar_tubes(key, seed, w):
 def test_windows_with_3_to_the_30_denominators(w):
     pruned, fast = instance("cantor3", 2, 1)
     codes = fast.assign(11)
-    assert fast.pair_sum(codes, w) > 0
+    assert fast.pair_sum(codes, [w])[0] > 0
     # both windows lie inside the 62-bit range of the quadrature
     check_against_scalar(pruned, fast, codes, w, may_refuse=False)
+
+
+@st.composite
+def window_lists(draw):
+    """One to four windows: a drawn window, then pairs of the ends of it
+    and of at most one more, so that ends repeat across windows and
+    windows repeat, come reversed or are empty; ``windows`` reaches past
+    0 and 10 A0, where they are clipped."""
+    ws = draw(st.lists(windows, min_size=1, max_size=2))
+    ends = st.sampled_from([e for w in ws for e in w])
+    return [ws[0], *draw(st.lists(st.tuples(ends, ends), max_size=3))]
+
+
+@pytest.mark.parametrize("key", INSTANCES[::2])
+@settings(max_examples=3, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(seed=st.integers(0, 2 ** 32), ws=window_lists())
+def test_one_pass_over_many_windows_matches_scalar_per_window(key, seed, ws):
+    pruned, fast = instance(*key)
+    codes = fast.assign(seed)
+    family = kakeya_tubes(pruned, codes)
+    oracle = {w: scalar_pair_sum(family, w) for w in set(ws)}
+    assert fast.pair_sum(codes, ws) == tuple(oracle[w] for w in ws)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), ends=st.lists(fractions | tiny, min_size=3, max_size=3))
+def test_pair_sums_add_over_adjacent_windows(n, seed, ends):
+    fast = FastInstance(prune(cantor_tree(25), N=n, C0=1))  # K = 81, 6561
+    codes = fast.assign(seed)
+    a, b, c = sorted(ends)
+    assert sum(fast.pair_sum(codes, [(a, b), (b, c)])) == fast.pair_sum(codes, [(a, c)])[0]
+
+
+def test_no_windows_give_no_sums():
+    _, fast = instance("cantor3", 2, 1)
+    assert fast.pair_sum(fast.assign(0), []) == ()
 
 
 def test_more_than_2_to_the_31_roots_is_refused():

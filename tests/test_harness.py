@@ -1,5 +1,6 @@
 import json
 import math
+import platform
 import statistics
 from dataclasses import replace
 from fractions import Fraction as F
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import kakeyalab
 from helpers import all_roots_1d
 from kakeyalab.cli import main as cli_main
 from kakeyalab.errors import InfeasibleInstance, InvalidInput
@@ -15,6 +17,8 @@ from kakeyalab.fast1d import FastInstance, cs_bound
 from kakeyalab.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
+    _cell,
+    _prune_cached,
     append_run_log,
     construct_kakeya,
     count_inversions,
@@ -95,9 +99,9 @@ def test_fast_slab_sums_match_scalar_tubes(window):
     pair = 2 * sum(pair_intersection_volume(a, b, window)
                    for i, a in enumerate(family) for b in family[i + 1:])
     est, cs = union_volume(family, window, slices=8)
-    assert fast.pair_sum(codes, window) == pair
+    assert fast.pair_sum(codes, [window]) == (pair,)
     assert fast.union_quadrature(codes, window, 8) == est
-    assert cs_bound(window, fast.pair_sum(codes, window)) == cs
+    assert cs_bound(window, pair) == cs
 
 
 def test_ratio_reports_cells_dropped_for_empty_far():
@@ -130,8 +134,8 @@ def test_cells_take_any_integer_r():
     cfg = ExperimentConfig(seeds=1, n_values=(2,), slices=4, r_values=(0, -1))
     cell = run_cell(cfg, 2, 0)
     fast, codes = construct_kakeya(pruned_instance(cfg, 2), cell.seed)
-    assert cell.moment1 == {0: fast.pair_sum(codes, (F(1), F(3))),
-                            -1: fast.pair_sum(codes, (F(3), F(9)))}
+    pairs = fast.pair_sum(codes, [(F(1), F(3)), (F(3), F(9))])
+    assert cell.moment1 == dict(zip((0, -1), pairs))
 
 
 def test_caches_key_on_the_fields_they_read():
@@ -148,12 +152,9 @@ def test_moment_of_single_root_is_zero():
     # degenerate check: a one-tube family has an empty off-diagonal sum
     pruned = prune(cantor_tree(25), N=2, C0=1)
     fast = FastInstance(pruned)
-    codes = fast.assign(1)
-    lonely = np.full_like(codes, 0)
-    lonely[1:] = 1  # two classes; make class 0 a single root
-    only = np.full_like(codes, 0)
+    only = np.full_like(fast.assign(1), 0)
     # a family where every root has the same slope: no intersecting pairs
-    assert fast.pair_sum(only, (F(1, 3), F(1))) == 0
+    assert fast.pair_sum(only, [(F(1, 3), F(1))]) == (0,)
 
 
 def test_n1_far_volume_exact_two_case_average():
@@ -234,6 +235,17 @@ def test_run_log_and_csv(tmp_path, cfg):
     assert len(log) == 1
     parsed = json.loads(log[0])
     assert parsed["config_hash"] == cfg2.config_hash()
+    assert parsed["experiment"] == "far_slab" and parsed["timestamp"] == rec.timestamp
+    assert parsed["payload"] == json.loads(json.dumps(table))
+    # provenance: the full config, the versions and the cache counts
+    assert ExperimentConfig.from_json(json.dumps(parsed["config"])) == cfg2
+    assert parsed["versions"] == {"kakeyalab": kakeyalab.__version__,
+                                  "python": platform.python_version(),
+                                  "numpy": np.__version__}
+    for name, cached in (("prune", _prune_cached), ("cell", _cell)):
+        info = cached.cache_info()
+        assert parsed["caches"][name] == {"hits": info.hits, "misses": info.misses}
+    assert parsed["caches"]["cell"]["misses"] + parsed["caches"]["cell"]["hits"] >= 2
     csv_path = write_results_csv(cfg2, tmp_path / "results.csv")
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)

@@ -89,6 +89,17 @@ def test_monte_carlo_deterministic():
         survival_monte_carlo(t, F(1, 2), 500, 4)
 
 
+def test_monte_carlo_outputs_are_pinned(inst):
+    """Exact frequencies on digit-tuple trees and on one N_x: working out
+    each edge key and child list once per call changes no draw."""
+    assert survival_monte_carlo(full_tree(8, M=2), F(1, 2), 2000, 3) == 0.3205
+    assert survival_monte_carlo(full_tree(3, M=3), F(2, 3), 400, 9) == 0.9625
+    assert survival_monte_carlo(random_tree(7, height=5), F(1, 2), 1000, 1) == 0.479
+    rt = reference_trees((F(685, 64), F(177, 16)), inst)
+    assert (len(rt.rays), rt.n, survival_exact(rt)) == (2, 6, F(15, 64))
+    assert survival_monte_carlo(rt, F(1, 2), 2000, 11) == 0.2425
+
+
 def test_empty_tree_rejected():
     with pytest.raises(InvalidInput):
         total_resistance(star_tree(0))
