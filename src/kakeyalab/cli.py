@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from fractions import Fraction
 
 from .errors import InfeasibleInstance, InvalidInput, SizeCapExceeded
@@ -124,8 +125,9 @@ def cmd_volume(args) -> int:
 
 def cmd_moments(args) -> int:
     cfg = _config_from_args(args)
+    t0 = time.perf_counter()
     table = experiment_moments(cfg)
-    append_run_log(cfg, "moments", table)
+    append_run_log(cfg, "moments", table, elapsed_s=time.perf_counter() - t0)
     if args.csv:
         write_results_csv(cfg, args.csv)
     print(json.dumps(table, indent=1))
@@ -134,16 +136,18 @@ def cmd_moments(args) -> int:
 
 def cmd_far(args) -> int:
     cfg = _config_from_args(args)
+    t0 = time.perf_counter()
     table = experiment_far_slab(cfg)
-    append_run_log(cfg, "far_slab", table)
+    append_run_log(cfg, "far_slab", table, elapsed_s=time.perf_counter() - t0)
     print(json.dumps(table, indent=1))
     return 0
 
 
 def cmd_ratio(args) -> int:
     cfg = _config_from_args(args)
+    t0 = time.perf_counter()
     table = experiment_ratio(cfg)
-    append_run_log(cfg, "ratio", table)
+    append_run_log(cfg, "ratio", table, elapsed_s=time.perf_counter() - t0)
     print(json.dumps(table, indent=1))
     return 0
 

@@ -7,7 +7,10 @@ to [0, 10 A0] as [A/q, B/q].  Three quantities are computed exactly:
 
 * the slope-code array, by walking the basic-cube chain level by level
   with warehouse bits drawn from the same splitmix64 chain as the scalar
-  warehouse (bit-for-bit identical);
+  warehouse (bit-for-bit identical).  The walk keeps one entry per cube at
+  the current decision height, whose roots share their code so far, and
+  draws one bit per cube; only the last level, at height J, is one bit
+  per root;
 
 * pairwise slab-intersection sums, on an integer lattice, with one pass
   for all the windows of a call.  Let D be the instance's slope-lattice
@@ -18,11 +21,12 @@ to [0, 10 A0] as [A/q, B/q].  Three quantities are computed exactly:
   Q = q D / K.  The profile's antiderivative is 0 or 1 outside one open
   g-interval of length 1/2, so per slope pair and end the sum is 2 Q^2
   times a count of pairs with i - j >= g plus at most one interior term,
-  an integer quadratic in X.  The counts gather one cumulative code count
-  per slope over the roots of every steeper slope, two columns per
-  distinct window end (int64, at most K^2 <= 2^62); each end's integers,
-  grouped by dsigma, give one Fraction F(p/q), and a window's sum is
-  F(hi) - F(lo);
+  an integer quadratic in X.  The roots are grouped by slope with one
+  stable sort; each slope's table of the number of its roots below each
+  index is built by run length from its sorted roots, and the roots of
+  every steeper slope gather from it, two columns per distinct window end
+  (int64, at most K^2 <= 2^62); each end's integers, grouped by dsigma,
+  give one Fraction F(p/q), and a window's sum is F(hi) - F(lo);
 
 * union quadrature by the midpoint rule, on one integer scale per window:
   the s slice midpoints share the denominator 2 s q, and each root moves
@@ -117,7 +121,9 @@ class FastInstance:
         self.D = pruned.D
         self.sigma = [s for (s,) in pruned.sigma]  # Python ints
         self.by_slope = sorted(range(len(self.sigma)), key=self.sigma.__getitem__)
-        self.slope_rank = np.argsort(self.by_slope)
+        # in the narrowest integer type, which numpy's stable sort radix-sorts
+        self.slope_rank = np.argsort(self.by_slope).astype(
+            np.min_scalar_type(len(self.sigma) - 1))
 
     def assign(self, seed: int) -> np.ndarray:
         """Slope codes for every root index under the given seed."""
@@ -125,17 +131,27 @@ class FastInstance:
         # and its first mix depends on the height alone
         z0 = _np_mix64(np.uint64((seed ^ GOLDEN) & MASK64))
         z1 = _np_mix64(z0 ^ np.arange(self.J + 1, dtype=np.uint64))
-        roots = np.arange(self.K, dtype=np.int64)
-        cur = np.full(self.K, self.root_gamma, dtype=np.int64)
-        code = np.zeros(self.K, dtype=np.int64)
-        for _ in range(self.N):
-            h = self.lam[cur]
-            anc = roots // self.pow[self.J - h]
-            z2 = _np_mix64(z1[h] ^ anc.astype(np.uint64))
-            bits = (z2 & np.uint64(1)).astype(np.int64)
+        # the roots below one cube at the current decision height share its
+        # gamma and their code so far, so the walk keeps one entry per cube:
+        # its index, height, gamma and code, in root order
+        cube = np.zeros(1, dtype=np.int64)
+        h = np.zeros(1, dtype=np.int64)
+        cur = np.full(1, self.root_gamma, dtype=np.int64)
+        code = np.zeros(1, dtype=np.int64)
+        for _ in range(self.N - 1):
+            # each entry splits into its M^(lam - h) subcubes at height lam
+            lam = self.lam[cur]
+            reps = self.pow[lam - h]
+            first = np.cumsum(reps) - reps  # of each entry's subcubes
+            cube = np.repeat(cube * reps - first, reps) + np.arange(reps.sum())
+            h, cur, code = lam.repeat(reps), cur.repeat(reps), code.repeat(reps)
+            bits = (_np_mix64(z1[h] ^ cube.astype(np.uint64)) & np.uint64(1)).astype(np.int64)
             code = code * 2 + bits
             cur = self.child[cur, bits]
-        return code
+        # the last decision height is J (pruning sets lambda = J at index
+        # N), where the cubes are the roots
+        bits = _np_mix64(z1[self.J] ^ np.arange(self.K, dtype=np.uint64)) & np.uint64(1)
+        return np.repeat(code * 2, self.pow[self.J - h]) + bits.astype(np.int64)
 
     def pair_sum(self, codes: np.ndarray, windows, a0: int = DEFAULT_A0
                  ) -> tuple[Fraction, ...]:
@@ -157,14 +173,18 @@ class FastInstance:
         sizes = np.bincount(codes, minlength=len(sigma))[self.by_slope].tolist()
         starts = np.cumsum([0] + sizes).tolist()
         roots = np.argsort(self.slope_rank[codes], kind="stable")
-        below = np.zeros(K + 1, dtype=np.int64)
+        # scratch for the gathers: the indices into a table and the counts
+        idx, got = np.empty(K, dtype=np.int64), np.empty(K, dtype=np.int64)
         by_dsigma: list[dict[int, int]] = [{} for _ in ends]
         for k, c2 in enumerate(self.by_slope):
             steeper = [m for m in range(k + 1, len(sigma)) if sizes[m]]
             if not sizes[k] or not steeper:
                 continue
-            # below[m] = number of roots j < m with code c2
-            np.cumsum(codes == c2, out=below[1:])
+            # below[m] = number of roots j < m with code c2, by run length
+            # from the roots of c2 (ascending, the sort being stable)
+            pos = roots[starts[k]:starts[k + 1]]
+            below = np.repeat(np.arange(sizes[k] + 1),
+                              np.diff(pos, prepend=-1, append=K))
             dsig = [sigma[self.by_slope[m]] - sigma[c2] for m in steeper]
             # per steeper slope and end: the least g where the profile's
             # antiderivative reaches 1; the one g below it may be interior
@@ -174,15 +194,18 @@ class FastInstance:
             # below[i + column] counts the j with i - j >= g, >= g - 1
             h = np.array([[min(max(s - g, -K), K + 1) for g in row for s in (1, 2)]
                           for row in gs], dtype=np.int64).T
+            # the steeper roots, whose pairs are summed per steeper slope,
+            # a column at a time into the scratch; the table clips to 0..K
+            lo = starts[k + 1]
+            i, ix, n_below = roots[lo:], idx[:K - lo], got[:K - lo]
             counts = [sizes[m] for m in steeper]
-            first = np.cumsum([0] + counts[:-1])
-            i = roots[starts[steeper[0]]:starts[steeper[-1] + 1]]
-            # those pairs summed per steeper slope, a column at a time so
-            # that one array over the steeper roots is alive; the table
-            # clips to 0..K
-            ge = np.stack([np.add.reduceat(
-                below.take(i + np.repeat(col, counts), mode="clip"), first)
-                for col in h], axis=1).tolist()
+            first = [starts[m] - lo for m in steeper]
+            ge = []
+            for col in h:
+                np.add(i, np.repeat(col, counts), out=ix)
+                below.take(ix, mode="clip", out=n_below)
+                ge.append(np.add.reduceat(n_below, first))
+            ge = np.stack(ge, axis=1).tolist()
             for ds, row, n_ge in zip(dsig, gs, ge):
                 for acc, p, Q, g, at_g, below_g in zip(
                         by_dsigma, ps, Qs, row, n_ge[::2], n_ge[1::2]):

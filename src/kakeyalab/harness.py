@@ -1,8 +1,10 @@
 """Experiment drivers: far-slab mean, moment sums, and the volume ratio.
 
 Every experiment runs over a seeded family of realizations of one pruned
-instance per N.  A (config, N, seed) cell is computed once and cached, so
-the far-slab and moment experiments consume identical tube sets; exact
+instance per N.  A (config, N, seed) cell is computed once and cached, and
+its far slab is cached on its own as well, so the far-slab and moment
+experiments consume identical tube sets and a far-slab table alone
+computes no pair sum; exact
 quantities are bit-reproducible from (config, seed) and the quadrature
 estimates are deterministic given the slice count.
 
@@ -133,6 +135,12 @@ class CellMetrics:
         return self.moment1[r] ** 2
 
 
+def _cell_inputs(config: ExperimentConfig, n: int, trial: int):
+    """The pruned instance and the seed of one (N, trial) cell."""
+    pruned = _prune_cached(config.generator, config.M, config.C0, n)
+    return pruned, trial_seed(config.master_seed, "cell", n, trial)
+
+
 def run_cell(config: ExperimentConfig, n: int, trial: int) -> CellMetrics:
     """All per-seed metrics for one (N, trial) cell.
 
@@ -140,10 +148,38 @@ def run_cell(config: ExperimentConfig, n: int, trial: int) -> CellMetrics:
     ``seeds``, ``out_dir`` or ``n_values`` share their cells;
     ``_cell.cache_info()`` counts hits and misses.
     """
-    pruned = _prune_cached(config.generator, config.M, config.C0, n)
-    seed = trial_seed(config.master_seed, "cell", n, trial)
+    pruned, seed = _cell_inputs(config, n, trial)
     return _cell(pruned, seed, config.A0, config.slices, tuple(config.r_values),
                  tuple(config.ratio_r_range(n)))
+
+
+class _FieldCache(dict):
+    """An unbounded cache of one cell field, keyed on what that field
+    reads, with hit and miss counts."""
+
+    def __init__(self):
+        super().__init__()
+        self.hits = self.misses = 0
+
+
+_far_cache = _FieldCache()
+
+
+def _far(pruned: PrunedSlopeTree, seed: int, A0: int, slices: int,
+         assigned=None) -> Fraction:
+    """The far-slab volume of one realization, from ``_far_cache``.  A cell
+    passes its ``(FastInstance, codes)`` as ``assigned`` and so fills the
+    cache without assigning twice; a far-only request assigns alone and
+    computes no pair sum or near quadrature."""
+    key = (pruned, seed, A0, slices)
+    if key in _far_cache:
+        _far_cache.hits += 1
+        return _far_cache[key]
+    _far_cache.misses += 1
+    fast, codes = assigned or construct_kakeya(pruned, seed)
+    far = fast.union_quadrature(codes, (Fraction(A0), Fraction(A0 + 1)), slices, A0)
+    _far_cache[key] = far
+    return far
 
 
 @lru_cache(maxsize=None)
@@ -156,7 +192,7 @@ def _cell(pruned: PrunedSlopeTree, seed: int, A0: int, slices: int,
     def near(r):
         return Fraction(M) ** -r, Fraction(M) ** (1 - r)
 
-    far = fast.union_quadrature(codes, (Fraction(A0), Fraction(A0 + 1)), slices, A0)
+    far = _far(pruned, seed, A0, slices, (fast, codes))
     # one pair-sum pass over every distinct window, each window end gathered
     # once: the moments and the CS bounds share its sums
     pair_rs = sorted(set(r_values) | set(rs))
@@ -205,7 +241,8 @@ def spearman_rho(xs, ys) -> float:
 def experiment_far_slab(config: ExperimentConfig):
     """Mean far-slab volume per N and its decay in N.
 
-    Each row carries the exact mean as a float, its standard error across
+    Only the far slab of each cell is computed, or read from the cells
+    already computed.  Each row carries the exact mean as a float, its standard error across
     seeds (``None`` below two seeds) and ``N * mean`` as a rate diagnostic.
     ``spearman_mean_far`` ranks N against the mean: the paper bounds
     E|far| by C/N, so 1/E|far| grows with N, but N * E|far| need not fall
@@ -213,7 +250,8 @@ def experiment_far_slab(config: ExperimentConfig):
     """
     rows = []
     for n in config.n_values:
-        fars = [run_cell(config, n, trial).far for trial in range(config.seeds)]
+        fars = [_far(*_cell_inputs(config, n, trial), config.A0, config.slices)
+                for trial in range(config.seeds)]
         mean = sum(fars, Fraction(0)) / config.seeds
         stderr = None
         if config.seeds >= 2:
@@ -313,9 +351,25 @@ class RunRecord:
         }, default=str)
 
 
-def _provenance(config: ExperimentConfig) -> dict:
-    """The full config, the versions that computed the run and the hits
-    and misses of the instance and cell caches so far in this process."""
+def _git_sha() -> str | None:
+    """The commit of the checkout this package runs from, or None when
+    there is no checkout or git fails."""
+    import subprocess  # only the run log needs it, and it is slow to import
+
+    try:
+        got = subprocess.run(["git", "-C", str(Path(__file__).parent), "rev-parse", "HEAD"],
+                             capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    if got.returncode != 0:
+        return None
+    return got.stdout.strip() or None
+
+
+def _provenance(config: ExperimentConfig, elapsed_s: float | None) -> dict:
+    """The full config, the versions and commit that computed the run, its
+    wall time and the hits and misses of the instance, cell and far-slab
+    caches so far in this process."""
 
     def counts(cached):
         info = cached.cache_info()
@@ -325,14 +379,20 @@ def _provenance(config: ExperimentConfig) -> dict:
             "versions": {"kakeyalab": __version__,
                          "python": platform.python_version(),
                          "numpy": np.__version__},
-            "caches": {"prune": counts(_prune_cached), "cell": counts(_cell)}}
+            "git_sha": _git_sha(),
+            "elapsed_s": elapsed_s,
+            "caches": {"prune": counts(_prune_cached), "cell": counts(_cell),
+                       "far": {"hits": _far_cache.hits, "misses": _far_cache.misses}}}
 
 
-def append_run_log(config: ExperimentConfig, experiment: str, payload: dict):
+def append_run_log(config: ExperimentConfig, experiment: str, payload: dict,
+                   elapsed_s: float | None = None):
+    """Append one record to ``runlog.jsonl``; ``elapsed_s`` is the wall
+    time of the experiment that produced ``payload``."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rec = RunRecord(config.config_hash(), experiment, payload,
-                    provenance=_provenance(config))
+                    provenance=_provenance(config, elapsed_s))
     with open(out / "runlog.jsonl", "a") as fh:
         fh.write(rec.to_json() + "\n")
     return rec

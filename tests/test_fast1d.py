@@ -1,27 +1,55 @@
 """The integer-lattice kernels of ``fast1d`` against the scalar ``tubes``
 reference, and the named errors at the edges of their range."""
 
+import hashlib
 from fractions import Fraction as F
 from functools import lru_cache
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from helpers import all_roots_1d
+from test_acceptance import ACCEPT_CFG
+from kakeyalab._mix import trial_seed
 from kakeyalab.errors import InvalidInput
 from kakeyalab.fast1d import FastInstance, cs_bound
-from kakeyalab.harness import kakeya_tubes
-from kakeyalab.madic import cantor_tree, full_tree
+from kakeyalab.harness import construct_kakeya, kakeya_tubes, pruned_instance
+from kakeyalab.madic import DigitRuleTree, cantor_tree, full_tree, split_values
 from kakeyalab.pruning import prune
+from kakeyalab.sticky import sample_assignment
 from kakeyalab.tubes import DEFAULT_A0, pair_intersection_volume, union_volume
 
 SLICES = 3
 TOP = 10 * DEFAULT_A0  # the far end of every tube
 
+
+def ragged_tree(depth: int = 25, lazy: bool = True) -> DigitRuleTree:
+    """M = 2: the half under digit 0 is full, and under digit 1 a vertex
+    splits only at even heights, so that from N = 3 on the basic heights
+    of one level differ between the two halves.  ``lazy`` supplies the
+    split values in closed form; otherwise they are walked."""
+    def rule(addr):
+        if addr[:1] == ((1,),) and len(addr) % 2:
+            return ((0,),)
+        return ((0,), (1,))
+
+    def split(addr):
+        h = len(addr)
+        if not addr:
+            return depth - 1
+        if addr[0] == (0,):
+            return depth - h
+        return (depth - h + (h % 2 == 0)) // 2  # the even heights in h..depth-1
+
+    return DigitRuleTree(rule, 2, 1, depth, split_fn=split if lazy else None)
+
+
 TREES = {"full2": lambda: full_tree(25, M=2, d=1), "cantor3": lambda: cantor_tree(25),
          "full3": lambda: full_tree(25, M=3, d=1), "cantor4": lambda: cantor_tree(25, M=4),
-         "full4": lambda: full_tree(25, M=4, d=1)}
+         "full4": lambda: full_tree(25, M=4, d=1), "ragged2": ragged_tree}
 # (tree, N, C0) with K = M^J <= 81, for M = 2, 3, 4 and C0 = 1, 2
 INSTANCES = [
     ("full2", 1, 1), ("full2", 2, 1), ("full2", 3, 1), ("full2", 1, 2),
@@ -126,6 +154,30 @@ def test_pair_sums_add_over_adjacent_windows(n, seed, ends):
     assert sum(fast.pair_sum(codes, [(a, b), (b, c)])) == fast.pair_sum(codes, [(a, c)])[0]
 
 
+def _edge_codes(fast, case):
+    """K = 81 code arrays at the edges of the per-slope count tables."""
+    shallow, *middle, steep = fast.by_slope
+    codes = fast.assign(5)
+    if case == "one slope empty":
+        codes[codes == middle[0]] = middle[1]
+    elif case == "one slope only":
+        codes[:] = middle[0]
+    else:  # the first and last roots alone carry the outer slopes
+        codes = np.array(middle * fast.K)[:fast.K]
+        codes[0], codes[-1] = (shallow, steep) if case == "outer slopes at the ends" else (steep, shallow)
+    return codes
+
+
+@pytest.mark.parametrize("case", ["one slope empty", "one slope only",
+                                  "outer slopes at the ends", "outer slopes reversed"])
+def test_count_table_edges_match_scalar(case):
+    pruned, fast = instance("cantor3", 2, 1)
+    codes = _edge_codes(fast, case)
+    family = kakeya_tubes(pruned, codes)
+    ws = [(F(1, 9), F(1, 3)), (F(1, 3), F(1)), (F(0), F(TOP)), (F(1, 27), F(5, 2))]
+    assert fast.pair_sum(codes, ws) == tuple(scalar_pair_sum(family, w) for w in ws)
+
+
 def test_no_windows_give_no_sums():
     _, fast = instance("cantor3", 2, 1)
     assert fast.pair_sum(fast.assign(0), []) == ()
@@ -146,3 +198,40 @@ def test_slices_beyond_62_bits_are_refused(window, a0):
     _, fast = instance("cantor3", 2, 1)
     with pytest.raises(InvalidInput, match="int64"):
         fast.union_quadrature(fast.assign(0), window, 8, a0)
+
+
+def test_ragged_tree_split_values_are_exact():
+    for depth in (9, 10):
+        assert split_values(ragged_tree(depth)) == split_values(ragged_tree(depth, lazy=False))
+    pruned = prune(ragged_tree(), N=3, C0=1)
+    assert {info.lam for info in pruned.gamma.values() if info.nu == 2} == {5, 8}
+
+
+# (tree, N) with K <= 6561 at C0 = 1
+ORACLE_INSTANCES = [(name, n) for name in TREES for n in (2, 3, 4)
+                    if (name, n) != ("cantor4", 4)]
+
+
+@pytest.mark.parametrize("name, n", ORACLE_INSTANCES)
+def test_cube_walk_matches_the_scalar_chain_walk(name, n):
+    pruned = prune(TREES[name](), N=n, C0=1)
+    fast = FastInstance(pruned)
+    assert fast.K <= 6561
+    roots = all_roots_1d(pruned)
+    for seed in (0, 7, 2 ** 40 + 3):
+        smap = sample_assignment(pruned, seed)
+        assert fast.assign(seed).tolist() == [smap.slope_code(t) for t in roots]
+
+
+# sha256 of the little-endian int64 slope codes of ACCEPT_CFG trial 0
+ACCEPT_CODE_DIGESTS = {
+    5: "d14168511e79d520550be992d48f5fc6597a4605724619820af5c05e0c58d3aa",
+    6: "c7537f86d89582ee6cf044972c02f8976fba1daca1b3207462b36e4adc6f8394",
+}
+
+
+@pytest.mark.parametrize("n", sorted(ACCEPT_CODE_DIGESTS))
+def test_accept_cfg_code_arrays_are_pinned(n):
+    pruned = pruned_instance(ACCEPT_CFG, n)
+    _, codes = construct_kakeya(pruned, trial_seed(ACCEPT_CFG.master_seed, "cell", n, 0))
+    assert hashlib.sha256(codes.astype("<i8").tobytes()).hexdigest() == ACCEPT_CODE_DIGESTS[n]

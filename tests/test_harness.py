@@ -1,6 +1,7 @@
 import json
 import math
 import platform
+import re
 import statistics
 from dataclasses import replace
 from fractions import Fraction as F
@@ -11,6 +12,7 @@ import pytest
 
 import kakeyalab
 from helpers import all_roots_1d
+from kakeyalab import harness
 from kakeyalab.cli import main as cli_main
 from kakeyalab.errors import InfeasibleInstance, InvalidInput
 from kakeyalab.fast1d import FastInstance, cs_bound
@@ -230,10 +232,13 @@ def test_run_log_and_csv(tmp_path, cfg):
     assert table["rows"][0]["stderr_far"] is not None
     single = ExperimentConfig(seeds=1, n_values=(2,), slices=4)
     assert experiment_far_slab(single)["rows"][0]["stderr_far"] is None
-    rec = append_run_log(cfg2, "far_slab", table)
+    rec = append_run_log(cfg2, "far_slab", table, elapsed_s=1.25)
     log = (tmp_path / "runlog.jsonl").read_text().strip().splitlines()
     assert len(log) == 1
     parsed = json.loads(log[0])
+    assert parsed["elapsed_s"] == 1.25
+    sha = parsed["git_sha"]
+    assert sha is None or re.fullmatch("[0-9a-f]{40}", sha)
     assert parsed["config_hash"] == cfg2.config_hash()
     assert parsed["experiment"] == "far_slab" and parsed["timestamp"] == rec.timestamp
     assert parsed["payload"] == json.loads(json.dumps(table))
@@ -245,11 +250,54 @@ def test_run_log_and_csv(tmp_path, cfg):
     for name, cached in (("prune", _prune_cached), ("cell", _cell)):
         info = cached.cache_info()
         assert parsed["caches"][name] == {"hits": info.hits, "misses": info.misses}
-    assert parsed["caches"]["cell"]["misses"] + parsed["caches"]["cell"]["hits"] >= 2
+    far = harness._far_cache
+    assert parsed["caches"]["far"] == {"hits": far.hits, "misses": far.misses}
+    assert parsed["caches"]["far"]["misses"] + parsed["caches"]["far"]["hits"] >= 2
     csv_path = write_results_csv(cfg2, tmp_path / "results.csv")
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 1 + len(cfg2.n_values) * cfg2.seeds * len(cfg2.r_values)
+
+
+def test_run_log_without_git_has_no_sha(tmp_path, monkeypatch):
+    def no_git(*args, **kwargs):
+        raise FileNotFoundError("git")
+
+    monkeypatch.setattr("subprocess.run", no_git)
+    cfg2 = ExperimentConfig(seeds=1, n_values=(2,), slices=4, out_dir=str(tmp_path))
+    append_run_log(cfg2, "far_slab", {})
+    parsed = json.loads((tmp_path / "runlog.jsonl").read_text())
+    assert parsed["git_sha"] is None and parsed["elapsed_s"] is None
+
+
+def test_cli_run_log_times_the_experiment(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seeds": 1, "n_values": [2], "slices": 4,
+                                    "out_dir": str(tmp_path)}))
+    assert cli_main(["far-slab", "--config", str(cfg_path)]) == 0
+    parsed = json.loads((tmp_path / "runlog.jsonl").read_text())
+    assert parsed["experiment"] == "far_slab" and parsed["elapsed_s"] > 0
+
+
+def test_far_only_requests_build_no_cells(monkeypatch):
+    # a config whose cells no other test builds
+    cfg = ExperimentConfig(seeds=3, n_values=(2, 3), slices=4, master_seed=90210)
+
+    def no_pair_sums(*args, **kwargs):
+        raise AssertionError("a far-only request computed a pair sum")
+
+    with monkeypatch.context() as m:
+        m.setattr(FastInstance, "pair_sum", no_pair_sums)
+        cells = _cell.cache_info().misses
+        table = experiment_far_slab(cfg)
+        assert _cell.cache_info().misses == cells
+    # the same rows through run_cell, whose cells fill a far cache of their own
+    monkeypatch.setattr(harness, "_far_cache", harness._FieldCache())
+    for n in cfg.n_values:
+        for trial in range(cfg.seeds):
+            run_cell(cfg, n, trial)
+    assert harness._far_cache.misses == len(cfg.n_values) * cfg.seeds
+    assert experiment_far_slab(cfg) == table
 
 
 def test_config_json_roundtrip(cfg):
