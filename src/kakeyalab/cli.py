@@ -196,14 +196,20 @@ def _config_from_args(args) -> ExperimentConfig:
         with open(args.config) as fh:
             return ExperimentConfig.from_json(fh.read())
     kw = {}
-    for name in ("generator", "M", "C0", "A0", "seeds", "master_seed", "slices"):
+    for name in ("generator", "M", "C0", "A0", "seeds", "master_seed", "slices",
+                 "n_values", "r_values"):
         if getattr(args, name, None) is not None:
             kw[name] = getattr(args, name)
-    if getattr(args, "n_values", None):
-        kw["n_values"] = tuple(int(x) for x in args.n_values.split(","))
-    if getattr(args, "r_values", None):
-        kw["r_values"] = tuple(int(x) for x in args.r_values.split(","))
     return ExperimentConfig(**kw)
+
+
+def _int_list(text: str) -> tuple:
+    """A comma-separated list of integers, such as ``2,3,4``."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of integers: {text!r}") from None
 
 
 def _add_config_options(sp):
@@ -215,8 +221,8 @@ def _add_config_options(sp):
     sp.add_argument("--seeds", type=int, default=None)
     sp.add_argument("--master-seed", dest="master_seed", type=int, default=None)
     sp.add_argument("--slices", type=int, default=None)
-    sp.add_argument("--n-values", dest="n_values", default=None)
-    sp.add_argument("--r-values", dest="r_values", default=None)
+    sp.add_argument("--n-values", dest="n_values", type=_int_list, default=None)
+    sp.add_argument("--r-values", dest="r_values", type=_int_list, default=None)
 
 
 def build_parser() -> _Parser:

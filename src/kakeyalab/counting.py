@@ -102,9 +102,9 @@ def _slope_pairs(pruned: PrunedSlopeTree, w: Address, lo: Fraction,
 
 
 def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
-                 rho, C1=Fraction(2), A0: int = 10, roots=None):
+                 rho, A0: int = 10, roots=None):
     """All sticky-admissible intersecting pairs ((t1, c1), (t2, c2)) with
-    D(t1, t2) = u and D(v1, v2) = w, meeting inside [rho, C1 rho].
+    D(t1, t2) = u and D(v1, v2) = w, meeting inside [rho, 2 rho].
 
     The pairs come out with t1, then t2, in ``roots`` order, then (c1, c2)
     in code order.  Root pairs are drawn from the roots under u whose
@@ -120,11 +120,11 @@ def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
         raise InvalidInput("slope anchor must be a splitting vertex")
     if roots is None:
         roots = all_root_cubes(pruned)
-    win = SlabWindow(Fraction(rho), Fraction(C1))
+    win = SlabWindow(Fraction(rho), 2)
     M, d, J, h = pruned.M, pruned.d, pruned.J, len(u)
     K = M ** J
     rho_sq = slope_metrics(pruned, w).rho_sq
-    # a hit has M^-J / 2 <= |x1||v1 - v2| <= C1 rho rho_w
+    # a hit has M^-J / 2 <= |x1||v1 - v2| <= 2 rho rho_w
     if 4 * win.hi ** 2 * rho_sq < Fraction(1, K * K):
         return []
     lo, hi = clip_x1(*win, A0)
@@ -133,7 +133,7 @@ def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
     cd = cross_section_dilation(d)
     S, E = cd.numerator, cd.denominator  # tube side S / (E M^J)
     pairs, D = _slope_pairs(pruned, w, lo, hi, S, E)
-    # a hit has |cen(t1) - cen(t2)| <= C1 rho rho_w + 2 c_d sqrt(d) M^-J
+    # a hit has |cen(t1) - cen(t2)| <= 2 rho rho_w + 2 c_d sqrt(d) M^-J
     reach_sq = 2 * win.hi ** 2 * rho_sq + Fraction(8 * d) * cd * cd / (K * K)
     reach = int(reach_sq * K * K)
     under = [(t, cube_index(t, M, d), t[h]) for t in roots if t[:h] == u]
@@ -166,8 +166,7 @@ def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
     return out
 
 
-def enumerate_E2_bruteforce(pruned, u, w, rho, C1=Fraction(2), A0: int = 10,
-                            roots=None):
+def enumerate_E2_bruteforce(pruned, u, w, rho, A0: int = 10, roots=None):
     """Oracle of ``enumerate_E2``: every (t1, t2, c1, c2) with the ancestor
     filters, stickiness and the Fraction test ``tubes.intersects``, with
     no prefilter."""
@@ -175,7 +174,7 @@ def enumerate_E2_bruteforce(pruned, u, w, rho, C1=Fraction(2), A0: int = 10,
         raise InvalidInput("slope anchor must be a splitting vertex")
     if roots is None:
         roots = all_root_cubes(pruned)
-    win = SlabWindow(Fraction(rho), Fraction(C1))
+    win = SlabWindow(Fraction(rho), 2)
     codes = range(2 ** pruned.N)
     out = []
     for t1 in roots:
@@ -235,7 +234,7 @@ def rearrange_slope_vertices(pruned: PrunedSlopeTree, verts):
     if not (nested(vs[i], vs[k]) and nested(vs[j], vs[k])
             and len(vs[k]) <= min(len(vs[i]), len(vs[j]))):
         raise InvalidInput("no vertex dominates the disjoint pair")
-    w3, w2 = sorted((vs[i], vs[j]), key=len, reverse=True)[0], None
+    w3 = max(vs[i], vs[j], key=len)
     w2 = vs[j] if vs[i] == w3 else vs[i]
     return (vs[k], w2, w3)
 
@@ -274,14 +273,14 @@ class TupleRecord:
 
 
 def enumerate_E3(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
-                 rho, C1=Fraction(2), A0: int = 10, roots=None):
+                 rho, A0: int = 10, roots=None):
     """Sticky-admissible triples {(t1,v1),(t2,v2),(t2',v2')} of the given
     3-point type whose two tube pairs both meet the window, with the
     prescribed anchor vertices."""
     u, u2 = anchors["u"], anchors["u2"]
     w, w2 = anchors["w"], anchors["w2"]
-    e2a = enumerate_E2(pruned, u, w, rho, C1, A0, roots)
-    e2b = enumerate_E2(pruned, u2, w2, rho, C1, A0, roots)
+    e2a = enumerate_E2(pruned, u, w, rho, A0, roots)
+    e2b = enumerate_E2(pruned, u2, w2, rho, A0, roots)
     shared = {}  # the pairs of e2b by their first tube, in e2b order
     for first, second in e2b:
         shared.setdefault(first, []).append(second)
@@ -309,14 +308,14 @@ def enumerate_E3(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
 
 
 def enumerate_E4(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
-                 rho, C1=Fraction(2), A0: int = 10, roots=None):
+                 rho, A0: int = 10, roots=None):
     """Sticky-admissible quadruples of the given 4-point type with both
     windowed intersections; necessary location conditions are asserted on
     every returned tuple."""
     u, u2 = anchors["u"], anchors["u2"]
     w, w2 = anchors["w"], anchors["w2"]
-    e2a = enumerate_E2(pruned, u, w, rho, C1, A0, roots)
-    e2b = enumerate_E2(pruned, u2, w2, rho, C1, A0, roots)
+    e2a = enumerate_E2(pruned, u, w, rho, A0, roots)
+    e2b = enumerate_E2(pruned, u2, w2, rho, A0, roots)
     win_rho = Fraction(rho)
     out = []
     for (ta, ca), (tb, cb) in e2a:
@@ -331,7 +330,7 @@ def enumerate_E4(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
             if not ok:
                 continue
             rec = TupleRecord(pairs=tuple(prs), config=cfg)
-            _assert_necessary_conditions(pruned, rec, win_rho, C1)
+            _assert_necessary_conditions(pruned, rec, win_rho)
             out.append(rec)
     return out
 
@@ -356,19 +355,20 @@ def _dist_to_child_boundary_sq(pruned, s: Address, u: Address) -> Fraction:
     return best * best if best > 0 else Fraction(0)
 
 
-def _assert_necessary_conditions(pruned, rec: TupleRecord, rho, C1):
+def _assert_necessary_conditions(pruned, rec: TupleRecord, rho):
     """Geometric necessity checks with a generous documented constant.
 
     Every enumerated quadruple must place its cross ancestors within
-    C * rho * rho_w of the relevant child boundaries (C = 4 C1 covers the
-    derivations with margin); recorded violations are bugs.
+    C * rho * rho_w of the relevant child boundaries (C = 8, four times the
+    window's 2, covers the derivations with margin); recorded violations
+    are bugs.
     """
     (ta, ca), (tb, cb), (tc, cc), (td, cd) = rec.pairs
     cfg = rec.config
     w, w2 = pruned.slope_yca(ca, cb), pruned.slope_yca(cc, cd)
     rho_w_sq = slope_metrics(pruned, w).rho_sq if w in pruned.gamma else Fraction(0)
     rho_w2_sq = slope_metrics(pruned, w2).rho_sq if w2 in pruned.gamma else Fraction(0)
-    margin = (4 * Fraction(C1) * Fraction(rho)) ** 2
+    margin = (8 * Fraction(rho)) ** 2
     if cfg.ctype == 2:
         _, t = _max_cross((ta, tb), (tc, td))
         dsq = _dist_to_child_boundary_sq(pruned, t, cfg.u)
@@ -383,16 +383,16 @@ def _assert_necessary_conditions(pruned, rec: TupleRecord, rho, C1):
         d1 = _dist_to_child_boundary_sq(pruned, s1, cfg.u)
         d2 = _dist_to_child_boundary_sq(pruned, s2, cfg.u)
         # sum dist(s_i, bdry(u_i)) <= C Delta; compare via squares with slack
-        if max(d1, d2) > 16 * Fraction(C1) ** 2 * delta_sq:
+        if max(d1, d2) > 64 * delta_sq:
             raise AssertionError("type-3 anchors violate the distance constraint")
 
 
 def bruteforce_E4(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
-                  rho, C1=Fraction(2), A0: int = 10, roots=None):
+                  rho, A0: int = 10, roots=None):
     """Quartic oracle over all root quadruples and slope assignments."""
     if roots is None:
         roots = all_root_cubes(pruned, cap=3 ** 5)
-    win = SlabWindow(Fraction(rho), Fraction(C1))
+    win = SlabWindow(Fraction(rho), 2)
     u, u2, w, w2 = anchors["u"], anchors["u2"], anchors["w"], anchors["w2"]
     out = []
     codes = range(2 ** pruned.N)

@@ -240,7 +240,12 @@ class FastInstance:
         start = (np.arange(K, dtype=np.int64) * (scale // K) + scale // (2 * K)
                  + (2 * slices * A + B - A) * moves)
         side, covered = scale // (W * K), 0
+        # two scratch arrays for every slice: the sorted positions and gaps
+        pos, gaps = np.empty(K, dtype=np.int64), np.empty(K - 1, dtype=np.int64)
         for k in range(slices):
-            pos = np.sort(start + 2 * k * (B - A) * moves)
-            covered += int(np.minimum(np.diff(pos), side).sum()) + side
+            np.multiply(moves, 2 * k * (B - A), out=pos)
+            pos += start
+            pos.sort()
+            np.subtract(pos[1:], pos[:-1], out=gaps)
+            covered += int(np.minimum(gaps, side, out=gaps).sum()) + side
         return Fraction((B - A) * covered, slices * q * scale)

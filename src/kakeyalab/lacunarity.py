@@ -501,11 +501,12 @@ def spec_tree(spec: GeneratorSpec | str, M: int):
 DENOMINATOR_CAP_BITS = 512
 
 
-def _check_cap(values, cap_bits):
+def _check_cap(values):
     for v in values:
-        if isinstance(v, Fraction) and v.denominator.bit_length() > cap_bits:
+        if isinstance(v, Fraction) and v.denominator.bit_length() > DENOMINATOR_CAP_BITS:
             raise SizeCapExceeded(
-                f"denominator needs {v.denominator.bit_length()} bits, cap {cap_bits}")
+                f"denominator needs {v.denominator.bit_length()} bits, "
+                f"cap {DENOMINATOR_CAP_BITS}")
 
 
 def stern_brocot_rationals(lo: Fraction, hi: Fraction, count: int):
@@ -528,16 +529,14 @@ def stern_brocot_rationals(lo: Fraction, hi: Fraction, count: int):
     return out[:count]
 
 
-def counterexample_raw(j_hi: int = 3, j_lo: int = 2, cap_bits: int | None = None):
+def counterexample_raw(j_hi: int = 3, j_lo: int = 2):
     """The dyadic counterexample pair (U, V) in raw coordinates.
 
     U_j sits between consecutive dyadic scales with tail offsets q_{jk}
     that reassemble into affine dyadic blocks inside U + V; V is the
-    negative dyadic sequence.  Denominators grow like 2^(2^(j^2)); the
-    default cap admits the requested j_hi exactly.
+    negative dyadic sequence.  Denominators grow like 2^(2^(j^2)) and
+    are not capped: they need at most 2^(j_hi^2) + j_hi + 1 bits.
     """
-    if cap_bits is None:
-        cap_bits = 2 ** (j_hi * j_hi) + j_hi + 8
     U: list[Fraction] = []
     for j in range(j_lo, j_hi + 1):
         Nj = 2 ** (j * j)
@@ -547,11 +546,10 @@ def counterexample_raw(j_hi: int = 3, j_lo: int = 2, cap_bits: int | None = None
             U.append(Fraction(1, 2 ** (Nj - k)) + q)
     # V must reach the scales 2^-(N_j - k) that cancel the leading part of U
     V = [Fraction(-1, 2 ** j) for j in range(1, 2 ** (j_hi * j_hi))]
-    _check_cap(U, cap_bits)
     return sorted(U), sorted(V)
 
 
-def generate(spec: GeneratorSpec | str, cap_bits: int = DENOMINATOR_CAP_BITS):
+def generate(spec: GeneratorSpec | str):
     """Produce the deterministic finite rational point set of a generator.
 
     Points are d-tuples of Fractions in [0,1)^d; direction-set generators
@@ -582,7 +580,7 @@ def generate(spec: GeneratorSpec | str, cap_bits: int = DENOMINATOR_CAP_BITS):
         lam = spec.ratio("lam", "1/2")
         J = spec.integer("J", 10, lo=1)
         pts = [(lam ** j,) for j in range(1, J + 1)]
-        _check_cap([p[0] for p in pts], cap_bits)
+        _check_cap([p[0] for p in pts])
         return sorted(pts)
 
     if kind == "two_scale":
@@ -599,7 +597,7 @@ def generate(spec: GeneratorSpec | str, cap_bits: int = DENOMINATOR_CAP_BITS):
         jmax = spec.integer("jmax", 8, lo=1)
         vals = sorted({Fraction(1, 2 ** (2 * j)) + s * Fraction(1, 4 ** (2 * j))
                        for j in range(1, jmax + 1) for s in (1, -1)})
-        _check_cap(vals, cap_bits)
+        _check_cap(vals)
         return [(v,) for v in vals]
 
     if kind == "nsw":
@@ -608,7 +606,7 @@ def generate(spec: GeneratorSpec | str, cap_bits: int = DENOMINATOR_CAP_BITS):
         ratio = spec.ratio("ratio", "1/2")
         count = spec.integer("count", 8, lo=1)
         pts = [tuple(ratio ** (j * m) for m in exps) for j in range(1, count + 1)]
-        _check_cap([c for p in pts for c in p], cap_bits)
+        _check_cap([c for p in pts for c in p])
         return sorted(pts)
 
     if kind == "carbery":
@@ -617,14 +615,14 @@ def generate(spec: GeneratorSpec | str, cap_bits: int = DENOMINATOR_CAP_BITS):
         d = spec.integer("d", 2, lo=1)
         pts = [tuple(lam ** k for k in combo)
                for combo in itertools.product(range(1, kmax + 1), repeat=d)]
-        _check_cap([c for p in pts for c in p], cap_bits)
+        _check_cap([c for p in pts for c in p])
         return sorted(set(pts))
 
     if kind in ("counterexample_u", "counterexample_v", "counterexample_sum"):
-        # denominators here intrinsically reach 2^(2^(jmax^2)); the cap is
-        # sized to the request rather than the package default
+        # denominators here intrinsically reach 2^(2^(jmax^2)), so the
+        # package cap does not apply
         jmax = spec.integer("jmax", 3, lo=2)
-        U, V = counterexample_raw(j_hi=jmax, cap_bits=None)
+        U, V = counterexample_raw(j_hi=jmax)
         if kind == "counterexample_u":
             return [(u,) for u in U]
         if kind == "counterexample_v":
@@ -637,7 +635,7 @@ def generate(spec: GeneratorSpec | str, cap_bits: int = DENOMINATOR_CAP_BITS):
         qs = stern_brocot_rationals(Fraction(1, 2), Fraction(2, 3), lmax)
         pts = [(q * Fraction(1, 2 ** l), Fraction(1, 2 ** l))
                for l, q in enumerate(qs, start=1)]
-        _check_cap([c for p in pts for c in p], cap_bits)
+        _check_cap([c for p in pts for c in p])
         return pts
 
     raise InvalidInput(f"unknown generator kind {kind!r}")

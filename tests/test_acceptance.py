@@ -12,6 +12,7 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the verdict lines.
 import math
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations, product
 
@@ -394,7 +395,7 @@ def _median(vs):
 
 def test_criterion_11_ratio_trend():
     t0 = time.time()
-    table = experiment_ratio(ACCEPT_CFG, seeds=50)
+    table = experiment_ratio(replace(ACCEPT_CFG, seeds=50))
     seq_lb = [table["per_n"][n]["median_ratio_lb"] for n in ACCEPT_CFG.n_values]
     inv = count_inversions(seq_lb)
     ok = inv <= 1

@@ -49,11 +49,16 @@ def test_construct_tube_family_properties(cfg):
     fast, codes = construct_kakeya(pruned, seed=5)
     assert codes.shape == (pruned.M ** pruned.J,)
     assert set(np.unique(codes)) <= set(range(2 ** pruned.N))
-    fast2, codes2 = construct_kakeya(pruned, seed=5)
-    assert np.array_equal(codes, codes2)
+    assert np.array_equal(codes, FastInstance(pruned).assign(5))
     tubes = kakeya_tubes(pruned, codes)
     assert len(tubes) == pruned.M ** pruned.J
     assert all(t.slope in pruned.slopes for t in tubes)
+
+
+def test_realization_is_read_only(cfg):
+    _, codes = construct_kakeya(pruned_instance(cfg, 2), seed=5)
+    with pytest.raises(ValueError):
+        codes[0] = 1
 
 
 def test_fast_assign_matches_scalar_map(cfg):
@@ -247,11 +252,9 @@ def test_run_log_and_csv(tmp_path, cfg):
     assert parsed["versions"] == {"kakeyalab": kakeyalab.__version__,
                                   "python": platform.python_version(),
                                   "numpy": np.__version__}
-    for name, cached in (("prune", _prune_cached), ("cell", _cell)):
+    for name, cached in (("prune", _prune_cached), ("cell", _cell), ("far", harness._far)):
         info = cached.cache_info()
         assert parsed["caches"][name] == {"hits": info.hits, "misses": info.misses}
-    far = harness._far_cache
-    assert parsed["caches"]["far"] == {"hits": far.hits, "misses": far.misses}
     assert parsed["caches"]["far"]["misses"] + parsed["caches"]["far"]["hits"] >= 2
     csv_path = write_results_csv(cfg2, tmp_path / "results.csv")
     lines = csv_path.read_text().strip().splitlines()
@@ -286,18 +289,44 @@ def test_far_only_requests_build_no_cells(monkeypatch):
     def no_pair_sums(*args, **kwargs):
         raise AssertionError("a far-only request computed a pair sum")
 
+    cells = len(cfg.n_values) * cfg.seeds
+    cell_misses, far_misses = _cell.cache_info().misses, harness._far.cache_info().misses
     with monkeypatch.context() as m:
         m.setattr(FastInstance, "pair_sum", no_pair_sums)
-        cells = _cell.cache_info().misses
         table = experiment_far_slab(cfg)
-        assert _cell.cache_info().misses == cells
-    # the same rows through run_cell, whose cells fill a far cache of their own
-    monkeypatch.setattr(harness, "_far_cache", harness._FieldCache())
+    assert _cell.cache_info().misses == cell_misses
+    assert harness._far.cache_info().misses == far_misses + cells
+    # the cells then read those far slabs, and give the same rows
+    for n, row in zip(cfg.n_values, table["rows"]):
+        fars = [run_cell(cfg, n, trial).far for trial in range(cfg.seeds)]
+        assert row["mean_far"] == float(sum(fars, F(0)) / cfg.seeds)
+    assert _cell.cache_info().misses == cell_misses + cells
+    assert harness._far.cache_info().misses == far_misses + cells
+
+
+@pytest.mark.parametrize("far_first", [False, True])
+def test_one_assignment_per_computed_cell(monkeypatch, far_first):
+    # configs whose cells no other test builds: with a cold far cache, and
+    # after a far-only table has filled it
+    cfg = ExperimentConfig(seeds=3, n_values=(2, 3), slices=4, master_seed=31337 + far_first)
+    cells = len(cfg.n_values) * cfg.seeds
+    calls, assign = [], FastInstance.assign
+
+    def counted(self, seed):
+        calls.append(seed)
+        return assign(self, seed)
+
+    monkeypatch.setattr(FastInstance, "assign", counted)
+    if far_first:
+        experiment_far_slab(cfg)
+        assert len(calls) == cells
+        calls.clear()
+    misses = _cell.cache_info().misses
     for n in cfg.n_values:
         for trial in range(cfg.seeds):
             run_cell(cfg, n, trial)
-    assert harness._far_cache.misses == len(cfg.n_values) * cfg.seeds
-    assert experiment_far_slab(cfg) == table
+    assert _cell.cache_info().misses == misses + cells
+    assert len(calls) == cells
 
 
 def test_config_json_roundtrip(cfg):
@@ -328,6 +357,28 @@ def test_cli_config_with_unknown_key_exit_code(tmp_path, capsys):
 def test_cli_out_of_range_slices_or_seeds_exit_code(argv, capsys):
     assert cli_main(argv) == 2
     assert "invalid input" in capsys.readouterr().err
+
+
+def test_cli_malformed_value_list_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["far-slab", "--n-values", "2,x"])
+    assert exc.value.code == 64
+    assert "--n-values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_values", [[], 3])
+def test_cli_config_with_malformed_n_values_exit_code(n_values, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seeds": 1, "n_values": n_values, "out_dir": str(tmp_path)}))
+    assert cli_main(["far-slab", "--config", str(path)]) == 2
+    assert "n_values must be a non-empty tuple of integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [{"n_values": (2, "3")}, {"n_values": [2, 3]},
+                                 {"r_values": ()}, {"r_values": (1, True)}])
+def test_config_refuses_malformed_value_lists(bad):
+    with pytest.raises(InvalidInput, match="non-empty tuple of integers"):
+        ExperimentConfig(**bad)
 
 
 def test_cli_split_number(capsys):
