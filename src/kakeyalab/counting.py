@@ -6,14 +6,19 @@ x1 window.  :func:`enumerate_E2` decides the meeting on an integer
 lattice: root centres differ by delta/M^J, the slopes are the integer
 numerators ``pruned.sigma`` over the instance's one denominator
 ``pruned.D``, and whether some x1 in the window puts the two
-cross-sections within the tube side on every axis is a comparison of
-Python ints; stickiness is tested on geometric hits only.  Slope
-ancestors and the lattice are the per-instance tables every module reads;
+cross-sections within the tube side on every axis is a set of integer
+comparisons.  One numpy pass per call runs them over every root pair and
+code pair (int64 offsets and clipped box ends; the cross forms of d >= 2
+stay Python ints), the centre and scale inequalities are asserted once
+per distinct (offset, code pair) among the geometric hits, and
+stickiness is tested on geometric hits only.  Slope ancestors, slope
+metrics and the lattice are the per-instance tables every module reads;
 only the oracles recompute slope ancestors inline, to stay independent.
 :func:`enumerate_E2_bruteforce` is its independent oracle, a plain loop
 over every root and slope pair through the Fraction test
 ``tubes.intersects``.  The triple and quadruple collections are joins over
-pair collections filtered by root configuration type, with
+two pair collections (one, when their anchors are equal) filtered by root
+configuration type, with
 :func:`bruteforce_E4` as the quartic oracle.  Everything here is
 desk-scale and exhaustive, guarded by hard size caps.
 """
@@ -22,7 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
+from math import isqrt
+
+import numpy as np
 
 from .errors import InvalidInput, SizeCapExceeded
 from .madic import Address, cube_index, youngest_common_ancestor
@@ -38,6 +47,7 @@ from .tubes import (
 )
 
 ROOT_CAP = 3 ** 8
+_PAIR_BLOCK = 1 << 14  # root pairs per block of the E2 array scan
 
 
 def all_root_cubes(pruned: PrunedSlopeTree, cap: int = ROOT_CAP):
@@ -58,6 +68,7 @@ def all_root_cubes(pruned: PrunedSlopeTree, cap: int = ROOT_CAP):
 # pair collections
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=256)
 def _slope_pairs(pruned: PrunedSlopeTree, w: Address, lo: Fraction,
                  hi: Fraction, S: int, E: int):
     """The code pairs (c1, c2) whose slope leaves separate exactly at w,
@@ -69,7 +80,8 @@ def _slope_pairs(pruned: PrunedSlopeTree, w: Address, lo: Fraction,
     when every axis keeps delta in its closed integer ``box`` and every
     ``cross`` form (i, j, f_i, f_j, bound) has f_i delta_i + f_j delta_j
     < bound.  The box comes from lo < r2 and r1 < hi on a moving axis and
-    from |a| < s on a still one; the cross forms are r1_i < r2_j.
+    from |a| < s on a still one; the cross forms are r1_i < r2_j.  Cached
+    on what it reads; the tuples are shared by every call.
     """
     K, D, sigma = pruned.M ** pruned.J, pruned.D, pruned.sigma
     still = -(-S // E) - 1  # |delta| E < S
@@ -94,11 +106,11 @@ def _slope_pairs(pruned: PrunedSlopeTree, w: Address, lo: Fraction,
                 box.append((x_lo, x_hi) if sgn > 0 else (-x_hi, -x_lo))
                 moving.append((i, sgn, B))
             # E (x_j B_i - x_i B_j) < S (B_i + B_j)
-            cross = [(i, j, -E * si * Bj, E * sj * Bi, S * (Bi + Bj))
-                     for i, si, Bi in moving for j, sj, Bj in moving if i != j]
+            cross = tuple((i, j, -E * si * Bj, E * sj * Bi, S * (Bi + Bj))
+                          for i, si, Bi in moving for j, sj, Bj in moving if i != j)
             dw = tuple(a - b for a, b in zip(pruned.slopes[c1], pruned.slopes[c2]))
-            out.append((c1, c2, box, cross, moving, dw))
-    return out, D
+            out.append((c1, c2, tuple(box), cross, tuple(moving), dw))
+    return tuple(out)
 
 
 def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
@@ -111,10 +123,15 @@ def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
     digits at height h(u) differ.  The geometry is decided on an integer
     lattice: root centres differ by delta/M^J, slopes are numerators over
     one common denominator, and the test of ``tubes.intersects`` (closed
-    window ends, open coordinate bounds) becomes Python-int comparisons.
-    Stickiness is tested only on geometric hits, and every hit has the
-    centre and scale inequalities asserted.  ``enumerate_E2_bruteforce``
-    is the independent Fraction oracle.
+    window ends, open coordinate bounds) becomes integer comparisons.  One
+    numpy pass over blocks of t1 forms the root offsets and runs the reach
+    and box tests of every (root pair, code pair) as array comparisons;
+    the cross forms (d >= 2), whose coefficients scale with ``pruned.D``,
+    are Python-int tests on the box survivors.  The centre and scale
+    inequalities depend only on (delta, code pair), so they are asserted
+    once per distinct configuration among the geometric hits, including
+    hits that stickiness then rejects.  Stickiness is tested per hit.
+    ``enumerate_E2_bruteforce`` is the independent Fraction oracle.
     """
     if w not in pruned.gamma:
         raise InvalidInput("slope anchor must be a splitting vertex")
@@ -123,47 +140,81 @@ def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
     win = SlabWindow(Fraction(rho), 2)
     M, d, J, h = pruned.M, pruned.d, pruned.J, len(u)
     K = M ** J
+    if d * K * K >= 2 ** 63:
+        raise InvalidInput("root offsets too large for the int64 scan")
     rho_sq = slope_metrics(pruned, w).rho_sq
     # a hit has M^-J / 2 <= |x1||v1 - v2| <= 2 rho rho_w
     if 4 * win.hi ** 2 * rho_sq < Fraction(1, K * K):
         return []
     lo, hi = clip_x1(*win, A0)
-    if lo >= hi or h >= J:
+    under = [t for t in roots if t[:h] == u]
+    if lo >= hi or h >= J or len(under) < 2:
         return []
     cd = cross_section_dilation(d)
     S, E = cd.numerator, cd.denominator  # tube side S / (E M^J)
-    pairs, D = _slope_pairs(pruned, w, lo, hi, S, E)
-    # a hit has |cen(t1) - cen(t2)| <= 2 rho rho_w + 2 c_d sqrt(d) M^-J
+    pairs = _slope_pairs(pruned, w, lo, hi, S, E)
+    if not pairs:
+        return []
+    # a hit has |cen(t1) - cen(t2)| <= 2 rho rho_w + 2 c_d sqrt(d) M^-J;
+    # no |delta|^2 exceeds d (K - 1)^2, and no box end matters past the
+    # reach, so the offsets, their squares and the box ends fit int64
     reach_sq = 2 * win.hi ** 2 * rho_sq + Fraction(8 * d) * cd * cd / (K * K)
-    reach = int(reach_sq * K * K)
-    under = [(t, cube_index(t, M, d), t[h]) for t in roots if t[:h] == u]
+    reach = min(int(reach_sq * K * K), d * (K - 1) ** 2)
+    lim = isqrt(reach) + 1
+    box = np.array([[(max(l, -lim), min(r, lim)) for l, r in pair[2]] for pair in pairs],
+                   dtype=np.int64)  # (code pair, axis, end)
+    idx = np.array([cube_index(t, M, d) for t in under], dtype=np.int64)
+    branch = {}
+    grp = np.array([branch.setdefault(t[h], len(branch)) for t in under])
 
     out = []
-    for t1, k1, g1 in under:
-        for t2, k2, g2 in under:
-            if g1 == g2:
+    seen = {}  # (delta, code pair) -> geometric hit, asserted when true
+    rows = max(1, _PAIR_BLOCK // len(under))
+    for b0 in range(0, len(under), rows):
+        delta = idx[b0:b0 + rows, None, :] - idx[None, :, :]
+        near = (grp[b0:b0 + rows, None] != grp) & ((delta * delta).sum(axis=2) <= reach)
+        i1, i2 = np.nonzero(near)
+        dsel = delta[i1, i2]
+        inside = np.ones((len(dsel), len(pairs)), dtype=bool)
+        for i in range(d):
+            x = dsel[:, i, None]
+            inside &= (box[:, i, 0] <= x) & (x <= box[:, i, 1])
+        hit_p, hit_q = np.nonzero(inside)  # row-major: t1, t2, then (c1, c2)
+        deltas = list(map(tuple, dsel.tolist()))
+        i1, i2 = (i1 + b0).tolist(), i2.tolist()
+        for p, q in zip(hit_p.tolist(), hit_q.tolist()):
+            delta_p = deltas[p]
+            c1, c2, _, cross, moving, dw = pairs[q]
+            key = (delta_p, q)
+            geometric = seen.get(key)
+            if geometric is None:
+                geometric = seen[key] = all(
+                    fi * delta_p[i] + fj * delta_p[j] < bound
+                    for i, j, fi, fj, bound in cross)
+                if geometric:
+                    _assert_configuration(pruned, delta_p, moving, dw, lo, hi, S, E)
+            if not geometric:
                 continue
-            delta = tuple(a - b for a, b in zip(k1, k2))
-            if sum(x * x for x in delta) > reach:
-                continue
-            for c1, c2, box, cross, moving, dw in pairs:
-                if not all(l <= x <= r for x, (l, r) in zip(delta, box)):
-                    continue
-                if not all(fi * delta[i] + fj * delta[j] < bound
-                           for i, j, fi, fj, bound in cross):
-                    continue
-                # the overlap interval of this axis, x = sgn delta:
-                # r1 = D (-S - E x) / (E K B) and r2 = D (S - E x) / (E K B)
-                lows, highs = [lo], [hi]
-                for i, sgn, B in moving:
-                    x = sgn * delta[i]
-                    lows.append(Fraction(D * (-S - E * x), E * K * B))
-                    highs.append(Fraction(D * (S - E * x), E * K * B))
-                dc = tuple(Fraction(x, K) for x in delta)
-                assert_pair_inequalities(dc, dw, (max(lows), min(highs)), M, J)
-                if is_sticky_admissible(pruned, [(t1, c1), (t2, c2)])[0]:
-                    out.append(((t1, c1), (t2, c2)))
+            t1, t2 = under[i1[p]], under[i2[p]]
+            if is_sticky_admissible(pruned, [(t1, c1), (t2, c2)])[0]:
+                out.append(((t1, c1), (t2, c2)))
     return out
+
+
+def _assert_configuration(pruned, delta, moving, dw, lo, hi, S, E):
+    """The centre and scale inequalities of one lattice configuration, at
+    the midpoint of its overlap interval."""
+    M, J, D = pruned.M, pruned.J, pruned.D
+    K = M ** J
+    # the overlap interval of this axis, x = sgn delta:
+    # r1 = D (-S - E x) / (E K B) and r2 = D (S - E x) / (E K B)
+    lows, highs = [lo], [hi]
+    for i, sgn, B in moving:
+        x = sgn * delta[i]
+        lows.append(Fraction(D * (-S - E * x), E * K * B))
+        highs.append(Fraction(D * (S - E * x), E * K * B))
+    dc = tuple(Fraction(x, K) for x in delta)
+    assert_pair_inequalities(dc, dw, (max(lows), min(highs)), M, J)
 
 
 def enumerate_E2_bruteforce(pruned, u, w, rho, A0: int = 10, roots=None):
@@ -272,15 +323,20 @@ class TupleRecord:
     config: object
 
 
+def _joined_pairs(pruned, anchors, rho, A0, roots):
+    """The two pair collections of a join, E2[u, w] and E2[u2, w2]; with
+    equal anchors they are one collection, computed once."""
+    a, b = (anchors["u"], anchors["w"]), (anchors["u2"], anchors["w2"])
+    e2a = enumerate_E2(pruned, *a, rho, A0, roots)
+    return e2a, e2a if b == a else enumerate_E2(pruned, *b, rho, A0, roots)
+
+
 def enumerate_E3(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
                  rho, A0: int = 10, roots=None):
     """Sticky-admissible triples {(t1,v1),(t2,v2),(t2',v2')} of the given
     3-point type whose two tube pairs both meet the window, with the
     prescribed anchor vertices."""
-    u, u2 = anchors["u"], anchors["u2"]
-    w, w2 = anchors["w"], anchors["w2"]
-    e2a = enumerate_E2(pruned, u, w, rho, A0, roots)
-    e2b = enumerate_E2(pruned, u2, w2, rho, A0, roots)
+    e2a, e2b = _joined_pairs(pruned, anchors, rho, A0, roots)
     shared = {}  # the pairs of e2b by their first tube, in e2b order
     for first, second in e2b:
         shared.setdefault(first, []).append(second)
@@ -312,10 +368,7 @@ def enumerate_E4(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
     """Sticky-admissible quadruples of the given 4-point type with both
     windowed intersections; necessary location conditions are asserted on
     every returned tuple."""
-    u, u2 = anchors["u"], anchors["u2"]
-    w, w2 = anchors["w"], anchors["w2"]
-    e2a = enumerate_E2(pruned, u, w, rho, A0, roots)
-    e2b = enumerate_E2(pruned, u2, w2, rho, A0, roots)
+    e2a, e2b = _joined_pairs(pruned, anchors, rho, A0, roots)
     win_rho = Fraction(rho)
     out = []
     for (ta, ca), (tb, cb) in e2a:

@@ -59,6 +59,13 @@ class ExperimentConfig:
     out_dir: str = "runs"
 
     def __post_init__(self):
+        # exact types: a bool is not an int here
+        for keys, kind, name in ((("M", "C0", "A0", "seeds", "master_seed", "slices"),
+                                  int, "an integer"),
+                                 (("generator", "out_dir"), str, "a string")):
+            for key in keys:
+                if type(getattr(self, key)) is not kind:
+                    raise InvalidInput(f"{key} must be {name}")
         if self.seeds < 1:
             raise InvalidInput("need at least one seed")
         for key in ("n_values", "r_values"):

@@ -231,13 +231,15 @@ class PrunedSlopeTree:
                 hts.append(info.lam)
                 g = info.next_gammas[b]
             self.eta.append(tuple(hts))
-        # lookup tables filled on first use (slope_yca here, the rest by
-        # :mod:`kakeyalab.sticky`): the reference cubes per (root, code)
+        # lookup tables filled on first use (slope_yca here, metrics by
+        # slope_metrics, the rest by :mod:`kakeyalab.sticky`): the
+        # reference cubes per (root, code)
         # alone would be K * 2^N entries, and an instance-level table dies
         # with the instance
         self.ref_cubes: dict[tuple[Address, int], tuple] = {}
         self.slope_ycas: dict[tuple[int, int], Address] = {}
         self.mus: dict[tuple[Address, int], int] = {}
+        self.metrics: dict[Address, SlopeMetrics] = {}
 
     # -- basic accessors -----------------------------------------------------
 
@@ -414,7 +416,13 @@ class SlopeMetrics:
 
 def slope_metrics(p: PrunedSlopeTree, gamma_addr: Address) -> SlopeMetrics:
     """Exact sup/inf distances between slope points across the two children
-    of a splitting vertex, with the comparability inequality asserted."""
+    of a splitting vertex, with the comparability inequality asserted.
+
+    Memoized in ``p.metrics``: the assertions run on the first call for a
+    vertex, and repeat calls return the same object."""
+    got = p.metrics.get(gamma_addr)
+    if got is not None:
+        return got
     if gamma_addr not in p.gamma:
         raise InvalidInput(f"{gamma_addr} is not a splitting vertex")
     kids = p.tree.children(gamma_addr)
@@ -430,5 +438,6 @@ def slope_metrics(p: PrunedSlopeTree, gamma_addr: Address) -> SlopeMetrics:
     # rho <= sqrt(d) M^-h(gamma), i.e. rho^2 <= d M^-2h
     if m.rho_sq > Fraction(p.d, p.M ** (2 * len(gamma_addr))):
         raise AssertionError("rho exceeds the diameter of gamma")
+    p.metrics[gamma_addr] = m
     return m
 

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction as F
 from itertools import product
@@ -5,6 +6,7 @@ from itertools import product
 import pytest
 
 from helpers import all_roots_1d
+from kakeyalab import counting
 from kakeyalab.counting import (
     all_root_cubes,
     bruteforce_E4,
@@ -70,6 +72,87 @@ def test_e2_restricted_equals_bruteforce(inst3):
         assert (total > 0) == hits, name
 
 
+def _benchmark_subset(roots, seed=5):
+    """5 roots per height-2 branch, as in the benchmark."""
+    branches = {}
+    for t in roots:
+        branches.setdefault(t[:2], []).append(t)
+    rng = random.Random(seed)
+    return sorted(t for b in branches.values() for t in rng.sample(b, 5))
+
+
+def test_e2_asserts_each_geometric_configuration_once(inst3, monkeypatch):
+    # at rho = 1/27 no pair under this height-2 anchor is sticky, but the
+    # scan still asserts the inequalities of every geometric hit (at 1/3
+    # the anchor has no geometric hit at all)
+    g1, u, rho = inst3.psi(()), ((1,), (0,)), F(1, 27)
+    roots = _benchmark_subset(all_root_cubes(inst3))
+    seen = []
+    monkeypatch.setattr(counting, "assert_pair_inequalities",
+                        lambda dc, dw, iv, M, J: seen.append((dc, dw)))
+    assert enumerate_E2(inst3, u, g1, rho, roots=roots) == []
+    under = [t for t in roots if t[:2] == u]
+    hits = {}  # (centre offset, c1, c2) of each geometric hit -> (dc, dw)
+    for t1, t2 in product(under, repeat=2):
+        for c1, c2 in product(range(4), repeat=2):
+            if t1[2] == t2[2] or inst3.slope_yca(c1, c2) != g1:
+                continue
+            a, b = make_tube(inst3, t1, c1), make_tube(inst3, t2, c2)
+            if intersects(a, b, SlabWindow(rho)):
+                dc = tuple(x - y for x, y in zip(a.center(), b.center()))
+                hits[dc, c1, c2] = dc, tuple(x - y for x, y in zip(a.slope, b.slope))
+    assert hits and len(seen) == len(hits) and set(seen) == set(hits.values())
+
+    def fail(*args):
+        raise AssertionError("centre inequality fails on an intersecting pair")
+
+    monkeypatch.setattr(counting, "assert_pair_inequalities", fail)
+    with pytest.raises(AssertionError, match="centre inequality"):
+        enumerate_E2(inst3, u, g1, rho, roots=roots)
+
+
+@pytest.mark.parametrize("block", [3, 200])
+def test_e2_blocks_do_not_change_the_scan(inst3, monkeypatch, block):
+    # one t1 per block, and two per block with a ragged last block
+    cases = [((), w, rho) for w in sorted(inst3.gamma) for rho in (F(1, 3), F(1, 27))]
+    want = [enumerate_E2(inst3, *case) for case in cases]
+    monkeypatch.setattr(counting, "_PAIR_BLOCK", block)
+    assert [enumerate_E2(inst3, *case) for case in cases] == want
+    assert any(want)
+
+
+def test_equal_anchor_joins_compute_one_pair_collection(inst3, monkeypatch):
+    roots = _benchmark_subset(all_root_cubes(inst3))
+    anchors = {"u": (), "u2": (), "w": inst3.psi(()), "w2": inst3.psi(())}
+    rho = F(1, 81)
+    e2 = counting.enumerate_E2
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return e2(*args)
+
+    def two_calls(pruned, anchors, rho, A0, roots):
+        return (e2(pruned, anchors["u"], anchors["w"], rho, A0, roots),
+                e2(pruned, anchors["u2"], anchors["w2"], rho, A0, roots))
+
+    def records(join, ctype):
+        return [(r.pairs, r.config) for r in join(inst3, ctype, anchors, rho, roots=roots)]
+
+    joins = [(enumerate_E3, 2), (enumerate_E4, 3)]
+    with monkeypatch.context() as m:
+        m.setattr(counting, "enumerate_E2", counted)
+        got = []
+        for join, ctype in joins:
+            calls.clear()
+            got.append(records(join, ctype))
+            assert len(calls) == 1
+    with monkeypatch.context() as m:
+        m.setattr(counting, "_joined_pairs", two_calls)
+        assert got == [records(join, ctype) for join, ctype in joins]
+    assert all(got)
+
+
 def test_tangent_pairs_are_not_hits(inst3):
     # window ends are closed and coordinate bounds open: a pair whose
     # overlap interval (r1, r2) ends exactly at lo or at hi does not meet
@@ -98,6 +181,16 @@ def test_e2_trivial_scale_empty(inst3):
 def test_e2_anchor_must_be_splitting(inst3):
     with pytest.raises(InvalidInput):
         enumerate_E2(inst3, (), inst3.slope_leaf(0), F(1, 3))
+
+
+def test_e2_refuses_offsets_beyond_int64(inst2):
+    # d M^(2J) squared offsets must fit int64: 2^62 does, 2^64 does not
+    fine = copy.copy(inst2)
+    fine.J = 31
+    assert enumerate_E2(fine, (), inst2.psi(()), F(1, 4), roots=[]) == []
+    fine.J = 32
+    with pytest.raises(InvalidInput, match="int64"):
+        enumerate_E2(fine, (), inst2.psi(()), F(1, 4), roots=[])
 
 
 def test_e2_membership_structure(inst3):

@@ -374,6 +374,26 @@ def test_cli_config_with_malformed_n_values_exit_code(n_values, tmp_path, capsys
     assert "n_values must be a non-empty tuple of integers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cfg, message", [
+    ({"seeds": "3"}, "seeds must be an integer"),
+    ({"slices": 2.5, "seeds": 1, "n_values": [2]}, "slices must be an integer"),
+])
+def test_cli_config_with_mistyped_scalar_exit_code(cfg, message, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**cfg, "out_dir": str(tmp_path)}))
+    assert cli_main(["far-slab", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [{"seeds": True}, {"M": 3.0}, {"C0": "1"}, {"A0": None},
+                                 {"master_seed": 1.5}, {"generator": 3},
+                                 {"out_dir": None}])
+def test_config_refuses_mistyped_scalars(bad):
+    with pytest.raises(InvalidInput, match=f"{next(iter(bad))} must be"):
+        ExperimentConfig(**bad)
+    assert ExperimentConfig(A0=0).A0 == 0
+
+
 @pytest.mark.parametrize("bad", [{"n_values": (2, "3")}, {"n_values": [2, 3]},
                                  {"r_values": ()}, {"r_values": (1, True)}])
 def test_config_refuses_malformed_value_lists(bad):

@@ -78,11 +78,21 @@ def test_metrics_singleton_children():
         assert m.rho_sq == m.delta_sq
 
 
+def test_metrics_are_memoized_on_the_instance():
+    p = prune(cantor_tree(40), N=2, C0=2)
+    for g in p.gamma:
+        m = slope_metrics(p, g)
+        assert slope_metrics(p, g) is m and p.metrics[g] is m
+    assert set(p.metrics) == set(p.gamma)
+
+
 def test_metrics_reject_nonsplitting_vertex():
     p = prune(cantor_tree(40), N=2, C0=2)
     leaf = p.slope_leaf(0)
-    with pytest.raises(InvalidInput):
-        slope_metrics(p, leaf[: p.J - 1])
+    for _ in range(2):  # refused on every call, and never stored
+        with pytest.raises(InvalidInput):
+            slope_metrics(p, leaf[: p.J - 1])
+    assert leaf[: p.J - 1] not in p.metrics
 
 
 def test_psi_bijection_and_roundtrip():
