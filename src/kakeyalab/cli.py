@@ -123,31 +123,22 @@ def cmd_volume(args) -> int:
     return 0
 
 
-def cmd_moments(args) -> int:
+# subcommand -> (run-log name, experiment, help)
+EXPERIMENTS = {
+    "moments": ("moments", experiment_moments, "moment experiment table"),
+    "far-slab": ("far_slab", experiment_far_slab, "far-slab mean experiment"),
+    "ratio": ("ratio", experiment_ratio, "near/far volume ratio experiment"),
+}
+
+
+def cmd_experiment(args) -> int:
     cfg = _config_from_args(args)
+    name, experiment, _ = EXPERIMENTS[args.cmd]
     t0 = time.perf_counter()
-    table = experiment_moments(cfg)
-    append_run_log(cfg, "moments", table, elapsed_s=time.perf_counter() - t0)
-    if args.csv:
+    table = experiment(cfg)
+    append_run_log(cfg, name, table, elapsed_s=time.perf_counter() - t0)
+    if getattr(args, "csv", None):
         write_results_csv(cfg, args.csv)
-    print(json.dumps(table, indent=1))
-    return 0
-
-
-def cmd_far(args) -> int:
-    cfg = _config_from_args(args)
-    t0 = time.perf_counter()
-    table = experiment_far_slab(cfg)
-    append_run_log(cfg, "far_slab", table, elapsed_s=time.perf_counter() - t0)
-    print(json.dumps(table, indent=1))
-    return 0
-
-
-def cmd_ratio(args) -> int:
-    cfg = _config_from_args(args)
-    t0 = time.perf_counter()
-    table = experiment_ratio(cfg)
-    append_run_log(cfg, "ratio", table, elapsed_s=time.perf_counter() - t0)
     print(json.dumps(table, indent=1))
     return 0
 
@@ -266,18 +257,12 @@ def build_parser() -> _Parser:
     p.add_argument("--trial", type=int, default=0)
     p.set_defaults(fn=cmd_volume)
 
-    p = sub.add_parser("moments", help="moment experiment table")
-    _add_config_options(p)
-    p.add_argument("--csv", default=None)
-    p.set_defaults(fn=cmd_moments)
-
-    p = sub.add_parser("far-slab", help="far-slab mean experiment")
-    _add_config_options(p)
-    p.set_defaults(fn=cmd_far)
-
-    p = sub.add_parser("ratio", help="near/far volume ratio experiment")
-    _add_config_options(p)
-    p.set_defaults(fn=cmd_ratio)
+    for cmd, (_, _, text) in EXPERIMENTS.items():
+        p = sub.add_parser(cmd, help=text)
+        _add_config_options(p)
+        if cmd == "moments":
+            p.add_argument("--csv", default=None)
+        p.set_defaults(fn=cmd_experiment)
 
     p = sub.add_parser("percolate", help="survival statistics on a binary tree")
     p.add_argument("--N", type=int, default=3)

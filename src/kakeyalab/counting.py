@@ -18,9 +18,12 @@ only the oracles recompute slope ancestors inline, to stay independent.
 over every root and slope pair through the Fraction test
 ``tubes.intersects``.  The triple and quadruple collections are joins over
 two pair collections (one, when their anchors are equal) filtered by root
-configuration type, with
-:func:`bruteforce_E4` as the quartic oracle.  Everything here is
-desk-scale and exhaustive, guarded by hard size caps.
+configuration type, with :func:`bruteforce_E4` as the quartic oracle.  The
+quadruple join reads the type off its anchors: it returns nothing before
+any pair collection when they rule the type out, and with equal anchors
+joins only pairs on branches of the requested type.
+:func:`slope_complexity` orders and checks its vertices itself.
+Everything here is desk-scale and exhaustive, guarded by hard size caps.
 """
 
 from __future__ import annotations
@@ -249,65 +252,34 @@ def enumerate_E2_bruteforce(pruned, u, w, rho, A0: int = 10, roots=None):
 # slope tuple complexity
 # ---------------------------------------------------------------------------
 
-def rearrange_slope_vertices(pruned: PrunedSlopeTree, verts):
-    """Canonical (w1, w2, w3) with h(w1) <= h(w2) <= h(w3), w2, w3 inside w1.
-
-    Accepts 1-3 distinct splitting vertices under the containment structure
-    of the counting bounds (each pair nested, or two disjoint under a
-    common third); raises InvalidInput when no rearrangement exists.
-    """
-    vs = list(dict.fromkeys(tuple(v) for v in verts))
-    for v in vs:
-        if v not in pruned.gamma:
-            raise InvalidInput(f"{v} is not a splitting vertex")
-    if len(vs) > 3:
-        raise InvalidInput("more than three distinct slope vertices")
-    # coincidences replicate the shallower ancestor, matching the
-    # maximal-height-first selection of the counting argument
-    while len(vs) < 3:
-        vs.append(min(vs, key=len))
-
-    def nested(a, b):
-        return a[: len(b)] == b or b[: len(a)] == a
-
-    pairs_nested = [(i, j) for i in range(3) for j in range(i + 1, 3)
-                    if nested(vs[i], vs[j])]
-    if len(pairs_nested) == 3:
-        out = sorted(vs, key=len)
-        return tuple(out)
-    # exactly one disjoint pair allowed; the third must contain both
-    disj = [(i, j) for i in range(3) for j in range(i + 1, 3)
-            if not nested(vs[i], vs[j])]
-    if len(disj) != 1:
-        raise InvalidInput("slope vertices lack the required nesting")
-    i, j = disj[0]
-    k = 3 - i - j
-    if not (nested(vs[i], vs[k]) and nested(vs[j], vs[k])
-            and len(vs[k]) <= min(len(vs[i]), len(vs[j]))):
-        raise InvalidInput("no vertex dominates the disjoint pair")
-    w3 = max(vs[i], vs[j], key=len)
-    w2 = vs[j] if vs[i] == w3 else vs[i]
-    return (vs[k], w2, w3)
-
-
 def slope_complexity(pruned: PrunedSlopeTree, verts) -> int:
     """The exponent decrement: m-hat for 2 vertices, m for 3 or 4.
 
-    Quadruples may repeat entries (at most three distinct); coincidences
-    are resolved by keeping the distinct vertices and replicating the
-    deepest, the same maximal-height-first convention used for the
-    configuration permutations.
+    The 2 vertices must be nested.  Triples and quadruples may repeat
+    entries (at most three distinct): the distinct vertices, sorted by
+    height and padded with the shallowest (the maximal-height-first
+    convention of the configuration permutations), are w1, w2, w3.  w1
+    must contain w2 and w3; m is 2 nu(w3) + nu(w2) + nu(w1) when w3 lies
+    inside w2, and 2 (nu(w3) + nu(w2)) when they are disjoint.
     """
     given = [tuple(v) for v in verts]
+    if len(given) not in (2, 3, 4):
+        raise InvalidInput("slope complexity takes 2, 3, or 4 vertices")
+    for v in given:
+        if v not in pruned.gamma:
+            raise InvalidInput(f"{v} is not a splitting vertex")
+    nu = pruned.nu
     if len(given) == 2:
         w1, w2 = sorted(given, key=len)
         if w2[: len(w1)] != w1:
             raise InvalidInput("pair of slope vertices must be nested")
-        return 2 * pruned.nu(w2) + pruned.nu(w1)
-    if len(given) not in (3, 4):
-        raise InvalidInput("slope complexity takes 2, 3, or 4 vertices")
-    w1, w2, w3 = rearrange_slope_vertices(pruned, given)
-    nu = pruned.nu
+        return 2 * nu(w2) + nu(w1)
+    vs = sorted(dict.fromkeys(given), key=len)
+    if len(vs) > 3:
+        raise InvalidInput("more than three distinct slope vertices")
+    w1, w2, w3 = vs[:1] * (3 - len(vs)) + vs
+    if w2[: len(w1)] != w1 or w3[: len(w1)] != w1:
+        raise InvalidInput("slope vertices lack the required nesting")
     if w3[: len(w2)] == w2:  # w3 inside w2
         return 2 * nu(w3) + nu(w2) + nu(w1)
     return 2 * (nu(w3) + nu(w2))
@@ -367,12 +339,27 @@ def enumerate_E4(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
                  rho, A0: int = 10, roots=None):
     """Sticky-admissible quadruples of the given 4-point type with both
     windowed intersections; necessary location conditions are asserted on
-    every returned tuple."""
+    every returned tuple.
+
+    Every pair of E2[u, w] has yca u and every pair of E2[u2, w2] yca u2,
+    so the anchors fix the type: none when h(u) > h(u2) (every candidate is
+    swapped), 1 when u2 is not inside u, 2 when u2 is strictly inside u,
+    and, when u = u2, 3 if the two pairs share a branch of u and 1 if not.
+    """
+    u, u2, h = anchors["u"], anchors["u2"], len(anchors["u"])
+    types = () if h > len(u2) else (1,) if u2[:h] != u else (2,) if u2 != u else (1, 3)
+    if ctype not in types:
+        return []
     e2a, e2b = _joined_pairs(pruned, anchors, rho, A0, roots)
+    partners = {}  # the pairs of e2b, in e2b order, by the branches of u they join
     win_rho = Fraction(rho)
     out = []
     for (ta, ca), (tb, cb) in e2a:
-        for (tc, cc), (td, cd) in e2b:
+        key = frozenset((ta[h], tb[h])) if u == u2 else None
+        if key not in partners:
+            partners[key] = [pair for pair in e2b if key is None or key.isdisjoint(
+                (pair[0][0][h], pair[1][0][h])) == (ctype == 1)]
+        for (tc, cc), (td, cd) in partners[key]:
             if len({ta, tb, tc, td}) != 4:
                 continue
             cfg = classify_roots(((ta, tb), (tc, td)))
@@ -521,27 +508,22 @@ def summation_diagnostics(pruned: PrunedSlopeTree) -> list[SumDiagnostic]:
     nu0, h0 = pruned.nu(gamma1), len(gamma1)
     descendants = [g for g in pruned.gamma if g[: len(gamma1)] == gamma1]
 
-    # geometric slope sums over splitting vertices below gamma1
-    for alpha, label in ((2, "alpha>1"), (1, "alpha=1"), (Fraction(1, 2), "alpha<1")):
-        lhs = sum(Fraction(1, 2) ** (alpha * pruned.nu(g)) if alpha != Fraction(1, 2)
-                  else Fraction(0) for g in descendants)
-        if alpha == Fraction(1, 2):
-            lhs_f = sum(2.0 ** (-0.5 * pruned.nu(g)) for g in descendants)
-            rhs = 2.0 ** (-0.5 * nu0) * 2.0 ** (pruned.N * 0.5)
-            out.append(SumDiagnostic(f"slope-sum {label}", lhs_f, rhs,
-                                     lhs_f / rhs))
-            continue
-        if alpha == 1:
-            rhs_exact = pruned.N * Fraction(1, 2 ** nu0)
-            if lhs > rhs_exact:
-                raise AssertionError("alpha=1 sum exceeds N 2^-nu with constant 1")
-            out.append(SumDiagnostic("slope-sum alpha=1 (exact constant)",
-                                     float(lhs), float(rhs_exact),
-                                     float(lhs / rhs_exact), exact_assert=True))
-        else:
-            rhs = Fraction(1, 2 ** (alpha * nu0))
-            out.append(SumDiagnostic(f"slope-sum {label}", float(lhs),
-                                     float(rhs), float(lhs / rhs)))
+    # geometric slope sums over splitting vertices below gamma1, at
+    # alpha = 2, 1 (asserted with constant 1) and 1/2 (in floats)
+    nus = [pruned.nu(g) for g in descendants]
+    lhs = sum(Fraction(1, 4 ** n) for n in nus)
+    rhs = Fraction(1, 4 ** nu0)
+    out.append(SumDiagnostic("slope-sum alpha>1", float(lhs), float(rhs),
+                             float(lhs / rhs)))
+    lhs = sum(Fraction(1, 2 ** n) for n in nus)
+    rhs = pruned.N * Fraction(1, 2 ** nu0)
+    if lhs > rhs:
+        raise AssertionError("alpha=1 sum exceeds N 2^-nu with constant 1")
+    out.append(SumDiagnostic("slope-sum alpha=1 (exact constant)", float(lhs),
+                             float(rhs), float(lhs / rhs), exact_assert=True))
+    lhs_f = sum(2.0 ** (-0.5 * n) for n in nus)
+    rhs_f = 2.0 ** (-0.5 * nu0) * 2.0 ** (pruned.N * 0.5)
+    out.append(SumDiagnostic("slope-sum alpha<1", lhs_f, rhs_f, lhs_f / rhs_f))
 
     # weighted slope sum with the M^-beta h factor
     lhs = sum(Fraction(1, pruned.M ** len(g)) * Fraction(1, 2 ** pruned.nu(g))

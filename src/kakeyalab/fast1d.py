@@ -73,25 +73,15 @@ def _tent_antiderivative(x: int, Q: int) -> int:
     return 2 * Q * Q
 
 
-def _lattice(window: tuple[Fraction, Fraction], a0: int):
-    """The window clipped to [0, 10 a0] with its ends over their common
-    denominator q: (A, B, q) for [A/q, B/q], or None when it is empty."""
-    a, b = clip_x1(*window, a0)
-    if a >= b:
-        return None
-    q = lcm(a.denominator, b.denominator)
-    return a.numerator * (q // a.denominator), b.numerator * (q // b.denominator), q
-
-
 def cs_bound(window: tuple[Fraction, Fraction], pair: Fraction,
              a0: int = DEFAULT_A0) -> Fraction:
     """Cauchy-Schwarz lower bound on the union volume in the x1 window:
     the total tube volume squared over itself plus the pairwise sum
     ``pair`` (the same for every K, since K tubes of side 1/(W K))."""
-    if (lat := _lattice(window, a0)) is None:
+    lo, hi = clip_x1(*window, a0)
+    if lo >= hi:
         return Fraction(0)
-    A, B, q = lat
-    diag = cross_section_dilation(1) * Fraction(B - A, q)
+    diag = cross_section_dilation(1) * (hi - lo)
     return diag * diag / (diag + pair)
 
 
@@ -226,9 +216,12 @@ class FastInstance:
         the exact length of the union of cross-sections there."""
         if slices < 1:
             raise InvalidInput("need at least one slice")
-        if (lat := _lattice(window, a0)) is None:
+        lo, hi = clip_x1(*window, a0)
+        if lo >= hi:
             return Fraction(0)
-        A, B, q = lat
+        # the clipped window is [A/q, B/q] over its ends' common denominator
+        q = lcm(lo.denominator, hi.denominator)
+        A, B = int(lo * q), int(hi * q)
         # slice k sits at (2 slices A + (B - A)(2k + 1)) / den
         K, den = self.K, 2 * slices * q
         scale = lcm(2 * K * den, W * K, self.D * den)

@@ -28,7 +28,7 @@ import math
 import platform
 import statistics
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -321,24 +321,6 @@ def count_inversions(seq) -> int:
 # persistence
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RunRecord:
-    config_hash: str
-    experiment: str
-    payload: dict
-    timestamp: float = field(default_factory=time.time)
-    provenance: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "config_hash": self.config_hash,
-            "experiment": self.experiment,
-            "timestamp": self.timestamp,
-            "payload": self.payload,
-            **self.provenance,
-        }, default=str)
-
-
 def _git_sha() -> str | None:
     """The commit of the checkout this package runs from, or None when
     there is no checkout or git fails."""
@@ -375,14 +357,16 @@ def _provenance(config: ExperimentConfig, elapsed_s: float | None) -> dict:
 
 def append_run_log(config: ExperimentConfig, experiment: str, payload: dict,
                    elapsed_s: float | None = None):
-    """Append one record to ``runlog.jsonl``; ``elapsed_s`` is the wall
-    time of the experiment that produced ``payload``."""
+    """Append one record to ``runlog.jsonl`` and return it as a dict;
+    ``elapsed_s`` is the wall time of the experiment that produced
+    ``payload``."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rec = RunRecord(config.config_hash(), experiment, payload,
-                    provenance=_provenance(config, elapsed_s))
+    rec = {"config_hash": config.config_hash(), "experiment": experiment,
+           "timestamp": time.time(), "payload": payload,
+           **_provenance(config, elapsed_s)}
     with open(out / "runlog.jsonl", "a") as fh:
-        fh.write(rec.to_json() + "\n")
+        fh.write(json.dumps(rec, default=str) + "\n")
     return rec
 
 

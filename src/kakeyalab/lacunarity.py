@@ -16,6 +16,7 @@ recurses on the maximal-split ray to produce verified witnesses of order N.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -85,17 +86,9 @@ class LacunaryWitness:
 
 
 def _gap_index(sorted_support: list, u: Rational) -> int:
-    m = len(sorted_support)
-    if u >= sorted_support[-1]:
-        return m - 1
-    lo, hi = 0, m - 2
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if sorted_support[mid] <= u:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    """The gap of u: the last support point at or below u (0 below the
+    first); the largest point is its own pseudo-gap."""
+    return max(0, bisect_right(sorted_support, u) - 1)
 
 
 def verify_witness(points: Sequence[Rational], w: LacunaryWitness) -> bool:

@@ -12,6 +12,9 @@ Two concrete trees are provided:
 * :class:`DigitRuleTree` is generated lazily by a digit rule, so that e.g.
   a depth-40 Cantor tree is usable without materializing 2^40 vertices.
 
+Their common base :class:`MadicTree` memoizes child lookups and split
+values; a tree kind supplies only ``_children(addr)``.
+
 All coordinates are :class:`fractions.Fraction`; membership and ancestry
 are decided exactly, never by floating comparison.
 """
@@ -22,6 +25,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from typing import Callable, Iterable, Sequence
 
 from .errors import InvalidInput, SizeCapExceeded
@@ -108,7 +112,9 @@ def point_distance_sq(p: Point, q: Point) -> Fraction:
 # ---------------------------------------------------------------------------
 
 class MadicTree:
-    """Base class: immutable after construction, memoized child lookup.
+    """Base class: immutable after construction, memoized child lookup and
+    split values.  Subclasses supply ``_children(addr)``, the sorted child
+    digits of a vertex below full height.
 
     Safe for shared concurrent reads: memo entries are only ever inserted
     with values that are functions of immutable state, so a racing reader
@@ -121,10 +127,19 @@ class MadicTree:
         self.M = M
         self.d = d
         self.height = height
+        self._child_memo: dict[Address, tuple[Digits, ...]] = {}
+        self._split_memo: dict[Address, int] = {}
 
-    # subclasses implement _children(addr)
-    def children(self, addr: Address) -> tuple[Digits, ...]:
+    def _children(self, addr: Address) -> tuple[Digits, ...]:
         raise NotImplementedError
+
+    def children(self, addr: Address) -> tuple[Digits, ...]:
+        if len(addr) >= self.height:
+            return ()
+        got = self._child_memo.get(addr)
+        if got is None:
+            got = self._child_memo[addr] = self._children(addr)
+        return got
 
     def vertices(self, max_height: int | None = None) -> Iterable[Address]:
         """Breadth-first enumeration up to max_height (inclusive)."""
@@ -146,8 +161,11 @@ class MadicTree:
     def split_value(self, addr: Address) -> int:
         """split_T(addr): max over subtrees rooted there of the min number
         of splitting vertices along a ray."""
-        return split_combine(self.split_value(addr + (dg,))
-                             for dg in self.children(addr))
+        got = self._split_memo.get(addr)
+        if got is None:
+            got = self._split_memo[addr] = split_combine(
+                self.split_value(addr + (dg,)) for dg in self.children(addr))
+        return got
 
     def min_point(self, addr: Address) -> Point:
         """Lexicographically minimal backing point inside the cube."""
@@ -174,9 +192,7 @@ class PointSetTree(MadicTree):
                 if not (0 <= c < 1):
                     raise InvalidInput(f"coordinate {c} outside [0,1)")
         self.points = tuple(sorted(set(points)))
-        self._child_memo: dict[Address, tuple[Digits, ...]] = {}
         self._member_memo: dict[Address, tuple[Point, ...]] = {(): self.points}
-        self._split_memo: dict[Address, int] = {}
 
     def _members(self, addr: Address) -> tuple[Point, ...]:
         got = self._member_memo.get(addr)
@@ -191,31 +207,18 @@ class PointSetTree(MadicTree):
             self._member_memo[addr] = got
         return got
 
-    def children(self, addr: Address) -> tuple[Digits, ...]:
-        if len(addr) >= self.height:
-            return ()
-        got = self._child_memo.get(addr)
-        if got is None:
-            k = len(addr) + 1
-            digs = sorted({
-                tuple(point_digit(c, self.M, k) for c in p)
-                for p in self._members(addr)
-            })
-            got = tuple(digs)
-            self._child_memo[addr] = got
-        return got
+    def _children(self, addr: Address) -> tuple[Digits, ...]:
+        k = len(addr) + 1
+        return tuple(sorted({
+            tuple(point_digit(c, self.M, k) for c in p)
+            for p in self._members(addr)
+        }))
 
     def min_point(self, addr: Address) -> Point:
         members = self._members(addr)
         if not members:
             raise InvalidInput("empty cube")
         return min(members)
-
-    def split_value(self, addr: Address) -> int:
-        got = self._split_memo.get(addr)
-        if got is None:
-            got = self._split_memo[addr] = super().split_value(addr)
-        return got
 
 
 class DigitRuleTree(MadicTree):
@@ -225,7 +228,8 @@ class DigitRuleTree(MadicTree):
     of the subtree rooted at ``addr``; generators whose structure makes this
     value obvious (Cantor-type sets split at every level) supply it so that
     pruning never explores the full tree.  Without it the value is computed
-    recursively, which materializes the subtree.
+    recursively (and memoized by the base class), which materializes the
+    subtree.
 
     The backing point of a vertex is the origin of its lexicographically
     minimal full-height extension, so ``min_point`` is exact and cheap.
@@ -237,29 +241,18 @@ class DigitRuleTree(MadicTree):
         super().__init__(M, d, height)
         self._rule = rule
         self._split_fn = split_fn
-        self._child_memo: dict[Address, tuple[Digits, ...]] = {}
 
-    def children(self, addr: Address) -> tuple[Digits, ...]:
-        if len(addr) >= self.height:
-            return ()
-        got = self._child_memo.get(addr)
-        if got is None:
-            got = tuple(sorted(self._rule(addr)))
-            self._child_memo[addr] = got
-        return got
+    def _children(self, addr: Address) -> tuple[Digits, ...]:
+        return tuple(sorted(self._rule(addr)))
 
     def split_value(self, addr: Address) -> int:
         if self._split_fn is not None:
             return self._split_fn(addr)
         return super().split_value(addr)
 
-    def min_point(self, addr: Address, at_height: int | None = None) -> Point:
-        stop = self.height if at_height is None else at_height
+    def min_point(self, addr: Address) -> Point:
         cur = addr
-        while len(cur) < stop:
-            kids = self.children(cur)
-            if not kids:
-                break
+        while kids := self.children(cur):
             cur = cur + (kids[0],)
         return cube_origin(cur, self.M, self.d)
 
@@ -270,12 +263,7 @@ def cantor_tree(depth: int, digits: Sequence[int] = (0, 2), M: int = 3,
 
     Every vertex splits, so split(subtree at height h) = depth - h.
     """
-    digs = tuple(sorted(digits))
-    if d == 1:
-        kids = tuple((g,) for g in digs)
-    else:
-        from itertools import product
-        kids = tuple(product(digs, repeat=d))
+    kids = tuple(product(sorted(digits), repeat=d))
     return DigitRuleTree(lambda addr: kids, M, d, depth,
                          split_fn=lambda addr: depth - len(addr))
 
@@ -313,9 +301,9 @@ def splitting_number(tree) -> int:
     return tree.split_value(())
 
 
-def split_values(tree, max_height: int | None = None) -> dict[Address, int]:
-    """Per-vertex split values for every vertex up to max_height."""
-    return {v: tree.split_value(v) for v in tree.vertices(max_height)}
+def split_values(tree) -> dict[Address, int]:
+    """Per-vertex split values for every vertex."""
+    return {v: tree.split_value(v) for v in tree.vertices()}
 
 
 def splitting_number_bruteforce(tree, cap: int = 24) -> int:

@@ -392,10 +392,5 @@ def inclusion_check(x, sticky_map: StickyMap, A0: int = DEFAULT_A0):
     and whose (dilated) tube contains x, or None; absence of a witness is
     equivalent to non-membership.
     """
-    pruned = sticky_map.pruned
-    for t, code in poss(x, pruned, A0).items():
-        if sticky_map.slope_code(t) != code:
-            continue
-        if make_tube(pruned, t, code, A0).contains(x):
-            return t
-    return None
+    return next((t for t, code in poss_strict(x, sticky_map.pruned, A0).items()
+                 if sticky_map.slope_code(t) == code), None)

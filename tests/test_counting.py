@@ -20,7 +20,7 @@ from kakeyalab.counting import (
 from kakeyalab.errors import InvalidInput, SizeCapExceeded
 from kakeyalab.madic import cantor_tree, full_tree, youngest_common_ancestor
 from kakeyalab.pruning import prune
-from kakeyalab.sticky import classify_roots
+from kakeyalab.sticky import classify_roots, is_sticky_admissible
 from kakeyalab.tubes import SlabWindow, intersects, make_tube
 
 
@@ -32,6 +32,11 @@ def inst3():
 @pytest.fixture(scope="module")
 def inst2():
     return prune(full_tree(12, 2), N=2, C0=1)  # M=2, J=4, 16 roots
+
+
+@pytest.fixture(scope="module")
+def inst4():
+    return prune(full_tree(12, M=4), N=2, C0=1)  # M=4, J=2, 16 roots
 
 
 def test_root_cap():
@@ -225,6 +230,8 @@ def test_slope_complexity_cases(inst3):
     assert slope_complexity(inst3, [g1, l2[0]]) == 2 * inst3.nu(l2[0]) + inst3.nu(g1)
     with pytest.raises(InvalidInput):
         slope_complexity(inst3, [l2[0], l2[1]])  # disjoint pair, no m-hat
+    with pytest.raises(InvalidInput):
+        slope_complexity(inst3, [g1, inst3.slope_leaf(0)])  # a leaf does not split
 
 
 def test_slope_tuple_count_bounds():
@@ -290,6 +297,100 @@ def test_e4_matches_bruteforce_and_containment(inst2):
                         assert tuple(rec.pairs[:2]) in {tuple(x) for x in e2a}
                         assert tuple(rec.pairs[2:]) in {tuple(x) for x in e2b}
     assert found_any
+
+
+@pytest.mark.parametrize("ctype, count", [(1, 16), (2, 0), (3, 64)])
+def test_e4_equal_anchors_match_bruteforce(inst4, ctype, count):
+    # at M = 4 two pairs under u = u2 can take four distinct branches of u,
+    # the one instance here where that type-1 case is reachable
+    roots = random.Random(1).sample(all_root_cubes(inst4), 8)
+    g1 = inst4.psi(())
+    anchors = {"u": (), "u2": (), "w": g1, "w2": g1}
+    got = [(r.pairs, r.config) for r in enumerate_E4(inst4, ctype, anchors, 1, roots=roots)]
+    bf = [(r.pairs, r.config) for r in bruteforce_E4(inst4, ctype, anchors, 1, roots=roots)]
+    assert len(got) == len(set(got)) == count
+    assert set(got) == set(bf)
+
+
+def test_e4_skips_candidates_the_anchors_rule_out(inst3, monkeypatch):
+    roots = _benchmark_subset(all_root_cubes(inst3))
+    g1, rho = inst3.psi(()), F(1, 3)
+    e2, calls, classified = counting.enumerate_E2, [], []
+
+    def counted(*args):
+        calls.append(args)
+        return e2(*args)
+
+    monkeypatch.setattr(counting, "enumerate_E2", counted)
+    monkeypatch.setattr(counting, "classify_roots", classified.append)
+    # no pair collection when the anchors rule out the type: every candidate
+    # swapped, or u2 outside u (type 1), strictly inside (2) or equal (1, 3)
+    for u, u2, ctypes in ((((0,),), (), (1, 2, 3)), (((0,),), ((2,),), (2, 3)),
+                          ((), ((0,),), (1, 3)), ((), (), (2,))):
+        for ctype in ctypes:
+            anchors = {"u": u, "u2": u2, "w": g1, "w2": g1}
+            assert enumerate_E4(inst3, ctype, anchors, rho, roots=roots) == []
+    assert calls == []
+    # under the Cantor root every pair takes both of its two branches, so
+    # no two pairs are of type 1 and no candidate is classified
+    anchors = {"u": (), "u2": (), "w": g1, "w2": g1}
+    assert enumerate_E4(inst3, 1, anchors, rho, roots=roots) == []
+    assert len(calls) == 1 and classified == []
+
+
+def _bruteforce_E3(pruned, ctype, anchors, rho, roots):
+    """Oracle of ``enumerate_E3``: every root triple and code triple with
+    the anchors, the configuration type, joint stickiness and both
+    Fraction intersection tests."""
+    win = SlabWindow(F(rho), 2)
+
+    def D(c1, c2):
+        return youngest_common_ancestor(pruned.slope_leaf(c1), pruned.slope_leaf(c2))
+
+    out = set()
+    for ta, tb, td in product(roots, repeat=3):
+        if len({ta, tb, td}) != 3 or youngest_common_ancestor(ta, tb) != anchors["u"] \
+                or youngest_common_ancestor(ta, td) != anchors["u2"]:
+            continue
+        cfg = classify_roots((ta, tb, td))
+        if cfg.swapped or cfg.ctype != ctype:
+            continue
+        for ca, cb, cd in product(range(2 ** pruned.N), repeat=3):
+            if D(ca, cb) != anchors["w"] or D(ca, cd) != anchors["w2"]:
+                continue
+            prs = ((ta, ca), (tb, cb), (td, cd))
+            if not is_sticky_admissible(pruned, prs)[0]:
+                continue
+            a, b, c = (make_tube(pruned, t, code) for t, code in prs)
+            if not (intersects(a, b, win) and intersects(a, c, win)):
+                continue
+            if ctype == 2 and (anchors.get("t") not in (None, youngest_common_ancestor(tb, td))
+                               or anchors.get("vtheta") not in (None, D(cb, cd))):
+                continue
+            out.add((prs, cfg))
+    return out
+
+
+def test_e3_matches_bruteforce(inst2, inst4):
+    g2, l2 = inst2.psi(()), inst2.gamma_levels[2]
+    g4 = inst4.psi(())
+    cases = [(inst2, all_root_cubes(inst2)[:12], F(1, 4),
+              {"u": u, "u2": u2, "w": g2, "w2": w2, **extra})
+             for u, u2 in (((), ()), ((), ((0,),)), (((0,),), ()))
+             for w2 in (g2, l2[0])
+             for extra in ({}, {"t": ((0,),)}, {"vtheta": g2})]
+    cases.append((inst4, random.Random(1).sample(all_root_cubes(inst4), 8), F(1),
+                  {"u": (), "u2": (), "w": g4, "w2": g4}))
+    found = {1: 0, 2: 0}
+    for pruned, roots, rho, anchors in cases:
+        for ctype in (1, 2):
+            got = [(r.pairs, r.config)
+                   for r in enumerate_E3(pruned, ctype, anchors, rho, roots=roots)]
+            assert len(got) == len(set(got))
+            assert set(got) == _bruteforce_E3(pruned, ctype, anchors, rho, roots), \
+                (ctype, anchors)
+            found[ctype] += len(got)
+    assert all(found.values())
 
 
 def test_e3_join_structure(inst3):

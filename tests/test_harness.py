@@ -245,7 +245,7 @@ def test_run_log_and_csv(tmp_path, cfg):
     sha = parsed["git_sha"]
     assert sha is None or re.fullmatch("[0-9a-f]{40}", sha)
     assert parsed["config_hash"] == cfg2.config_hash()
-    assert parsed["experiment"] == "far_slab" and parsed["timestamp"] == rec.timestamp
+    assert parsed["experiment"] == "far_slab" and parsed["timestamp"] == rec["timestamp"]
     assert parsed["payload"] == json.loads(json.dumps(table))
     # provenance: the full config, the versions and the cache counts
     assert ExperimentConfig.from_json(json.dumps(parsed["config"])) == cfg2
