@@ -11,7 +11,8 @@ comparisons.  One numpy pass per call runs them over every root pair and
 code pair (int64 offsets and clipped box ends; the cross forms of d >= 2
 stay Python ints), the centre and scale inequalities are asserted once
 per distinct (offset, code pair) among the geometric hits, and
-stickiness is tested on geometric hits only.  Slope ancestors, slope
+stickiness is one comparison per call, lambda(w) > h(u), since every hit
+shares the root anchor u and the slope anchor w.  Slope ancestors, slope
 metrics and the lattice are the per-instance tables every module reads;
 only the oracles recompute slope ancestors inline, to stay independent.
 :func:`enumerate_E2_bruteforce` is its independent oracle, a plain loop
@@ -133,7 +134,9 @@ def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
     are Python-int tests on the box survivors.  The centre and scale
     inequalities depend only on (delta, code pair), so they are asserted
     once per distinct configuration among the geometric hits, including
-    hits that stickiness then rejects.  Stickiness is tested per hit.
+    hits that stickiness then rejects.  Stickiness is decided once per
+    call: every hit has root yca u and slope yca w, so it is sticky
+    exactly when lambda(w) > h(u).
     ``enumerate_E2_bruteforce`` is the independent Fraction oracle.
     """
     if w not in pruned.gamma:
@@ -158,6 +161,10 @@ def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
     pairs = _slope_pairs(pruned, w, lo, hi, S, E)
     if not pairs:
         return []
+    # every hit has root yca u and slope yca w, so one comparison decides
+    # the stickiness of them all: the first reference cube where the
+    # codes differ is shared by both roots iff lambda(w) <= h(u)
+    admissible = pruned.gamma[w].lam > h
     # a hit has |cen(t1) - cen(t2)| <= 2 rho rho_w + 2 c_d sqrt(d) M^-J;
     # no |delta|^2 exceeds d (K - 1)^2, and no box end matters past the
     # reach, so the offsets, their squares and the box ends fit int64
@@ -196,11 +203,8 @@ def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
                     for i, j, fi, fj, bound in cross)
                 if geometric:
                     _assert_configuration(pruned, delta_p, moving, dw, lo, hi, S, E)
-            if not geometric:
-                continue
-            t1, t2 = under[i1[p]], under[i2[p]]
-            if is_sticky_admissible(pruned, [(t1, c1), (t2, c2)])[0]:
-                out.append(((t1, c1), (t2, c2)))
+            if geometric and admissible:
+                out.append(((under[i1[p]], c1), (under[i2[p]], c2)))
     return out
 
 

@@ -24,10 +24,15 @@ in the tables that :mod:`kakeyalab.counting`, :mod:`kakeyalab.tubes` and
 :mod:`kakeyalab.fast1d` read too: the pruned tree builds its code-bit,
 slope-index and slope-lattice tables up front and memoizes
 ``slope_yca`` per code pair; the reference cubes per (root, code) and mu
-per (vertex, height) are memoized on it here.  One private pass
-normalizes a prescription's pairs and merges their constraints, once per
-call of :func:`is_sticky_admissible`, :func:`prob_exact`,
-:func:`prob_closed_form` or :class:`ReferenceTree`.
+per (vertex, height) are memoized on it here.  Each call of
+:func:`is_sticky_admissible`, :func:`prob_exact`, :func:`prob_closed_form`
+or :class:`ReferenceTree` makes one private pass: it range-checks and
+normalizes the prescription's pairs, which then serve directly as keys of
+the reference-cube memo, and merges their constraints.  Two module caches
+hold what depends on no instance: :func:`classify_roots` keeps the
+configurations of the last ``CONFIG_CACHE_SIZE`` root tuples (a sweep
+asks about one root tuple for each of its code tuples), and every
+probability is the one shared ``Fraction`` 2^-n of its exponent.
 """
 
 from __future__ import annotations
@@ -35,12 +40,15 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from ._mix import bit_from_keys
 from .errors import InvalidInput, SizeCapExceeded
 from .madic import Address, ancestor, cube_index, youngest_common_ancestor
 from .pruning import PrunedSlopeTree
+
+CONFIG_CACHE_SIZE = 1024  # root tuples whose configuration classify_roots keeps
 
 
 class BernoulliWarehouse:
@@ -155,27 +163,10 @@ def sample_assignment(pruned: PrunedSlopeTree, seed: int) -> StickyMap:
 # prescribed-assignment probabilities
 # ---------------------------------------------------------------------------
 
-def _normalize_pairs(pruned: PrunedSlopeTree, pairs):
-    """(root tuple, slope code) pairs.  A slope is an integer code (a numpy
-    integer too) or a slope point; each code is range-checked before any
-    table lookup, since a negative code would otherwise index from the end."""
-    out = []
-    n_codes, J = len(pruned.slopes), pruned.J
-    for t, v in pairs:
-        try:
-            code = operator.index(v)
-        except TypeError:
-            try:
-                point = tuple(v)
-            except TypeError:
-                raise InvalidInput(f"slope {v!r} is neither a code nor a point") from None
-            code = pruned.slope_index(point)
-        if not 0 <= code < n_codes:
-            raise InvalidInput(f"slope code {code} outside 0..{n_codes - 1}")
-        if len(t) != J:
-            raise InvalidInput("roots must be height-J cubes")
-        out.append((tuple(t), code))
-    return out
+@lru_cache(maxsize=None)
+def _half_power(n: int) -> Fraction:
+    """2^-n, one shared ``Fraction`` per exponent."""
+    return Fraction(1, 2 ** n)
 
 
 def reference_cubes(pruned: PrunedSlopeTree, t: Address, code: int) -> tuple:
@@ -196,19 +187,44 @@ def reference_cubes(pruned: PrunedSlopeTree, t: Address, code: int) -> tuple:
 
 
 def _constraints(pruned: PrunedSlopeTree, pairs, required: bool):
-    """The one admissibility pass: normalized pairs and the bit each of
-    their distinct reference cubes must carry, merged once.  When some
-    cube would need two bits the constraints are None, or InvalidInput is
-    raised if ``required``."""
-    pairs = _normalize_pairs(pruned, pairs)
-    constraints: dict[Address, int] = {}
+    """The one admissibility pass: the normalized (root tuple, slope code)
+    pairs, which are the keys of the reference-cube memo, and the bit each
+    of their distinct reference cubes must carry, merged once.  A slope is
+    an integer code (a numpy integer too) or a slope point; every pair is
+    range-checked, and each before its memo lookup, since a negative code
+    would otherwise index from the end.  When some cube would need two bits
+    the constraints are None, or InvalidInput is raised if ``required``."""
+    n_codes, J, memo = len(pruned.slopes), pruned.J, pruned.ref_cubes
+    keys, constraints = [], {}
     for t, code in pairs:
-        for cube, bit in reference_cubes(pruned, t, code):
+        if type(code) is not int:
+            try:
+                code = operator.index(code)
+            except TypeError:
+                try:
+                    point = tuple(code)
+                except TypeError:
+                    raise InvalidInput(
+                        f"slope {code!r} is neither a code nor a point") from None
+                code = pruned.slope_index(point)
+        if not 0 <= code < n_codes:
+            raise InvalidInput(f"slope code {code} outside 0..{n_codes - 1}")
+        if len(t) != J:
+            raise InvalidInput("roots must be height-J cubes")
+        key = (t if type(t) is tuple else tuple(t), code)
+        keys.append(key)
+        if constraints is None:
+            continue
+        cubes = memo.get(key)
+        if cubes is None:
+            cubes = reference_cubes(pruned, *key)
+        for cube, bit in cubes:
             if constraints.setdefault(cube, bit) != bit:
-                if required:
-                    raise InvalidInput("assignment is not sticky-admissible")
-                return pairs, None
-    return pairs, constraints
+                constraints = None
+                break
+    if constraints is None and required:
+        raise InvalidInput("assignment is not sticky-admissible")
+    return keys, constraints
 
 
 class ReferenceTree:
@@ -237,7 +253,7 @@ class ReferenceTree:
 
     @property
     def probability(self) -> Fraction:
-        return Fraction(1, 2 ** self.n)
+        return _half_power(self.n)
 
     def children(self, path: tuple) -> tuple[Address, ...]:
         """The cubes one level below the end of ``path``, which lists the
@@ -257,13 +273,13 @@ def is_sticky_admissible(pruned: PrunedSlopeTree, pairs):
 def prob_exact(pruned: PrunedSlopeTree, pairs) -> Fraction:
     """Exact probability of the prescribed assignment: 2^-(number of
     distinct reference cubes)."""
-    return Fraction(1, 2 ** len(_constraints(pruned, pairs, required=True)[1]))
+    return _half_power(len(_constraints(pruned, pairs, required=True)[1]))
 
 
 def prob_enumerate(pruned: PrunedSlopeTree, pairs, cap_bits: int = 20) -> Fraction:
     """Oracle: exhaust all realizations of the warehouse bits that can
     influence the listed roots, and count the matching ones."""
-    pairs = _normalize_pairs(pruned, pairs)
+    pairs = _constraints(pruned, pairs, required=False)[0]
     cubes = sorted({ancestor(t, h)
                     for t, _ in pairs for h in pruned.fundamental_heights})
     if len(cubes) > cap_bits:
@@ -333,8 +349,17 @@ class RootConfiguration:
 
 def classify_roots(roots) -> RootConfiguration:
     """Configuration type of a 3-tuple (t1, t2, t2') or an ordered pair of
-    pairs ((t1, t2), (t1', t2')) of distinct root cubes."""
+    pairs ((t1, t2), (t1', t2')) of distinct root cubes.  Lists are read as
+    tuples; the configurations of the last ``CONFIG_CACHE_SIZE`` root
+    tuples are kept, and invalid input raises on every call."""
     roots = tuple(roots)
+    if len(roots) == 2:
+        roots = tuple(map(tuple, roots))
+    return _classify_roots(roots)
+
+
+@lru_cache(maxsize=CONFIG_CACHE_SIZE)
+def _classify_roots(roots: tuple) -> RootConfiguration:
     if len(roots) == 3:
         t1, t2, t2p = roots
         if len({t1, t2, t2p}) != 3:
@@ -378,6 +403,9 @@ def classify_roots(roots) -> RootConfiguration:
     return RootConfiguration(4, ctype, ((t1, t2), (t1p, t2p)), swapped, u, u2)
 
 
+classify_roots.cache_info = _classify_roots.cache_info
+
+
 def prob_closed_form(pruned: PrunedSlopeTree, pairs) -> Fraction:
     """Closed-form probability for 2, 3, or 4 prescribed root-slope pairs.
 
@@ -389,21 +417,21 @@ def prob_closed_form(pruned: PrunedSlopeTree, pairs) -> Fraction:
     n = len(pairs)
     N = pruned.N
     if n == 1:
-        return Fraction(1, 2 ** N)
+        return _half_power(N)
 
     if n == 2:
         (t1, c1), (t2, c2) = pairs
         if t1 == t2:
             if c1 != c2:
                 raise InvalidInput("one root with two slopes")
-            return Fraction(1, 2 ** N)
+            return _half_power(N)
         u = youngest_common_ancestor(t1, t2)
         w = pruned.slope_yca(c1, c2)
-        return Fraction(1, 2 ** (2 * N - mu(pruned, w, len(u))))
+        return _half_power(2 * N - mu(pruned, w, len(u)))
 
     if n == 3:
         (ta, ca), (tb, cb), (tc, cc) = pairs
-        cfg = classify_roots((ta, tb, tc))
+        cfg = _classify_roots((ta, tb, tc))
         if cfg.swapped:
             (tb, cb), (tc, cc) = (tc, cc), (tb, cb)
         k, k2 = len(cfg.u), len(cfg.u2)
@@ -415,11 +443,11 @@ def prob_closed_form(pruned: PrunedSlopeTree, pairs) -> Fraction:
             t = youngest_common_ancestor(tb, tc)
             vt = pruned.slope_yca(cb, cc)
             expo = 3 * N - mu(pruned, w, k) - mu(pruned, vt, len(t))
-        return Fraction(1, 2 ** expo)
+        return _half_power(expo)
 
     if n == 4:
         (ta, ca), (tb, cb), (tC, cC), (td, cd) = pairs
-        cfg = classify_roots(((ta, tb), (tC, td)))
+        cfg = _classify_roots(((ta, tb), (tC, td)))
         if cfg.swapped:
             (ta, ca), (tb, cb), (tC, cC), (td, cd) = (tC, cC), (td, cd), (ta, ca), (tb, cb)
         k, k2 = len(cfg.u), len(cfg.u2)
@@ -443,7 +471,7 @@ def prob_closed_form(pruned: PrunedSlopeTree, pairs) -> Fraction:
             th2 = pruned.slope_yca((ca, cb)[i2], (cC, cd)[j2])
             expo = (4 * N - mu(pruned, w, k) - mu(pruned, th1, len(s1))
                     - mu(pruned, th2, len(s2)))
-        return Fraction(1, 2 ** expo)
+        return _half_power(expo)
 
     raise InvalidInput("closed forms exist for 2, 3, or 4 pairs only")
 

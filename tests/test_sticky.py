@@ -11,7 +11,9 @@ from kakeyalab.errors import InvalidInput, SizeCapExceeded
 from kakeyalab.fast1d import FastInstance
 from kakeyalab.madic import cantor_tree, full_tree, youngest_common_ancestor
 from kakeyalab.pruning import prune
+from kakeyalab.counting import all_root_cubes
 from kakeyalab.sticky import (
+    CONFIG_CACHE_SIZE,
     BernoulliWarehouse,
     ReferenceTree,
     classify_roots,
@@ -273,8 +275,67 @@ def test_three_point_classification_matches_conditions(inst, roots):
 
 
 def test_duplicate_roots_rejected(inst, roots):
-    with pytest.raises(InvalidInput):
-        classify_roots((roots[0], roots[0], roots[1]))
+    # the configuration cache keeps no failure: every call raises
+    for _ in range(2):
+        with pytest.raises(InvalidInput):
+            classify_roots((roots[0], roots[0], roots[1]))
+        with pytest.raises(InvalidInput):
+            classify_roots(((roots[0], roots[1]), (roots[2], roots[0])))
+
+
+def test_configuration_cache(roots):
+    assert classify_roots.cache_info().maxsize == CONFIG_CACHE_SIZE
+    triple, quad = roots[1:4], roots[4:8]
+    assert classify_roots(list(triple)) == classify_roots(tuple(triple))
+    assert classify_roots([list(quad[:2]), list(quad[2:])]) \
+        == classify_roots(((quad[0], quad[1]), (quad[2], quad[3]))) \
+        == classify_roots(tuple(quad))
+    assert classify_roots(list(triple)) is classify_roots(tuple(triple))
+
+
+def test_cached_paths_still_refuse_bad_prescriptions(inst, roots):
+    # a warm configuration cache and shared powers of 1/2 change no verdict:
+    # every call on an inadmissible or out-of-range prescription raises
+    for ts in (roots[0:3], roots[0:4], roots[3:5] + roots[12:14]):
+        verdicts = {}
+        for cs in product(range(4), repeat=len(ts)):
+            prs = list(zip(ts, cs))
+            verdicts.setdefault(is_sticky_admissible(inst, prs)[0], prs)
+        good, bad = verdicts[True], verdicts[False]
+        assert prob_exact(inst, good) is prob_closed_form(inst, good)
+        for _ in range(2):
+            for fn in (prob_exact, prob_closed_form):
+                with pytest.raises(InvalidInput, match="not sticky-admissible"):
+                    fn(inst, bad)
+                with pytest.raises(InvalidInput, match="outside"):
+                    fn(inst, good[:-1] + [(ts[-1], 4)])
+        # a conflict found early does not hide a later bad code
+        with pytest.raises(InvalidInput, match="outside"):
+            is_sticky_admissible(inst, bad + [(roots[15], -1)])
+
+
+def _two_pair_verdicts(p, root_pairs):
+    """Every (is_sticky_admissible, height comparison) outcome seen."""
+    seen = set()
+    for t1, t2 in root_pairs:
+        k = len(youngest_common_ancestor(t1, t2))
+        for c1, c2 in product(range(2 ** p.N), repeat=2):
+            seen.add((is_sticky_admissible(p, [(t1, c1), (t2, c2)])[0],
+                      c1 == c2 or p.gamma[p.slope_yca(c1, c2)].lam > k))
+    return seen
+
+
+def test_two_pair_stickiness_is_one_height_comparison():
+    # two distinct roots with distinct codes are sticky exactly when the
+    # basic height of their slope yca lies above their root yca: the fact
+    # behind enumerate_E2's one verdict per call
+    for p in (prune(full_tree(12, 2), 2, 1), prune(cantor_tree(25), 2, 1)):
+        assert _two_pair_verdicts(p, combinations(all_root_cubes(p), 2)) \
+            == {(True, True), (False, False)}
+    d2 = prune(cantor_tree(30, d=2), N=2, C0=1)
+    rng, d2_roots = random.Random(41), all_root_cubes(d2)
+    sample = [rng.sample(d2_roots, 2) for _ in range(2000)]
+    assert _two_pair_verdicts(d2, sample) == {(True, True), (False, False)}
 
 
 def test_height_relations_on_admissible_pairs(inst, roots):
