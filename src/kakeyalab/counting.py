@@ -18,11 +18,13 @@ only the oracles recompute slope ancestors inline, to stay independent.
 :func:`enumerate_E2_bruteforce` is its independent oracle, a plain loop
 over every root and slope pair through the Fraction test
 ``tubes.intersects``.  The triple and quadruple collections are joins over
-two pair collections (one, when their anchors are equal) filtered by root
-configuration type, with :func:`bruteforce_E4` as the quartic oracle.  The
-quadruple join reads the type off its anchors: it returns nothing before
-any pair collection when they rule the type out, and with equal anchors
-joins only pairs on branches of the requested type.
+two pair collections (one, when their anchors are equal).  Both read the
+configuration type off their anchors, returning nothing before any pair
+collection when the anchors rule it out, and check only the cross pairs
+a join adds with ``sticky.sticky_pair``, stickiness being pairwise.  The
+oracles, :func:`bruteforce_E4` among them, classify and merge with
+``classify_roots`` and ``is_sticky_admissible`` instead.  E2, E3 and E4
+return tuples of (root, code) pairs.
 :func:`slope_complexity` orders and checks its vertices itself.
 Everything here is desk-scale and exhaustive, guarded by hard size caps.
 """
@@ -40,7 +42,7 @@ import numpy as np
 from .errors import InvalidInput, SizeCapExceeded
 from .madic import Address, cube_index, youngest_common_ancestor
 from .pruning import PrunedSlopeTree, slope_metrics
-from .sticky import _max_cross, classify_roots, is_sticky_admissible, mu
+from .sticky import _max_cross, classify_roots, is_sticky_admissible, mu, sticky_pair
 from .tubes import (
     SlabWindow,
     assert_pair_inequalities,
@@ -135,8 +137,8 @@ def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
     inequalities depend only on (delta, code pair), so they are asserted
     once per distinct configuration among the geometric hits, including
     hits that stickiness then rejects.  Stickiness is decided once per
-    call: every hit has root yca u and slope yca w, so it is sticky
-    exactly when lambda(w) > h(u).
+    call: every hit has root yca u and slope yca w, so by the two-pair
+    rule ``sticky_pair`` it is sticky exactly when lambda(w) > h(u).
     ``enumerate_E2_bruteforce`` is the independent Fraction oracle.
     """
     if w not in pruned.gamma:
@@ -161,9 +163,8 @@ def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
     pairs = _slope_pairs(pruned, w, lo, hi, S, E)
     if not pairs:
         return []
-    # every hit has root yca u and slope yca w, so one comparison decides
-    # the stickiness of them all: the first reference cube where the
-    # codes differ is shared by both roots iff lambda(w) <= h(u)
+    # every hit has root yca u and slope yca w, so one comparison, the
+    # rule sticky_pair, decides the stickiness of them all
     admissible = pruned.gamma[w].lam > h
     # a hit has |cen(t1) - cen(t2)| <= 2 rho rho_w + 2 c_d sqrt(d) M^-J;
     # no |delta|^2 exceeds d (K - 1)^2, and no box end matters past the
@@ -293,12 +294,6 @@ def slope_complexity(pruned: PrunedSlopeTree, verts) -> int:
 # triple and quadruple collections
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TupleRecord:
-    pairs: tuple
-    config: object
-
-
 def _joined_pairs(pruned, anchors, rho, A0, roots):
     """The two pair collections of a join, E2[u, w] and E2[u2, w2]; with
     equal anchors they are one collection, computed once."""
@@ -309,46 +304,53 @@ def _joined_pairs(pruned, anchors, rho, A0, roots):
 
 def enumerate_E3(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
                  rho, A0: int = 10, roots=None):
-    """Sticky-admissible triples {(t1,v1),(t2,v2),(t2',v2')} of the given
+    """Sticky-admissible triples ((t1,v1), (t2,v2), (t2',v2')) of the given
     3-point type whose two tube pairs both meet the window, with the
-    prescribed anchor vertices."""
+    prescribed anchor vertices.
+
+    The anchors fix the type, as in :func:`enumerate_E4`: none when
+    h(u2) < h(u), 1 when h(u2) > h(u), and, when u = u2, 2 if t2 and t2'
+    share a branch of u and 1 if not.  The two joined pairs are sticky, so
+    the triple is when (t2, v2), (t2', v2') is.
+    """
+    u, u2, h = anchors["u"], anchors["u2"], len(anchors["u"])
+    types = () if len(u2) < h else (1,) if len(u2) > h else (1, 2)
+    if ctype not in types:
+        return []
     e2a, e2b = _joined_pairs(pruned, anchors, rho, A0, roots)
     shared = {}  # the pairs of e2b by their first tube, in e2b order
     for first, second in e2b:
         shared.setdefault(first, []).append(second)
     out = []
-    for (ta, ca), (tb, cb) in e2a:
-        for td, cd in shared.get((ta, ca), ()):
-            if len({ta, tb, td}) != 3:
+    for a, b in e2a:
+        tb, cb = b
+        for c in shared.get(a, ()):
+            td, cd = c
+            if tb == td or (u == u2 and (tb[h] == td[h]) != (ctype == 2)):
                 continue
-            cfg = classify_roots((ta, tb, td))
-            if cfg.swapped or cfg.ctype != ctype:
-                continue
-            prs = [(ta, ca), (tb, cb), (td, cd)]
-            ok, _ = is_sticky_admissible(pruned, prs)
-            if not ok:
+            if not sticky_pair(pruned, b, c):
                 continue
             if ctype == 2:
-                t = youngest_common_ancestor(tb, td)
-                vt = pruned.slope_yca(cb, cd)
-                if anchors.get("t") not in (None, t):
+                if anchors.get("t") not in (None, youngest_common_ancestor(tb, td)):
                     continue
-                if anchors.get("vtheta") not in (None, vt):
+                if anchors.get("vtheta") not in (None, pruned.slope_yca(cb, cd)):
                     continue
-            out.append(TupleRecord(pairs=tuple(prs), config=cfg))
+            out.append((a, b, c))
     return out
 
 
 def enumerate_E4(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
                  rho, A0: int = 10, roots=None):
-    """Sticky-admissible quadruples of the given 4-point type with both
-    windowed intersections; necessary location conditions are asserted on
-    every returned tuple.
+    """Sticky-admissible quadruples ((t1,v1), (t2,v2), (t1',v1'), (t2',v2'))
+    of the given 4-point type with both windowed intersections; necessary
+    location conditions are asserted on every returned tuple.
 
     Every pair of E2[u, w] has yca u and every pair of E2[u2, w2] yca u2,
     so the anchors fix the type: none when h(u) > h(u2) (every candidate is
     swapped), 1 when u2 is not inside u, 2 when u2 is strictly inside u,
     and, when u = u2, 3 if the two pairs share a branch of u and 1 if not.
+    The two joined pairs are sticky, so the quadruple is when its four
+    cross pairs are.
     """
     u, u2, h = anchors["u"], anchors["u2"], len(anchors["u"])
     types = () if h > len(u2) else (1,) if u2[:h] != u else (2,) if u2 != u else (1, 3)
@@ -358,24 +360,18 @@ def enumerate_E4(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
     partners = {}  # the pairs of e2b, in e2b order, by the branches of u they join
     win_rho = Fraction(rho)
     out = []
-    for (ta, ca), (tb, cb) in e2a:
-        key = frozenset((ta[h], tb[h])) if u == u2 else None
+    for a, b in e2a:
+        key = frozenset((a[0][h], b[0][h])) if u == u2 else None
         if key not in partners:
             partners[key] = [pair for pair in e2b if key is None or key.isdisjoint(
                 (pair[0][0][h], pair[1][0][h])) == (ctype == 1)]
-        for (tc, cc), (td, cd) in partners[key]:
-            if len({ta, tb, tc, td}) != 4:
+        for c, d in partners[key]:
+            if len({a[0], b[0], c[0], d[0]}) != 4:
                 continue
-            cfg = classify_roots(((ta, tb), (tc, td)))
-            if cfg.swapped or cfg.ctype != ctype:
+            if not all(sticky_pair(pruned, x, y) for x in (a, b) for y in (c, d)):
                 continue
-            prs = [(ta, ca), (tb, cb), (tc, cc), (td, cd)]
-            ok, _ = is_sticky_admissible(pruned, prs)
-            if not ok:
-                continue
-            rec = TupleRecord(pairs=tuple(prs), config=cfg)
-            _assert_necessary_conditions(pruned, rec, win_rho)
-            out.append(rec)
+            _assert_necessary_conditions(pruned, (a, b, c, d), ctype, u, win_rho)
+            out.append((a, b, c, d))
     return out
 
 
@@ -399,7 +395,7 @@ def _dist_to_child_boundary_sq(pruned, s: Address, u: Address) -> Fraction:
     return best * best if best > 0 else Fraction(0)
 
 
-def _assert_necessary_conditions(pruned, rec: TupleRecord, rho):
+def _assert_necessary_conditions(pruned, pairs, ctype: int, u: Address, rho):
     """Geometric necessity checks with a generous documented constant.
 
     Every enumerated quadruple must place its cross ancestors within
@@ -407,25 +403,24 @@ def _assert_necessary_conditions(pruned, rec: TupleRecord, rho):
     window's 2, covers the derivations with margin); recorded violations
     are bugs.
     """
-    (ta, ca), (tb, cb), (tc, cc), (td, cd) = rec.pairs
-    cfg = rec.config
+    (ta, ca), (tb, cb), (tc, cc), (td, cd) = pairs
     w, w2 = pruned.slope_yca(ca, cb), pruned.slope_yca(cc, cd)
     rho_w_sq = slope_metrics(pruned, w).rho_sq if w in pruned.gamma else Fraction(0)
     rho_w2_sq = slope_metrics(pruned, w2).rho_sq if w2 in pruned.gamma else Fraction(0)
     margin = (8 * Fraction(rho)) ** 2
-    if cfg.ctype == 2:
+    if ctype == 2:
         _, t = _max_cross((ta, tb), (tc, td))
-        dsq = _dist_to_child_boundary_sq(pruned, t, cfg.u)
+        dsq = _dist_to_child_boundary_sq(pruned, t, u)
         if dsq > margin * rho_w_sq:
             raise AssertionError("type-2 anchor too far from the child boundary")
-    if cfg.ctype == 3:
+    if ctype == 3:
         crosses = sorted((youngest_common_ancestor(a, b)
                           for a in (ta, tb) for b in (tc, td)),
                          key=len)
         s1, s2 = crosses[-2], crosses[-1]
         delta_sq = min(rho_w_sq, rho_w2_sq) * Fraction(rho) ** 2
-        d1 = _dist_to_child_boundary_sq(pruned, s1, cfg.u)
-        d2 = _dist_to_child_boundary_sq(pruned, s2, cfg.u)
+        d1 = _dist_to_child_boundary_sq(pruned, s1, u)
+        d2 = _dist_to_child_boundary_sq(pruned, s2, u)
         # sum dist(s_i, bdry(u_i)) <= C Delta; compare via squares with slack
         if max(d1, d2) > 64 * delta_sq:
             raise AssertionError("type-3 anchors violate the distance constraint")
@@ -433,7 +428,8 @@ def _assert_necessary_conditions(pruned, rec: TupleRecord, rho):
 
 def bruteforce_E4(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
                   rho, A0: int = 10, roots=None):
-    """Quartic oracle over all root quadruples and slope assignments."""
+    """Quartic oracle of ``enumerate_E4`` over all root quadruples and slope
+    assignments, with ``classify_roots`` and ``is_sticky_admissible``."""
     if roots is None:
         roots = all_root_cubes(pruned, cap=3 ** 5)
     win = SlabWindow(Fraction(rho), 2)
@@ -467,7 +463,7 @@ def bruteforce_E4(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
             if not intersects(make_tube(pruned, tc, cc, A0),
                               make_tube(pruned, td, cd, A0), win):
                 continue
-            out.append(TupleRecord(pairs=tuple(prs), config=cfg))
+            out.append(tuple(prs))
     return out
 
 

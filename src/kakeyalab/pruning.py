@@ -210,7 +210,6 @@ class PrunedSlopeTree:
         if len(slopes) != 2 ** N:
             raise InvalidInput(f"expected 2^{N} slopes, found {len(slopes)}")
         self.slopes: tuple[Point, ...] = tuple(slopes[c] for c in range(2 ** N))
-        self._slope_codes = {s: c for c, s in enumerate(self.slopes)}
         self._leaves = tuple(point_address(s, self.M, self.J) for s in self.slopes)
         # the slope lattice: slope coordinates are sigma[code][i] / D, and D
         # is a multiple of M^J so that root centre offsets are integers too
@@ -251,12 +250,6 @@ class PrunedSlopeTree:
         for b in bits:
             out = out * 2 + b
         return out
-
-    def slope_index(self, point: Point) -> int:
-        code = self._slope_codes.get(point)
-        if code is None:
-            raise InvalidInput(f"{point} is not a slope of this instance")
-        return code
 
     def slope_leaf(self, code: int) -> Address:
         """Address of the height-J cube holding the slope with this code."""

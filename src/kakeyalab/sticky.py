@@ -19,10 +19,16 @@ what :func:`is_sticky_admissible` decides; the closed forms of
 :func:`prob_closed_form` reproduce the same exponent from the youngest
 common ancestors of roots and slopes alone.
 
+Stickiness is pairwise: a prescription is admissible exactly when every
+two of its pairs are, since a conflict is one cube given two bits, and
+one pair's reference cubes lie at distinct heights.  :func:`sticky_pair`
+decides two pairs by one height comparison for the E2 scan and the joins
+of :mod:`kakeyalab.counting` and for ``tubes.reference_trees``.
+
 Every input of these checks is computed once per instance and looked up
 in the tables that :mod:`kakeyalab.counting`, :mod:`kakeyalab.tubes` and
-:mod:`kakeyalab.fast1d` read too: the pruned tree builds its code-bit,
-slope-index and slope-lattice tables up front and memoizes
+:mod:`kakeyalab.fast1d` read too: the pruned tree builds its code-bit
+and slope-lattice tables up front and memoizes
 ``slope_yca`` per code pair; the reference cubes per (root, code) and mu
 per (vertex, height) are memoized on it here.  Each call of
 :func:`is_sticky_admissible`, :func:`prob_exact`, :func:`prob_closed_form`
@@ -190,10 +196,10 @@ def _constraints(pruned: PrunedSlopeTree, pairs, required: bool):
     """The one admissibility pass: the normalized (root tuple, slope code)
     pairs, which are the keys of the reference-cube memo, and the bit each
     of their distinct reference cubes must carry, merged once.  A slope is
-    an integer code (a numpy integer too) or a slope point; every pair is
-    range-checked, and each before its memo lookup, since a negative code
-    would otherwise index from the end.  When some cube would need two bits
-    the constraints are None, or InvalidInput is raised if ``required``."""
+    an integer code (a numpy integer too); every pair is range-checked, and
+    each before its memo lookup, since a negative code would otherwise
+    index from the end.  When some cube would need two bits the
+    constraints are None, or InvalidInput is raised if ``required``."""
     n_codes, J, memo = len(pruned.slopes), pruned.J, pruned.ref_cubes
     keys, constraints = [], {}
     for t, code in pairs:
@@ -201,12 +207,7 @@ def _constraints(pruned: PrunedSlopeTree, pairs, required: bool):
             try:
                 code = operator.index(code)
             except TypeError:
-                try:
-                    point = tuple(code)
-                except TypeError:
-                    raise InvalidInput(
-                        f"slope {code!r} is neither a code nor a point") from None
-                code = pruned.slope_index(point)
+                raise InvalidInput(f"slope {code!r} is not a code") from None
         if not 0 <= code < n_codes:
             raise InvalidInput(f"slope code {code} outside 0..{n_codes - 1}")
         if len(t) != J:
@@ -261,6 +262,19 @@ class ReferenceTree:
         With no pairs the tree is the root alone, a leaf."""
         end = path[-1] if path else ()
         return tuple(sorted(cube for cube, up in self.parent.items() if up == end))
+
+
+def sticky_pair(pruned: PrunedSlopeTree, a, b) -> bool:
+    """Whether two checked (root, code) pairs are sticky-admissible
+    together: always with equal codes, else iff the roots differ and
+    lambda(D(v1, v2)) > h(D(t1, t2)).  The codes share their bits down to
+    D(v1, v2) and differ at its basic height lambda, where the two roots
+    conflict iff they share their ancestor."""
+    (t1, c1), (t2, c2) = a, b
+    if c1 == c2:
+        return True
+    return t1 != t2 and pruned.gamma[pruned.slope_yca(c1, c2)].lam > len(
+        youngest_common_ancestor(t1, t2))
 
 
 def is_sticky_admissible(pruned: PrunedSlopeTree, pairs):
@@ -422,8 +436,6 @@ def prob_closed_form(pruned: PrunedSlopeTree, pairs) -> Fraction:
     if n == 2:
         (t1, c1), (t2, c2) = pairs
         if t1 == t2:
-            if c1 != c2:
-                raise InvalidInput("one root with two slopes")
             return _half_power(N)
         u = youngest_common_ancestor(t1, t2)
         w = pruned.slope_yca(c1, c2)

@@ -27,10 +27,9 @@ from .madic import (
     Point,
     cube_center,
     point_address,
-    youngest_common_ancestor,
 )
 from .pruning import PrunedSlopeTree
-from .sticky import ReferenceTree, StickyMap
+from .sticky import ReferenceTree, StickyMap, sticky_pair
 
 DEFAULT_A0 = 10
 
@@ -361,28 +360,22 @@ def reference_trees(x, pruned: PrunedSlopeTree, A0: int = DEFAULT_A0) -> Referen
     """N_x, the percolation substrate at x: the reference tree of the
     prescription poss(x), whose edge into each reference cube carries the
     bit kappa telling which branch of its splitting vertex the ideal slope
-    takes.  Weak stickiness and well-defined kappa labels are asserted,
-    since the paper proves both.
+    takes.  Weak stickiness, every two pairs passing the two-pair rule
+    ``sticky.sticky_pair``, is asserted since the paper proves it; the
+    kappa labels are then well defined, stickiness being pairwise.
 
     With no possible root, N_x is the root alone, a leaf: there
     ``survival_exact`` gives 1 while no ray of a root survives.
     """
     items = list(poss(x, pruned, A0).items())
-    for i, (t, c) in enumerate(items):
-        for t2, c2 in items[i + 1:]:
-            if c == c2:
-                continue
-            wv = pruned.slope_yca(c, c2)
-            if wv not in pruned.gamma:
+    for i, a in enumerate(items):
+        for b in items[i + 1:]:
+            if a[1] != b[1] and pruned.slope_yca(a[1], b[1]) not in pruned.gamma:
                 raise AssertionError("slope ancestor is not a splitting vertex")
-            if len(youngest_common_ancestor(t, t2)) >= pruned.gamma[wv].lam:
+            if not sticky_pair(pruned, a, b):
                 raise AssertionError(
                     "weak stickiness h(u) < lambda(w) fails; raise C0 or A0")
-    try:
-        return ReferenceTree(pruned, items)
-    except InvalidInput:
-        raise AssertionError(
-            "reference tree ill-defined: conflicting kappa labels") from None
+    return ReferenceTree(pruned, items)
 
 
 def inclusion_check(x, sticky_map: StickyMap, A0: int = DEFAULT_A0):

@@ -1,5 +1,6 @@
 import copy
 import random
+from contextlib import contextmanager
 from fractions import Fraction as F
 from itertools import product
 
@@ -142,7 +143,7 @@ def test_equal_anchor_joins_compute_one_pair_collection(inst3, monkeypatch):
                 e2(pruned, anchors["u2"], anchors["w2"], rho, A0, roots))
 
     def records(join, ctype):
-        return [(r.pairs, r.config) for r in join(inst3, ctype, anchors, rho, roots=roots)]
+        return join(inst3, ctype, anchors, rho, roots=roots)
 
     joins = [(enumerate_E3, 2), (enumerate_E4, 3)]
     with monkeypatch.context() as m:
@@ -269,7 +270,23 @@ def test_slope_tuple_count_bounds():
         assert cnt <= 2 * 2 ** (3 * p.N - mh)
 
 
-def test_e4_matches_bruteforce_and_containment(inst2):
+@contextmanager
+def _oracle_helpers_refused(monkeypatch):
+    """Make ``classify_roots`` and ``is_sticky_admissible`` raise inside
+    counting.  The oracles use both; the joins read the type off their
+    anchors and check stickiness pair by pair with ``sticky_pair``, so a
+    fault in either helper cannot show on both sides of a comparison.
+    Compute the oracle results before entering."""
+    def refuse(*args):
+        raise AssertionError("a join called an oracle helper")
+
+    with monkeypatch.context() as m:
+        m.setattr(counting, "classify_roots", refuse)
+        m.setattr(counting, "is_sticky_admissible", refuse)
+        yield
+
+
+def test_e4_matches_bruteforce_and_containment(inst2, monkeypatch):
     # the quartic scan is confined to a root subset; the lattice
     # enumerator runs on the same subset so the comparison stays exact
     roots = all_root_cubes(inst2)[:12]
@@ -283,31 +300,30 @@ def test_e4_matches_bruteforce_and_containment(inst2):
                 continue
             for w, w2 in ((g1, g1), (g1, l2[0])):
                 anchors = {"u": u, "u2": u2, "w": w, "w2": w2}
-                try:
-                    got = enumerate_E4(inst2, ctype, anchors, rho, roots=roots)
-                except InvalidInput:
-                    continue
                 bf = bruteforce_E4(inst2, ctype, anchors, rho, roots=roots)
-                assert {r.pairs for r in got} == {r.pairs for r in bf}
+                with _oracle_helpers_refused(monkeypatch):
+                    got = enumerate_E4(inst2, ctype, anchors, rho, roots=roots)
+                assert set(got) == set(bf)
                 if got:
                     found_any = True
                     e2a = enumerate_E2(inst2, u, w, rho, roots=roots)
                     e2b = enumerate_E2(inst2, u2, w2, rho, roots=roots)
                     for rec in got:
-                        assert tuple(rec.pairs[:2]) in {tuple(x) for x in e2a}
-                        assert tuple(rec.pairs[2:]) in {tuple(x) for x in e2b}
+                        assert rec[:2] in set(e2a)
+                        assert rec[2:] in set(e2b)
     assert found_any
 
 
 @pytest.mark.parametrize("ctype, count", [(1, 16), (2, 0), (3, 64)])
-def test_e4_equal_anchors_match_bruteforce(inst4, ctype, count):
+def test_e4_equal_anchors_match_bruteforce(inst4, ctype, count, monkeypatch):
     # at M = 4 two pairs under u = u2 can take four distinct branches of u,
     # the one instance here where that type-1 case is reachable
     roots = random.Random(1).sample(all_root_cubes(inst4), 8)
     g1 = inst4.psi(())
     anchors = {"u": (), "u2": (), "w": g1, "w2": g1}
-    got = [(r.pairs, r.config) for r in enumerate_E4(inst4, ctype, anchors, 1, roots=roots)]
-    bf = [(r.pairs, r.config) for r in bruteforce_E4(inst4, ctype, anchors, 1, roots=roots)]
+    bf = bruteforce_E4(inst4, ctype, anchors, 1, roots=roots)
+    with _oracle_helpers_refused(monkeypatch):
+        got = enumerate_E4(inst4, ctype, anchors, 1, roots=roots)
     assert len(got) == len(set(got)) == count
     assert set(got) == set(bf)
 
@@ -367,11 +383,11 @@ def _bruteforce_E3(pruned, ctype, anchors, rho, roots):
             if ctype == 2 and (anchors.get("t") not in (None, youngest_common_ancestor(tb, td))
                                or anchors.get("vtheta") not in (None, D(cb, cd))):
                 continue
-            out.add((prs, cfg))
+            out.add(prs)
     return out
 
 
-def test_e3_matches_bruteforce(inst2, inst4):
+def test_e3_matches_bruteforce(inst2, inst4, monkeypatch):
     g2, l2 = inst2.psi(()), inst2.gamma_levels[2]
     g4 = inst4.psi(())
     cases = [(inst2, all_root_cubes(inst2)[:12], F(1, 4),
@@ -384,21 +400,33 @@ def test_e3_matches_bruteforce(inst2, inst4):
     found = {1: 0, 2: 0}
     for pruned, roots, rho, anchors in cases:
         for ctype in (1, 2):
-            got = [(r.pairs, r.config)
-                   for r in enumerate_E3(pruned, ctype, anchors, rho, roots=roots)]
+            bf = _bruteforce_E3(pruned, ctype, anchors, rho, roots)
+            with _oracle_helpers_refused(monkeypatch):
+                got = enumerate_E3(pruned, ctype, anchors, rho, roots=roots)
             assert len(got) == len(set(got))
-            assert set(got) == _bruteforce_E3(pruned, ctype, anchors, rho, roots), \
-                (ctype, anchors)
+            assert set(got) == bf, (ctype, anchors)
             found[ctype] += len(got)
     assert all(found.values())
+
+
+def test_e3_skips_candidates_the_anchors_rule_out(inst3, monkeypatch):
+    roots = _benchmark_subset(all_root_cubes(inst3))
+    g1, calls = inst3.psi(()), []
+    monkeypatch.setattr(counting, "enumerate_E2", lambda *args: calls.append(args) or [])
+    # no pair collection when the anchors rule out the type: every candidate
+    # swapped, or u2 strictly inside u (type 1 only)
+    for u, u2, ctypes in ((((0,),), (), (1, 2)), ((), ((0,),), (2,))):
+        for ctype in ctypes:
+            anchors = {"u": u, "u2": u2, "w": g1, "w2": g1}
+            assert enumerate_E3(inst3, ctype, anchors, F(1, 3), roots=roots) == []
+    assert calls == []
 
 
 def test_e3_join_structure(inst3):
     g1 = inst3.psi(())
     anchors = {"u": (), "u2": (), "w": g1, "w2": g1}
     got = enumerate_E3(inst3, 1, anchors, F(1, 3))
-    for rec in got:
-        (t1, c1), (t2, c2), (t2p, c2p) = rec.pairs
+    for (t1, c1), (t2, c2), (t2p, c2p) in got:
         assert len({t1, t2, t2p}) == 3
         cfg = classify_roots((t1, t2, t2p))
         assert cfg.ctype == 1 and not cfg.swapped

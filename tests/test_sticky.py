@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction as F
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -25,6 +25,7 @@ from kakeyalab.sticky import (
     reference_cubes,
     root_ancestor_at_mu,
     sample_assignment,
+    sticky_pair,
     theta,
     walk_chain,
 )
@@ -315,27 +316,59 @@ def test_cached_paths_still_refuse_bad_prescriptions(inst, roots):
 
 
 def _two_pair_verdicts(p, root_pairs):
-    """Every (is_sticky_admissible, height comparison) outcome seen."""
+    """Every (is_sticky_admissible, sticky_pair) outcome seen."""
     seen = set()
     for t1, t2 in root_pairs:
-        k = len(youngest_common_ancestor(t1, t2))
         for c1, c2 in product(range(2 ** p.N), repeat=2):
-            seen.add((is_sticky_admissible(p, [(t1, c1), (t2, c2)])[0],
-                      c1 == c2 or p.gamma[p.slope_yca(c1, c2)].lam > k))
+            a, b = (t1, c1), (t2, c2)
+            seen.add((is_sticky_admissible(p, [a, b])[0], sticky_pair(p, a, b)))
     return seen
 
 
+def _rule_instances():
+    return (prune(full_tree(12, 2), 2, 1), prune(cantor_tree(25), 2, 1),
+            prune(cantor_tree(30, d=2), N=2, C0=1))
+
+
 def test_two_pair_stickiness_is_one_height_comparison():
-    # two distinct roots with distinct codes are sticky exactly when the
-    # basic height of their slope yca lies above their root yca: the fact
-    # behind enumerate_E2's one verdict per call
-    for p in (prune(full_tree(12, 2), 2, 1), prune(cantor_tree(25), 2, 1)):
-        assert _two_pair_verdicts(p, combinations(all_root_cubes(p), 2)) \
-            == {(True, True), (False, False)}
-    d2 = prune(cantor_tree(30, d=2), N=2, C0=1)
+    # equal codes are sticky, one root with two codes is not, and two roots
+    # with distinct codes are sticky exactly when the basic height of their
+    # slope yca lies above their root yca: the rule sticky_pair, behind
+    # enumerate_E2's one verdict per call
+    full, cantor, d2 = _rule_instances()
+    for p in (full, cantor):
+        pairs = combinations_with_replacement(all_root_cubes(p), 2)
+        assert _two_pair_verdicts(p, pairs) == {(True, True), (False, False)}
     rng, d2_roots = random.Random(41), all_root_cubes(d2)
     sample = [rng.sample(d2_roots, 2) for _ in range(2000)]
+    sample += [[t, t] for t in rng.sample(d2_roots, 100)]
     assert _two_pair_verdicts(d2, sample) == {(True, True), (False, False)}
+
+
+def test_admissibility_is_pairwise():
+    # a conflict is one cube given two bits, which takes two pairs, so a
+    # prescription is admissible exactly when every two of its pairs are
+    for p in _rule_instances():
+        rng, roots = random.Random(43), all_root_cubes(p)
+        codes = range(2 ** p.N)
+        seen = set()
+        for _ in range(1500):
+            prs = [(rng.choice(roots), rng.choice(codes))
+                   for _ in range(rng.choice((3, 4)))]
+            ok = is_sticky_admissible(p, prs)[0]
+            assert ok == all(sticky_pair(p, a, b) for a, b in combinations(prs, 2)), prs
+            seen.add((len(prs), ok))
+        assert seen == {(3, True), (3, False), (4, True), (4, False)}
+
+
+def test_one_root_with_two_codes_is_not_admissible():
+    # the two chains of one root share their cube at the first bit where
+    # the codes differ, so the merge refuses before any closed form runs
+    for p in _rule_instances():
+        t = all_root_cubes(p)[0]
+        for fn in (prob_exact, prob_closed_form):
+            with pytest.raises(InvalidInput, match="not sticky-admissible"):
+                fn(p, [(t, 0), (t, 1)])
 
 
 def test_height_relations_on_admissible_pairs(inst, roots):
