@@ -9,12 +9,14 @@ numerators ``pruned.sigma`` over the instance's one denominator
 cross-sections within the tube side on every axis is a set of integer
 comparisons.  One numpy pass per call runs them over every root pair and
 code pair (int64 offsets and clipped box ends; the cross forms of d >= 2
-stay Python ints), the centre and scale inequalities are asserted once
-per distinct (offset, code pair) among the geometric hits, and
-stickiness is one comparison per call, lambda(w) > h(u), since every hit
-shares the root anchor u and the slope anchor w.  Slope ancestors, slope
-metrics and the lattice are the per-instance tables every module reads;
-only the oracles recompute slope ancestors inline, to stay independent.
+stay Python ints), the centre and scale inequalities are checked in
+integers on the same lattice once per distinct (offset, code pair) among
+the geometric hits, with ``tubes.assert_pair_inequalities`` as their
+Fraction oracle, and stickiness is one comparison per call,
+lambda(w) > h(u), since every hit shares the root anchor u and the slope
+anchor w.  Slope ancestors, slope metrics and the lattice are the
+per-instance tables every module reads; only the oracles recompute slope
+ancestors inline, to stay independent.
 :func:`enumerate_E2_bruteforce` is its independent oracle, a plain loop
 over every root and slope pair through the Fraction test
 ``tubes.intersects``.  The triple and quadruple collections are joins over
@@ -40,12 +42,11 @@ from math import isqrt
 import numpy as np
 
 from .errors import InvalidInput, SizeCapExceeded
-from .madic import Address, cube_index, youngest_common_ancestor
+from .madic import Address, cube_origin, youngest_common_ancestor
 from .pruning import PrunedSlopeTree, slope_metrics
 from .sticky import _max_cross, classify_roots, is_sticky_admissible, mu, sticky_pair
 from .tubes import (
     SlabWindow,
-    assert_pair_inequalities,
     clip_x1,
     cross_section_dilation,
     intersects,
@@ -78,16 +79,17 @@ def all_root_cubes(pruned: PrunedSlopeTree, cap: int = ROOT_CAP):
 def _slope_pairs(pruned: PrunedSlopeTree, w: Address, lo: Fraction,
                  hi: Fraction, S: int, E: int):
     """The code pairs (c1, c2) whose slope leaves separate exactly at w,
-    each with the lattice form of its overlap test.
+    each with the lattice form of its overlap test and its slope difference.
 
     With D the slope-lattice denominator ``pruned.D``, the slope difference
-    of the pair is b/D on each axis; a root offset delta (centres delta/M^J
-    apart, tube side S/(E M^J)) overlaps at some x1 in [lo, hi] exactly
-    when every axis keeps delta in its closed integer ``box`` and every
-    ``cross`` form (i, j, f_i, f_j, bound) has f_i delta_i + f_j delta_j
-    < bound.  The box comes from lo < r2 and r1 < hi on a moving axis and
-    from |a| < s on a still one; the cross forms are r1_i < r2_j.  Cached
-    on what it reads; the tuples are shared by every call.
+    of the pair is b/D on each axis, ``b`` holding the signed integers; a
+    root offset delta (centres delta/M^J apart, tube side S/(E M^J))
+    overlaps at some x1 in [lo, hi] exactly when every axis keeps delta in
+    its closed integer ``box`` and every ``cross`` form
+    (i, j, f_i, f_j, bound) has f_i delta_i + f_j delta_j < bound.  The box
+    comes from lo < r2 and r1 < hi on a moving axis and from |a| < s on a
+    still one; the cross forms are r1_i < r2_j.  Cached on what it reads;
+    the tuples are shared by every call.
     """
     K, D, sigma = pruned.M ** pruned.J, pruned.D, pruned.sigma
     still = -(-S // E) - 1  # |delta| E < S
@@ -98,13 +100,13 @@ def _slope_pairs(pruned: PrunedSlopeTree, w: Address, lo: Fraction,
         for c2 in codes:
             if pruned.slope_yca(c1, c2) != w:
                 continue
+            b = tuple(s1 - s2 for s1, s2 in zip(sigma[c1], sigma[c2]))
             box, moving = [], []
-            for i, (s1, s2) in enumerate(zip(sigma[c1], sigma[c2])):
-                b = s1 - s2
-                if b == 0:
+            for i, bi in enumerate(b):
+                if bi == 0:
                     box.append((-still, still))
                     continue
-                sgn, B = (1, b) if b > 0 else (-1, -b)
+                sgn, B = (1, bi) if bi > 0 else (-1, -bi)
                 # x = sgn delta: x < (S ql D - pl E K B) / (E ql D) and
                 # x > -(S qh D + ph E K B) / (E qh D)
                 x_hi = -((pl * E * K * B - S * ql * D) // (E * ql * D)) - 1
@@ -114,8 +116,7 @@ def _slope_pairs(pruned: PrunedSlopeTree, w: Address, lo: Fraction,
             # E (x_j B_i - x_i B_j) < S (B_i + B_j)
             cross = tuple((i, j, -E * si * Bj, E * sj * Bi, S * (Bi + Bj))
                           for i, si, Bi in moving for j, sj, Bj in moving if i != j)
-            dw = tuple(a - b for a, b in zip(pruned.slopes[c1], pruned.slopes[c2]))
-            out.append((c1, c2, tuple(box), cross, tuple(moving), dw))
+            out.append((c1, c2, tuple(box), cross, tuple(moving), b))
     return tuple(out)
 
 
@@ -134,9 +135,11 @@ def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
     and box tests of every (root pair, code pair) as array comparisons;
     the cross forms (d >= 2), whose coefficients scale with ``pruned.D``,
     are Python-int tests on the box survivors.  The centre and scale
-    inequalities depend only on (delta, code pair), so they are asserted
-    once per distinct configuration among the geometric hits, including
-    hits that stickiness then rejects.  Stickiness is decided once per
+    inequalities depend only on (delta, code pair), so they are checked in
+    integers on the same lattice once per distinct configuration among the
+    geometric hits, including hits that stickiness then rejects;
+    ``tubes.assert_pair_inequalities``, which ``tubes.intersects`` runs,
+    is their Fraction oracle.  Stickiness is decided once per
     call: every hit has root yca u and slope yca w, so by the two-pair
     rule ``sticky_pair`` it is sticky exactly when lambda(w) > h(u).
     ``enumerate_E2_bruteforce`` is the independent Fraction oracle.
@@ -174,7 +177,8 @@ def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
     lim = isqrt(reach) + 1
     box = np.array([[(max(l, -lim), min(r, lim)) for l, r in pair[2]] for pair in pairs],
                    dtype=np.int64)  # (code pair, axis, end)
-    idx = np.array([cube_index(t, M, d) for t in under], dtype=np.int64)
+    # the cube index of each root per axis, its J digits read in base M: (n, d)
+    idx = M ** np.arange(J - 1, -1, -1, dtype=np.int64) @ np.array(under, dtype=np.int64)
     branch = {}
     grp = np.array([branch.setdefault(t[h], len(branch)) for t in under])
 
@@ -195,7 +199,7 @@ def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
         i1, i2 = (i1 + b0).tolist(), i2.tolist()
         for p, q in zip(hit_p.tolist(), hit_q.tolist()):
             delta_p = deltas[p]
-            c1, c2, _, cross, moving, dw = pairs[q]
+            c1, c2, _, cross, moving, b = pairs[q]
             key = (delta_p, q)
             geometric = seen.get(key)
             if geometric is None:
@@ -203,26 +207,39 @@ def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
                     fi * delta_p[i] + fj * delta_p[j] < bound
                     for i, j, fi, fj, bound in cross)
                 if geometric:
-                    _assert_configuration(pruned, delta_p, moving, dw, lo, hi, S, E)
+                    _assert_configuration(pruned, delta_p, moving, b, lo, hi, S, E)
             if geometric and admissible:
                 out.append(((under[i1[p]], c1), (under[i2[p]], c2)))
     return out
 
 
-def _assert_configuration(pruned, delta, moving, dw, lo, hi, S, E):
+def _assert_configuration(pruned, delta, moving, b, lo, hi, S, E):
     """The centre and scale inequalities of one lattice configuration, at
-    the midpoint of its overlap interval."""
-    M, J, D = pruned.M, pruned.J, pruned.D
-    K = M ** J
-    # the overlap interval of this axis, x = sgn delta:
-    # r1 = D (-S - E x) / (E K B) and r2 = D (S - E x) / (E K B)
-    lows, highs = [lo], [hi]
+    the midpoint of its overlap interval, in integers: root offset
+    ``delta`` (centres delta/M^J apart), slope difference b/D per axis and
+    tube side S/(E M^J).  ``tubes.assert_pair_inequalities`` is the
+    Fraction oracle; the two raise the same messages."""
+    K, D = pruned.M ** pruned.J, pruned.D
+    # the overlap interval is the window cut, on each moving axis with
+    # x = sgn delta, to r1 = D (-S - E x) / (E K B) and r2 = D (S - E x) / (E K B);
+    # its ends are (numerator, positive denominator), compared cross-multiplied
+    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     for i, sgn, B in moving:
-        x = sgn * delta[i]
-        lows.append(Fraction(D * (-S - E * x), E * K * B))
-        highs.append(Fraction(D * (S - E * x), E * K * B))
-    dc = tuple(Fraction(x, K) for x in delta)
-    assert_pair_inequalities(dc, dw, (max(lows), min(highs)), M, J)
+        x, den = sgn * delta[i], E * K * B
+        r1, r2 = D * (-S - E * x), D * (S - E * x)
+        if r1 * ld > ln * den:
+            ln, ld = r1, den
+        if r2 * hd < hn * den:
+            hn, hd = r2, den
+    # the midpoint x1 = P / Q, unreduced: both tests are homogeneous in (P, Q)
+    DQ, KP = D * 2 * ld * hd, K * (ln * hd + hn * ld)
+    # |delta/K + x1 b/D|^2 <= 4 c_d^2 d K^-2 with c_d = S/E
+    if sum((x * DQ + KP * y) ** 2 for x, y in zip(delta, b)) * E * E \
+            > 4 * S * S * len(delta) * DQ * DQ:
+        raise AssertionError("centre inequality fails on an intersecting pair")
+    # x1^2 |b/D|^2 >= K^-2 / 4
+    if 4 * KP * KP * sum(y * y for y in b) < DQ * DQ:
+        raise AssertionError("scale inequality |x1||v-v'| >= M^-J/2 fails")
 
 
 def enumerate_E2_bruteforce(pruned, u, w, rho, A0: int = 10, roots=None):
@@ -308,13 +325,14 @@ def enumerate_E3(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
     3-point type whose two tube pairs both meet the window, with the
     prescribed anchor vertices.
 
-    The anchors fix the type, as in :func:`enumerate_E4`: none when
-    h(u2) < h(u), 1 when h(u2) > h(u), and, when u = u2, 2 if t2 and t2'
-    share a branch of u and 1 if not.  The two joined pairs are sticky, so
+    The anchors fix the type, as in :func:`enumerate_E4`.  Both pairs
+    share t1, so u2 is u or lies inside it: none when it does not, 1 when
+    u2 is strictly inside u, and, when u = u2, 2 if t2 and t2' share a
+    branch of u and 1 if not.  The two joined pairs are sticky, so
     the triple is when (t2, v2), (t2', v2') is.
     """
     u, u2, h = anchors["u"], anchors["u2"], len(anchors["u"])
-    types = () if len(u2) < h else (1,) if len(u2) > h else (1, 2)
+    types = () if u2[:h] != u else (1,) if len(u2) > h else (1, 2)
     if ctype not in types:
         return []
     e2a, e2b = _joined_pairs(pruned, anchors, rho, A0, roots)
@@ -358,7 +376,11 @@ def enumerate_E4(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
         return []
     e2a, e2b = _joined_pairs(pruned, anchors, rho, A0, roots)
     partners = {}  # the pairs of e2b, in e2b order, by the branches of u they join
-    win_rho = Fraction(rho)
+    # every pair of e2a has slope yca w and every pair of e2b w2, so the
+    # bound of the necessary conditions is one per call
+    rw, rw2 = (slope_metrics(pruned, anchors[k]).rho_sq for k in ("w", "w2"))
+    bound = 64 * Fraction(rho) ** 2 * (rw if ctype == 2 else min(rw, rw2))
+    dist = {}  # cross ancestor -> its squared distance to the child boundary of u
     out = []
     for a, b in e2a:
         key = frozenset((a[0][h], b[0][h])) if u == u2 else None
@@ -370,7 +392,7 @@ def enumerate_E4(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
                 continue
             if not all(sticky_pair(pruned, x, y) for x in (a, b) for y in (c, d)):
                 continue
-            _assert_necessary_conditions(pruned, (a, b, c, d), ctype, u, win_rho)
+            _assert_necessary_conditions(pruned, (a, b, c, d), ctype, u, bound, dist)
             out.append((a, b, c, d))
     return out
 
@@ -381,7 +403,6 @@ def _dist_to_child_boundary_sq(pruned, s: Address, u: Address) -> Fraction:
     if len(s) <= len(u):
         return Fraction(0)
     child = s[: len(u) + 1]
-    from .madic import cube_origin
     co = cube_origin(child, pruned.M, pruned.d)
     so = cube_origin(s, pruned.M, pruned.d)
     side_c = Fraction(1, pruned.M ** len(child))
@@ -395,35 +416,31 @@ def _dist_to_child_boundary_sq(pruned, s: Address, u: Address) -> Fraction:
     return best * best if best > 0 else Fraction(0)
 
 
-def _assert_necessary_conditions(pruned, pairs, ctype: int, u: Address, rho):
+def _assert_necessary_conditions(pruned, pairs, ctype: int, u: Address, bound, dist):
     """Geometric necessity checks with a generous documented constant.
 
     Every enumerated quadruple must place its cross ancestors within
     C * rho * rho_w of the relevant child boundaries (C = 8, four times the
     window's 2, covers the derivations with margin); recorded violations
-    are bugs.
+    are bugs.  ``bound`` is the squared limit (C rho)^2 rho_w^2 of the call,
+    with rho_w the smaller of the two slope anchors' for type 3, and
+    ``dist`` memoizes ``_dist_to_child_boundary_sq`` per cross ancestor.
     """
-    (ta, ca), (tb, cb), (tc, cc), (td, cd) = pairs
-    w, w2 = pruned.slope_yca(ca, cb), pruned.slope_yca(cc, cd)
-    rho_w_sq = slope_metrics(pruned, w).rho_sq if w in pruned.gamma else Fraction(0)
-    rho_w2_sq = slope_metrics(pruned, w2).rho_sq if w2 in pruned.gamma else Fraction(0)
-    margin = (8 * Fraction(rho)) ** 2
+    (ta, _), (tb, _), (tc, _), (td, _) = pairs
     if ctype == 2:
-        _, t = _max_cross((ta, tb), (tc, td))
-        dsq = _dist_to_child_boundary_sq(pruned, t, u)
-        if dsq > margin * rho_w_sq:
-            raise AssertionError("type-2 anchor too far from the child boundary")
-    if ctype == 3:
+        crosses = [_max_cross((ta, tb), (tc, td))[1]]
+    elif ctype == 3:
         crosses = sorted((youngest_common_ancestor(a, b)
-                          for a in (ta, tb) for b in (tc, td)),
-                         key=len)
-        s1, s2 = crosses[-2], crosses[-1]
-        delta_sq = min(rho_w_sq, rho_w2_sq) * Fraction(rho) ** 2
-        d1 = _dist_to_child_boundary_sq(pruned, s1, u)
-        d2 = _dist_to_child_boundary_sq(pruned, s2, u)
-        # sum dist(s_i, bdry(u_i)) <= C Delta; compare via squares with slack
-        if max(d1, d2) > 64 * delta_sq:
-            raise AssertionError("type-3 anchors violate the distance constraint")
+                          for a in (ta, tb) for b in (tc, td)), key=len)[-2:]
+    else:
+        return
+    for s in crosses:
+        if s not in dist:
+            dist[s] = _dist_to_child_boundary_sq(pruned, s, u)
+    # sum dist(s_i, bdry(u_i)) <= C Delta; compare via squares with slack
+    if max(dist[s] for s in crosses) > bound:
+        raise AssertionError("type-2 anchor too far from the child boundary" if ctype == 2
+                             else "type-3 anchors violate the distance constraint")
 
 
 def bruteforce_E4(pruned: PrunedSlopeTree, ctype: int, anchors: dict,

@@ -22,7 +22,7 @@ from kakeyalab.errors import InvalidInput, SizeCapExceeded
 from kakeyalab.madic import cantor_tree, full_tree, youngest_common_ancestor
 from kakeyalab.pruning import prune
 from kakeyalab.sticky import classify_roots, is_sticky_admissible
-from kakeyalab.tubes import SlabWindow, intersects, make_tube
+from kakeyalab.tubes import SlabWindow, assert_pair_inequalities, intersects, make_tube
 
 
 @pytest.fixture(scope="module")
@@ -93,9 +93,11 @@ def test_e2_asserts_each_geometric_configuration_once(inst3, monkeypatch):
     # the anchor has no geometric hit at all)
     g1, u, rho = inst3.psi(()), ((1,), (0,)), F(1, 27)
     roots = _benchmark_subset(all_root_cubes(inst3))
-    seen = []
-    monkeypatch.setattr(counting, "assert_pair_inequalities",
-                        lambda dc, dw, iv, M, J: seen.append((dc, dw)))
+    K, seen = inst3.M ** inst3.J, []
+    monkeypatch.setattr(counting, "_assert_configuration",
+                        lambda pruned, delta, moving, b, *window: seen.append(
+                            (tuple(F(x, K) for x in delta),
+                             tuple(F(y, pruned.D) for y in b))))
     assert enumerate_E2(inst3, u, g1, rho, roots=roots) == []
     under = [t for t in roots if t[:2] == u]
     hits = {}  # (centre offset, c1, c2) of each geometric hit -> (dc, dw)
@@ -112,9 +114,69 @@ def test_e2_asserts_each_geometric_configuration_once(inst3, monkeypatch):
     def fail(*args):
         raise AssertionError("centre inequality fails on an intersecting pair")
 
-    monkeypatch.setattr(counting, "assert_pair_inequalities", fail)
+    monkeypatch.setattr(counting, "_assert_configuration", fail)
     with pytest.raises(AssertionError, match="centre inequality"):
         enumerate_E2(inst3, u, g1, rho, roots=roots)
+
+
+def _fraction_configuration(pruned, delta, moving, b, lo, hi, S, E):
+    """Reference of ``counting._assert_configuration``: the overlap interval
+    in Fractions, checked by ``tubes.assert_pair_inequalities``."""
+    K, D = pruned.M ** pruned.J, pruned.D
+    # the overlap interval of this axis, x = sgn delta:
+    # r1 = D (-S - E x) / (E K B) and r2 = D (S - E x) / (E K B)
+    lows, highs = [lo], [hi]
+    for i, sgn, B in moving:
+        x = sgn * delta[i]
+        lows.append(F(D * (-S - E * x), E * K * B))
+        highs.append(F(D * (S - E * x), E * K * B))
+    dc, dw = tuple(F(x, K) for x in delta), tuple(F(y, D) for y in b)
+    assert_pair_inequalities(dc, dw, (max(lows), min(highs)), pruned.M, pruned.J)
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+def test_integer_configuration_check_matches_fraction_reference(inst3, monkeypatch):
+    # every configuration the scan asserts, then each root offset moved by
+    # up to 9 per axis, the window's lower end rescaled and, in d = 1,
+    # windows that put the midpoint exactly on either bound, so that both
+    # inequalities fail somewhere and hold with equality somewhere; the two
+    # checks raise alike
+    d2 = prune(cantor_tree(30, d=2), N=2, C0=1)
+    d2_roots = sorted(random.Random(1).sample(all_root_cubes(d2), 40))
+    scans = [(inst3, [(), ((0,),), ((1,),)], [F(1, 3), F(1, 9), F(1, 27), F(1, 81)], None),
+             (d2, [()], [F(3), F(1), F(1, 3), F(1, 9)], d2_roots)]
+    check, outcomes = counting._assert_configuration, set()
+    for pruned, us, rhos, roots in scans:
+        configs = set()
+        monkeypatch.setattr(counting, "_assert_configuration",
+                            lambda *args: configs.add(args[1:]) or check(*args))
+        for u, w, rho in product(us, sorted(pruned.gamma), rhos):
+            enumerate_E2(pruned, u, w, rho, roots=roots)
+        assert configs
+        for delta, moving, b, lo, hi, S, E in configs:
+            windows = [(lo * scale, hi) for scale in (1, F(1, 9), 3, 27)]
+            if pruned.d == 1:  # windows whose midpoint x1 lies on each bound
+                K = pruned.M ** pruned.J
+                s, dc, dw = F(S, E * K), F(delta[0], K), F(b[0], pruned.D)
+                r1, r2 = sorted(((-s - dc) / dw, (s - dc) / dw))
+                for x1 in ((2 * s - dc) / dw, 1 / (2 * K * abs(dw))):
+                    windows.append((2 * x1 - r2, r2 + 1) if 2 * x1 >= r1 + r2
+                                   else (r1 - 1, 2 * x1 - r1))
+            for shift in product(range(-9, 10), repeat=len(delta)):
+                moved = tuple(x + y for x, y in zip(delta, shift))
+                for window in windows:
+                    args = pruned, moved, moving, b, *window, S, E
+                    got = _outcome(check, *args)
+                    assert got == _outcome(_fraction_configuration, *args), args
+                    outcomes.add(got and got.split()[0])
+    assert outcomes == {None, "centre", "scale"}
 
 
 @pytest.mark.parametrize("block", [3, 200])
@@ -412,13 +474,18 @@ def test_e3_matches_bruteforce(inst2, inst4, monkeypatch):
 def test_e3_skips_candidates_the_anchors_rule_out(inst3, monkeypatch):
     roots = _benchmark_subset(all_root_cubes(inst3))
     g1, calls = inst3.psi(()), []
-    monkeypatch.setattr(counting, "enumerate_E2", lambda *args: calls.append(args) or [])
     # no pair collection when the anchors rule out the type: every candidate
-    # swapped, or u2 strictly inside u (type 1 only)
-    for u, u2, ctypes in ((((0,),), (), (1, 2)), ((), ((0,),), (2,))):
+    # swapped, u2 strictly inside u (type 1 only), or u2 neither u nor
+    # inside it (no type, as every triple shares t1)
+    cases = [(((0,),), (), (1, 2)), ((), ((0,),), (2,)),
+             (((0,),), ((2,),), (1, 2)), (((0,),), ((2,), (1,)), (1, 2))]
+    for u, u2, ctypes in cases:
         for ctype in ctypes:
             anchors = {"u": u, "u2": u2, "w": g1, "w2": g1}
-            assert enumerate_E3(inst3, ctype, anchors, F(1, 3), roots=roots) == []
+            assert _bruteforce_E3(inst3, ctype, anchors, F(1, 3), roots) == set()
+            with monkeypatch.context() as m:
+                m.setattr(counting, "enumerate_E2", lambda *args: calls.append(args) or [])
+                assert enumerate_E3(inst3, ctype, anchors, F(1, 3), roots=roots) == []
     assert calls == []
 
 
