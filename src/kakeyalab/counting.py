@@ -14,9 +14,14 @@ integers on the same lattice once per distinct (offset, code pair) among
 the geometric hits, with ``tubes.assert_pair_inequalities`` as their
 Fraction oracle, and stickiness is one comparison per call,
 lambda(w) > h(u), since every hit shares the root anchor u and the slope
-anchor w.  Slope ancestors, slope metrics and the lattice are the
-per-instance tables every module reads; only the oracles recompute slope
-ancestors inline, to stay independent.
+anchor w.  What a scan reads of neither u nor its roots (the clipped
+window, the code pairs with their lattice forms, the reach of a hit and
+the box array) is one cached plan per (instance, w, rho, A0); the int64
+refusal, the stickiness verdict and every configuration check still run
+on each call.  Slope ancestors, slope metrics and the lattice are the
+per-instance tables every module reads, and the root cube indices one
+more that the scan fills; only the oracles recompute slope ancestors
+inline, to stay independent.
 :func:`enumerate_E2_bruteforce` is its independent oracle, a plain loop
 over every root and slope pair through the Fraction test
 ``tubes.intersects``.  The triple and quadruple collections are joins over
@@ -42,7 +47,7 @@ from math import isqrt
 import numpy as np
 
 from .errors import InvalidInput, SizeCapExceeded
-from .madic import Address, cube_origin, youngest_common_ancestor
+from .madic import Address, cube_index, cube_origin, youngest_common_ancestor
 from .pruning import PrunedSlopeTree, slope_metrics
 from .sticky import _max_cross, classify_roots, is_sticky_admissible, mu, sticky_pair
 from .tubes import (
@@ -76,26 +81,45 @@ def all_root_cubes(pruned: PrunedSlopeTree, cap: int = ROOT_CAP):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=256)
-def _slope_pairs(pruned: PrunedSlopeTree, w: Address, lo: Fraction,
-                 hi: Fraction, S: int, E: int):
-    """The code pairs (c1, c2) whose slope leaves separate exactly at w,
-    each with the lattice form of its overlap test and its slope difference.
+def _plan(pruned: PrunedSlopeTree, w: Address, rho: Fraction, A0: int):
+    """What an E2 scan over [rho, 2 rho] with slope anchor w reads of
+    neither u nor its roots, or None when every such scan is empty.
 
-    With D the slope-lattice denominator ``pruned.D``, the slope difference
-    of the pair is b/D on each axis, ``b`` holding the signed integers; a
-    root offset delta (centres delta/M^J apart, tube side S/(E M^J))
-    overlaps at some x1 in [lo, hi] exactly when every axis keeps delta in
-    its closed integer ``box`` and every ``cross`` form
-    (i, j, f_i, f_j, bound) has f_i delta_i + f_j delta_j < bound.  The box
-    comes from lo < r2 and r1 < hi on a moving axis and from |a| < s on a
-    still one; the cross forms are r1_i < r2_j.  Cached on what it reads;
-    the tuples are shared by every call.
+    The window cut to [lo, hi] by ``clip_x1``, the tube side S/(E M^J),
+    the code pairs (c1, c2, cross, moving, b) whose slope leaves separate
+    exactly at w, the squared offset ``reach`` of a hit and the int64
+    ``box`` of each code pair, (code pair, axis, end).  With D the
+    slope-lattice denominator ``pruned.D``, the slope difference of a pair
+    is b/D on each axis, ``b`` holding the signed integers; a root offset
+    delta (centres delta/M^J apart) overlaps at some x1 in [lo, hi] exactly
+    when every axis keeps delta in its closed ``box`` and every ``cross``
+    form (i, j, f_i, f_j, bound) has f_i delta_i + f_j delta_j < bound.  The
+    box comes from lo < r2 and r1 < hi on a moving axis (i, sgn, |b_i|) and
+    from |a| < s on a still one, cut to the reach; the cross forms are
+    r1_i < r2_j.
     """
-    K, D, sigma = pruned.M ** pruned.J, pruned.D, pruned.sigma
+    win = SlabWindow(rho, 2)
+    M, d, J = pruned.M, pruned.d, pruned.J
+    K, D, sigma = M ** J, pruned.D, pruned.sigma
+    rho_sq = slope_metrics(pruned, w).rho_sq
+    # a hit has M^-J / 2 <= |x1||v1 - v2| <= 2 rho rho_w
+    if 4 * win.hi ** 2 * rho_sq < Fraction(1, K * K):
+        return None
+    lo, hi = clip_x1(*win, A0)
+    if lo >= hi:
+        return None
+    cd = cross_section_dilation(d)
+    S, E = cd.numerator, cd.denominator  # tube side S / (E M^J)
+    # a hit has |cen(t1) - cen(t2)| <= 2 rho rho_w + 2 c_d sqrt(d) M^-J;
+    # no |delta|^2 exceeds d (K - 1)^2, and no box end matters past the
+    # reach, so the offsets, their squares and the box ends fit int64
+    reach_sq = 2 * win.hi ** 2 * rho_sq + Fraction(8 * d) * cd * cd / (K * K)
+    reach = min(int(reach_sq * K * K), d * (K - 1) ** 2)
+    lim = isqrt(reach) + 1
     still = -(-S // E) - 1  # |delta| E < S
     pl, ql, ph, qh = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     codes = range(2 ** pruned.N)
-    out = []
+    pairs, boxes = [], []
     for c1 in codes:
         for c2 in codes:
             if pruned.slope_yca(c1, c2) != w:
@@ -116,8 +140,13 @@ def _slope_pairs(pruned: PrunedSlopeTree, w: Address, lo: Fraction,
             # E (x_j B_i - x_i B_j) < S (B_i + B_j)
             cross = tuple((i, j, -E * si * Bj, E * sj * Bi, S * (Bi + Bj))
                           for i, si, Bi in moving for j, sj, Bj in moving if i != j)
-            out.append((c1, c2, tuple(box), cross, tuple(moving), b))
-    return tuple(out)
+            pairs.append((c1, c2, cross, tuple(moving), b))
+            boxes.append([(max(l, -lim), min(r, lim)) for l, r in box])
+    if not pairs:
+        return None
+    box = np.array(boxes, dtype=np.int64)
+    box.flags.writeable = False  # shared by every call with this key
+    return tuple(pairs), box, reach, lo, hi, S, E
 
 
 def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
@@ -130,57 +159,51 @@ def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
     digits at height h(u) differ.  The geometry is decided on an integer
     lattice: root centres differ by delta/M^J, slopes are numerators over
     one common denominator, and the test of ``tubes.intersects`` (closed
-    window ends, open coordinate bounds) becomes integer comparisons.  One
+    window ends, open coordinate bounds) becomes integer comparisons.
+    Everything that depends on neither u nor the roots, the clipped window,
+    the code pairs with their lattice forms, the reach and the box array,
+    is one cached plan per (instance, w, rho, A0); a call adds its own
+    roots, as the cube indices of the instance table ``cube_indices``.  One
     numpy pass over blocks of t1 forms the root offsets and runs the reach
     and box tests of every (root pair, code pair) as array comparisons;
     the cross forms (d >= 2), whose coefficients scale with ``pruned.D``,
     are Python-int tests on the box survivors.  The centre and scale
-    inequalities depend only on (delta, code pair), so they are checked in
-    integers on the same lattice once per distinct configuration among the
-    geometric hits, including hits that stickiness then rejects;
+    inequalities depend only on (delta, code pair), so every call checks
+    them in integers on the same lattice once per distinct configuration
+    among its geometric hits, including hits that stickiness then rejects;
     ``tubes.assert_pair_inequalities``, which ``tubes.intersects`` runs,
     is their Fraction oracle.  Stickiness is decided once per
     call: every hit has root yca u and slope yca w, so by the two-pair
-    rule ``sticky_pair`` it is sticky exactly when lambda(w) > h(u).
+    rule ``sticky_pair`` it is sticky exactly when lambda(w) > h(u).  The
+    int64 refusal, too, is read off the instance on every call.
     ``enumerate_E2_bruteforce`` is the independent Fraction oracle.
     """
     if w not in pruned.gamma:
         raise InvalidInput("slope anchor must be a splitting vertex")
     if roots is None:
         roots = all_root_cubes(pruned)
-    win = SlabWindow(Fraction(rho), 2)
     M, d, J, h = pruned.M, pruned.d, pruned.J, len(u)
-    K = M ** J
-    if d * K * K >= 2 ** 63:
+    if d * M ** (2 * J) >= 2 ** 63:
         raise InvalidInput("root offsets too large for the int64 scan")
-    rho_sq = slope_metrics(pruned, w).rho_sq
-    # a hit has M^-J / 2 <= |x1||v1 - v2| <= 2 rho rho_w
-    if 4 * win.hi ** 2 * rho_sq < Fraction(1, K * K):
+    plan = _plan(pruned, w, Fraction(rho), A0)
+    if plan is None or h >= J:
         return []
-    lo, hi = clip_x1(*win, A0)
     under = [t for t in roots if t[:h] == u]
-    if lo >= hi or h >= J or len(under) < 2:
+    if len(under) < 2:
         return []
-    cd = cross_section_dilation(d)
-    S, E = cd.numerator, cd.denominator  # tube side S / (E M^J)
-    pairs = _slope_pairs(pruned, w, lo, hi, S, E)
-    if not pairs:
-        return []
+    pairs, box, reach, lo, hi, S, E = plan
     # every hit has root yca u and slope yca w, so one comparison, the
     # rule sticky_pair, decides the stickiness of them all
     admissible = pruned.gamma[w].lam > h
-    # a hit has |cen(t1) - cen(t2)| <= 2 rho rho_w + 2 c_d sqrt(d) M^-J;
-    # no |delta|^2 exceeds d (K - 1)^2, and no box end matters past the
-    # reach, so the offsets, their squares and the box ends fit int64
-    reach_sq = 2 * win.hi ** 2 * rho_sq + Fraction(8 * d) * cd * cd / (K * K)
-    reach = min(int(reach_sq * K * K), d * (K - 1) ** 2)
-    lim = isqrt(reach) + 1
-    box = np.array([[(max(l, -lim), min(r, lim)) for l, r in pair[2]] for pair in pairs],
-                   dtype=np.int64)  # (code pair, axis, end)
-    # the cube index of each root per axis, its J digits read in base M: (n, d)
-    idx = M ** np.arange(J - 1, -1, -1, dtype=np.int64) @ np.array(under, dtype=np.int64)
-    branch = {}
-    grp = np.array([branch.setdefault(t[h], len(branch)) for t in under])
+    # the cube index of each root per axis, (n, d), and its branch of u
+    cubes, branch, idx, grp = pruned.cube_indices, {}, [], []
+    for t in under:
+        i = cubes.get(t)
+        if i is None:
+            i = cubes[t] = cube_index(t, M, d)
+        idx.append(i)
+        grp.append(branch.setdefault(t[h], len(branch)))
+    idx, grp = np.array(idx, dtype=np.int64), np.array(grp)
 
     out = []
     seen = {}  # (delta, code pair) -> geometric hit, asserted when true
@@ -199,7 +222,7 @@ def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
         i1, i2 = (i1 + b0).tolist(), i2.tolist()
         for p, q in zip(hit_p.tolist(), hit_q.tolist()):
             delta_p = deltas[p]
-            c1, c2, _, cross, moving, b = pairs[q]
+            c1, c2, cross, moving, b = pairs[q]
             key = (delta_p, q)
             geometric = seen.get(key)
             if geometric is None:

@@ -231,14 +231,15 @@ class PrunedSlopeTree:
                 g = info.next_gammas[b]
             self.eta.append(tuple(hts))
         # lookup tables filled on first use (slope_yca here, metrics by
-        # slope_metrics, the rest by :mod:`kakeyalab.sticky`): the
-        # reference cubes per (root, code)
+        # slope_metrics, cube indices by :mod:`kakeyalab.counting`, the rest
+        # by :mod:`kakeyalab.sticky`): the reference cubes per (root, code)
         # alone would be K * 2^N entries, and an instance-level table dies
         # with the instance
         self.ref_cubes: dict[tuple[Address, int], tuple] = {}
         self.slope_ycas: dict[tuple[int, int], Address] = {}
         self.mus: dict[tuple[Address, int], int] = {}
         self.metrics: dict[Address, SlopeMetrics] = {}
+        self.cube_indices: dict[Address, tuple[int, ...]] = {}
 
     # -- basic accessors -----------------------------------------------------
 

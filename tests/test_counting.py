@@ -22,7 +22,13 @@ from kakeyalab.errors import InvalidInput, SizeCapExceeded
 from kakeyalab.madic import cantor_tree, full_tree, youngest_common_ancestor
 from kakeyalab.pruning import prune
 from kakeyalab.sticky import classify_roots, is_sticky_admissible
-from kakeyalab.tubes import SlabWindow, assert_pair_inequalities, intersects, make_tube
+from kakeyalab.tubes import (
+    SlabWindow,
+    assert_pair_inequalities,
+    clip_x1,
+    intersects,
+    make_tube,
+)
 
 
 @pytest.fixture(scope="module")
@@ -87,36 +93,95 @@ def _benchmark_subset(roots, seed=5):
     return sorted(t for b in branches.values() for t in rng.sample(b, 5))
 
 
+def _geometric_hits(pruned, u, w, rho, roots):
+    """(centre offset, c1, c2) -> (centre offset, slope difference) of every
+    geometric hit of the E2 scan under u and w, sticky or not, by the
+    Fraction test."""
+    under, h, hits = [t for t in roots if t[:len(u)] == u], len(u), {}
+    for t1, t2 in product(under, repeat=2):
+        for c1, c2 in product(range(len(pruned.slopes)), repeat=2):
+            if t1[h] == t2[h] or pruned.slope_yca(c1, c2) != w:
+                continue
+            a, b = make_tube(pruned, t1, c1), make_tube(pruned, t2, c2)
+            if intersects(a, b, SlabWindow(rho)):
+                dc = tuple(x - y for x, y in zip(a.center(), b.center()))
+                hits[dc, c1, c2] = dc, tuple(x - y for x, y in zip(a.slope, b.slope))
+    return hits
+
+
+def _record_configurations(monkeypatch, seen):
+    """Patch the configuration check with one that records (dc, dw)."""
+    monkeypatch.setattr(counting, "_assert_configuration",
+                        lambda pruned, delta, moving, b, *window: seen.append(
+                            (tuple(F(x, pruned.M ** pruned.J) for x in delta),
+                             tuple(F(y, pruned.D) for y in b))))
+
+
+def _raise_centre(*args):
+    raise AssertionError("centre inequality fails on an intersecting pair")
+
+
 def test_e2_asserts_each_geometric_configuration_once(inst3, monkeypatch):
     # at rho = 1/27 no pair under this height-2 anchor is sticky, but the
     # scan still asserts the inequalities of every geometric hit (at 1/3
     # the anchor has no geometric hit at all)
     g1, u, rho = inst3.psi(()), ((1,), (0,)), F(1, 27)
     roots = _benchmark_subset(all_root_cubes(inst3))
-    K, seen = inst3.M ** inst3.J, []
-    monkeypatch.setattr(counting, "_assert_configuration",
-                        lambda pruned, delta, moving, b, *window: seen.append(
-                            (tuple(F(x, K) for x in delta),
-                             tuple(F(y, pruned.D) for y in b))))
+    seen = []
+    _record_configurations(monkeypatch, seen)
     assert enumerate_E2(inst3, u, g1, rho, roots=roots) == []
-    under = [t for t in roots if t[:2] == u]
-    hits = {}  # (centre offset, c1, c2) of each geometric hit -> (dc, dw)
-    for t1, t2 in product(under, repeat=2):
-        for c1, c2 in product(range(4), repeat=2):
-            if t1[2] == t2[2] or inst3.slope_yca(c1, c2) != g1:
-                continue
-            a, b = make_tube(inst3, t1, c1), make_tube(inst3, t2, c2)
-            if intersects(a, b, SlabWindow(rho)):
-                dc = tuple(x - y for x, y in zip(a.center(), b.center()))
-                hits[dc, c1, c2] = dc, tuple(x - y for x, y in zip(a.slope, b.slope))
+    hits = _geometric_hits(inst3, u, g1, rho, roots)
     assert hits and len(seen) == len(hits) and set(seen) == set(hits.values())
 
-    def fail(*args):
-        raise AssertionError("centre inequality fails on an intersecting pair")
-
-    monkeypatch.setattr(counting, "_assert_configuration", fail)
+    monkeypatch.setattr(counting, "_assert_configuration", _raise_centre)
     with pytest.raises(AssertionError, match="centre inequality"):
         enumerate_E2(inst3, u, g1, rho, roots=roots)
+
+
+def test_e2_warm_plan_still_checks_every_configuration(inst3, monkeypatch):
+    # the plan of (instance, w, rho, A0) is shared across calls, the
+    # configuration checks are not: a repeat call checks every hit again
+    g1, u, rho = inst3.psi(()), ((1,), (0,)), F(1, 27)
+    roots = _benchmark_subset(all_root_cubes(inst3))
+    want = enumerate_E2(inst3, u, g1, rho, roots=roots)
+    hits = _geometric_hits(inst3, u, g1, rho, roots)
+    seen = []
+    _record_configurations(monkeypatch, seen)
+    warm = counting._plan.cache_info().hits
+    assert enumerate_E2(inst3, u, g1, rho, roots=roots) == want
+    assert counting._plan.cache_info().hits == warm + 1
+    assert hits and len(seen) == len(hits) and set(seen) == set(hits.values())
+
+    monkeypatch.setattr(counting, "_assert_configuration", _raise_centre)
+    with pytest.raises(AssertionError, match="centre inequality"):
+        enumerate_E2(inst3, u, g1, rho, roots=roots)
+
+
+def test_e2_plan_is_keyed_on_window(inst3, monkeypatch):
+    # windows that share rho or A0, visited in turn for every w and then
+    # in the opposite order: a plan read under another window's key would
+    # change the pairs or the window that their configurations are checked in
+    roots = _benchmark_subset(all_root_cubes(inst3))
+    windows = [(6, 1), (6, 10), (10, 1), (F(1, 3), 10), (F(1, 81), 10)]
+    check, checked = counting._assert_configuration, set()
+    monkeypatch.setattr(counting, "_assert_configuration",
+                        lambda *args: checked.add(args[4:6]) or check(*args))
+    counting._plan.cache_clear()
+    want = {(w, *win): enumerate_E2_bruteforce(inst3, (), w, *win, roots=roots)
+            for w in inst3.gamma for win in windows}
+    assert any(want.values())
+    seen_windows = set()
+    for order in (windows, windows[::-1]):
+        for w in sorted(inst3.gamma):
+            for rho, A0 in order:
+                checked.clear()
+                assert enumerate_E2(inst3, (), w, rho, A0, roots) == want[w, rho, A0]
+                assert checked <= {clip_x1(*SlabWindow(F(rho)), A0)}, (w, rho, A0)
+                seen_windows |= checked
+    assert {(6, 10), (6, 12)} <= seen_windows
+    for w in inst3.gamma:
+        assert enumerate_E2(inst3, (), w, 6, roots=roots) == \
+            enumerate_E2(inst3, (), w, F(6), roots=roots)
 
 
 def _fraction_configuration(pruned, delta, moving, b, lo, hi, S, E):
