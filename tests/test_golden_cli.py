@@ -1,10 +1,14 @@
-"""The README's CLI examples for ``prune`` and ``verify-prob``, pinned.
+"""The README's CLI examples and one run of each other subcommand, pinned.
 
 ``tests/golden/cli.json`` holds, per command line, the JSON that command
 prints on stdout.  The ``prune`` output pins the pruned slope tree (slopes,
 splitting vertices, coding table, fundamental heights); the ``verify-prob``
 output pins ``pairs_checked``, the number of sticky-admissible root-slope
-pairs of its instance.  Regenerate only when a change is meant to alter
+pairs of its instance.  The ``lacunarity`` lines pin an order-one
+decomposition, an order-4 one with nested witnesses and an order-1 one
+found by the general descent; ``percolate`` pins the exact fair-bit
+resistance, survival and bounds with a seeded Monte Carlo estimate;
+``encode`` pins the Parcet-Rogers direction points.  Regenerate only when a change is meant to alter
 the output:
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -19,6 +23,11 @@ GOLDEN = Path(__file__).parent / "golden" / "cli.json"
 COMMANDS = (
     "prune --set cantor:depth=40 --base 3 --N 3 --C0 2",
     "verify-prob --generator full:depth=12 --M 2 --C0 1 --N 2",
+    "lacunarity --set power:lam=1/2,J=12 --base 2 --order-one",
+    "lacunarity --set cantor:L=4 --base 3",
+    "lacunarity --set perturbed_geometric:jmax=4 --base 2",
+    "percolate --N 3 --trials 2000",
+    "encode --set parcet_rogers:lmax=5 --base 2 --height 6",
 )
 
 
