@@ -521,7 +521,7 @@ class SumDiagnostic:
 
 
 def diagnostics_to_csv(rows, path):
-    """Write (anchor/label, count or sum, bound shape, ratio) rows."""
+    """Write ``SumDiagnostic`` rows as (label, sum, bound shape, ratio)."""
     import csv
     from pathlib import Path
     path = Path(path)
@@ -530,10 +530,7 @@ def diagnostics_to_csv(rows, path):
         wr = csv.writer(fh)
         wr.writerow(["anchor", "count", "bound", "ratio"])
         for r in rows:
-            if isinstance(r, SumDiagnostic):
-                wr.writerow([r.label, r.lhs, r.rhs_shape, r.ratio])
-            else:
-                wr.writerow(list(r))
+            wr.writerow([r.label, r.lhs, r.rhs_shape, r.ratio])
     return path
 
 

@@ -28,6 +28,7 @@ import math
 import platform
 import statistics
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
@@ -203,18 +204,9 @@ def spearman_rho(xs, ys) -> float:
     """Spearman rank correlation (average ranks for ties)."""
 
     def ranks(vs):
-        order = sorted(range(len(vs)), key=lambda i: vs[i])
-        rk = [0.0] * len(vs)
-        i = 0
-        while i < len(order):
-            j = i
-            while j + 1 < len(order) and vs[order[j + 1]] == vs[order[i]]:
-                j += 1
-            avg = (i + j) / 2 + 1
-            for k in range(i, j + 1):
-                rk[order[k]] = avg
-            i = j + 1
-        return rk
+        # a tie fills the sorted places bisect_left .. bisect_right - 1
+        s = sorted(vs)
+        return [(bisect_left(s, v) + bisect_right(s, v) + 1) / 2 for v in vs]
 
     rx, ry = ranks(list(xs)), ranks(list(ys))
     mx = sum(rx) / len(rx)

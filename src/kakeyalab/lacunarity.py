@@ -136,36 +136,54 @@ def verify_witness(points: Sequence[Rational], w: LacunaryWitness) -> bool:
 
 
 def transform_witness(w: LacunaryWitness, c1: Rational, c2: Rational) -> LacunaryWitness:
-    """Witness for c1*U + c2 given one for U (lacunarity is affine-invariant)."""
+    """Witness for c1*U + c2 given one for U.
+
+    A map with c1 > 0 keeps the order of the support, so every child keeps
+    its gap index.  A reflection (c1 < 0) sends the closing gap
+    ``[s_max, oo)`` below the reflected support, where the witness format
+    has no gap, so it raises ``InvalidInput`` on a witness with children;
+    a childless witness reflects to a valid one.
+    """
     if c1 == 0:
         raise InvalidInput("degenerate scaling")
     if w.order == 0:
         return LacunaryWitness(order=0)
-    support = w.sorted_support()
-    new = LacunaryWitness(
+    if c1 < 0 and w.children:
+        raise InvalidInput("a reflection has no gap for the closing child")
+    return LacunaryWitness(
         order=w.order, lam=w.lam,
         special=tuple(c1 * a + c2 for a in w.special),
         alpha=c1 * w.alpha + c2,
+        children={k: transform_witness(child, c1, c2)
+                  for k, child in w.children.items()},
     )
-    nsup = new.sorted_support()
-    m = len(support)
-    for k, child in w.children.items():
-        if k == m - 1:
-            old_anchor = support[-1]
-        else:
-            old_anchor = support[k] if c1 > 0 else support[k + 1]
-        # gaps keep their anchor point up to reflection; the max-point
-        # pseudo-gap maps to the min element under reflection, which then
-        # belongs to the lowest interval gap
-        img = c1 * old_anchor + c2
-        nk = _gap_index(nsup, img)
-        new.children[nk] = transform_witness(child, c1, c2)
-    return new
 
 
 # ---------------------------------------------------------------------------
 # split-1 decomposition (the 6M-sequence construction)
 # ---------------------------------------------------------------------------
+
+def _anchor(tree: CondensedTree, N: int) -> Rational:
+    """The least point of the deepest split-N vertex.  All split-N vertices
+    lie on one ray; descend it from the root."""
+    i0, j0 = 0, len(tree.pts) - 1
+    while i0 != j0:
+        deeper = [(a, b) for a, b in tree.children(i0, j0)
+                  if tree.split_value(a, b) == N]
+        if not deeper:
+            break
+        i0, j0 = deeper[0]
+    return tree.pts[i0]
+
+
+def _thinned(classes: dict):
+    """The entries of each class in ascending order, split by index mod 3:
+    the nonempty parts, class by class.  Ascending branch height means
+    decreasing distance to the anchor, i.e. convergence order."""
+    for key in sorted(classes):
+        entries = sorted(classes[key])
+        yield from filter(None, (entries[ell::3] for ell in range(3)))
+
 
 def _branch_data(points: Sequence[Rational], anchor: Rational, M: int):
     """For each point != anchor: (agreement height j, side, digit at j+1)."""
@@ -195,47 +213,28 @@ def decompose_split_one(points: Sequence[Rational], M: int):
     split = tree.split_value()
     if split != 1:
         raise InvalidInput(f"splitting number is {split}, not 1")
-
-    # the deepest splitting vertex: adjacent pair of maximal agreement height
-    heights = tree.heights
-    deep = max(range(len(heights)), key=lambda i: heights[i])
-    hmax = heights[deep]
-    # points inside that vertex form a contiguous run around `deep`
-    lo = deep
-    while lo > 0 and heights[lo - 1] >= hmax:
-        lo -= 1
-    anchor = pts[lo]
+    anchor = _anchor(tree, 1)
 
     classes: dict[tuple, list] = {}
     for a, j, side, dig in _branch_data(pts, anchor, M):
         classes.setdefault((side, dig), []).append((j, a))
+    if any(len({j for j, _ in e}) != len(e) for e in classes.values()):
+        raise InvalidInput("two branch points at one M-adic distance; "
+                           "splitting number cannot be 1")
 
     sequences = []
     anchor_used = False
-    for key in sorted(classes):
-        entries = sorted(classes[key])
-        js = [j for j, _ in entries]
-        if len(set(js)) != len(js):
-            raise InvalidInput("two branch points at one M-adic distance; "
-                               "splitting number cannot be 1")
-        for ell in range(3):
-            sub = tuple(a for idx, (j, a) in enumerate(entries) if idx % 3 == ell)
-            if not sub:
-                continue
-            if not anchor_used:
-                sub = sub + (anchor,)
-                anchor_used = True
-            sequences.append((sub, anchor))
+    for part in _thinned(classes):
+        sub = tuple(a for _, a in part)
+        if not anchor_used:
+            sub = sub + (anchor,)
+            anchor_used = True
+        sequences.append((sub, anchor))
     if not anchor_used:
         sequences.append(((anchor,), anchor))
     if len(sequences) > 6 * M:
         raise AssertionError(f"{len(sequences)} sequences exceeds the 6M bound")
     return sequences
-
-
-def _witness_from_sequence(seq, alpha, M) -> LacunaryWitness:
-    return LacunaryWitness(order=1, lam=Fraction(1, M), special=tuple(seq),
-                           alpha=alpha)
 
 
 def decompose_lacunary_order(points: Sequence[Rational], M: int,
@@ -256,20 +255,11 @@ def decompose_lacunary_order(points: Sequence[Rational], M: int,
     tree = CondensedTree(pts, M)
     N = tree.split_value()
     if N == 1:
-        pieces = [(seq, _witness_from_sequence(seq, alpha, M))
+        pieces = [(seq, LacunaryWitness(order=1, lam=Fraction(1, M),
+                                        special=seq, alpha=alpha))
                   for seq, alpha in decompose_split_one(pts, M)]
         return pieces, 1
-
-    # all split-N vertices lie on one ray; descend to the deepest one and
-    # anchor at its lexicographically minimal point
-    i0, j0 = 0, len(pts) - 1
-    while i0 != j0:
-        deeper = [(a, b) for a, b in tree.children(i0, j0)
-                  if tree.split_value(a, b) == N]
-        if not deeper:
-            break
-        i0, j0 = deeper[0]
-    anchor = pts[i0]
+    anchor = _anchor(tree, N)
 
     # group off-ray points by branch vertex, recurse into each group
     groups: dict[tuple, list] = {}
@@ -277,13 +267,11 @@ def decompose_lacunary_order(points: Sequence[Rational], M: int,
         groups.setdefault((side, dig, j), []).append(a)
 
     sub_pieces: dict[tuple, list] = {}
-    max_fan = 1
     for key, grp in groups.items():
         pieces, order = decompose_lacunary_order(grp, M, _depth + 1)
         if order > N - 1:
             raise AssertionError("off-ray subtree with too-large split")
         sub_pieces[key] = pieces
-        max_fan = max(max_fan, len(pieces))
 
     # classes as in the split-1 construction; one special point per branch
     # vertex (the left endpoint of its cube)
@@ -293,35 +281,28 @@ def decompose_lacunary_order(points: Sequence[Rational], M: int,
     for (side, dig, j), grp in groups.items():
         v_origin = Fraction(int(min(grp) * M ** (j + 1)), M ** (j + 1))
         by_class.setdefault((side, dig), []).append((j, v_origin, (side, dig, j)))
-    for ckey in sorted(by_class):
-        entries = sorted(by_class[ckey])
-        for ell in range(3):
-            # ascending branch height = decreasing distance to the anchor,
-            # i.e. already in convergence order
-            chosen = [e for idx, e in enumerate(entries) if idx % 3 == ell]
-            if not chosen:
-                continue
-            special = tuple(v for _, v, _ in chosen)
-            for copy in range(max(len(sub_pieces[k]) for _, _, k in chosen)):
-                support_pts: list = []
-                w = LacunaryWitness(order=N, lam=Fraction(1, M),
-                                    special=special, alpha=anchor)
-                sup_sorted = w.sorted_support()
-                for j, v_origin, k in chosen:
-                    pieces = sub_pieces[k]
-                    if copy >= len(pieces):
-                        continue
-                    subset, cw = pieces[copy]
-                    if not subset:
-                        continue
-                    w.children[_gap_index(sup_sorted, v_origin)] = cw
-                    support_pts.extend(subset)
-                if not support_pts:
+    for chosen in _thinned(by_class):
+        special = tuple(v for _, v, _ in chosen)
+        for copy in range(max(len(sub_pieces[k]) for _, _, k in chosen)):
+            support_pts: list = []
+            w = LacunaryWitness(order=N, lam=Fraction(1, M),
+                                special=special, alpha=anchor)
+            sup_sorted = w.sorted_support()
+            for j, v_origin, k in chosen:
+                pieces = sub_pieces[k]
+                if copy >= len(pieces):
                     continue
-                if not anchor_used:
-                    support_pts.append(anchor)
-                    anchor_used = True
-                out.append((tuple(sorted(support_pts)), w))
+                subset, cw = pieces[copy]
+                if not subset:
+                    continue
+                w.children[_gap_index(sup_sorted, v_origin)] = cw
+                support_pts.extend(subset)
+            if not support_pts:
+                continue
+            if not anchor_used:
+                support_pts.append(anchor)
+                anchor_used = True
+            out.append((tuple(sorted(support_pts)), w))
     if not anchor_used:
         out.append(((anchor,), LacunaryWitness(order=0)))
     return out, N
@@ -522,7 +503,7 @@ def stern_brocot_rationals(lo: Fraction, hi: Fraction, count: int):
     return out[:count]
 
 
-def counterexample_raw(j_hi: int = 3, j_lo: int = 2):
+def counterexample_raw(j_hi: int = 3):
     """The dyadic counterexample pair (U, V) in raw coordinates.
 
     U_j sits between consecutive dyadic scales with tail offsets q_{jk}
@@ -531,7 +512,7 @@ def counterexample_raw(j_hi: int = 3, j_lo: int = 2):
     are not capped: they need at most 2^(j_hi^2) + j_hi + 1 bits.
     """
     U: list[Fraction] = []
-    for j in range(j_lo, j_hi + 1):
+    for j in range(2, j_hi + 1):
         Nj = 2 ** (j * j)
         Mj = 2 ** j
         for k in range(1, Mj + 1):
@@ -625,9 +606,7 @@ def generate(spec: GeneratorSpec | str):
 
     if kind == "parcet_rogers":
         lmax = spec.integer("lmax", 8, lo=1)
-        qs = stern_brocot_rationals(Fraction(1, 2), Fraction(2, 3), lmax)
-        pts = [(q * Fraction(1, 2 ** l), Fraction(1, 2 ** l))
-               for l, q in enumerate(qs, start=1)]
+        pts = [v[:2] for v in parcet_rogers_directions(lmax)]
         _check_cap([c for p in pts for c in p])
         return pts
 

@@ -22,6 +22,7 @@ are decided exactly, never by floating comparison.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -358,16 +359,11 @@ def agreement_height_scalar(a: Fraction, b: Fraction, M: int) -> int:
     if a == b:
         raise InvalidInput("equal points have unbounded agreement")
     gap = abs(a - b)
-    # bracket: hi = smallest height with M^-hi <= gap, estimated from bit
-    # lengths so huge denominators stay cheap
-    import math
+    # bracket from bit lengths, so huge denominators stay cheap: gap >
+    # 2^-(bits+1) and agreement at height h needs gap M^h < 2, so no
+    # height above hi agrees; binary search the largest agreeing height
     bits = gap.denominator.bit_length() - gap.numerator.bit_length()
     hi = max(0, int((bits + 2) / math.log2(M)) + 2)
-    while hi > 0 and Fraction(1, M ** (hi - 1)) <= gap:
-        hi -= 1
-    while Fraction(1, M**hi) > gap:
-        hi += 1
-    # heights > hi cannot agree; binary search the largest agreeing height
     lo = 0
     while lo < hi:
         mid = (lo + hi + 1) // 2

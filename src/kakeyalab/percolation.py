@@ -1,13 +1,13 @@
-"""Bernoulli percolation on finite trees and electrical network bounds.
+"""Fair-bit percolation on finite trees and electrical network bounds.
 
-Survival means a root-to-bottom ray whose edges are all retained.  The
-survival probability is bounded through the electrical network that puts
-on each edge the resistance ``1/R_e = (1/(1-p_e)) * prod p_e'`` over the
-edges e' on the root path including e; for fair bits this is
-``R_e = 2^(h-1)``.  The total network resistance R gives the bound
-``2 / (1 + R)``, and merging every generation into a single node can only
-lower the resistance, giving the weaker explicit bound with per-level
-vertex counts.
+Each edge is retained by a fair bit, and survival means a root-to-bottom
+ray whose edges are all retained.  The survival probability is bounded
+through the electrical network that puts on the edge into a height-h
+vertex the resistance ``R_e = 2^(h-1)``.  The total network resistance R
+gives the bound ``2 / (1 + R)``, and merging every generation into a
+single node can only lower the resistance, giving the weaker explicit
+bound with per-level vertex counts.  Only the Monte Carlo estimate takes
+another retention probability.
 
 A tree is read only through ``tree.children(addr)``: the labels ``c`` for
 which ``addr + (c,)`` is a child of the vertex ``addr``, the root being
@@ -35,15 +35,15 @@ def _children(tree, addr):
     return [addr + (dg,) for dg in tree.children(addr)]
 
 
-def edge_resistance(addr: Address, p: Fraction = Fraction(1, 2)) -> Fraction:
-    """Resistance of the edge terminating at addr (height >= 1)."""
+def edge_resistance(addr: Address) -> Fraction:
+    """Resistance 2^(h-1) of the edge terminating at addr (height h >= 1)."""
     h = len(addr)
     if h == 0:
         raise InvalidInput("the root has no incoming edge")
-    return (1 - p) / p ** h
+    return Fraction(2 ** (h - 1))
 
 
-def total_resistance(tree, p: Fraction = Fraction(1, 2)) -> Fraction:
+def total_resistance(tree) -> Fraction:
     """Series-parallel reduction of the network from root to the leaves."""
 
     def rec(addr) -> Fraction | None:
@@ -53,7 +53,7 @@ def total_resistance(tree, p: Fraction = Fraction(1, 2)) -> Fraction:
         inv = Fraction(0)
         for c in kids:
             below = rec(c)
-            branch = edge_resistance(c, p) + below
+            branch = edge_resistance(c) + below
             inv += 1 / branch
         return 1 / inv
 
@@ -73,27 +73,23 @@ def level_counts(tree) -> list[int]:
     return counts
 
 
-def survival_upper_bound(tree, p: Fraction = Fraction(1, 2)):
+def survival_upper_bound(tree):
     """(2/(1+R_exact), 2/(1+sum 2^(k-1)/n_k)); the first is the sharper one.
 
-    The level-merged form assumes fair bits and a uniform bottom level.
+    The level-merged form assumes a uniform bottom level.
     """
-    r_exact = total_resistance(tree, p)
+    r_exact = total_resistance(tree)
     sharp = Fraction(2, 1) / (1 + r_exact)
-    if p == Fraction(1, 2):
-        counts = level_counts(tree)
-        merged_r = sum(Fraction(2 ** (k - 1), counts[k])
-                       for k in range(1, len(counts)))
-        merged = Fraction(2, 1) / (1 + merged_r)
-        if r_exact < merged_r:
-            raise AssertionError("level merge increased the resistance")
-    else:
-        merged = sharp
-    return sharp, merged
+    counts = level_counts(tree)
+    merged_r = sum(Fraction(2 ** (k - 1), counts[k])
+                   for k in range(1, len(counts)))
+    if r_exact < merged_r:
+        raise AssertionError("level merge increased the resistance")
+    return sharp, Fraction(2, 1) / (1 + merged_r)
 
 
-def survival_exact(tree, p: Fraction = Fraction(1, 2)) -> Fraction:
-    """q(root) from the recursion q(v) = 1 - prod_c (1 - p q(c)), q(leaf)=1."""
+def survival_exact(tree) -> Fraction:
+    """q(root) from the recursion q(v) = 1 - prod_c (1 - q(c)/2), q(leaf)=1."""
 
     def rec(addr) -> Fraction:
         kids = _children(tree, addr)
@@ -101,14 +97,15 @@ def survival_exact(tree, p: Fraction = Fraction(1, 2)) -> Fraction:
             return Fraction(1)
         miss = Fraction(1)
         for c in kids:
-            miss *= 1 - p * rec(c)
+            miss *= 1 - rec(c) / 2
         return 1 - miss
 
     return rec(())
 
 
 def survival_monte_carlo(tree, p: Fraction, trials: int, seed: int) -> float:
-    """Fraction of independent trials in which the tree survives."""
+    """Fraction of independent trials in which the tree survives, each edge
+    retained with probability p."""
     if trials < 1:
         raise InvalidInput("need at least one trial")
     pf = float(p)

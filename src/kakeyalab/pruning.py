@@ -168,9 +168,11 @@ class PrunedSlopeTree:
         self._psi_inv: dict[Address, tuple] = {gamma1: ()}
         slopes: dict[int, Point] = {}
 
-        stack = [(gamma1, 1, ())]
+        # eta[code][j-1] = height of the j-th basic slope cube on the ray
+        eta: dict[int, tuple] = {}
+        stack = [(gamma1, 1, (), ())]
         while stack:
-            g, j, bits = stack.pop()
+            g, j, bits, hts = stack.pop()
             kids = tree.children(g)
             if len(kids) != 2:
                 raise InvalidInput(
@@ -184,6 +186,7 @@ class PrunedSlopeTree:
                 lam = min(len(x) for x in downs)
             else:
                 lam = self.J
+            hts = hts + (lam,)
             cubes = []
             for bit, (dg, down) in enumerate(zip(ordered, downs)):
                 cube = down[:lam]
@@ -193,14 +196,15 @@ class PrunedSlopeTree:
                 self._psi_inv[cube] = code
                 if j < N:
                     nexts.append(down)
-                    stack.append((down, j + 1, code))
+                    stack.append((down, j + 1, code, hts))
                 else:
                     nexts.append(None)
                     members = tree._members(down)
                     if len(members) != 1:
                         raise InvalidInput(
                             f"leaf {down} carries {len(members)} slope points")
-                    slopes[int("".join(map(str, code)), 2)] = members[0]
+                    c = int("".join(map(str, code)), 2)
+                    slopes[c], eta[c] = members[0], hts
             info = GammaInfo(addr=g, nu=j, lam=lam,
                              h_cubes=tuple(cubes), next_gammas=tuple(nexts))
             self.gamma[g] = info
@@ -221,15 +225,7 @@ class PrunedSlopeTree:
         self._code_bits = tuple(
             tuple((code >> (N - 1 - i)) & 1 for i in range(N))
             for code in range(2 ** N))
-        # eta[code][j-1] = height of the j-th basic slope cube on the ray
-        self.eta = []
-        for bits in self._code_bits:
-            hts, g = [], gamma1
-            for b in bits:
-                info = self.gamma[g]
-                hts.append(info.lam)
-                g = info.next_gammas[b]
-            self.eta.append(tuple(hts))
+        self.eta = [eta[c] for c in range(2 ** N)]
         # lookup tables filled on first use (slope_yca here, metrics by
         # slope_metrics, cube indices by :mod:`kakeyalab.counting`, the rest
         # by :mod:`kakeyalab.sticky`): the reference cubes per (root, code)
@@ -402,10 +398,6 @@ class SlopeMetrics:
     @property
     def rho(self) -> float:
         return float(self.rho_sq) ** 0.5
-
-    @property
-    def delta(self) -> float:
-        return float(self.delta_sq) ** 0.5
 
 
 def slope_metrics(p: PrunedSlopeTree, gamma_addr: Address) -> SlopeMetrics:

@@ -19,7 +19,12 @@ from kakeyalab.counting import (
     summation_diagnostics,
 )
 from kakeyalab.errors import InvalidInput, SizeCapExceeded
-from kakeyalab.madic import cantor_tree, full_tree, youngest_common_ancestor
+from kakeyalab.madic import (
+    DigitRuleTree,
+    cantor_tree,
+    full_tree,
+    youngest_common_ancestor,
+)
 from kakeyalab.pruning import prune
 from kakeyalab.sticky import classify_roots, is_sticky_admissible
 from kakeyalab.tubes import (
@@ -62,6 +67,15 @@ def test_e2_restricted_equals_bruteforce(inst3):
     subset = sorted(t for b in branches.values() for t in rng.sample(b, 5))
     d2 = prune(cantor_tree(30, d=2), N=2, C0=1)
     d2_roots = sorted(random.Random(1).sample(all_root_cubes(d2), 40))
+    # every slope is (sigma, 0), so axis 1 of each slope pair is still; 40
+    # roots under one height-5 cube of the 3^16 at J = 8
+    still = prune(DigitRuleTree(lambda a: ((0, 0), (2, 0)), 3, 2, 30,
+                                split_fn=lambda a: 30 - len(a)), N=2, C0=1)
+    rng = random.Random(0)
+    digits = list(product(range(3), repeat=2))
+    top = tuple(rng.choice(digits) for _ in range(5))
+    still_roots = sorted(top + tail for tail in
+                         rng.sample(list(product(digits, repeat=still.J - 5)), 40))
     cases = {  # name: (instance, anchors u, rhos, A0, roots, expect hits)
         "u up to height 1": (inst3, sorted({r[:h] for r in roots for h in (0, 1)}),
                              [F(1, 3)], 10, roots, True),
@@ -71,6 +85,8 @@ def test_e2_restricted_equals_bruteforce(inst3):
         "window beyond 10 A0": (inst3, [()], [F(10)], 1, subset, False),
         "rho over 3^30": (inst3, [()], [F(3 ** 29 + 1, 3 ** 30)], 10, subset, True),
         "d = 2": (d2, [()], [F(3), F(1), F(1, 3), F(1, 9)], 10, d2_roots, True),
+        "still axis": (still, sorted({t[:h] for t in still_roots for h in (5, 6)}),
+                       [F(9), F(3), F(1), F(1, 3), F(1, 9)], 10, still_roots, True),
     }
     for name, (p, us, rhos, A0, rts, hits) in cases.items():
         total = 0

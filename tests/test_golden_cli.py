@@ -8,8 +8,8 @@ pairs of its instance.  The ``lacunarity`` lines pin an order-one
 decomposition, an order-4 one with nested witnesses and an order-1 one
 found by the general descent; ``percolate`` pins the exact fair-bit
 resistance, survival and bounds with a seeded Monte Carlo estimate;
-``encode`` pins the Parcet-Rogers direction points.  Regenerate only when a change is meant to alter
-the output:
+``encode`` pins the Parcet-Rogers direction points.  Regenerate only when
+a change is meant to alter the output:
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """

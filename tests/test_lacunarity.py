@@ -122,6 +122,25 @@ def test_witness_affine_invariance(c1n, c2n):
     assert verify_witness([c1 * p + c2 for p in GEOM], tw)
 
 
+@pytest.mark.parametrize("spec, M", [("cantor:L=3", 3), ("cantor:L=4", 3),
+                                     ("two_scale", 6), ("dyadic:m=5", 2)])
+def test_transform_witness_on_decomposition_pieces(spec, M):
+    # a positive map keeps every gap; a reflection has no gap below the
+    # reflected support for the closing child, so it refuses children
+    pieces, _ = decompose_lacunary_order([p for (p,) in generate(spec)], M)
+    assert any(w.children for _, w in pieces)
+    for sub, w in pieces:
+        for c1, c2 in ((F(1), F(0)), (F(2), F(1, 3)), (F(1, 5), F(-2))):
+            assert verify_witness([c1 * x + c2 for x in sub],
+                                  transform_witness(w, c1, c2))
+        if w.children:
+            with pytest.raises(InvalidInput):
+                transform_witness(w, F(-1), F(0))
+        else:
+            assert verify_witness([-x for x in sub],
+                                  transform_witness(w, F(-1), F(0)))
+
+
 def test_projection_examples():
     pts = [(F(1, 2), F(1, 3)), (F(1, 5), F(1, 7))]
     assert project(pts, (F(1), F(0))) == [F(1, 2), F(1, 5)]
