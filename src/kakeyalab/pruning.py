@@ -188,7 +188,7 @@ class PrunedSlopeTree:
                 lam = self.J
             hts = hts + (lam,)
             cubes = []
-            for bit, (dg, down) in enumerate(zip(ordered, downs)):
+            for bit, down in enumerate(downs):
                 cube = down[:lam]
                 cubes.append(cube)
                 code = bits + (bit,)

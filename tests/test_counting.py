@@ -67,8 +67,8 @@ def test_e2_restricted_equals_bruteforce(inst3):
     subset = sorted(t for b in branches.values() for t in rng.sample(b, 5))
     d2 = prune(cantor_tree(30, d=2), N=2, C0=1)
     d2_roots = sorted(random.Random(1).sample(all_root_cubes(d2), 40))
-    # every slope is (sigma, 0), so axis 1 of each slope pair is still; 40
-    # roots under one height-5 cube of the 3^16 at J = 8
+    # every slope is (sigma, 0), so axis 1 of each slope pair is still; J = 8
+    # gives 3^16 roots, so take 40 seeded ones under one height-5 cube
     still = prune(DigitRuleTree(lambda a: ((0, 0), (2, 0)), 3, 2, 30,
                                 split_fn=lambda a: 30 - len(a)), N=2, C0=1)
     rng = random.Random(0)
