@@ -17,7 +17,6 @@ from .madic import (
     cantor_tree,
     encode_set,
     full_tree,
-    is_sticky,
     splitting_number,
     splitting_number_bruteforce,
     youngest_common_ancestor,

@@ -1,4 +1,4 @@
-"""Enumerators for intersecting tube tuples and exact summation diagnostics.
+"""Enumerators for intersecting tube pairs, triples and quadruples.
 
 The pair collection ``E2[u, w; rho]`` gathers sticky-admissible root-slope
 pairs with prescribed youngest common ancestors whose tubes meet inside an
@@ -38,7 +38,6 @@ Everything here is desk-scale and exhaustive, guarded by hard size caps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -49,7 +48,7 @@ import numpy as np
 from .errors import InvalidInput, SizeCapExceeded
 from .madic import Address, cube_index, cube_origin, youngest_common_ancestor
 from .pruning import PrunedSlopeTree, slope_metrics
-from .sticky import _max_cross, classify_roots, is_sticky_admissible, mu, sticky_pair
+from .sticky import _max_cross, classify_roots, is_sticky_admissible, sticky_pair
 from .tubes import (
     SlabWindow,
     clip_x1,
@@ -506,130 +505,3 @@ def bruteforce_E4(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
             out.append(tuple(prs))
     return out
 
-
-# ---------------------------------------------------------------------------
-# summation diagnostics
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SumDiagnostic:
-    label: str
-    lhs: float
-    rhs_shape: float
-    ratio: float
-    exact_assert: bool = False
-
-
-def diagnostics_to_csv(rows, path):
-    """Write ``SumDiagnostic`` rows as (label, sum, bound shape, ratio)."""
-    import csv
-    from pathlib import Path
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["anchor", "count", "bound", "ratio"])
-        for r in rows:
-            wr.writerow([r.label, r.lhs, r.rhs_shape, r.ratio])
-    return path
-
-
-def summation_diagnostics(pruned: PrunedSlopeTree) -> list[SumDiagnostic]:
-    """Exact evaluation of the slope- and root-vertex sums of the
-    summation bounds on this instance, reported as ratios to the shape of
-    each bound.  The alpha = 1 case carries constant exactly 1 and is
-    asserted rather than reported.
-    """
-    out = []
-    gamma1 = pruned.psi(())
-    nu0, h0 = pruned.nu(gamma1), len(gamma1)
-    descendants = [g for g in pruned.gamma if g[: len(gamma1)] == gamma1]
-
-    # geometric slope sums over splitting vertices below gamma1, at
-    # alpha = 2, 1 (asserted with constant 1) and 1/2 (in floats)
-    nus = [pruned.nu(g) for g in descendants]
-    lhs = sum(Fraction(1, 4 ** n) for n in nus)
-    rhs = Fraction(1, 4 ** nu0)
-    out.append(SumDiagnostic("slope-sum alpha>1", float(lhs), float(rhs),
-                             float(lhs / rhs)))
-    lhs = sum(Fraction(1, 2 ** n) for n in nus)
-    rhs = pruned.N * Fraction(1, 2 ** nu0)
-    if lhs > rhs:
-        raise AssertionError("alpha=1 sum exceeds N 2^-nu with constant 1")
-    out.append(SumDiagnostic("slope-sum alpha=1 (exact constant)", float(lhs),
-                             float(rhs), float(lhs / rhs), exact_assert=True))
-    lhs_f = sum(2.0 ** (-0.5 * n) for n in nus)
-    rhs_f = 2.0 ** (-0.5 * nu0) * 2.0 ** (pruned.N * 0.5)
-    out.append(SumDiagnostic("slope-sum alpha<1", lhs_f, rhs_f, lhs_f / rhs_f))
-
-    # weighted slope sum with the M^-beta h factor
-    lhs = sum(Fraction(1, pruned.M ** len(g)) * Fraction(1, 2 ** pruned.nu(g))
-              for g in descendants)
-    rhs = Fraction(1, pruned.M ** h0) * Fraction(1, 2 ** nu0)
-    out.append(SumDiagnostic("slope-sum weighted beta=1 alpha=1",
-                             float(lhs), float(rhs), float(lhs / rhs)))
-
-    # root-vertex sums s(beta) with y the whole hyperplane
-    deepest = max(pruned.gamma, key=lambda g: (len(g), g))
-    hw = len(deepest)
-    nuw = pruned.nu(deepest)
-    d = pruned.d
-
-    def s_beta(beta: int) -> Fraction:
-        total = Fraction(0)
-        for k in range(0, hw + 1):
-            count = pruned.M ** (d * k)
-            total += count * Fraction(1, pruned.M ** (beta * k)) * \
-                2 ** mu(pruned, deepest, k)
-        return total
-
-    cases = [("beta<d", d - 1, 2 ** nuw * Fraction(pruned.M ** ((d - (d - 1)) * hw))),
-             ("beta=d", d, 2 ** nuw * hw if hw else 2 ** nuw),
-             ("beta>d", d + 1, 2 ** nuw * Fraction(1)),
-             ("2M^d<M^beta", 2 * d + 1, Fraction(1))]
-    for label, beta, rhs in cases:
-        lhs = s_beta(beta)
-        rhsf = Fraction(rhs)
-        out.append(SumDiagnostic(f"root-sum {label} (beta={beta})",
-                                 float(lhs), float(rhsf),
-                                 float(lhs / rhsf) if rhsf else float("inf")))
-
-    # windowed root sums over a thin parallelepiped (needs d >= 2)
-    if d >= 2:
-        from math import floor
-        long_side = Fraction(1, pruned.M ** h0)
-        short_side = Fraction(1, pruned.M ** min(hw, h0 + 2))
-        eps = long_side
-
-        def count_in_box(k: int) -> int:
-            per_axis = []
-            for a in range(d):
-                side = long_side if a < d - 1 else short_side
-                per_axis.append(max(0, floor(side * pruned.M ** k)))
-            n = 1
-            for c in per_axis:
-                n *= c
-            return n
-
-        for label, alpha_exp, short in (("s+", 2 * (d - 1), False),
-                                        ("s-", 2 * d - 1, True)):
-            total = Fraction(0)
-            for k in range(0, hw + 1):
-                scale = Fraction(1, pruned.M ** k)
-                if scale > eps:
-                    continue
-                if short and scale > short_side:
-                    continue
-                if not short and scale < short_side:
-                    continue
-                total += count_in_box(k) * Fraction(1, pruned.M ** (alpha_exp * k)) \
-                    * 2 ** mu(pruned, deepest, k)
-            if label == "s+":
-                rhs = 2 ** nuw * long_side ** (d - 1) * eps ** (alpha_exp - d + 1)
-            else:
-                rhs = 2 ** nuw * long_side ** (d - 1) * short_side \
-                    * min(eps, short_side) ** (alpha_exp - d)
-            out.append(SumDiagnostic(f"windowed root-sum {label}",
-                                     float(total), float(rhs),
-                                     float(total / rhs) if rhs else float("inf")))
-    return out

@@ -305,10 +305,6 @@ def experiment_ratio(config: ExperimentConfig):
     return {"rows": rows, "per_n": per_n, "c": config.c_ratio()}
 
 
-def count_inversions(seq) -> int:
-    return sum(1 for a, b in zip(seq, seq[1:]) if b < a)
-
-
 # ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------

@@ -309,7 +309,7 @@ def decompose_lacunary_order(points: Sequence[Rational], M: int,
 
 
 # ---------------------------------------------------------------------------
-# projections and cone sections
+# projections
 # ---------------------------------------------------------------------------
 
 def project(points, direction):
@@ -324,19 +324,6 @@ def project(points, direction):
     if nsq == 0:
         raise InvalidInput("zero direction")
     return [sum(c * v for c, v in zip(p, w)) / nsq for p in points]
-
-
-def cone_section(omega, j: int):
-    """Intersect the cone over a direction set with the hyperplane x_j = 1.
-
-    ``omega`` is an iterable of rational (d+1)-vectors; ``j`` is 1-indexed.
-    """
-    out = []
-    for v in omega:
-        if v[j - 1] == 0:
-            raise InvalidInput(f"component {j} vanishes for {v}")
-        out.append(tuple(c / v[j - 1] for c in v))
-    return out
 
 
 def direction_evidence(points, M: int, directions=None):

@@ -46,11 +46,6 @@ def ancestor(addr: Address, h: int) -> Address:
     return addr[:h]
 
 
-def is_descendant(u: Address, v: Address) -> bool:
-    """True iff u is a (weak) descendant of v, i.e. v is a prefix of u."""
-    return len(u) >= len(v) and u[: len(v)] == v
-
-
 def youngest_common_ancestor(u: Address, v: Address) -> Address:
     """Longest common prefix of the two addresses."""
     n = 0
@@ -276,7 +271,7 @@ def full_tree(depth: int, M: int = 2, d: int = 1) -> DigitRuleTree:
 
 
 # ---------------------------------------------------------------------------
-# encoding / splitting numbers / stickiness
+# encoding / splitting numbers
 # ---------------------------------------------------------------------------
 
 def encode_set(points: Iterable[Point], M: int, J: int) -> PointSetTree:
@@ -300,11 +295,6 @@ def splitting_number(tree) -> int:
     """split(T) = split value at the root (max over vertices is attained
     there by monotonicity along lineages)."""
     return tree.split_value(())
-
-
-def split_values(tree) -> dict[Address, int]:
-    """Per-vertex split values for every vertex."""
-    return {v: tree.split_value(v) for v in tree.vertices()}
 
 
 def splitting_number_bruteforce(tree, cap: int = 24) -> int:
@@ -334,20 +324,6 @@ def splitting_number_bruteforce(tree, cap: int = 24) -> int:
     result = max(best(v) for v in verts)
     best.cache_clear()
     return result
-
-
-def is_sticky(mapping: dict, domain, codomain=None) -> bool:
-    """Check Def-style stickiness of a vertex map: heights preserved and
-    u descendant-of v implies image(u) descendant-of image(v)."""
-    for u, fu in mapping.items():
-        if len(u) != len(fu):
-            return False
-    items = list(mapping.items())
-    for i, (u, fu) in enumerate(items):
-        for v, fv in items:
-            if u != v and is_descendant(u, v) and not is_descendant(fu, fv):
-                return False
-    return True
 
 
 def agreement_height_scalar(a: Fraction, b: Fraction, M: int) -> int:
@@ -431,7 +407,7 @@ def splitting_number_1d_points(points: Sequence[Fraction], M: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# point-set JSON interchange
+# point-set JSON
 # ---------------------------------------------------------------------------
 
 def points_to_json(points: Sequence[Point], M: int, d: int, J: int) -> str:
@@ -439,9 +415,3 @@ def points_to_json(points: Sequence[Point], M: int, d: int, J: int) -> str:
         "M": M, "d": d, "J": J,
         "points": [[f"{c.numerator}/{c.denominator}" for c in p] for p in points],
     })
-
-
-def points_from_json(text: str) -> tuple[tuple[Point, ...], int, int, int]:
-    obj = json.loads(text)
-    pts = tuple(tuple(Fraction(c) for c in p) for p in obj["points"])
-    return pts, obj["M"], obj["d"], obj["J"]

@@ -11,9 +11,8 @@ another retention probability.
 
 A tree is read only through ``tree.children(addr)``: the labels ``c`` for
 which ``addr + (c,)`` is a child of the vertex ``addr``, the root being
-``()``, so ``len(addr)`` is the level.  The M-adic trees of ``madic``, the
-example trees built here and the reference trees of ``sticky`` (N_x
-among them) all qualify.
+``()``, so ``len(addr)`` is the level.  The M-adic trees of ``madic`` and
+the reference trees of ``sticky`` (N_x among them) both qualify.
 
 All resistances and exact survival probabilities are rationals end to
 end; only Monte Carlo frequencies are floats.
@@ -27,7 +26,7 @@ from functools import cache
 
 from ._mix import float01, mix_chain
 from .errors import InvalidInput
-from .madic import Address, DigitRuleTree
+from .madic import Address
 from .sticky import BernoulliWarehouse, ReferenceTree
 
 
@@ -142,41 +141,6 @@ def survival_monte_carlo(tree, p: Fraction, trials: int, seed: int) -> float:
         if alive(()):
             hits += 1
     return hits / trials
-
-
-def _counted_tree(counts: dict[Address, int]) -> DigitRuleTree:
-    """The tree whose vertex ``v`` has the children ``v + ((i,),)`` for
-    ``i < counts.get(v, 0)``; M only has to cover the labels, since these
-    trees are read through ``children`` alone."""
-    return DigitRuleTree(lambda v: tuple((i,) for i in range(counts.get(v, 0))),
-                         M=max([2, *counts.values()]), d=1,
-                         height=1 + max(map(len, counts), default=0))
-
-
-def random_tree(seed: int, height: int = 4, max_branch: int = 3) -> DigitRuleTree:
-    """Uniform-depth random test tree: every vertex above the bottom level
-    draws 1..max_branch children from the seeded mix chain."""
-    out: dict[Address, int] = {}
-    frontier: list[Address] = [()]
-    nid = 0
-    for h in range(height):
-        nxt = []
-        for v in frontier:
-            nid += 1
-            n = 1 + mix_chain(seed, h, nid) % max_branch
-            out[v] = n
-            for i in range(n):
-                nxt.append(v + ((i,),))
-        frontier = nxt
-    return _counted_tree(out)
-
-
-def path_tree(length: int) -> DigitRuleTree:
-    return _counted_tree({((0,),) * k: 1 for k in range(length)})
-
-
-def star_tree(leaves: int) -> DigitRuleTree:
-    return _counted_tree({(): leaves})
 
 
 # ---------------------------------------------------------------------------

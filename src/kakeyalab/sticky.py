@@ -124,41 +124,6 @@ class StickyMap:
     def slope_code(self, t: Address) -> int:
         return self.pruned.bits_code([s.bit for s in self.chain(t)])
 
-    def extend(self, q: Address) -> Address:
-        """Slope-tree vertex assigned to an arbitrary root-tree vertex.
-
-        Follows the proof formula: find the largest basic level whose cube
-        still contains q, then take the height-h(q) vertex on the ray of
-        the next assignment.  Between a splitting vertex's height and the
-        next basic height the value depends on which basic subcube's bit
-        one follows; we canonically follow the lexicographically minimal
-        root below q.  ``extend_is_canonical`` reports whether the value
-        is independent of that choice.
-        """
-        vertex, _ = self._extendad(q)
-        return vertex
-
-    def extend_is_canonical(self, q: Address) -> bool:
-        return self._extendad(q)[1]
-
-    def _extendad(self, q: Address):
-        p = self.pruned
-        h = len(q)
-        if h > p.J:
-            raise InvalidInput(f"vertex height {h} exceeds J = {p.J}")
-        g = p.psi(())
-        lex_min_root = q + ((0,) * p.d,) * (p.J - h)
-        for _, b in walk_chain(p, lex_min_root, self.warehouse.bit):
-            info = p.gamma[g]
-            if info.lam >= h:
-                if h <= len(g):
-                    return ancestor(g, h), True
-                # h(gamma) < h <= lambda(gamma): the basic cube of the
-                # lex-min root's bit, which any root below q shares iff
-                # lambda = h
-                return ancestor(info.h_cubes[b], h), info.lam == h
-            g = info.next_gammas[b]
-
 
 def sample_assignment(pruned: PrunedSlopeTree, seed: int) -> StickyMap:
     """Realize the Bernoulli warehouse for a seed and wrap it as a map."""
@@ -314,7 +279,7 @@ def prob_enumerate(pruned: PrunedSlopeTree, pairs, cap_bits: int = 20) -> Fracti
 
 
 # ---------------------------------------------------------------------------
-# mu / theta / Q_u helpers
+# mu / theta helpers
 # ---------------------------------------------------------------------------
 
 def theta(pruned: PrunedSlopeTree, w: Address, k: int) -> Address | None:
@@ -338,13 +303,6 @@ def mu(pruned: PrunedSlopeTree, w: Address, k: int) -> int:
         got = 0 if th is None else len(pruned.psi_inverse(th))
         pruned.mus[key] = got
     return got
-
-
-def root_ancestor_at_mu(pruned: PrunedSlopeTree, u: Address, w: Address,
-                        k: int) -> Address:
-    """Ancestor of the root-tree vertex u at the height of theta(w, k)."""
-    th = theta(pruned, w, k)
-    return ancestor(u, 0 if th is None else len(th))
 
 
 # ---------------------------------------------------------------------------

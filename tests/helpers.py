@@ -1,13 +1,15 @@
-"""Shared test utilities: root enumeration, random trees, rasterization
-oracle."""
+"""Shared test utilities: root enumeration, example trees, split values,
+inversion counts, the extension of a sticky map to every root-tree
+vertex, and the rasterization oracle."""
 
 from fractions import Fraction
 
 import numpy as np
 
 from kakeyalab._mix import mix_chain
-from kakeyalab.madic import point_address
-from kakeyalab.percolation import _counted_tree as counted_tree  # noqa: F401
+from kakeyalab.errors import InvalidInput
+from kakeyalab.madic import Address, DigitRuleTree, ancestor, point_address
+from kakeyalab.sticky import theta, walk_chain
 
 
 def root_addr(i: int, M: int, J: int):
@@ -39,6 +41,86 @@ def random_counts(seed: int, max_height: int = 4, max_branch: int = 3):
                 nxt.append(v + ((i,),))
         frontier = nxt
     return out
+
+
+def counted_tree(counts: dict[Address, int]) -> DigitRuleTree:
+    """The tree whose vertex ``v`` has the children ``v + ((i,),)`` for
+    ``i < counts.get(v, 0)``; M only has to cover the labels, since these
+    trees are read through ``children`` alone."""
+    return DigitRuleTree(lambda v: tuple((i,) for i in range(counts.get(v, 0))),
+                         M=max([2, *counts.values()]), d=1,
+                         height=1 + max(map(len, counts), default=0))
+
+
+def random_tree(seed: int, height: int = 4, max_branch: int = 3) -> DigitRuleTree:
+    """Uniform-depth random test tree: every vertex above the bottom level
+    draws 1..max_branch children from the seeded mix chain."""
+    out: dict[Address, int] = {}
+    frontier: list[Address] = [()]
+    nid = 0
+    for h in range(height):
+        nxt = []
+        for v in frontier:
+            nid += 1
+            n = 1 + mix_chain(seed, h, nid) % max_branch
+            out[v] = n
+            for i in range(n):
+                nxt.append(v + ((i,),))
+        frontier = nxt
+    return counted_tree(out)
+
+
+def path_tree(length: int) -> DigitRuleTree:
+    return counted_tree({((0,),) * k: 1 for k in range(length)})
+
+
+def star_tree(leaves: int) -> DigitRuleTree:
+    return counted_tree({(): leaves})
+
+
+def count_inversions(seq) -> int:
+    return sum(1 for a, b in zip(seq, seq[1:]) if b < a)
+
+
+def split_values(tree) -> dict[Address, int]:
+    """Per-vertex split values for every vertex."""
+    return {v: tree.split_value(v) for v in tree.vertices()}
+
+
+def root_ancestor_at_mu(pruned, u: Address, w: Address, k: int) -> Address:
+    """Ancestor of the root-tree vertex u at the height of theta(w, k)."""
+    th = theta(pruned, w, k)
+    return ancestor(u, 0 if th is None else len(th))
+
+
+def extend(smap, q: Address):
+    """Slope-tree vertex that the sticky map ``smap`` assigns to an
+    arbitrary root-tree vertex q, and whether that value is canonical.
+
+    Follows the proof formula: find the largest basic level whose cube
+    still contains q, then take the height-h(q) vertex on the ray of
+    the next assignment.  Between a splitting vertex's height and the
+    next basic height the value depends on which basic subcube's bit
+    one follows; we canonically follow the lexicographically minimal
+    root below q.  The flag reports whether the value is independent of
+    that choice.
+    """
+    p = smap.pruned
+    h = len(q)
+    if h > p.J:
+        raise InvalidInput(f"vertex height {h} exceeds J = {p.J}")
+    g = p.psi(())
+    lex_min_root = q + ((0,) * p.d,) * (p.J - h)
+    for _, b in walk_chain(p, lex_min_root, smap.warehouse.bit):
+        info = p.gamma[g]
+        if info.lam >= h:
+            if h <= len(g):
+                return ancestor(g, h), True
+            # h(gamma) < h <= lambda(gamma): the basic cube of the
+            # lex-min root's bit, which any root below q shares iff
+            # lambda = h
+            return ancestor(info.h_cubes[b], h), info.lam == h
+        g = info.next_gammas[b]
 
 
 def rasterize_pair_volume(t1, t2, window, cells: int = 1000):

@@ -21,15 +21,16 @@ import pytest
 
 from helpers import (
     all_roots_1d,
+    count_inversions,
     counted_tree,
     random_counts,
+    random_tree,
     rasterize_pair_volume,
     root_addr,
 )
 from kakeyalab.fast1d import FastInstance
 from kakeyalab.harness import (
     ExperimentConfig,
-    count_inversions,
     experiment_far_slab,
     experiment_moments,
     experiment_ratio,
@@ -54,9 +55,7 @@ from kakeyalab.madic import (
 )
 from kakeyalab.percolation import (
     level_counts,
-    path_tree,
     percolate_reference,
-    random_tree,
     survival_exact,
     survival_monte_carlo,
     survival_upper_bound,

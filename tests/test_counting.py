@@ -1,7 +1,8 @@
 import copy
 import random
 from contextlib import contextmanager
-from fractions import Fraction as F
+from dataclasses import dataclass
+from fractions import Fraction, Fraction as F
 from itertools import product
 
 import pytest
@@ -16,7 +17,6 @@ from kakeyalab.counting import (
     enumerate_E3,
     enumerate_E4,
     slope_complexity,
-    summation_diagnostics,
 )
 from kakeyalab.errors import InvalidInput, SizeCapExceeded
 from kakeyalab.madic import (
@@ -25,8 +25,8 @@ from kakeyalab.madic import (
     full_tree,
     youngest_common_ancestor,
 )
-from kakeyalab.pruning import prune
-from kakeyalab.sticky import classify_roots, is_sticky_admissible
+from kakeyalab.pruning import PrunedSlopeTree, prune
+from kakeyalab.sticky import classify_roots, is_sticky_admissible, mu
 from kakeyalab.tubes import (
     SlabWindow,
     assert_pair_inequalities,
@@ -580,6 +580,120 @@ def test_e3_join_structure(inst3):
         assert cfg.ctype == 1 and not cfg.swapped
 
 
+# ---------------------------------------------------------------------------
+# summation diagnostics
+# ---------------------------------------------------------------------------
+
+@dataclass
+class SumDiagnostic:
+    label: str
+    lhs: float
+    rhs_shape: float
+    ratio: float
+    exact_assert: bool = False
+
+
+def summation_diagnostics(pruned: PrunedSlopeTree) -> list[SumDiagnostic]:
+    """Exact evaluation of the slope- and root-vertex sums of the
+    summation bounds on this instance, reported as ratios to the shape of
+    each bound.  The alpha = 1 case carries constant exactly 1 and is
+    asserted rather than reported.
+    """
+    out = []
+    gamma1 = pruned.psi(())
+    nu0, h0 = pruned.nu(gamma1), len(gamma1)
+    descendants = [g for g in pruned.gamma if g[: len(gamma1)] == gamma1]
+
+    # geometric slope sums over splitting vertices below gamma1, at
+    # alpha = 2, 1 (asserted with constant 1) and 1/2 (in floats)
+    nus = [pruned.nu(g) for g in descendants]
+    lhs = sum(Fraction(1, 4 ** n) for n in nus)
+    rhs = Fraction(1, 4 ** nu0)
+    out.append(SumDiagnostic("slope-sum alpha>1", float(lhs), float(rhs),
+                             float(lhs / rhs)))
+    lhs = sum(Fraction(1, 2 ** n) for n in nus)
+    rhs = pruned.N * Fraction(1, 2 ** nu0)
+    if lhs > rhs:
+        raise AssertionError("alpha=1 sum exceeds N 2^-nu with constant 1")
+    out.append(SumDiagnostic("slope-sum alpha=1 (exact constant)", float(lhs),
+                             float(rhs), float(lhs / rhs), exact_assert=True))
+    lhs_f = sum(2.0 ** (-0.5 * n) for n in nus)
+    rhs_f = 2.0 ** (-0.5 * nu0) * 2.0 ** (pruned.N * 0.5)
+    out.append(SumDiagnostic("slope-sum alpha<1", lhs_f, rhs_f, lhs_f / rhs_f))
+
+    # weighted slope sum with the M^-beta h factor
+    lhs = sum(Fraction(1, pruned.M ** len(g)) * Fraction(1, 2 ** pruned.nu(g))
+              for g in descendants)
+    rhs = Fraction(1, pruned.M ** h0) * Fraction(1, 2 ** nu0)
+    out.append(SumDiagnostic("slope-sum weighted beta=1 alpha=1",
+                             float(lhs), float(rhs), float(lhs / rhs)))
+
+    # root-vertex sums s(beta) with y the whole hyperplane
+    deepest = max(pruned.gamma, key=lambda g: (len(g), g))
+    hw = len(deepest)
+    nuw = pruned.nu(deepest)
+    d = pruned.d
+
+    def s_beta(beta: int) -> Fraction:
+        total = Fraction(0)
+        for k in range(0, hw + 1):
+            count = pruned.M ** (d * k)
+            total += count * Fraction(1, pruned.M ** (beta * k)) * \
+                2 ** mu(pruned, deepest, k)
+        return total
+
+    cases = [("beta<d", d - 1, 2 ** nuw * Fraction(pruned.M ** ((d - (d - 1)) * hw))),
+             ("beta=d", d, 2 ** nuw * hw if hw else 2 ** nuw),
+             ("beta>d", d + 1, 2 ** nuw * Fraction(1)),
+             ("2M^d<M^beta", 2 * d + 1, Fraction(1))]
+    for label, beta, rhs in cases:
+        lhs = s_beta(beta)
+        rhsf = Fraction(rhs)
+        out.append(SumDiagnostic(f"root-sum {label} (beta={beta})",
+                                 float(lhs), float(rhsf),
+                                 float(lhs / rhsf) if rhsf else float("inf")))
+
+    # windowed root sums over a thin parallelepiped (needs d >= 2)
+    if d >= 2:
+        from math import floor
+        long_side = Fraction(1, pruned.M ** h0)
+        short_side = Fraction(1, pruned.M ** min(hw, h0 + 2))
+        eps = long_side
+
+        def count_in_box(k: int) -> int:
+            per_axis = []
+            for a in range(d):
+                side = long_side if a < d - 1 else short_side
+                per_axis.append(max(0, floor(side * pruned.M ** k)))
+            n = 1
+            for c in per_axis:
+                n *= c
+            return n
+
+        for label, alpha_exp, short in (("s+", 2 * (d - 1), False),
+                                        ("s-", 2 * d - 1, True)):
+            total = Fraction(0)
+            for k in range(0, hw + 1):
+                scale = Fraction(1, pruned.M ** k)
+                if scale > eps:
+                    continue
+                if short and scale > short_side:
+                    continue
+                if not short and scale < short_side:
+                    continue
+                total += count_in_box(k) * Fraction(1, pruned.M ** (alpha_exp * k)) \
+                    * 2 ** mu(pruned, deepest, k)
+            if label == "s+":
+                rhs = 2 ** nuw * long_side ** (d - 1) * eps ** (alpha_exp - d + 1)
+            else:
+                rhs = 2 ** nuw * long_side ** (d - 1) * short_side \
+                    * min(eps, short_side) ** (alpha_exp - d)
+            out.append(SumDiagnostic(f"windowed root-sum {label}",
+                                     float(total), float(rhs),
+                                     float(total / rhs) if rhs else float("inf")))
+    return out
+
+
 def test_summation_diagnostics(inst3):
     rows = summation_diagnostics(inst3)
     labels = {r.label for r in rows}
@@ -609,15 +723,6 @@ def test_summation_d2_windowed_cases():
     rows = summation_diagnostics(p)
     labels = {r.label for r in rows}
     assert "windowed root-sum s+" in labels and "windowed root-sum s-" in labels
-
-
-def test_diagnostics_csv(tmp_path, inst3):
-    from kakeyalab.counting import diagnostics_to_csv
-    rows = summation_diagnostics(inst3)
-    path = diagnostics_to_csv(rows, tmp_path / "sums.csv")
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "anchor,count,bound,ratio"
-    assert len(lines) == len(rows) + 1
 
 
 def test_single_slope_degenerate_sums():

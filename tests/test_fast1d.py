@@ -11,13 +11,13 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from helpers import all_roots_1d
+from helpers import all_roots_1d, split_values
 from test_acceptance import ACCEPT_CFG
 from kakeyalab._mix import trial_seed
 from kakeyalab.errors import InvalidInput
 from kakeyalab.fast1d import FastInstance, cs_bound
 from kakeyalab.harness import construct_kakeya, kakeya_tubes, pruned_instance
-from kakeyalab.madic import DigitRuleTree, cantor_tree, full_tree, split_values
+from kakeyalab.madic import DigitRuleTree, cantor_tree, full_tree
 from kakeyalab.pruning import prune
 from kakeyalab.sticky import sample_assignment
 from kakeyalab.tubes import DEFAULT_A0, pair_intersection_volume, union_volume

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import kakeyalab
-from helpers import all_roots_1d
+from helpers import all_roots_1d, count_inversions
 from kakeyalab import harness
 from kakeyalab.cli import main as cli_main
 from kakeyalab.errors import InfeasibleInstance, InvalidInput
@@ -23,7 +23,6 @@ from kakeyalab.harness import (
     _prune_cached,
     append_run_log,
     construct_kakeya,
-    count_inversions,
     experiment_far_slab,
     experiment_moments,
     experiment_ratio,

@@ -8,7 +8,6 @@ from kakeyalab.errors import InvalidInput
 from kakeyalab.lacunarity import (
     GeneratorSpec,
     LacunaryWitness,
-    cone_section,
     counterexample_raw,
     decompose_lacunary_order,
     decompose_split_one,
@@ -178,30 +177,12 @@ def test_product_projection_split_inequality():
         assert lhs <= rhs
 
 
-def test_cone_section_identity_axis():
-    dirs = [(F(1), F(1, 2), F(1, 3)), (F(1), F(1, 4), F(1, 5))]
-    assert cone_section(dirs, 1) == dirs
-
-
 def test_cone_section_parcet_rogers():
+    # the Parcet-Rogers set is given by its section x3 = 1 of the cone
     dirs = parcet_rogers_directions(6)
-    got = cone_section(dirs, 2)
     qs = stern_brocot_rationals(F(1, 2), F(2, 3), 6)
-    for ell, (q, row) in enumerate(zip(qs, got), start=1):
-        assert row == (q, F(1), F(2 ** ell))
-
-
-def test_cone_section_rescales_to_input_ray():
-    dirs = parcet_rogers_directions(4)
-    got = cone_section(dirs, 3)
-    for raw, out in zip(dirs, got):
-        r = raw[2] / out[2]
-        assert tuple(r * c for c in out) == raw
-
-
-def test_cone_section_zero_component():
-    with pytest.raises(InvalidInput):
-        cone_section([(F(0), F(1))], 1)
+    for ell, q in enumerate(qs, start=1):
+        assert dirs[ell - 1] == (q * F(1, 2 ** ell), F(1, 2 ** ell), F(1))
 
 
 def test_generate_cantor_level2():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import counted_tree, random_counts
+from helpers import counted_tree, path_tree, random_counts, split_values
 from kakeyalab.errors import InvalidInput, SizeCapExceeded
 from kakeyalab.madic import (
     PointSetTree,
@@ -14,17 +14,12 @@ from kakeyalab.madic import (
     cube_origin,
     encode_set,
     full_tree,
-    is_sticky,
     point_address,
-    points_from_json,
-    points_to_json,
     splitting_number,
     splitting_number_1d_points,
     splitting_number_bruteforce,
-    split_values,
     youngest_common_ancestor,
 )
-from kakeyalab.percolation import path_tree
 
 
 def test_encode_half_intervals():
@@ -163,28 +158,12 @@ def test_agreement_height_scalar():
     assert agreement_height_scalar(F(5, 8), F(1, 4), 2) == 0
 
 
-def test_is_sticky():
-    ident = {((0,),): ((0,),), ((0,), (1,)): ((0,), (1,))}
-    assert is_sticky(ident, None)
-    bad_height = {((0,), (1,)): ((0,),)}
-    assert not is_sticky(bad_height, None)
-    broken = {((0,),): ((1,),), ((0,), (0,)): ((0,), (0,))}
-    assert not is_sticky(broken, None)
-
-
 def test_rule_tree_lazy_depth():
     t = cantor_tree(40)
     assert t.split_value(()) == 40
     assert t.min_point(((0,), (2,))) == (F(2, 9),)
     # exploration is linear in depth, never exponential
     assert len(t._child_memo) <= 2 * t.height
-
-
-def test_points_json_roundtrip():
-    pts = [(F(1, 3), F(2, 9)), (F(0), F(1, 2))]
-    text = points_to_json(pts, 3, 2, 4)
-    back, M, d, J = points_from_json(text)
-    assert back == tuple(pts) and (M, d, J) == (3, 2, 4)
 
 
 def test_deep_set_splitting_is_cheap():

@@ -5,17 +5,14 @@ from itertools import product
 
 import pytest
 
-from helpers import root_addr
+from helpers import path_tree, random_tree, root_addr, star_tree
 from kakeyalab.errors import InvalidInput
 from kakeyalab.madic import cantor_tree, full_tree
 from kakeyalab.percolation import (
     PercolationOutcome,
     edge_resistance,
     level_counts,
-    path_tree,
     percolate_reference,
-    random_tree,
-    star_tree,
     survival_exact,
     survival_monte_carlo,
     survival_upper_bound,

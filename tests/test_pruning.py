@@ -108,7 +108,6 @@ def test_psi_bijection_and_roundtrip():
 
 
 def test_psi_is_sticky():
-    from kakeyalab.madic import is_sticky
     p = prune(cantor_tree(40), N=3, C0=2)
     mapping = {}
     for c in range(8):

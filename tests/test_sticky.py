@@ -6,7 +6,7 @@ from itertools import combinations, combinations_with_replacement, product
 import numpy as np
 import pytest
 
-from helpers import all_roots_1d, root_addr
+from helpers import all_roots_1d, extend, root_addr, root_ancestor_at_mu
 from kakeyalab.errors import InvalidInput, SizeCapExceeded
 from kakeyalab.fast1d import FastInstance
 from kakeyalab.madic import cantor_tree, full_tree, youngest_common_ancestor
@@ -23,7 +23,6 @@ from kakeyalab.sticky import (
     prob_enumerate,
     prob_exact,
     reference_cubes,
-    root_ancestor_at_mu,
     sample_assignment,
     sticky_pair,
     theta,
@@ -83,25 +82,25 @@ def test_assignment_is_sticky_on_root_cubes_chainwise(inst, roots):
 def test_extend_on_chain_vertices(inst, roots):
     sm = sample_assignment(inst, 13)
     # root hyperplane maps to the slope-tree root
-    assert sm.extend(()) == ()
+    assert extend(sm, ())[0] == ()
     for t in roots[:8]:
         # a root cube maps to its assigned slope leaf
         leaf = inst.slope_leaf(sm.slope_code(t))
-        assert sm.extend(t) == leaf
+        assert extend(sm, t)[0] == leaf
         # parent/child consistency wherever the value is chain-independent
         for h in range(1, inst.J + 1):
-            q, parent = t[:h], t[: h - 1]
-            if sm.extend_is_canonical(q) and sm.extend_is_canonical(parent):
-                assert sm.extend(q)[: len(sm.extend(parent))] == sm.extend(parent)
+            (vq, canon_q), (vp, canon_p) = extend(sm, t[:h]), extend(sm, t[: h - 1])
+            if canon_q and canon_p:
+                assert vq[: len(vp)] == vp
 
 
 def test_extend_heights(inst, roots):
     sm = sample_assignment(inst, 3)
     for t in roots[:4]:
         for h in range(inst.J + 1):
-            assert len(sm.extend(t[:h])) == h
+            assert len(extend(sm, t[:h])[0]) == h
         with pytest.raises(InvalidInput):
-            sm.extend(t + t[-1:])
+            extend(sm, t + t[-1:])
 
 
 def test_single_pair_probability(inst, roots):
