@@ -16,6 +16,7 @@ recurses on the maximal-split ray to produce verified witnesses of order N.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -186,19 +187,24 @@ def _thinned(classes: dict):
 
 
 def _branch_data(points: Sequence[Rational], anchor: Rational, M: int):
-    """For each point != anchor: (agreement height j, side, digit at j+1)."""
+    """For each point != anchor: (agreement height j, side, digit at j+1).
+    Below the root (j = -1) the digit is the point's unit interval counted
+    from the anchor's, which an integer shift leaves unchanged."""
     out = []
     for a in points:
         if a == anchor:
             continue
         j = agreement_height_scalar(a, anchor, M)
         side = 1 if a > anchor else -1
-        out.append((a, j, side, point_digit(a, M, j + 1)))
+        dig = point_digit(a, M, j + 1) if j >= 0 else math.floor(a) - math.floor(anchor)
+        out.append((a, j, side, dig))
     return out
 
 
 def decompose_split_one(points: Sequence[Rational], M: int):
-    """Decompose a splitting-number-1 set into <= 6M lacunary sequences.
+    """Decompose a splitting-number-1 set into <= 6M lacunary sequences,
+    plus one for each further unit interval [n, n+1) that the set meets
+    (its tree's root has one child per interval).
 
     Returns a list of (sequence, alpha) pairs: each sequence is in
     convergence order toward the shared anchor alpha and has lacunarity
@@ -232,8 +238,10 @@ def decompose_split_one(points: Sequence[Rational], M: int):
         sequences.append((sub, anchor))
     if not anchor_used:
         sequences.append(((anchor,), anchor))
-    if len(sequences) > 6 * M:
-        raise AssertionError(f"{len(sequences)} sequences exceeds the 6M bound")
+    units = len({math.floor(a) for a in pts})
+    if len(sequences) > 6 * M + units - 1:
+        raise AssertionError(f"{len(sequences)} sequences exceed the bound "
+                             f"6M + {units - 1}")
     return sequences
 
 
@@ -279,7 +287,7 @@ def decompose_lacunary_order(points: Sequence[Rational], M: int,
     anchor_used = False
     by_class: dict[tuple, list] = {}
     for (side, dig, j), grp in groups.items():
-        v_origin = Fraction(int(min(grp) * M ** (j + 1)), M ** (j + 1))
+        v_origin = Fraction(math.floor(min(grp) * M ** (j + 1)), M ** (j + 1))
         by_class.setdefault((side, dig), []).append((j, v_origin, (side, dig, j)))
     for chosen in _thinned(by_class):
         special = tuple(v for _, v, _ in chosen)

@@ -57,13 +57,14 @@ def youngest_common_ancestor(u: Address, v: Address) -> Address:
 
 
 def point_digit(x: Fraction, M: int, k: int) -> int:
-    """k-th M-adic digit of x in [0,1), 1-indexed."""
-    return int(x * M**k) % M
+    """k-th M-adic digit of x, 1-indexed: floor(x M^k) mod M, which an
+    integer shift of x leaves unchanged."""
+    return math.floor(x * M**k) % M
 
 
 def point_address(p: Point, M: int, J: int) -> Address:
     """Address of the height-J cube containing p."""
-    scaled = [int(c * M**J) for c in p]
+    scaled = [math.floor(c * M**J) for c in p]
     addr = []
     for k in range(J - 1, -1, -1):
         addr.append(tuple((s // M**k) % M for s in scaled))
@@ -327,13 +328,19 @@ def splitting_number_bruteforce(tree, cap: int = 24) -> int:
 
 
 def agreement_height_scalar(a: Fraction, b: Fraction, M: int) -> int:
-    """Largest k >= 0 with floor(a M^k) == floor(b M^k), for a != b.
+    """Largest k >= 0 with floor(a M^k) == floor(b M^k), for a != b, and
+    -1 when no such k exists.
 
     This is the height of the youngest common ancestor of the two points in
     the (untruncated) M-adic tree, computed without materializing digits.
+    The tree of a set that meets several unit intervals [n, n+1) joins
+    them under one root at height -1, so an integer shift of the set
+    changes no agreement height.
     """
     if a == b:
         raise InvalidInput("equal points have unbounded agreement")
+    if math.floor(a) != math.floor(b):
+        return -1
     gap = abs(a - b)
     # bracket from bit lengths, so huge denominators stay cheap: gap >
     # 2^-(bits+1) and agreement at height h needs gap M^h < 2, so no
@@ -343,7 +350,7 @@ def agreement_height_scalar(a: Fraction, b: Fraction, M: int) -> int:
     lo = 0
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if int(a * M**mid) == int(b * M**mid):
+        if math.floor(a * M**mid) == math.floor(b * M**mid):
             lo = mid
         else:
             hi = mid - 1

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -19,7 +20,12 @@ from kakeyalab.lacunarity import (
     transform_witness,
     verify_witness,
 )
-from kakeyalab.madic import encode_set, splitting_number, splitting_number_1d_points
+from kakeyalab.madic import (
+    agreement_height_scalar,
+    encode_set,
+    splitting_number,
+    splitting_number_1d_points,
+)
 
 GEOM = [F(1, 2 ** j) for j in range(1, 16)]
 
@@ -138,6 +144,38 @@ def test_transform_witness_on_decomposition_pieces(spec, M):
         else:
             assert verify_witness([-x for x in sub],
                                   transform_witness(w, F(-1), F(0)))
+
+
+@pytest.mark.parametrize("M", [2, 3])
+def test_integer_shift_leaves_madic_structure_unchanged(M):
+    # digits are floor(x M^k) mod M and the unit intervals hang below one
+    # root, so adding an integer changes no agreement height, no
+    # splitting number and no decomposition
+    rng = random.Random(M)
+    sets = [[s * F(1, 2 ** j) for j in range(1, 8) for s in (1, -1)]]
+    for _ in range(40):
+        k = rng.randrange(1, 7)
+        sets.append([F(rng.randrange(-2 * M ** k, 2 * M ** k), M ** k)
+                     for _ in range(rng.randrange(2, 14))])
+    for pts in sets:
+        pts = sorted(set(pts))
+        split = splitting_number_1d_points(pts, M)
+        heights = [agreement_height_scalar(a, b, M) for a in pts for b in pts if a != b]
+        pieces, order = decompose_lacunary_order(pts, M)
+        for c in (-2, 1, 5):
+            moved = [x + c for x in pts]
+            assert splitting_number_1d_points(moved, M) == split
+            assert [agreement_height_scalar(a, b, M) for a in moved for b in moved
+                    if a != b] == heights
+            got, got_order = decompose_lacunary_order(moved, M)
+            assert got_order == order
+            assert all(verify_witness(list(sub), w) for sub, w in got)
+            assert [(tuple(x - c for x in sub), transform_witness(w, F(1), F(-c)))
+                    for sub, w in got] == pieces
+        unit = [x % 1 for x in pts]
+        assert splitting_number_1d_points(unit, M) == splitting_number(
+            encode_set([(x,) for x in unit], M, 6))
+    assert splitting_number_1d_points(sets[0], 2) == 2
 
 
 def test_projection_examples():
