@@ -30,6 +30,7 @@ from .lacunarity import (
     GeneratorSpec,
     decompose_lacunary_order,
     decompose_split_one,
+    direction_evidence,
     generate,
     is_lacunary_sequence,
     spec_tree,
@@ -71,7 +72,22 @@ def cmd_split_number(args) -> int:
 
 
 def cmd_lacunarity(args) -> int:
-    pts = [p[0] for p in generate(args.set)]
+    spec = GeneratorSpec.parse(args.set)
+    pts = generate(spec)
+    d = len(pts[0])
+    if d > 1:
+        # the decompositions are 1-d: a set in [0,1)^d reports its tree's
+        # splitting number, with the projections only as evidence
+        if args.order_one:
+            raise InvalidInput(f"--order-one decomposes 1-d sets; this set has d = {d}")
+        evidence = direction_evidence(pts, args.base)
+        print(json.dumps({
+            "d": d,
+            "splitting_number": splitting_number(spec_tree(spec, args.base)),
+            "projections": {",".join(map(str, w)): n for w, n in evidence.items()},
+        }, indent=1))
+        return 0
+    pts = [p[0] for p in pts]
     if args.order_one:
         seqs = decompose_split_one(pts, args.base)
         ok = all(is_lacunary_sequence(s, a, Fraction(1, args.base))

@@ -5,8 +5,9 @@ prints on stdout.  The ``prune`` output pins the pruned slope tree (slopes,
 splitting vertices, coding table, fundamental heights); the ``verify-prob``
 output pins ``pairs_checked``, the number of sticky-admissible root-slope
 pairs of its instance.  The ``lacunarity`` lines pin an order-one
-decomposition, an order-4 one with nested witnesses and an order-1 one
-found by the general descent; ``percolate`` pins the exact fair-bit
+decomposition, an order-4 one with nested witnesses, an order-1 one
+found by the general descent, and the d = 2 tree's splitting number of
+Carbery's product set with its projections; ``percolate`` pins the exact fair-bit
 resistance, survival and bounds with a seeded Monte Carlo estimate;
 ``encode`` pins the Parcet-Rogers direction points.  Regenerate only when
 a change is meant to alter the output:
@@ -26,6 +27,7 @@ COMMANDS = (
     "lacunarity --set power:lam=1/2,J=12 --base 2 --order-one",
     "lacunarity --set cantor:L=4 --base 3",
     "lacunarity --set perturbed_geometric:jmax=4 --base 2",
+    "lacunarity --set carbery:lam=1/2,kmax=4,d=2 --base 2",
     "percolate --N 3 --trials 2000",
     "encode --set parcet_rogers:lmax=5 --base 2 --height 6",
 )

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kakeyalab.cli import main as cli_main
 from kakeyalab.errors import InvalidInput
 from kakeyalab.lacunarity import (
     GeneratorSpec,
@@ -16,6 +18,7 @@ from kakeyalab.lacunarity import (
     is_lacunary_sequence,
     parcet_rogers_directions,
     project,
+    spec_tree,
     stern_brocot_rationals,
     transform_witness,
     verify_witness,
@@ -323,3 +326,25 @@ def test_spec_keys_cover_what_the_readers_use():
     assert GeneratorSpec.parse("cantor:depth=40").integer("depth", None) == 40
     assert GeneratorSpec.parse("dyadic:m=3,J=5").integer("J", 12) == 5
     assert len(generate("nsw")) == 8  # the default exponents 1+2
+
+
+def _lacunarity_command(spec, M, *extra):
+    return cli_main(["lacunarity", "--set", spec, "--base", str(M), *extra])
+
+
+@pytest.mark.parametrize("M", [2, 3])
+@pytest.mark.parametrize("spec", ["parcet_rogers", "nsw", "carbery:d=2"])
+def test_lacunarity_command_reads_every_coordinate(spec, M, capsys):
+    assert _lacunarity_command(spec, M) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["d"] == 2
+    assert out["splitting_number"] == splitting_number(spec_tree(spec, M))
+    assert sorted(out["projections"]) == ["0,1", "1,-1", "1,0", "1,1"]
+    # the 1-d decompositions refuse a set in [0,1)^2
+    assert _lacunarity_command(spec, M, "--order-one") == 2
+
+
+def test_lacunarity_command_carbery_stays_at_two(capsys):
+    for kmax in range(3, 13):
+        assert _lacunarity_command(f"carbery:lam=1/2,kmax={kmax},d=2", 2) == 0
+        assert json.loads(capsys.readouterr().out)["splitting_number"] == 2
