@@ -76,8 +76,6 @@ def cmd_lacunarity(args) -> int:
     pts = generate(spec)
     d = len(pts[0])
     if d > 1:
-        # the decompositions are 1-d: a set in [0,1)^d reports its tree's
-        # splitting number, with the projections only as evidence
         if args.order_one:
             raise InvalidInput(f"--order-one decomposes 1-d sets; this set has d = {d}")
         evidence = direction_evidence(pts, args.base)

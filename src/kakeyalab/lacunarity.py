@@ -196,7 +196,8 @@ def _branch_data(points: Sequence[Rational], anchor: Rational, M: int):
             continue
         j = agreement_height_scalar(a, anchor, M)
         side = 1 if a > anchor else -1
-        dig = point_digit(a, M, j + 1) if j >= 0 else math.floor(a) - math.floor(anchor)
+        dig = (point_digit(a, M, j + 1) if j >= 0
+               else math.floor(a) - math.floor(anchor))
         out.append((a, j, side, dig))
     return out
 
@@ -240,8 +241,7 @@ def decompose_split_one(points: Sequence[Rational], M: int):
         sequences.append(((anchor,), anchor))
     units = len({math.floor(a) for a in pts})
     if len(sequences) > 6 * M + units - 1:
-        raise AssertionError(f"{len(sequences)} sequences exceed the bound "
-                             f"6M + {units - 1}")
+        raise AssertionError(f"{len(sequences)} sequences exceed 6M + {units - 1}")
     return sequences
 
 

@@ -1,4 +1,5 @@
-"""Fair-bit percolation on finite trees and electrical network bounds.
+"""Fair-bit percolation on finite trees, the reference trees N_x among
+them, with electrical network bounds.
 
 Each edge is retained by a fair bit, and survival means a root-to-bottom
 ray whose edges are all retained.  The survival probability is bounded
