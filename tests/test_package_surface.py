@@ -3,7 +3,8 @@
 A public top-level function or class of ``src/kakeyalab`` (``__init__.py``
 aside) stays in the package only when some package module other than
 ``__init__.py`` uses it by name or attribute, a ``perfbench`` script uses
-it, or the README names it in backticks.  Its own ``def`` does not count.
+it, or the README names it in backticks.  Its own ``def`` does not count;
+a call from its own body does.
 Test fixtures, writers and checks that only the tests call live in the
 tests.
 """
@@ -36,14 +37,11 @@ def _public_defs(path: Path) -> list:
 
 def test_every_public_definition_has_a_reader():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    readme = set()
-    for span in re.findall(r"`([^`]+)`", (ROOT / "README.md").read_text()):
-        readme.update(re.findall(r"\w+", span))
-    bench = set()
-    for path in sorted((ROOT / "perfbench").glob("*.py")):
-        bench |= _used_names(path)
-    package = set().union(*map(_used_names, modules))
+    spans = re.findall(r"`([^`]+)`", (ROOT / "README.md").read_text())
+    read = set().union(*map(_used_names, modules),
+                       *map(_used_names, (ROOT / "perfbench").glob("*.py")),
+                       re.findall(r"\w+", " ".join(spans)))
     unread = [f"{mod.stem}.{name}" for mod in modules for name in _public_defs(mod)
-              if name not in package | bench | readme]
+              if name not in read]
     assert not unread, (f"{len(unread)} public definitions that only the "
                         f"tests read: {', '.join(unread)}")
