@@ -136,30 +136,6 @@ def verify_witness(points: Sequence[Rational], w: LacunaryWitness) -> bool:
     return True
 
 
-def transform_witness(w: LacunaryWitness, c1: Rational, c2: Rational) -> LacunaryWitness:
-    """Witness for c1*U + c2 given one for U.
-
-    A map with c1 > 0 keeps the order of the support, so every child keeps
-    its gap index.  A reflection (c1 < 0) sends the closing gap
-    ``[s_max, oo)`` below the reflected support, where the witness format
-    has no gap, so it raises ``InvalidInput`` on a witness with children;
-    a childless witness reflects to a valid one.
-    """
-    if c1 == 0:
-        raise InvalidInput("degenerate scaling")
-    if w.order == 0:
-        return LacunaryWitness(order=0)
-    if c1 < 0 and w.children:
-        raise InvalidInput("a reflection has no gap for the closing child")
-    return LacunaryWitness(
-        order=w.order, lam=w.lam,
-        special=tuple(c1 * a + c2 for a in w.special),
-        alpha=c1 * w.alpha + c2,
-        children={k: transform_witness(child, c1, c2)
-                  for k, child in w.children.items()},
-    )
-
-
 # ---------------------------------------------------------------------------
 # split-1 decomposition (the 6M-sequence construction)
 # ---------------------------------------------------------------------------

@@ -232,6 +232,10 @@ class PrunedSlopeTree:
         # alone would be K * 2^N entries, and an instance-level table dies
         # with the instance
         self.ref_cubes: dict[tuple[Address, int], tuple] = {}
+        # the last constraint pass of :mod:`kakeyalab.sticky`: the pairs it
+        # read, the normalized pairs and the merged constraints; it starts
+        # as the pass of the empty prescription
+        self.last_pass: tuple[tuple, tuple, dict | None] = ((), (), {})
         self.slope_ycas: dict[tuple[int, int], Address] = {}
         self.mus: dict[tuple[Address, int], int] = {}
         self.metrics: dict[Address, SlopeMetrics] = {}

@@ -30,11 +30,14 @@ in the tables that :mod:`kakeyalab.counting`, :mod:`kakeyalab.tubes` and
 :mod:`kakeyalab.fast1d` read too: the pruned tree builds its code-bit
 and slope-lattice tables up front and memoizes
 ``slope_yca`` per code pair; the reference cubes per (root, code) and mu
-per (vertex, height) are memoized on it here.  Each call of
-:func:`is_sticky_admissible`, :func:`prob_exact`, :func:`prob_closed_form`
-or :class:`ReferenceTree` makes one private pass: it range-checks and
-normalizes the prescription's pairs, which then serve directly as keys of
-the reference-cube memo, and merges their constraints.  Two module caches
+per (vertex, height) are memoized on it here.  :func:`is_sticky_admissible`,
+:func:`prob_exact`, :func:`prob_closed_form` and :class:`ReferenceTree`
+share one private pass per prescription: it normalizes the pairs, which
+then serve directly as keys of the reference-cube memo (whose misses
+range-check the code and the root), and merges their constraints.  The
+instance keeps the last pass, and a call whose pairs are the identical
+objects reuses it, so a caller that asks for the verdict and both
+probabilities of one list makes one pass.  Two module caches
 hold what depends on no instance: :func:`classify_roots` keeps the
 configurations of the last ``CONFIG_CACHE_SIZE`` root tuples (a sweep
 asks about one root tuple for each of its code tuples), and every
@@ -144,13 +147,25 @@ def reference_cubes(pruned: PrunedSlopeTree, t: Address, code: int) -> tuple:
     """The reference cubes of a root under a prescribed slope: ancestors of
     t at the heights of the slope's basic cubes, paired with the bit each
     must carry.  Memoized on the instance per (t, code); repeat calls
-    return the same tuple."""
+    return the same tuple.  A miss checks the code and that t is a
+    height-J cube of the lattice: J digits, each a d-tuple of ints in
+    0..M-1."""
     key = (t, code)
-    got = pruned.ref_cubes.get(key)
+    try:
+        got = pruned.ref_cubes.get(key)
+    except TypeError:  # an unhashable root, refused below
+        got = None
     if got is None:
         n_codes = len(pruned.slopes)
         if not 0 <= code < n_codes:
             raise InvalidInput(f"slope code {code} outside 0..{n_codes - 1}")
+        M, d = pruned.M, pruned.d
+        if type(t) is not tuple or len(t) != pruned.J or not all(
+                type(digit) is tuple and len(digit) == d
+                and all(type(x) is int and 0 <= x < M for x in digit)
+                for digit in t):
+            raise InvalidInput(
+                f"root {t!r} is not a height-{pruned.J} cube of the base-{M} lattice")
         got = tuple((ancestor(t, h), b)
                     for h, b in zip(pruned.eta[code], pruned.code_bits(code)))
         pruned.ref_cubes[key] = got
@@ -158,38 +173,62 @@ def reference_cubes(pruned: PrunedSlopeTree, t: Address, code: int) -> tuple:
 
 
 def _constraints(pruned: PrunedSlopeTree, pairs, required: bool):
-    """The one admissibility pass: the normalized (root tuple, slope code)
-    pairs, which are the keys of the reference-cube memo, and the bit each
-    of their distinct reference cubes must carry, merged once.  A slope is
-    an integer code (a numpy integer too); every pair is range-checked, and
-    each before its memo lookup, since a negative code would otherwise
-    index from the end.  When some cube would need two bits the
-    constraints are None, or InvalidInput is raised if ``required``."""
-    n_codes, J, memo = len(pruned.slopes), pruned.J, pruned.ref_cubes
-    keys, constraints = [], {}
-    for t, code in pairs:
-        if type(code) is not int:
-            try:
-                code = operator.index(code)
-            except TypeError:
-                raise InvalidInput(f"slope {code!r} is not a code") from None
-        if not 0 <= code < n_codes:
-            raise InvalidInput(f"slope code {code} outside 0..{n_codes - 1}")
-        if len(t) != J:
-            raise InvalidInput("roots must be height-J cubes")
-        key = (t if type(t) is tuple else tuple(t), code)
-        keys.append(key)
-        if constraints is None:
-            continue
-        cubes = memo.get(key)
-        if cubes is None:
-            cubes = reference_cubes(pruned, *key)
-        for cube, bit in cubes:
-            if constraints.setdefault(cube, bit) != bit:
-                constraints = None
-                break
+    """The admissibility pass of a prescription: its normalized (root
+    tuple, slope code) pairs and the bit each of their distinct reference
+    cubes must carry, or None when some cube would need two bits.  The
+    instance keeps the last pass in ``last_pass``; a call whose pairs are
+    the very objects that pass read reuses it.  ``required`` is applied
+    after that lookup, so an inadmissible prescription raises
+    InvalidInput on every call."""
+    if type(pairs) is not list and type(pairs) is not tuple:
+        pairs = tuple(pairs)
+    read, keys, constraints = pruned.last_pass
+    if len(pairs) != len(read) or not all(map(operator.is_, pairs, read)):
+        keys, constraints = _pass(pruned, pairs)
     if constraints is None and required:
         raise InvalidInput("assignment is not sticky-admissible")
+    return keys, constraints
+
+
+def _pass(pruned: PrunedSlopeTree, pairs):
+    """One pass over a prescription: it normalizes each pair, which then
+    serves as its key of the reference-cube memo, and merges the cubes.  A
+    slope is an integer code (a numpy integer too).  The memo holds only
+    checked pairs, so its misses go to :func:`reference_cubes`, which
+    range-checks the code and the root; a conflict ends the merging but
+    not these checks.  The result is stored in ``last_pass`` only when
+    every pair was already canonical, a tuple of a tuple root and an int
+    code, so a reuse by identity skips no conversion; a pair that raises
+    stores nothing."""
+    memo = pruned.ref_cubes
+    keys, constraints, canonical = [], {}, True
+    for pair in pairs:
+        t, code = pair
+        if type(code) is int and type(t) is tuple and type(pair) is tuple:
+            key = pair
+        else:
+            if type(code) is not int:
+                try:
+                    code = operator.index(code)
+                except TypeError:
+                    raise InvalidInput(f"slope {code!r} is not a code") from None
+            key = (t if type(t) is tuple else tuple(t), code)
+            canonical = False
+        keys.append(key)
+        try:
+            cubes = memo.get(key)
+        except TypeError:  # an unhashable root, which reference_cubes refuses
+            cubes = None
+        if cubes is None:
+            cubes = reference_cubes(pruned, *key)
+        if constraints is not None:
+            for cube, bit in cubes:
+                if constraints.setdefault(cube, bit) != bit:
+                    constraints = None
+                    break
+    keys = tuple(keys)
+    if canonical:
+        pruned.last_pass = (tuple(pairs), keys, constraints)
     return keys, constraints
 
 
@@ -206,8 +245,8 @@ class ReferenceTree:
     """
 
     def __init__(self, pruned: PrunedSlopeTree, pairs):
-        pairs, self.bits = _constraints(pruned, pairs, required=True)
-        self.pairs = tuple(pairs)
+        self.pairs, bits = _constraints(pruned, pairs, required=True)
+        self.bits = dict(bits)
         self.rays = {t: tuple(cube for cube, _ in reference_cubes(pruned, t, code))
                      for t, code in self.pairs}
         self.parent: dict[Address, Address] = {}
@@ -244,9 +283,12 @@ def sticky_pair(pruned: PrunedSlopeTree, a, b) -> bool:
 
 def is_sticky_admissible(pruned: PrunedSlopeTree, pairs):
     """Whether some warehouse realization assigns every listed root its
-    prescribed slope; returns (flag, certifying partial bit assignment)."""
+    prescribed slope; returns (flag, certifying partial bit assignment).
+    The certificate is a fresh dict, None when there is none."""
     constraints = _constraints(pruned, pairs, required=False)[1]
-    return constraints is not None, constraints
+    if constraints is None:
+        return False, None
+    return True, dict(constraints)
 
 
 def prob_exact(pruned: PrunedSlopeTree, pairs) -> Fraction:

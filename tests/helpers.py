@@ -1,6 +1,7 @@
 """Shared test utilities: root enumeration, example trees, split values,
 inversion counts, the extension of a sticky map to every root-tree
-vertex, and the rasterization oracle."""
+vertex, the rasterization oracle and the affine image of a lacunary
+witness."""
 
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import numpy as np
 
 from kakeyalab._mix import mix_chain
 from kakeyalab.errors import InvalidInput
+from kakeyalab.lacunarity import LacunaryWitness
 from kakeyalab.madic import Address, DigitRuleTree, ancestor, point_address
 from kakeyalab.sticky import theta, walk_chain
 
@@ -152,3 +154,27 @@ def rasterize_pair_volume(t1, t2, window, cells: int = 1000):
     lower = np.count_nonzero(inside(c1, w1, -dy / 2) & inside(c2, w2, -dy / 2))
     upper = np.count_nonzero(inside(c1, w1, +dy / 2) & inside(c2, w2, +dy / 2))
     return lower * dx * dy, upper * dx * dy
+
+
+def transform_witness(w: LacunaryWitness, c1: Fraction, c2: Fraction) -> LacunaryWitness:
+    """Witness for c1*U + c2 given one for U.
+
+    A map with c1 > 0 keeps the order of the support, so every child keeps
+    its gap index.  A reflection (c1 < 0) sends the closing gap
+    ``[s_max, oo)`` below the reflected support, where the witness format
+    has no gap, so it raises ``InvalidInput`` on a witness with children;
+    a childless witness reflects to a valid one.
+    """
+    if c1 == 0:
+        raise InvalidInput("degenerate scaling")
+    if w.order == 0:
+        return LacunaryWitness(order=0)
+    if c1 < 0 and w.children:
+        raise InvalidInput("a reflection has no gap for the closing child")
+    return LacunaryWitness(
+        order=w.order, lam=w.lam,
+        special=tuple(c1 * a + c2 for a in w.special),
+        alpha=c1 * w.alpha + c2,
+        children={k: transform_witness(child, c1, c2)
+                  for k, child in w.children.items()},
+    )

@@ -17,7 +17,6 @@ from fractions import Fraction as F
 from itertools import combinations, product
 
 import numpy as np
-import pytest
 
 from helpers import (
     all_roots_1d,
@@ -28,14 +27,11 @@ from helpers import (
     rasterize_pair_volume,
     root_addr,
 )
-from kakeyalab.fast1d import FastInstance
 from kakeyalab.harness import (
     ExperimentConfig,
     experiment_far_slab,
     experiment_moments,
     experiment_ratio,
-    run_cell,
-    spearman_rho,
 )
 from kakeyalab.lacunarity import (
     decompose_lacunary_order,
@@ -44,7 +40,6 @@ from kakeyalab.lacunarity import (
     verify_witness,
 )
 from kakeyalab.madic import (
-    agreement_height_scalar,
     cantor_tree,
     encode_set,
     full_tree,

@@ -7,7 +7,6 @@ from itertools import product
 
 import pytest
 
-from helpers import all_roots_1d
 from kakeyalab import counting
 from kakeyalab.counting import (
     all_root_cubes,

@@ -5,7 +5,6 @@ import re
 import statistics
 from dataclasses import replace
 from fractions import Fraction as F
-from pathlib import Path
 
 import numpy as np
 import pytest

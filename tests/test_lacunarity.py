@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import transform_witness
 from kakeyalab.cli import main as cli_main
 from kakeyalab.errors import InvalidInput
 from kakeyalab.lacunarity import (
@@ -20,7 +21,6 @@ from kakeyalab.lacunarity import (
     project,
     spec_tree,
     stern_brocot_rationals,
-    transform_witness,
     verify_witness,
 )
 from kakeyalab.madic import (

@@ -1,13 +1,12 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import counted_tree, path_tree, random_counts, split_values
 from kakeyalab.errors import InvalidInput, SizeCapExceeded
 from kakeyalab.madic import (
-    PointSetTree,
     agreement_height_scalar,
     cantor_tree,
     cube_center,

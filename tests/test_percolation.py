@@ -9,7 +9,6 @@ from helpers import path_tree, random_tree, root_addr, star_tree
 from kakeyalab.errors import InvalidInput
 from kakeyalab.madic import cantor_tree, full_tree
 from kakeyalab.percolation import (
-    PercolationOutcome,
     edge_resistance,
     level_counts,
     percolate_reference,
@@ -20,7 +19,7 @@ from kakeyalab.percolation import (
 )
 from kakeyalab.pruning import prune
 from kakeyalab.sticky import BernoulliWarehouse, sample_assignment
-from kakeyalab.tubes import inclusion_check, poss, reference_trees
+from kakeyalab.tubes import inclusion_check, reference_trees
 
 
 def test_edge_resistances_fair_coin():

@@ -12,6 +12,7 @@ from kakeyalab.fast1d import FastInstance
 from kakeyalab.madic import cantor_tree, full_tree, youngest_common_ancestor
 from kakeyalab.pruning import prune
 from kakeyalab.counting import all_root_cubes
+from kakeyalab import sticky
 from kakeyalab.sticky import (
     CONFIG_CACHE_SIZE,
     BernoulliWarehouse,
@@ -488,3 +489,79 @@ def test_inadmissible_probability_raises(inst, roots):
         prob_exact(inst, [(t1, bad[0]), (t2, bad[1])])
     with pytest.raises(InvalidInput):
         prob_closed_form(inst, [(t1, bad[0]), (t2, bad[1])])
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_one_pass_per_prescription(monkeypatch, k):
+    # a sweep asks is_sticky_admissible, then prob_exact and
+    # prob_closed_form of the same list: the later calls reuse the pass
+    p = prune(full_tree(12, 2), 2, 1)
+    real, passes = sticky._pass, []
+
+    def counted(pruned, pairs):
+        passes.append(pairs)
+        return real(pruned, pairs)
+
+    monkeypatch.setattr(sticky, "_pass", counted)
+    ts = all_roots_1d(p)[3:3 + k]
+    admissible = 0
+    for cs in product(range(2 ** p.N), repeat=k):
+        prs = list(zip(ts, cs))
+        if is_sticky_admissible(p, prs)[0]:
+            admissible += 1
+            assert prob_exact(p, prs) == prob_closed_form(p, prs)
+    assert admissible > 0
+    assert len(passes) == 4 ** k
+
+
+def test_equal_pairs_are_no_hit(inst, roots):
+    # (t, 1.0) == (t, 1), but a float is no code: only the very pair
+    # objects of the last pass reuse it
+    t = roots[0]
+    assert prob_exact(inst, [(t, 1)]) == F(1, 4)
+    for fn in (prob_exact, prob_closed_form, is_sticky_admissible):
+        with pytest.raises(InvalidInput):
+            fn(inst, [(t, 1.0)])
+
+
+def test_replaced_pair_gets_a_fresh_answer(inst, roots):
+    t1, t2 = roots[0], roots[1]
+    want = {c: is_sticky_admissible(inst, [(t1, c), (t2, 0)]) for c in range(4)}
+    assert len({ok for ok, _ in want.values()}) == 2
+    prs = [(t1, 0), (t2, 0)]
+    for c in (1, 2, 3, 0, 2):
+        prs[0] = (t1, c)
+        assert is_sticky_admissible(inst, prs) == want[c]
+        if want[c][0]:
+            assert prob_exact(inst, prs) == F(1, 2 ** len(want[c][1]))
+        else:
+            with pytest.raises(InvalidInput, match="not sticky-admissible"):
+                prob_exact(inst, prs)
+
+
+def test_mutated_certificates_change_no_answer(inst, roots):
+    prs = [(roots[0], 1), (roots[6], 1)]
+    want = prob_exact(inst, prs)
+    ok, cert = is_sticky_admissible(inst, prs)
+    assert ok and want == F(1, 2 ** len(cert))
+    cert[((1,),)] = 0
+    assert prob_exact(inst, prs) == want
+    ReferenceTree(inst, prs).bits.clear()
+    assert prob_exact(inst, prs) == want
+    assert is_sticky_admissible(inst, prs) == (True, {
+        k: v for k, v in cert.items() if k != ((1,),)})
+
+
+@pytest.mark.parametrize("root", [((7,),) * 4, [[0], [0], [1], [1]], ((0, 0),) * 4],
+                         ids=["off_lattice", "nested_lists", "wrong_dimension"])
+def test_roots_off_the_lattice_rejected(inst, roots, root):
+    t0 = ((0,), (0,), (1,), (1,))
+    assert t0 in roots and inst.J == len(t0)
+    # behind a conflict too: an inadmissible prescription still checks its roots
+    for prs in ([(t0, 1), (root, 2)], [(t0, 1), (t0, 2), (root, 2)]):
+        for fn in (is_sticky_admissible, prob_exact, prob_closed_form,
+                   prob_enumerate, ReferenceTree):
+            with pytest.raises(InvalidInput, match="lattice"):
+                fn(inst, prs)
+    with pytest.raises(InvalidInput, match="lattice"):
+        reference_cubes(inst, root, 2)

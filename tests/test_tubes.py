@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import all_roots_1d, rasterize_pair_volume, root_addr
+from helpers import rasterize_pair_volume, root_addr
 from kakeyalab.counting import all_root_cubes
 from kakeyalab.errors import InvalidInput, SizeCapExceeded
 from kakeyalab.madic import cantor_tree
