@@ -21,12 +21,17 @@ to [0, 10 A0] as [A/q, B/q].  Three quantities are computed exactly:
   Q = q D / K.  The profile's antiderivative is 0 or 1 outside one open
   g-interval of length 1/2, so per slope pair and end the sum is 2 Q^2
   times a count of pairs with i - j >= g plus at most one interior term,
-  an integer quadratic in X.  The roots are grouped by slope with one
-  stable sort; each slope's table of the number of its roots below each
-  index is built by run length from its sorted roots, and the roots of
-  every steeper slope gather from it, two columns per distinct window end
-  (int64, at most K^2 <= 2^62); each end's integers, grouped by dsigma,
-  give one Fraction F(p/q), and a window's sum is F(hi) - F(lo);
+  an integer quadratic in X.  g, its column and that term depend on the
+  pair only through dsigma, so they are found once per distinct slope
+  difference and end.  The roots are grouped by slope with one stable
+  sort; each slope's table packs, at each index, the number of its roots
+  below it over one bit that says whether the index is itself such a root,
+  and the roots of every steeper slope gather from it once per distinct
+  window end: one gather gives both the pairs with i - j >= g and those at
+  g - 1.  With b the bit length of the largest slope class, a segment sum
+  stays under 2^(3b), so a class of 2^20 or more roots is refused.  The
+  counts add up in int64 per (dsigma, end); each end's counts, as Python
+  ints, give one Fraction F(p/q), and a window's sum is F(hi) - F(lo);
 
 * union quadrature by the midpoint rule, on one integer scale per window:
   the s slice midpoints share the denominator 2 s q, and each root moves
@@ -150,62 +155,78 @@ class FastInstance:
 
         One pass serves every window: each distinct end e of a clipped,
         non-empty window is gathered once into F(e), the sum up to x1 = e,
-        and a window's sum is F(hi) - F(lo); an empty window gives 0."""
+        and a window's sum is F(hi) - F(lo); an empty window gives 0.  The
+        counts are packed two to an int64, so a slope class of 2^20 or more
+        roots is refused."""
         clipped = [clip_x1(*w, a0) for w in windows]
         ends = sorted({e for lo, hi in clipped if lo < hi for e in (lo, hi)})
         if not ends:
             return (Fraction(0),) * len(clipped)
-        K, sigma = self.K, self.sigma
+        K = self.K
+        # roots grouped by slope, shallowest first (the slopes are distinct)
+        sizes = np.bincount(codes, minlength=len(self.sigma))[self.by_slope].tolist()
+        # each count table entry below is a count under 2^b shifted by b
+        # over one bit, so it is under 2^(2b); a segment sums fewer than
+        # 2^b entries, so its low field stays under 2^b and its sum under
+        # 2^(3b), which int64 holds up to b = 20
+        b = max(sizes).bit_length()
+        if 3 * b > 62:
+            raise InvalidInput("a slope class of 2^20 or more roots overflows packed counts")
+        starts = np.cumsum([0] + sizes).tolist()
+        roots = np.argsort(self.slope_rank[codes], kind="stable")
+        sig = [self.sigma[c] for c in self.by_slope]
+        present = [k for k, n in enumerate(sizes) if n]
+        # every slope difference of two non-empty classes, each once
+        dsig = sorted({sig[m] - sig[k] for at, k in enumerate(present)
+                       for m in present[at + 1:]})
+        row = {ds: r for r, ds in enumerate(dsig)}
         # each end p/q on its own scale Q = q D / K
         ps = [e.numerator for e in ends]
         Qs = [e.denominator * (self.D // K) for e in ends]
-        # roots grouped by slope, shallowest first (the slopes are distinct)
-        sizes = np.bincount(codes, minlength=len(sigma))[self.by_slope].tolist()
-        starts = np.cumsum([0] + sizes).tolist()
-        roots = np.argsort(self.slope_rank[codes], kind="stable")
-        # scratch for the gathers: the indices into a table and the counts
+        # per difference and end: the least g where the profile's
+        # antiderivative reaches 1; the one g below it may be interior.
+        # clip_x1 makes p >= 0, so g <= 1 for ds > 0 and the gather index
+        # i + 1 - g never goes below 0; only the top clip at K applies
+        gs = [[-((W * p * ds - Q) // (W * Q)) for p, Q in zip(ps, Qs)] for ds in dsig]
+        col = np.array([[min(1 - g, K) for g in r] for r in gs], dtype=np.int64)
+        # per (difference, end): the pairs with i - j >= g and with i - j = g - 1
+        n_ge = np.zeros((len(dsig), len(ends)), dtype=np.int64)
+        n_at = np.zeros_like(n_ge)
+        # scratch for the gathers: the indices into a table and the entries
         idx, got = np.empty(K, dtype=np.int64), np.empty(K, dtype=np.int64)
-        by_dsigma: list[dict[int, int]] = [{} for _ in ends]
-        for k, c2 in enumerate(self.by_slope):
-            steeper = [m for m in range(k + 1, len(sigma)) if sizes[m]]
-            if not sizes[k] or not steeper:
-                continue
-            # below[m] = number of roots j < m with code c2, by run length
-            # from the roots of c2 (ascending, the sort being stable)
+        for at, k in enumerate(present[:-1]):
+            steeper = present[at + 1:]
+            # table[x] = (number of roots j < x of slope k) << b, by run
+            # length from its roots (ascending, the sort being stable), plus
+            # 1 when x is itself such a root; since below[x + 1] = below[x]
+            # + [x in slope k], one gather at i + 1 - g reads the pairs
+            # with i - j >= g and those at exactly g - 1.  table[K] has low
+            # bit 0, as the top clip needs
             pos = roots[starts[k]:starts[k + 1]]
-            below = np.repeat(np.arange(sizes[k] + 1),
+            table = np.repeat(np.arange(sizes[k] + 1, dtype=np.int64) << b,
                               np.diff(pos, prepend=-1, append=K))
-            dsig = [sigma[self.by_slope[m]] - sigma[c2] for m in steeper]
-            # per steeper slope and end: the least g where the profile's
-            # antiderivative reaches 1; the one g below it may be interior
-            gs = [[-((W * p * ds - Q) // (W * Q)) for p, Q in zip(ps, Qs)]
-                  for ds in dsig]
-            # two columns per end, 1 - g and 2 - g cut to [-K, K + 1]:
-            # below[i + column] counts the j with i - j >= g, >= g - 1
-            h = np.array([[min(max(s - g, -K), K + 1) for g in row for s in (1, 2)]
-                          for row in gs], dtype=np.int64).T
+            table[pos] += 1
             # the steeper roots, whose pairs are summed per steeper slope,
-            # a column at a time into the scratch; the table clips to 0..K
+            # an end at a time into the scratch; take clips to 0..K
             lo = starts[k + 1]
-            i, ix, n_below = roots[lo:], idx[:K - lo], got[:K - lo]
+            i, ix, entry = roots[lo:], idx[:K - lo], got[:K - lo]
             counts = [sizes[m] for m in steeper]
             first = [starts[m] - lo for m in steeper]
-            ge = []
-            for col in h:
-                np.add(i, np.repeat(col, counts), out=ix)
-                below.take(ix, mode="clip", out=n_below)
-                ge.append(np.add.reduceat(n_below, first))
-            ge = np.stack(ge, axis=1).tolist()
-            for ds, row, n_ge in zip(dsig, gs, ge):
-                for acc, p, Q, g, at_g, below_g in zip(
-                        by_dsigma, ps, Qs, row, n_ge[::2], n_ge[1::2]):
-                    x = W * (g - 1) * Q + W * p * ds  # the interior candidate
-                    acc[ds] = acc.get(ds, 0) + (
-                        2 * Q * Q * at_g + (below_g - at_g) * _tent_antiderivative(x, Q))
+            rows = [row[sig[m] - sig[k]] for m in steeper]
+            sums = np.empty((len(ends), len(steeper)), dtype=np.int64)
+            for c, out in zip(col[rows].T, sums):
+                np.add(i, np.repeat(c, counts), out=ix)
+                table.take(ix, mode="clip", out=entry)
+                np.add.reduceat(entry, first, out=out)
+            np.add.at(n_ge, rows, (sums >> b).T)
+            np.add.at(n_at, rows, (sums & ((1 << b) - 1)).T)
+        den = lcm(*dsig)
         F = {}
-        for e, acc in zip(ends, by_dsigma):
-            den = lcm(*acc)
-            num = sum(v * (den // ds) for ds, v in acc.items())
+        for j, (e, p, Q) in enumerate(zip(ends, ps, Qs)):
+            # the interior candidate of each difference is read at g - 1
+            num = sum((2 * Q * Q * ge + eq * _tent_antiderivative(W * ((r[j] - 1) * Q + p * ds), Q))
+                      * (den // ds)
+                      for ds, r, ge, eq in zip(dsig, gs, n_ge[:, j].tolist(), n_at[:, j].tolist()))
             F[e] = Fraction(num, W * W * self.D * e.denominator ** 2 * den)
         return tuple(F[hi] - F[lo] if lo < hi else Fraction(0) for lo, hi in clipped)
 

@@ -9,7 +9,9 @@ keeps the last assignment, so a computed cell assigns once, the far-slab
 and moment experiments consume identical tube sets and a far-slab table
 alone computes no pair sum.  Exact quantities are bit-reproducible from
 (config, seed) and the quadrature estimates are deterministic given the
-slice count.
+slice count.  A far slab or cell computed on a cache miss adds the wall
+time of each of its stages to ``STAGE_SECONDS``, which every run-log
+record carries.
 
 The near/far ratio follows the slab-decomposition route: the near volume
 is accumulated over the x1 slabs [M^-R, M^-(R-1)] for integer R in
@@ -29,6 +31,7 @@ import platform
 import statistics
 import time
 from bisect import bisect_left, bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
@@ -163,12 +166,26 @@ def run_cell(config: ExperimentConfig, n: int, trial: int) -> CellMetrics:
                  config.slices, config.r_values, tuple(config.ratio_r_range(n)))
 
 
+# wall seconds per stage of the far slabs and cells computed in this
+# process, written to every run-log record; a cached one adds nothing
+STAGE_SECONDS = dict.fromkeys(("assign", "far", "pair_sum", "near", "cs_bound"), 0.0)
+
+
+@contextmanager
+def _stage(name: str):
+    t0 = time.perf_counter()
+    yield
+    STAGE_SECONDS[name] += time.perf_counter() - t0
+
+
 @lru_cache(maxsize=None)
 def _far(pruned: PrunedSlopeTree, seed: int, A0: int, slices: int) -> Fraction:
     """The far-slab volume of one realization; a far-only request assigns
     alone and computes no pair sum or near quadrature."""
-    fast, codes = construct_kakeya(pruned, seed)
-    return fast.union_quadrature(codes, (Fraction(A0), Fraction(A0 + 1)), slices, A0)
+    with _stage("assign"):
+        fast, codes = construct_kakeya(pruned, seed)
+    with _stage("far"):
+        return fast.union_quadrature(codes, (Fraction(A0), Fraction(A0 + 1)), slices, A0)
 
 
 @lru_cache(maxsize=None)
@@ -177,7 +194,8 @@ def _cell(pruned: PrunedSlopeTree, seed: int, A0: int, slices: int,
     # the far slab first: if it is computed here, construct_kakeya then
     # returns the realization it read, so a cell assigns once either way
     far = _far(pruned, seed, A0, slices)
-    fast, codes = construct_kakeya(pruned, seed)
+    with _stage("assign"):
+        fast, codes = construct_kakeya(pruned, seed)
     M = pruned.M
 
     def near(r):
@@ -186,11 +204,14 @@ def _cell(pruned: PrunedSlopeTree, seed: int, A0: int, slices: int,
     # one pair-sum pass over every distinct window, each window end gathered
     # once: the moments and the CS bounds share its sums
     pair_rs = sorted(set(r_values) | set(rs))
-    pairs = dict(zip(pair_rs, fast.pair_sum(codes, [near(r) for r in pair_rs], A0)))
+    with _stage("pair_sum"):
+        pairs = dict(zip(pair_rs, fast.pair_sum(codes, [near(r) for r in pair_rs], A0)))
     moment1 = {r: pairs[r] for r in r_values}
-    near_est = sum((fast.union_quadrature(codes, near(r), slices, A0) for r in rs),
-                   Fraction(0))
-    near_lb = sum((cs_bound(near(r), pairs[r], A0) for r in rs), Fraction(0))
+    with _stage("near"):
+        near_est = sum((fast.union_quadrature(codes, near(r), slices, A0) for r in rs),
+                       Fraction(0))
+    with _stage("cs_bound"):
+        near_lb = sum((cs_bound(near(r), pairs[r], A0) for r in rs), Fraction(0))
 
     return CellMetrics(n=pruned.N, seed=seed, far=far, moment1=moment1,
                        near_est=near_est, near_lb=near_lb, ratio_rs=rs)
@@ -326,8 +347,8 @@ def _git_sha() -> str | None:
 
 def _provenance(config: ExperimentConfig, elapsed_s: float | None) -> dict:
     """The full config, the versions and commit that computed the run, its
-    wall time and the hits and misses of the instance, cell and far-slab
-    caches so far in this process."""
+    wall time, and the hits and misses of the instance, cell and far-slab
+    caches and the wall seconds per cell stage so far in this process."""
 
     def counts(cached):
         info = cached.cache_info()
@@ -340,7 +361,8 @@ def _provenance(config: ExperimentConfig, elapsed_s: float | None) -> dict:
             "git_sha": _git_sha(),
             "elapsed_s": elapsed_s,
             "caches": {"prune": counts(_prune_cached), "cell": counts(_cell),
-                       "far": counts(_far)}}
+                       "far": counts(_far)},
+            "stage_seconds": dict(STAGE_SECONDS)}
 
 
 def append_run_log(config: ExperimentConfig, experiment: str, payload: dict,

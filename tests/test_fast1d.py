@@ -20,7 +20,8 @@ from kakeyalab.harness import construct_kakeya, kakeya_tubes, pruned_instance
 from kakeyalab.madic import DigitRuleTree, cantor_tree, full_tree
 from kakeyalab.pruning import prune
 from kakeyalab.sticky import sample_assignment
-from kakeyalab.tubes import DEFAULT_A0, pair_intersection_volume, union_volume
+from kakeyalab.tubes import (DEFAULT_A0, clip_x1, cross_section_dilation,
+                             pair_intersection_volume, union_volume)
 
 SLICES = 3
 TOP = 10 * DEFAULT_A0  # the far end of every tube
@@ -176,6 +177,78 @@ def test_count_table_edges_match_scalar(case):
     family = kakeya_tubes(pruned, codes)
     ws = [(F(1, 9), F(1, 3)), (F(1, 3), F(1)), (F(0), F(TOP)), (F(1, 27), F(5, 2))]
     assert fast.pair_sum(codes, ws) == tuple(scalar_pair_sum(family, w) for w in ws)
+
+
+def dense_pair_sum(fast, codes, w, a0=DEFAULT_A0):
+    """Integer oracle over all ordered root pairs with sigma_i > sigma_j:
+    the tent antiderivative at X = W (g Q + p dsigma), g = i - j, on each
+    end's scale Q = q D / K, summed in numpy per pair of slopes and in
+    Python ints per slope difference."""
+    lo, hi = clip_x1(*w, a0)
+    if lo >= hi:
+        return F(0)
+    W = int(1 / cross_section_dilation(1))
+    sigma = np.array(fast.sigma, dtype=np.int64)[codes]
+    by_class = {s: np.flatnonzero(sigma == s) for s in set(sigma.tolist())}
+
+    def at(e):
+        p, Q = e.numerator, e.denominator * (fast.D // fast.K)
+        per_ds = {}
+        for si, i in by_class.items():
+            for sj, j in by_class.items():
+                if si > sj:
+                    x = W * (np.subtract.outer(i, j) * Q + p * (si - sj))
+                    tent = np.where(x <= -Q, 0, np.where(
+                        x <= 0, (x + Q) ** 2,
+                        np.where(x < Q, 2 * Q * Q - (Q - x) ** 2, 2 * Q * Q)))
+                    per_ds[si - sj] = per_ds.get(si - sj, 0) + int(tent.sum())
+        return sum((F(v, ds) for ds, v in per_ds.items()), F(0)) / (
+            W * W * fast.D * e.denominator ** 2)
+
+    return at(hi) - at(lo)
+
+
+# an end at 0 (g = 1 for every slope difference), a window past 10 A0
+# (cut there, where the gather clips at K), the far slab and the
+# ACCEPT_CFG near windows
+ORACLE_WINDOWS = [(F(0), F(1, 3)), (F(1, 3), F(2 * TOP)), (F(DEFAULT_A0), F(DEFAULT_A0 + 1)),
+                  *((F(1, 3 ** r), F(1, 3 ** (r - 1))) for r in ACCEPT_CFG.r_values)]
+
+
+def test_dense_oracle_matches_scalar_tubes():
+    pruned, fast = instance("cantor3", 2, 1)
+    assert fast.K == 81
+    codes = fast.assign(3)
+    family = kakeya_tubes(pruned, codes)
+    for w in ORACLE_WINDOWS:
+        assert dense_pair_sum(fast, codes, w) == scalar_pair_sum(family, w)
+
+
+def test_pair_sums_past_81_roots_match_the_dense_oracle():
+    fast = FastInstance(prune(cantor_tree(25), N=3, C0=1))
+    assert (fast.K, len(fast.sigma)) == (729, 8)
+    # the first root in the steepest class and the last in the shallowest:
+    # at a clipped end that pair reads the table next to its top entry
+    edges = fast.assign(1)
+    edges[0], edges[-1] = fast.by_slope[-1], fast.by_slope[0]
+    for codes in (fast.assign(0), edges):
+        assert fast.pair_sum(codes, ORACLE_WINDOWS) == tuple(
+            dense_pair_sum(fast, codes, w) for w in ORACLE_WINDOWS)
+
+
+def test_a_slope_class_of_2_to_the_20_roots_is_refused():
+    # hand-set pair-sum attributes: 2^20 roots, slopes 0 and 3 / 2^20;
+    # no tree small enough for tier-1 prunes to that many roots
+    fast = SimpleNamespace(K=2 ** 20, D=2 ** 20, sigma=[0, 3], by_slope=[0, 1],
+                           slope_rank=np.array([0, 1], dtype=np.uint8))
+    codes = np.zeros(2 ** 20, dtype=np.int64)
+    with pytest.raises(InvalidInput, match="2\\^20"):
+        FastInstance.pair_sum(fast, codes, [(F(0), F(1))])
+    # one root fewer in that class fits the packed counts
+    codes[2 ** 19] = 1
+    ws = [(F(0), F(1, 3)), (F(1, 3), F(1))]
+    got = FastInstance.pair_sum(fast, codes, ws)
+    assert got == tuple(dense_pair_sum(fast, codes, w) for w in ws) and got[0] > 0
 
 
 def test_no_windows_give_no_sums():

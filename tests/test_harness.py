@@ -254,6 +254,16 @@ def test_run_log_and_csv(tmp_path, cfg):
         info = cached.cache_info()
         assert parsed["caches"][name] == {"hits": info.hits, "misses": info.misses}
     assert parsed["caches"]["far"]["misses"] + parsed["caches"]["far"]["hits"] >= 2
+    # and the wall seconds per stage of the far slabs and cells computed so far
+    stages = parsed["stage_seconds"]
+    assert set(stages) == {"assign", "far", "pair_sum", "near", "cs_bound"}
+    assert all(v >= 0 for v in stages.values())
+    # the cells of a config that no other test builds add to the totals
+    fresh = replace(cfg2, master_seed=4242)
+    experiment_moments(fresh)
+    after = append_run_log(fresh, "moments", {})["stage_seconds"]
+    assert after["pair_sum"] > stages["pair_sum"]
+    assert all(after[k] >= v for k, v in stages.items())
     csv_path = write_results_csv(cfg2, tmp_path / "results.csv")
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
