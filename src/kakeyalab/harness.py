@@ -85,10 +85,11 @@ class ExperimentConfig:
         return 1.0 / math.log(self.M)
 
     def ratio_r_range(self, n: int) -> list[int]:
-        c = self.c_ratio()
-        lo, hi = c * math.log(n), 2 * c * math.log(n)
-        rs = [r for r in range(1, 64) if lo <= r <= hi]
-        return rs or [max(1, round(lo))]
+        """The R in [log_M n, 2 log_M n], decided in integers as
+        n <= M^R <= n^2 so that exact powers keep their endpoints; with
+        none, the R nearest log_M n (at least 1)."""
+        rs = [r for r in range(1, 64) if n <= self.M ** r <= n * n]
+        return rs or [max(1, round(self.c_ratio() * math.log(n)))]
 
     def to_jsonable(self):
         return dict(self.__dict__)

@@ -231,7 +231,7 @@ class PrunedSlopeTree:
         # by :mod:`kakeyalab.sticky`): the reference cubes per (root, code)
         # alone would be K * 2^N entries, and an instance-level table dies
         # with the instance
-        self.ref_cubes: dict[tuple[Address, int], tuple] = {}
+        self.ref_cubes: dict[tuple[Address, int], tuple[Address, tuple]] = {}
         # the last constraint pass of :mod:`kakeyalab.sticky`: the pairs it
         # read, the normalized pairs and the merged constraints; it starts
         # as the pass of the empty prescription

@@ -34,7 +34,8 @@ per (vertex, height) are memoized on it here.  :func:`is_sticky_admissible`,
 :func:`prob_exact`, :func:`prob_closed_form` and :class:`ReferenceTree`
 share one private pass per prescription: it normalizes the pairs, which
 then serve directly as keys of the reference-cube memo (whose misses
-range-check the code and the root), and merges their constraints.  The
+range-check the code and the root, and whose hits check a root that is
+not the very object checked before), and merges their constraints.  The
 instance keeps the last pass, and a call whose pairs are the identical
 objects reuses it, so a caller that asks for the verdict and both
 probabilities of one list makes one pass.  Two module caches
@@ -58,6 +59,7 @@ from .madic import Address, ancestor, cube_index, youngest_common_ancestor
 from .pruning import PrunedSlopeTree
 
 CONFIG_CACHE_SIZE = 1024  # root tuples whose configuration classify_roots keeps
+_UNCHECKED = (object(), None)  # a reference-cube memo miss
 
 
 class BernoulliWarehouse:
@@ -143,13 +145,27 @@ def _half_power(n: int) -> Fraction:
     return Fraction(1, 2 ** n)
 
 
+def _check_root(pruned: PrunedSlopeTree, t) -> None:
+    """Refuse t unless it is a height-J cube of the lattice: J digits, each
+    a d-tuple of ints in 0..M-1."""
+    M, d = pruned.M, pruned.d
+    if type(t) is not tuple or len(t) != pruned.J or not all(
+            type(digit) is tuple and len(digit) == d
+            and all(type(x) is int and 0 <= x < M for x in digit)
+            for digit in t):
+        raise InvalidInput(
+            f"root {t!r} is not a height-{pruned.J} cube of the base-{M} lattice")
+
+
 def reference_cubes(pruned: PrunedSlopeTree, t: Address, code: int) -> tuple:
     """The reference cubes of a root under a prescribed slope: ancestors of
     t at the heights of the slope's basic cubes, paired with the bit each
-    must carry.  Memoized on the instance per (t, code); repeat calls
-    return the same tuple.  A miss checks the code and that t is a
-    height-J cube of the lattice: J digits, each a d-tuple of ints in
-    0..M-1."""
+    must carry.  Memoized on the instance per (t, code), with the root
+    object that was checked; repeat calls return the same tuple.  A miss
+    checks the code and that t is a height-J cube of the lattice: J
+    digits, each a d-tuple of ints in 0..M-1.  A hit checks t again unless
+    it is that very object, since an equal root may have other digit types
+    (1.0 or True for 1)."""
     key = (t, code)
     try:
         got = pruned.ref_cubes.get(key)
@@ -159,17 +175,13 @@ def reference_cubes(pruned: PrunedSlopeTree, t: Address, code: int) -> tuple:
         n_codes = len(pruned.slopes)
         if not 0 <= code < n_codes:
             raise InvalidInput(f"slope code {code} outside 0..{n_codes - 1}")
-        M, d = pruned.M, pruned.d
-        if type(t) is not tuple or len(t) != pruned.J or not all(
-                type(digit) is tuple and len(digit) == d
-                and all(type(x) is int and 0 <= x < M for x in digit)
-                for digit in t):
-            raise InvalidInput(
-                f"root {t!r} is not a height-{pruned.J} cube of the base-{M} lattice")
-        got = tuple((ancestor(t, h), b)
-                    for h, b in zip(pruned.eta[code], pruned.code_bits(code)))
+        _check_root(pruned, t)
+        got = (t, tuple((ancestor(t, h), b)
+                        for h, b in zip(pruned.eta[code], pruned.code_bits(code))))
         pruned.ref_cubes[key] = got
-    return got
+    elif got[0] is not t:
+        _check_root(pruned, t)
+    return got[1]
 
 
 def _constraints(pruned: PrunedSlopeTree, pairs, required: bool):
@@ -194,12 +206,13 @@ def _pass(pruned: PrunedSlopeTree, pairs):
     """One pass over a prescription: it normalizes each pair, which then
     serves as its key of the reference-cube memo, and merges the cubes.  A
     slope is an integer code (a numpy integer too).  The memo holds only
-    checked pairs, so its misses go to :func:`reference_cubes`, which
-    range-checks the code and the root; a conflict ends the merging but
-    not these checks.  The result is stored in ``last_pass`` only when
-    every pair was already canonical, a tuple of a tuple root and an int
-    code, so a reuse by identity skips no conversion; a pair that raises
-    stores nothing."""
+    checked pairs, each with the root object that was checked, so its
+    misses, and its hits on a root that only equals that object, go to
+    :func:`reference_cubes`, which checks the code and the root; a
+    conflict ends the merging but not these checks.  The result is stored
+    in ``last_pass`` only when every pair was already canonical, a tuple
+    of a tuple root and an int code, so a reuse by identity skips no
+    conversion; a pair that raises stores nothing."""
     memo = pruned.ref_cubes
     keys, constraints, canonical = [], {}, True
     for pair in pairs:
@@ -216,10 +229,12 @@ def _pass(pruned: PrunedSlopeTree, pairs):
             canonical = False
         keys.append(key)
         try:
-            cubes = memo.get(key)
+            checked, cubes = memo.get(key, _UNCHECKED)
         except TypeError:  # an unhashable root, which reference_cubes refuses
-            cubes = None
-        if cubes is None:
+            checked = _UNCHECKED
+        # a miss, or a root that only equals the one the memo checked, is
+        # checked there
+        if checked is not t:
             cubes = reference_cubes(pruned, *key)
         if constraints is not None:
             for cube, bit in cubes:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from helpers import all_roots_1d, split_values
 from test_acceptance import ACCEPT_CFG
+from kakeyalab import fast1d
 from kakeyalab._mix import trial_seed
 from kakeyalab.errors import InvalidInput
 from kakeyalab.fast1d import FastInstance, cs_bound
@@ -120,6 +121,49 @@ def test_windows_with_3_to_the_30_denominators(w):
     assert fast.pair_sum(codes, [w])[0] > 0
     # both windows lie inside the 62-bit range of the quadrature
     check_against_scalar(pruned, fast, codes, w, may_refuse=False)
+
+
+class SliceDtypes:
+    """numpy as ``fast1d`` sees it, recording the dtype of every
+    ``np.empty``: the scratch arrays of the quadrature's slices."""
+
+    def __init__(self):
+        self.seen = set()
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, shape, dtype):
+        self.seen.add(np.dtype(dtype))
+        return np.empty(shape, dtype)
+
+
+@pytest.mark.parametrize("w, dtype", [
+    ((F(1, 288950), F(1, 3)), np.int32),   # positions bounded by 2^30
+    ((F(1, 288952), F(1, 3)), np.int64),   # by 2^31
+    ((F(1, 3 ** 25), F(1, 3)), np.int64),  # by 2^50
+])
+def test_slices_on_both_sides_of_30_bits(w, dtype, monkeypatch):
+    pruned, fast = instance("cantor3", 2, 1)
+    codes = fast.assign(11)
+    want = union_volume(kakeya_tubes(pruned, codes), w, SLICES)[0]
+    spy = SliceDtypes()
+    monkeypatch.setattr(fast1d, "np", spy)
+    assert fast.union_quadrature(codes, w, SLICES) == want
+    assert spy.seen == {np.dtype(dtype)}
+
+
+@pytest.mark.parametrize("n", ACCEPT_CFG.n_values)
+def test_accept_cfg_windows_sort_in_int32(n, monkeypatch):
+    cfg = ACCEPT_CFG
+    fast, codes = construct_kakeya(pruned_instance(cfg, n),
+                                   trial_seed(cfg.master_seed, "cell", n, 0))
+    spy = SliceDtypes()
+    monkeypatch.setattr(fast1d, "np", spy)
+    for w in [(F(cfg.A0), F(cfg.A0 + 1))] + [
+            (F(cfg.M) ** -r, F(cfg.M) ** (1 - r)) for r in cfg.ratio_r_range(n)]:
+        fast.union_quadrature(codes, w, cfg.slices, cfg.A0)
+    assert spy.seen == {np.dtype(np.int32)}
 
 
 @st.composite

@@ -228,6 +228,17 @@ def test_ratio_r_ranges(cfg):
         assert all(lo <= r <= hi for r in rs) or len(rs) == 1
 
 
+@pytest.mark.parametrize("M, n, want", [
+    (2, 8, [3, 4, 5, 6]),  # 2^6 = 8^2
+    (4, 8, [2, 3]),        # 4^3 = 8^2
+    (5, 125, [3, 4, 5, 6]),  # 5^3 = 125
+    (6, 6, [1, 2]),        # 6^2 = 6^2
+])
+def test_ratio_r_range_keeps_exact_power_endpoints(M, n, want):
+    # log_M n and 2 log_M n in floats land just inside or outside these R
+    assert ExperimentConfig(M=M).ratio_r_range(n) == want
+
+
 def test_run_log_and_csv(tmp_path, cfg):
     cfg2 = ExperimentConfig(seeds=2, n_values=(2,), slices=4,
                             out_dir=str(tmp_path))

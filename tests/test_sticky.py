@@ -565,3 +565,32 @@ def test_roots_off_the_lattice_rejected(inst, roots, root):
                 fn(inst, prs)
     with pytest.raises(InvalidInput, match="lattice"):
         reference_cubes(inst, root, 2)
+
+
+@pytest.mark.parametrize("digit", [1.0, True, np.int64(1)], ids=["float", "bool", "numpy"])
+def test_equal_roots_of_other_digit_types_refused_cold_and_warm(digit):
+    # ((0,), (0,), (1,), (digit,)) equals and hashes as a lattice root, so a
+    # memo keyed on it would answer for it once the lattice root is in
+    t0 = ((0,), (0,), (1,), (1,))
+    bad = ((0,), (0,), (1,), (digit,))
+    assert bad == t0 and hash(bad) == hash(t0)
+    for fn in (is_sticky_admissible, prob_exact, prob_closed_form):
+        pruned = tiny_instance()
+        for warm in (False, True):
+            if warm:
+                assert prob_exact(pruned, [(t0, 1)]) == F(1, 4)
+            with pytest.raises(InvalidInput, match="lattice"):
+                fn(pruned, [(bad, 1)])
+            with pytest.raises(InvalidInput, match="lattice"):
+                reference_cubes(pruned, bad, 1)
+
+
+def test_an_equal_distinct_lattice_root_is_accepted_warm(inst):
+    t0 = ((0,), (0,), (1,), (1,))
+    got = reference_cubes(inst, t0, 1)
+    twin = tuple(list(t0))
+    assert twin == t0 and twin is not t0
+    assert reference_cubes(inst, twin, 1) is got
+    assert prob_exact(inst, [(twin, 1)]) == F(1, 4)
+    assert prob_closed_form(inst, [(twin, 1), (t0, 1)]) == F(1, 4)
+    assert is_sticky_admissible(inst, [(twin, 1)])[0]
