@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields
 from fractions import Fraction
 
 from .errors import InfeasibleInstance, InvalidInput, SizeCapExceeded
@@ -200,12 +201,8 @@ def _config_from_args(args) -> ExperimentConfig:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             return ExperimentConfig.from_json(fh.read())
-    kw = {}
-    for name in ("generator", "M", "C0", "A0", "seeds", "master_seed", "slices",
-                 "n_values", "r_values"):
-        if getattr(args, name, None) is not None:
-            kw[name] = getattr(args, name)
-    return ExperimentConfig(**kw)
+    return ExperimentConfig(**{f.name: getattr(args, f.name) for f in _config_fields()
+                               if getattr(args, f.name) is not None})
 
 
 def _int_list(text: str) -> tuple:
@@ -217,17 +214,17 @@ def _int_list(text: str) -> tuple:
             f"not a comma-separated list of integers: {text!r}") from None
 
 
+def _config_fields():
+    """The config fields with a command-line option: all but ``out_dir``."""
+    return [f for f in fields(ExperimentConfig) if f.name != "out_dir"]
+
+
 def _add_config_options(sp):
     sp.add_argument("--config", help="JSON config file")
-    sp.add_argument("--generator", default=None)
-    sp.add_argument("--M", type=int, default=None)
-    sp.add_argument("--C0", type=int, default=None)
-    sp.add_argument("--A0", type=int, default=None)
-    sp.add_argument("--seeds", type=int, default=None)
-    sp.add_argument("--master-seed", dest="master_seed", type=int, default=None)
-    sp.add_argument("--slices", type=int, default=None)
-    sp.add_argument("--n-values", dest="n_values", type=_int_list, default=None)
-    sp.add_argument("--r-values", dest="r_values", type=_int_list, default=None)
+    # an option per field, named after it, typed by its annotation
+    for f in _config_fields():
+        sp.add_argument("--" + f.name.replace("_", "-"), dest=f.name, default=None,
+                        type={"int": int, "tuple": _int_list, "str": None}[f.type])
 
 
 def build_parser() -> _Parser:

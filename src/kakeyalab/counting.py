@@ -46,7 +46,7 @@ from math import isqrt
 import numpy as np
 
 from .errors import InvalidInput, SizeCapExceeded
-from .madic import Address, cube_index, cube_origin, youngest_common_ancestor
+from .madic import Address, cube_address, cube_index, cube_origin, youngest_common_ancestor
 from .pruning import PrunedSlopeTree, slope_metrics
 from .sticky import _max_cross, classify_roots, is_sticky_admissible, sticky_pair
 from .tubes import (
@@ -66,13 +66,8 @@ def all_root_cubes(pruned: PrunedSlopeTree, cap: int = ROOT_CAP):
     n = pruned.M ** (pruned.d * pruned.J)
     if n > cap:
         raise SizeCapExceeded(f"{n} root cubes exceed the scan cap {cap}")
-    M, d, J = pruned.M, pruned.d, pruned.J
-    out = []
-    for combo in product(range(M ** J), repeat=d):
-        addr = tuple(tuple((c // M ** k) % M for c in combo)
-                     for k in range(J - 1, -1, -1))
-        out.append(addr)
-    return out
+    M, J = pruned.M, pruned.J
+    return [cube_address(idx, M, J) for idx in product(range(M ** J), repeat=pruned.d)]
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +136,7 @@ def _plan(pruned: PrunedSlopeTree, w: Address, rho: Fraction, A0: int):
                           for i, si, Bi in moving for j, sj, Bj in moving if i != j)
             pairs.append((c1, c2, cross, tuple(moving), b))
             boxes.append([(max(l, -lim), min(r, lim)) for l, r in box])
-    if not pairs:
-        return None
+    # the two children of the splitting vertex w give some code pair
     box = np.array(boxes, dtype=np.int64)
     box.flags.writeable = False  # shared by every call with this key
     return tuple(pairs), box, reach, lo, hi, S, E

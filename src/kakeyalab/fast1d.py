@@ -72,14 +72,13 @@ def _np_mix64(x: np.ndarray) -> np.ndarray:
 
 def _tent_antiderivative(x: int, Q: int) -> int:
     """2 Q^2 times the antiderivative of the unit tent max(0, 1 - |y|),
-    taken from -1, at y = x / Q."""
+    taken from -1, at y = x / Q < 1.  Its one caller reads it at g - 1,
+    where x < Q since g is the least integer at which x reaches Q."""
     if x <= -Q:
         return 0
     if x <= 0:
         return (x + Q) ** 2
-    if x < Q:
-        return 2 * Q * Q - (Q - x) ** 2
-    return 2 * Q * Q
+    return 2 * Q * Q - (Q - x) ** 2
 
 
 def cs_bound(window: tuple[Fraction, Fraction], pair: Fraction,

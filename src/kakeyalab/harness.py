@@ -49,6 +49,9 @@ from .pruning import PrunedSlopeTree, prune
 from .tubes import DEFAULT_A0, make_tube
 
 
+_SCALARS = {"int": (int, "an integer"), "str": (str, "a string")}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     generator: str = "cantor:depth=25"
@@ -63,19 +66,18 @@ class ExperimentConfig:
     out_dir: str = "runs"
 
     def __post_init__(self):
-        # exact types: a bool is not an int here
-        for keys, kind, name in ((("M", "C0", "A0", "seeds", "master_seed", "slices"),
-                                  int, "an integer"),
-                                 (("generator", "out_dir"), str, "a string")):
-            for key in keys:
-                if type(getattr(self, key)) is not kind:
-                    raise InvalidInput(f"{key} must be {name}")
+        # each field by its annotation (a string, the annotations being
+        # postponed), with exact types: a bool is not an int here
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "tuple":
+                if not (isinstance(value, tuple) and value
+                        and all(type(v) is int for v in value)):
+                    raise InvalidInput(f"{f.name} must be a non-empty tuple of integers")
+            elif type(value) is not _SCALARS[f.type][0]:
+                raise InvalidInput(f"{f.name} must be {_SCALARS[f.type][1]}")
         if self.seeds < 1:
             raise InvalidInput("need at least one seed")
-        for key in ("n_values", "r_values"):
-            vals = getattr(self, key)
-            if not (isinstance(vals, tuple) and vals and all(type(v) is int for v in vals)):
-                raise InvalidInput(f"{key} must be a non-empty tuple of integers")
 
     def config_hash(self) -> str:
         payload = json.dumps(self.__dict__, sort_keys=True, default=str)
@@ -100,9 +102,9 @@ class ExperimentConfig:
         unknown = sorted(set(obj) - {f.name for f in fields(cls)})
         if unknown:
             raise InvalidInput(f"unknown config keys: {', '.join(unknown)}")
-        for key in ("n_values", "r_values"):
-            if isinstance(obj.get(key), list):
-                obj[key] = tuple(obj[key])
+        for f in fields(cls):
+            if f.type == "tuple" and isinstance(obj.get(f.name), list):
+                obj[f.name] = tuple(obj[f.name])
         return cls(**obj)
 
 

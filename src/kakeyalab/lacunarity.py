@@ -205,16 +205,10 @@ def decompose_split_one(points: Sequence[Rational], M: int):
         raise InvalidInput("two branch points at one M-adic distance; "
                            "splitting number cannot be 1")
 
-    sequences = []
-    anchor_used = False
-    for part in _thinned(classes):
-        sub = tuple(a for _, a in part)
-        if not anchor_used:
-            sub = sub + (anchor,)
-            anchor_used = True
-        sequences.append((sub, anchor))
-    if not anchor_used:
-        sequences.append(((anchor,), anchor))
+    # some point lies off the anchor, so there is a first sequence; it
+    # takes the anchor
+    sequences = [(tuple(a for _, a in part), anchor) for part in _thinned(classes)]
+    sequences[0] = (sequences[0][0] + (anchor,), anchor)
     units = len({math.floor(a) for a in pts})
     if len(sequences) > 6 * M + units - 1:
         raise AssertionError(f"{len(sequences)} sequences exceed 6M + {units - 1}")
@@ -260,7 +254,6 @@ def decompose_lacunary_order(points: Sequence[Rational], M: int,
     # classes as in the split-1 construction; one special point per branch
     # vertex (the left endpoint of its cube)
     out = []
-    anchor_used = False
     by_class: dict[tuple, list] = {}
     for (side, dig, j), grp in groups.items():
         v_origin = Fraction(math.floor(min(grp) * M ** (j + 1)), M ** (j + 1))
@@ -274,21 +267,15 @@ def decompose_lacunary_order(points: Sequence[Rational], M: int,
             sup_sorted = w.sorted_support()
             for j, v_origin, k in chosen:
                 pieces = sub_pieces[k]
-                if copy >= len(pieces):
-                    continue
-                subset, cw = pieces[copy]
-                if not subset:
-                    continue
-                w.children[_gap_index(sup_sorted, v_origin)] = cw
-                support_pts.extend(subset)
-            if not support_pts:
-                continue
-            if not anchor_used:
-                support_pts.append(anchor)
-                anchor_used = True
+                if copy < len(pieces):  # every sub-piece holds a point
+                    subset, cw = pieces[copy]
+                    w.children[_gap_index(sup_sorted, v_origin)] = cw
+                    support_pts.extend(subset)
             out.append((tuple(sorted(support_pts)), w))
-    if not anchor_used:
-        out.append(((anchor,), LacunaryWitness(order=0)))
+    # some point lies off the anchor, so there is a first piece; it takes
+    # the anchor
+    subset, w = out[0]
+    out[0] = (tuple(sorted(subset + (anchor,))), w)
     return out, N
 
 
@@ -310,25 +297,20 @@ def project(points, direction):
     return [sum(c * v for c, v in zip(p, w)) / nsq for p in points]
 
 
-def direction_evidence(points, M: int, directions=None):
+def direction_evidence(points, M: int):
     """Splitting numbers of scalar projections along sampled directions.
 
     The universal quantifier over rotations is undecidable for finite
     data, so this reports *evidence*: per sampled rational direction, the
-    splitting number of the projected set.  Defaults to the canonical axes
-    plus the diagonal sign patterns (1, +-1, ...).
+    splitting number of the projected set.  The directions are the
+    canonical axes plus the diagonal sign patterns (1, +-1, ...).
     """
     pts = list(points)
     d = len(pts[0])
-    if directions is None:
-        directions = []
-        for a in range(d):
-            e = [Fraction(0)] * d
-            e[a] = Fraction(1)
-            directions.append(tuple(e))
-        if d > 1:
-            for signs in itertools.product((1, -1), repeat=d - 1):
-                directions.append((Fraction(1),) + tuple(Fraction(s) for s in signs))
+    directions = [tuple(Fraction(int(a == b)) for b in range(d)) for a in range(d)]
+    if d > 1:
+        directions += [(Fraction(1),) + tuple(map(Fraction, signs))
+                       for signs in itertools.product((1, -1), repeat=d - 1)]
     out = {}
     for w in directions:
         proj = project(pts, w)
@@ -565,8 +547,11 @@ def generate(spec: GeneratorSpec | str):
 
     if kind in ("counterexample_u", "counterexample_v", "counterexample_sum"):
         # denominators here intrinsically reach 2^(2^(jmax^2)), so the
-        # package cap does not apply
+        # package cap does not apply; V has 2^(jmax^2) - 1 points
         jmax = spec.integer("jmax", 3, lo=2)
+        if jmax > 3 and kind != "counterexample_u":
+            raise SizeCapExceeded(f"{kind}: jmax > 3 would materialize "
+                                  f"2^{jmax * jmax} - 1 points of V")
         U, V = counterexample_raw(j_hi=jmax)
         if kind == "counterexample_u":
             return [(u,) for u in U]

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -64,11 +63,7 @@ def point_digit(x: Fraction, M: int, k: int) -> int:
 
 def point_address(p: Point, M: int, J: int) -> Address:
     """Address of the height-J cube containing p."""
-    scaled = [math.floor(c * M**J) for c in p]
-    addr = []
-    for k in range(J - 1, -1, -1):
-        addr.append(tuple((s // M**k) % M for s in scaled))
-    return tuple(addr)
+    return cube_address([math.floor(c * M**J) for c in p], M, J)
 
 
 def cube_index(addr: Address, M: int, d: int) -> tuple[int, ...]:
@@ -77,6 +72,12 @@ def cube_index(addr: Address, M: int, d: int) -> tuple[int, ...]:
     for dig in addr:
         idx = [i * M + g for i, g in zip(idx, dig)]
     return tuple(idx)
+
+
+def cube_address(idx: Sequence[int], M: int, J: int) -> Address:
+    """The height-J cube whose origin per axis is ``idx`` in units of its
+    side M^-J, digit by digit: the inverse of :func:`cube_index`."""
+    return tuple(tuple((i // M**k) % M for i in idx) for k in range(J - 1, -1, -1))
 
 
 def cube_origin(addr: Address, M: int, d: int) -> Point:
@@ -364,45 +365,48 @@ class CondensedTree:
     A vertex is the run ``(i, j)`` of points i..j (inclusive) inside one
     M-adic cube, with single-child chains skipped, so sets whose tree is
     tens of thousands of levels deep, like the dyadic counterexample sets,
-    stay cheap.  ``heights[k]`` is the agreement height of points k and k+1.
+    stay cheap.  A run branches where its adjacent points agree least.
+    One left-to-right pass over the adjacent agreement heights, with a
+    stack of the open runs, records every run's children and split value;
+    nothing recurses.
     """
 
     def __init__(self, pts: Sequence[Fraction], M: int):
         self.pts = pts
-        self.heights = [agreement_height_scalar(a, b, M)
-                        for a, b in zip(pts, pts[1:])]
-        self._split_memo: dict[tuple[int, int], int] = {}
+        self._children: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        self._split: dict[tuple[int, int], int] = {}
+
+        def close(i: int, kids: list, j: int) -> tuple[int, int]:
+            self._children[i, j] = kids
+            self._split[i, j] = split_combine(self.split_value(*c) for c in kids)
+            return i, j
+
+        # open runs, shallowest first: (agreement height, first point,
+        # finished children); ``run`` is the last finished run
+        stack, run = [], (0, 0)
+        for k, (a, b) in enumerate(zip(pts, pts[1:])):
+            h = agreement_height_scalar(a, b, M)
+            while stack and stack[-1][0] > h:
+                _, i, kids = stack.pop()
+                run = close(i, kids + [run], k)
+            if stack and stack[-1][0] == h:
+                stack[-1][2].append(run)
+            else:
+                stack.append((h, run[0], [run]))
+            run = (k + 1, k + 1)
+        while stack:
+            _, i, kids = stack.pop()
+            run = close(i, kids + [run], len(pts) - 1)
 
     def children(self, i: int, j: int) -> list[tuple[int, int]]:
-        """Runs below the vertex i..j (i < j): it branches where adjacent
-        points agree least."""
-        m = min(self.heights[i:j])
-        groups, start = [], i
-        for k in range(i, j):
-            if self.heights[k] == m:
-                groups.append((start, k))
-                start = k + 1
-        groups.append((start, j))
-        return groups
+        """Runs below the vertex i..j (i < j), left to right."""
+        return self._children[i, j]
 
     def split_value(self, i: int = 0, j: int | None = None) -> int:
         """Splitting number of the subtree spanning points i..j (default:
         the whole set)."""
         j = len(self.pts) - 1 if j is None else j
-        old = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old, 4 * len(self.pts) + 200))
-        try:
-            return self._split(i, j)
-        finally:
-            sys.setrecursionlimit(old)
-
-    def _split(self, i: int, j: int) -> int:
-        got = self._split_memo.get((i, j))
-        if got is None:
-            got = 0 if i == j else split_combine(
-                self._split(a, b) for a, b in self.children(i, j))
-            self._split_memo[(i, j)] = got
-        return got
+        return 0 if i == j else self._split[i, j]
 
 
 def splitting_number_1d_points(points: Sequence[Fraction], M: int) -> int:

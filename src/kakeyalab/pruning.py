@@ -203,7 +203,7 @@ class PrunedSlopeTree:
                     if len(members) != 1:
                         raise InvalidInput(
                             f"leaf {down} carries {len(members)} slope points")
-                    c = int("".join(map(str, code)), 2)
+                    c = self.bits_code(code)
                     slopes[c], eta[c] = members[0], hts
             info = GammaInfo(addr=g, nu=j, lam=lam,
                              h_cubes=tuple(cubes), next_gammas=tuple(nexts))

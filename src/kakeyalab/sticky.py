@@ -90,13 +90,6 @@ class BernoulliWarehouse:
         return got
 
 
-@dataclass(frozen=True)
-class ChainStep:
-    level: int
-    basic_cube: Address
-    bit: int
-
-
 def walk_chain(pruned: PrunedSlopeTree, t: Address, bit_of) -> list[tuple[Address, int]]:
     """The chain of basic spatial cubes of t, each with the bit ``bit_of``
     gives it: at each stage the current splitting vertex gamma names the
@@ -119,15 +112,15 @@ class StickyMap:
         self.pruned = pruned
         self.warehouse = warehouse
 
-    def chain(self, t: Address) -> list[ChainStep]:
-        """Basic spatial cubes of the root cube t and their realized bits."""
+    def chain(self, t: Address) -> list[tuple[Address, int]]:
+        """Basic spatial cubes of the root cube t, top down, each with its
+        realized bit."""
         if len(t) != self.pruned.J:
             raise InvalidInput("chain is defined on root cubes (height J)")
-        return [ChainStep(level=j, basic_cube=q, bit=b) for j, (q, b)
-                in enumerate(walk_chain(self.pruned, t, self.warehouse.bit), start=1)]
+        return walk_chain(self.pruned, t, self.warehouse.bit)
 
     def slope_code(self, t: Address) -> int:
-        return self.pruned.bits_code([s.bit for s in self.chain(t)])
+        return self.pruned.bits_code([b for _, b in self.chain(t)])
 
 
 def sample_assignment(pruned: PrunedSlopeTree, seed: int) -> StickyMap:
@@ -225,7 +218,10 @@ def _pass(pruned: PrunedSlopeTree, pairs):
                     code = operator.index(code)
                 except TypeError:
                     raise InvalidInput(f"slope {code!r} is not a code") from None
-            key = (t if type(t) is tuple else tuple(t), code)
+            try:
+                key = (t if type(t) is tuple else tuple(t), code)
+            except TypeError:  # not iterable, so off the lattice
+                _check_root(pruned, t)
             canonical = False
         keys.append(key)
         try:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import transform_witness
 from kakeyalab.cli import main as cli_main
-from kakeyalab.errors import InvalidInput
+from kakeyalab.errors import InvalidInput, SizeCapExceeded
 from kakeyalab.lacunarity import (
     GeneratorSpec,
     LacunaryWitness,
@@ -249,6 +249,28 @@ def test_counterexample_parts_are_split_one():
     assert splitting_number_1d_points(U, 2) == 1
     shifted = [v + 1 for v in V]  # affine copy inside [0,1)
     assert splitting_number_1d_points(shifted, 2) == 1
+
+
+@pytest.mark.parametrize("kind, counts", [("u", (4, 12)), ("v", (15, 511)),
+                                          ("sum", (60, 6132))])
+def test_counterexample_generators(kind, counts):
+    for jmax, count in zip((2, 3), counts):
+        pts = generate(f"counterexample_{kind}:jmax={jmax}")
+        assert len(pts) == count
+        assert all(len(p) == 1 and 0 <= p[0] < 1 for p in pts)
+
+
+def test_counterexample_sum_splits_four_times():
+    pts = [p[0] for p in generate("counterexample_sum:jmax=3")]
+    assert splitting_number_1d_points(pts, 2) == 4
+
+
+def test_counterexample_sizes_are_capped():
+    # v at jmax = 4 has 2^16 - 1 points with denominators up to 2^65,535
+    for kind in ("v", "sum"):
+        with pytest.raises(SizeCapExceeded, match="jmax"):
+            generate(f"counterexample_{kind}:jmax=4")
+    assert len(generate("counterexample_u:jmax=4")) == 28
 
 
 def test_stern_brocot_deterministic_and_in_range():

@@ -1,3 +1,5 @@
+import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import counted_tree, path_tree, random_counts, split_values
 from kakeyalab.errors import InvalidInput, SizeCapExceeded
 from kakeyalab.madic import (
+    CondensedTree,
     agreement_height_scalar,
     cantor_tree,
     cube_center,
@@ -14,6 +17,7 @@ from kakeyalab.madic import (
     encode_set,
     full_tree,
     point_address,
+    split_combine,
     splitting_number,
     splitting_number_1d_points,
     splitting_number_bruteforce,
@@ -169,3 +173,48 @@ def test_deep_set_splitting_is_cheap():
     from kakeyalab.lacunarity import counterexample_raw
     U, _ = counterexample_raw(3)
     assert splitting_number_1d_points(U, 2) == 1
+
+
+def test_condensed_tree_does_not_recurse(monkeypatch):
+    # a chain 1,500 runs deep: one pass with a stack, no recursion limit
+    def refuse(limit):
+        raise AssertionError("the recursion limit was touched")
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    assert splitting_number_1d_points([F(1, 2 ** j) for j in range(1, 1501)], 2) == 1
+
+
+def _reference_tree(pts, M):
+    """The recursive definition: a run branches where its adjacent points
+    agree least, and its split value combines its children's."""
+    heights = [agreement_height_scalar(a, b, M) for a, b in zip(pts, pts[1:])]
+
+    def children(i, j):
+        m = min(heights[i:j])
+        groups, start = [], i
+        for k in range(i, j):
+            if heights[k] == m:
+                groups.append((start, k))
+                start = k + 1
+        return groups + [(start, j)]
+
+    def split(i, j):
+        return 0 if i == j else split_combine(split(a, b) for a, b in children(i, j))
+    return children, split
+
+
+@pytest.mark.parametrize("M", [2, 3, 5])
+def test_condensed_tree_matches_the_recursive_definition(M):
+    rng = random.Random(M)
+    for _ in range(60):
+        pts = sorted({F(rng.randrange(-3 * M ** 4, 3 * M ** 4), M ** rng.randrange(1, 5))
+                      for _ in range(rng.randrange(2, 40))})
+        if len(pts) < 2:
+            continue
+        tree, (children, split) = CondensedTree(pts, M), _reference_tree(pts, M)
+        runs = [(0, len(pts) - 1)]
+        while runs:
+            i, j = runs.pop()
+            assert tree.split_value(i, j) == split(i, j)
+            if i < j:
+                assert tree.children(i, j) == children(i, j)
+                runs.extend(children(i, j))

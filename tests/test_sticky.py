@@ -75,9 +75,9 @@ def test_assignment_is_sticky_on_root_cubes_chainwise(inst, roots):
     sm = sample_assignment(inst, 9)
     for t in roots:
         steps = sm.chain(t)
-        assert [s.level for s in steps] == [1, 2]
-        for s in steps:
-            assert t[: len(s.basic_cube)] == s.basic_cube
+        assert len(steps) == inst.N == 2
+        for cube, bit in steps:
+            assert t[: len(cube)] == cube and bit in (0, 1)
 
 
 def test_extend_on_chain_vertices(inst, roots):
@@ -552,8 +552,8 @@ def test_mutated_certificates_change_no_answer(inst, roots):
         k: v for k, v in cert.items() if k != ((1,),)})
 
 
-@pytest.mark.parametrize("root", [((7,),) * 4, [[0], [0], [1], [1]], ((0, 0),) * 4],
-                         ids=["off_lattice", "nested_lists", "wrong_dimension"])
+@pytest.mark.parametrize("root", [((7,),) * 4, [[0], [0], [1], [1]], ((0, 0),) * 4, None, 5],
+                         ids=["off_lattice", "nested_lists", "wrong_dimension", "none", "int"])
 def test_roots_off_the_lattice_rejected(inst, roots, root):
     t0 = ((0,), (0,), (1,), (1,))
     assert t0 in roots and inst.J == len(t0)
