@@ -221,7 +221,6 @@ def _config_fields():
 
 def _add_config_options(sp):
     sp.add_argument("--config", help="JSON config file")
-    # an option per field, named after it, typed by its annotation
     for f in _config_fields():
         sp.add_argument("--" + f.name.replace("_", "-"), dest=f.name, default=None,
                         type={"int": int, "tuple": _int_list, "str": None}[f.type])

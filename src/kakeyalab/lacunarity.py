@@ -307,10 +307,14 @@ def direction_evidence(points, M: int):
     """
     pts = list(points)
     d = len(pts[0])
-    directions = [tuple(Fraction(int(a == b)) for b in range(d)) for a in range(d)]
+    directions = []
+    for a in range(d):
+        e = [Fraction(0)] * d
+        e[a] = Fraction(1)
+        directions.append(tuple(e))
     if d > 1:
-        directions += [(Fraction(1),) + tuple(map(Fraction, signs))
-                       for signs in itertools.product((1, -1), repeat=d - 1)]
+        for signs in itertools.product((1, -1), repeat=d - 1):
+            directions.append((Fraction(1),) + tuple(Fraction(s) for s in signs))
     out = {}
     for w in directions:
         proj = project(pts, w)

@@ -270,7 +270,6 @@ def test_counterexample_sizes_are_capped():
     for kind in ("v", "sum"):
         with pytest.raises(SizeCapExceeded, match="jmax"):
             generate(f"counterexample_{kind}:jmax=4")
-    assert len(generate("counterexample_u:jmax=4")) == 28
 
 
 def test_stern_brocot_deterministic_and_in_range():
