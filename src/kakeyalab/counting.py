@@ -462,11 +462,22 @@ def _assert_necessary_conditions(pruned, pairs, ctype: int, u: Address, bound, d
 def bruteforce_E4(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
                   rho, A0: int = 10, roots=None):
     """Quartic oracle of ``enumerate_E4`` over all root quadruples and slope
-    assignments, with ``classify_roots`` and ``is_sticky_admissible``."""
+    assignments, with ``classify_roots`` and ``is_sticky_admissible``.  The
+    ``tubes.intersects`` verdict of each ordered tube pair is taken once
+    per call, since many quadruples share a pair."""
     if roots is None:
         roots = all_root_cubes(pruned, cap=3 ** 5)
     win = SlabWindow(Fraction(rho), 2)
     u, u2, w, w2 = anchors["u"], anchors["u2"], anchors["w"], anchors["w2"]
+    meets = {}
+
+    def meet(t1, c1, t2, c2):
+        key = (t1, c1, t2, c2)
+        if key not in meets:
+            meets[key] = intersects(make_tube(pruned, t1, c1, A0),
+                                    make_tube(pruned, t2, c2, A0), win)
+        return meets[key]
+
     out = []
     codes = range(2 ** pruned.N)
     for ta, tb, tc, td in product(roots, repeat=4):
@@ -490,11 +501,7 @@ def bruteforce_E4(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
             ok, _ = is_sticky_admissible(pruned, prs)
             if not ok:
                 continue
-            if not intersects(make_tube(pruned, ta, ca, A0),
-                              make_tube(pruned, tb, cb, A0), win):
-                continue
-            if not intersects(make_tube(pruned, tc, cc, A0),
-                              make_tube(pruned, td, cd, A0), win):
+            if not meet(ta, ca, tb, cb) or not meet(tc, cc, td, cd):
                 continue
             out.append(tuple(prs))
     return out

@@ -21,17 +21,23 @@ to [0, 10 A0] as [A/q, B/q].  Three quantities are computed exactly:
   Q = q D / K.  The profile's antiderivative is 0 or 1 outside one open
   g-interval of length 1/2, so per slope pair and end the sum is 2 Q^2
   times a count of pairs with i - j >= g plus at most one interior term,
-  an integer quadratic in X.  g, its column and that term depend on the
-  pair only through dsigma, so they are found once per distinct slope
-  difference and end.  The roots are grouped by slope with one stable
-  sort; each slope's table packs, at each index, the number of its roots
-  below it over one bit that says whether the index is itself such a root,
-  and the roots of every steeper slope gather from it once per distinct
-  window end: one gather gives both the pairs with i - j >= g and those at
-  g - 1.  With b the bit length of the largest slope class, a segment sum
-  stays under 2^(3b), so a class of 2^20 or more roots is refused.  The
-  counts add up in int64 per (dsigma, end); each end's counts, as Python
-  ints, give one Fraction F(p/q), and a window's sum is F(hi) - F(lo);
+  an integer quadratic in X.  g, its gather offset and the Python-int
+  weights of the two counts depend on the pair only through dsigma and
+  the end, so the plan ``_pair_plan``, keyed on K, D, sigma and the sorted
+  ends, holds them for every pair of the instance's slope classes, filled
+  or not, with each end's Fraction denominator; a call reads the plan and
+  counts only its own realization.  The roots are grouped by slope with
+  one stable sort; each slope's table packs, at each index, the number of
+  its roots below it over one bit that says whether the index is itself
+  such a root, and the roots of every steeper slope gather from it once
+  per distinct window end: one gather gives both the pairs with i - j >= g
+  and those at g - 1.  With b the bit length of the largest slope class, a
+  segment sum stays under 2^(3b), so a class of 2^20 or more roots is
+  refused, and an instance of 2^23 or more roots is refused before any
+  table is built.  Every segment sum goes into one (class, class, end)
+  int64 array, added up per dsigma once per call; each end's counts, as
+  Python ints, give one Fraction F(p/q), and a window's sum is
+  F(hi) - F(lo);
 
 * union quadrature by the midpoint rule, on one integer scale per window:
   the s slice midpoints share the denominator 2 s q, and each root moves
@@ -49,17 +55,23 @@ int.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
+from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
 from ._mix import GOLDEN, MASK64
-from .errors import InvalidInput
+from .errors import InvalidInput, SizeCapExceeded
 from .pruning import PrunedSlopeTree
 from .tubes import DEFAULT_A0, clip_x1, cross_section_dilation
 
 # the tube side is one W-th of a root cell
 W = int(1 / cross_section_dilation(1))
+# pair_sum's count table and its two gather scratch arrays take 24 (K + 1)
+# bytes: about 115 MB at K = 3^14 (N = 7), about 1 GB at 3^16 (N = 8)
+PAIR_SUM_ROOT_CAP = 2 ** 23
 
 
 def _np_mix64(x: np.ndarray) -> np.ndarray:
@@ -79,6 +91,57 @@ def _tent_antiderivative(x: int, Q: int) -> int:
     if x <= 0:
         return (x + Q) ** 2
     return 2 * Q * Q - (Q - x) ** 2
+
+
+class _PairPlan(NamedTuple):
+    offsets: np.ndarray     # (class, class, end) gather offsets, read for k < m
+    by_row: np.ndarray      # the flat (class, steeper class) pairs by difference row
+    row_starts: np.ndarray  # where each row's pairs start in by_row
+    w_ge: list              # per end, each row's weight of its pairs with i - j >= g
+    w_at: list              # per end, each row's weight of its pairs at g - 1
+    dens: list              # per end, the Fraction denominator of F(end)
+
+
+# an experiment reads one plan per N and window set
+@lru_cache(maxsize=16)
+def _pair_plan(K: int, D: int, sigma: tuple, ends: tuple) -> _PairPlan:
+    """What ``FastInstance.pair_sum`` reads of neither the codes nor the
+    roots: for every pair of slope classes, shallowest first, the row of
+    their slope difference dsigma, and per row and end the least offset g
+    where the profile's antiderivative reaches 1, as the gather offset
+    1 - g into the shallower class's count table, and the Python-int
+    weights of the two counts, over each end's one denominator.  The
+    classes are all of the instance's, filled or not, so the common
+    denominator spans every slope difference."""
+    sig = sorted(sigma)
+    C = len(sig)
+    # every slope difference, each once, and its row
+    dsig = sorted({sm - sk for at, sk in enumerate(sig) for sm in sig[at + 1:]})
+    row = {ds: r for r, ds in enumerate(dsig)}
+    # (row 0 below the diagonal, where no pair is read)
+    rows = np.array([[row.get(sm - sk, 0) for sm in sig] for sk in sig], dtype=np.int64)
+    # each end p/q on its own scale Q = q D / K
+    ps = [e.numerator for e in ends]
+    Qs = [e.denominator * (D // K) for e in ends]
+    # per difference and end: the least g where the profile's
+    # antiderivative reaches 1; the one g below it may be interior.
+    # clip_x1 makes p >= 0, so g <= 1 for ds > 0 and the gather index
+    # i + 1 - g never goes below 0; only the top clip at K applies
+    gs = [[-((W * p * ds - Q) // (W * Q)) for p, Q in zip(ps, Qs)] for ds in dsig]
+    col = np.array([[min(1 - g, K) for g in r] for r in gs], dtype=np.int64)
+    # the pairs k < m of classes, grouped by row for one reduceat; every
+    # row has a pair, since the differences come from the pairs
+    k, m = np.triu_indices(C, 1)
+    order = np.argsort(rows[k, m], kind="stable")
+    by_row = (k * C + m)[order]
+    row_starts = np.searchsorted(rows[k, m][order], np.arange(len(dsig)))
+    den = lcm(*dsig)
+    # the interior candidate of each difference is read at g - 1
+    w_ge = [[2 * Q * Q * (den // ds) for ds in dsig] for Q in Qs]
+    w_at = [[_tent_antiderivative(W * ((r[j] - 1) * Q + p * ds), Q) * (den // ds)
+             for ds, r in zip(dsig, gs)] for j, (p, Q) in enumerate(zip(ps, Qs))]
+    dens = [W * W * D * e.denominator ** 2 * den for e in ends]
+    return _PairPlan(col[rows], by_row, row_starts, w_ge, w_at, dens)
 
 
 def cs_bound(window: tuple[Fraction, Fraction], pair: Fraction,
@@ -158,79 +221,74 @@ class FastInstance:
 
         One pass serves every window: each distinct end e of a clipped,
         non-empty window is gathered once into F(e), the sum up to x1 = e,
-        and a window's sum is F(hi) - F(lo); an empty window gives 0.  The
-        counts are packed two to an int64, so a slope class of 2^20 or more
-        roots is refused."""
+        and a window's sum is F(hi) - F(lo); an empty window gives 0.  What
+        depends only on the instance and the ends is read from
+        ``_pair_plan``, so a call counts only its own realization.  An
+        instance of 2^23 or more roots is refused with ``SizeCapExceeded``
+        before any array is built, and a slope class of 2^20 or more roots
+        with ``InvalidInput``, since the counts are packed two to an int64."""
+        K = self.K
+        if K >= PAIR_SUM_ROOT_CAP:
+            raise SizeCapExceeded(f"{K} roots reach the pair-sum cap of 2^23: "
+                                  "its count tables take 24 (K + 1) bytes")
         clipped = [clip_x1(*w, a0) for w in windows]
-        ends = sorted({e for lo, hi in clipped if lo < hi for e in (lo, hi)})
+        ends = tuple(sorted({e for lo, hi in clipped if lo < hi for e in (lo, hi)}))
         if not ends:
             return (Fraction(0),) * len(clipped)
-        K = self.K
+        plan = _pair_plan(K, self.D, tuple(self.sigma), ends)
         # roots grouped by slope, shallowest first (the slopes are distinct)
-        sizes = np.bincount(codes, minlength=len(self.sigma))[self.by_slope].tolist()
+        ranks = self.slope_rank[codes]
+        sizes = np.bincount(ranks, minlength=len(self.sigma))
         # each count table entry below is a count under 2^b shifted by b
         # over one bit, so it is under 2^(2b); a segment sums fewer than
         # 2^b entries, so its low field stays under 2^b and its sum under
         # 2^(3b), which int64 holds up to b = 20
-        b = max(sizes).bit_length()
+        b = int(sizes.max()).bit_length()
         if 3 * b > 62:
             raise InvalidInput("a slope class of 2^20 or more roots overflows packed counts")
-        starts = np.cumsum([0] + sizes).tolist()
-        roots = np.argsort(self.slope_rank[codes], kind="stable")
-        sig = [self.sigma[c] for c in self.by_slope]
-        present = [k for k, n in enumerate(sizes) if n]
-        # every slope difference of two non-empty classes, each once
-        dsig = sorted({sig[m] - sig[k] for at, k in enumerate(present)
-                       for m in present[at + 1:]})
-        row = {ds: r for r, ds in enumerate(dsig)}
-        # each end p/q on its own scale Q = q D / K
-        ps = [e.numerator for e in ends]
-        Qs = [e.denominator * (self.D // K) for e in ends]
-        # per difference and end: the least g where the profile's
-        # antiderivative reaches 1; the one g below it may be interior.
-        # clip_x1 makes p >= 0, so g <= 1 for ds > 0 and the gather index
-        # i + 1 - g never goes below 0; only the top clip at K applies
-        gs = [[-((W * p * ds - Q) // (W * Q)) for p, Q in zip(ps, Qs)] for ds in dsig]
-        col = np.array([[min(1 - g, K) for g in r] for r in gs], dtype=np.int64)
-        # per (difference, end): the pairs with i - j >= g and with i - j = g - 1
-        n_ge = np.zeros((len(dsig), len(ends)), dtype=np.int64)
-        n_at = np.zeros_like(n_ge)
+        roots = np.argsort(ranks, kind="stable")
+        present = np.flatnonzero(sizes)
+        counts = sizes[present]
+        stops = np.cumsum(counts)  # one past each present class's roots
+        levels = np.arange(counts.max() + 1, dtype=np.int64) << b
+        runs = np.empty_like(levels)  # the run lengths of one class's table
+        # the packed counts of each (class, steeper class, end) segment
+        sums = np.zeros(plan.offsets.shape, dtype=np.int64)
         # scratch for the gathers: the indices into a table and the entries
         idx, got = np.empty(K, dtype=np.int64), np.empty(K, dtype=np.int64)
-        for at, k in enumerate(present[:-1]):
-            steeper = present[at + 1:]
+        for at, k in enumerate(present[:-1].tolist()):
+            stop = int(stops[at])
+            start = stop - int(counts[at])
             # table[x] = (number of roots j < x of slope k) << b, by run
             # length from its roots (ascending, the sort being stable), plus
             # 1 when x is itself such a root; since below[x + 1] = below[x]
             # + [x in slope k], one gather at i + 1 - g reads the pairs
             # with i - j >= g and those at exactly g - 1.  table[K] has low
             # bit 0, as the top clip needs
-            pos = roots[starts[k]:starts[k + 1]]
-            table = np.repeat(np.arange(sizes[k] + 1, dtype=np.int64) << b,
-                              np.diff(pos, prepend=-1, append=K))
+            pos, n = roots[start:stop], stop - start
+            runs[0], runs[n] = pos[0] + 1, K - pos[-1]
+            np.subtract(pos[1:], pos[:-1], out=runs[1:n])
+            table = levels[:n + 1].repeat(runs[:n + 1])
             table[pos] += 1
             # the steeper roots, whose pairs are summed per steeper slope,
             # an end at a time into the scratch; take clips to 0..K
-            lo = starts[k + 1]
-            i, ix, entry = roots[lo:], idx[:K - lo], got[:K - lo]
-            counts = [sizes[m] for m in steeper]
-            first = [starts[m] - lo for m in steeper]
-            rows = [row[sig[m] - sig[k]] for m in steeper]
-            sums = np.empty((len(ends), len(steeper)), dtype=np.int64)
-            for c, out in zip(col[rows].T, sums):
-                np.add(i, np.repeat(c, counts), out=ix)
+            steeper = present[at + 1:]
+            i, ix, entry = roots[stop:], idx[:K - stop], got[:K - stop]
+            reps, first = counts[at + 1:], stops[at:-1] - stop
+            out = np.empty((len(ends), len(steeper)), dtype=np.int64)
+            for c, seg in zip(plan.offsets[k, steeper].T, out):
+                np.add(i, c.repeat(reps), out=ix)
                 table.take(ix, mode="clip", out=entry)
-                np.add.reduceat(entry, first, out=out)
-            np.add.at(n_ge, rows, (sums >> b).T)
-            np.add.at(n_at, rows, (sums & ((1 << b) - 1)).T)
-        den = lcm(*dsig)
-        F = {}
-        for j, (e, p, Q) in enumerate(zip(ends, ps, Qs)):
-            # the interior candidate of each difference is read at g - 1
-            num = sum((2 * Q * Q * ge + eq * _tent_antiderivative(W * ((r[j] - 1) * Q + p * ds), Q))
-                      * (den // ds)
-                      for ds, r, ge, eq in zip(dsig, gs, n_ge[:, j].tolist(), n_at[:, j].tolist()))
-            F[e] = Fraction(num, W * W * self.D * e.denominator ** 2 * den)
+                np.add.reduceat(entry, first, out=seg)
+            sums[k, steeper] = out.T
+        # one aggregation per call: the counts of every class pair, grouped
+        # by slope difference, into the pairs with i - j >= g and at g - 1
+        packed = sums.reshape(-1, len(ends)).take(plan.by_row, axis=0)
+        n_ge = np.add.reduceat(packed >> b, plan.row_starts).T.tolist()
+        n_at = np.add.reduceat(packed & ((1 << b) - 1), plan.row_starts).T.tolist()
+        F = {e: Fraction(sum(map(mul, w_ge, ge)) + sum(map(mul, w_at, eq)), den)
+             for e, w_ge, w_at, den, ge, eq
+             in zip(ends, plan.w_ge, plan.w_at, plan.dens, n_ge, n_at)}
         return tuple(F[hi] - F[lo] if lo < hi else Fraction(0) for lo, hi in clipped)
 
     def union_quadrature(self, codes: np.ndarray,

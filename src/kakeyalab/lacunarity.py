@@ -468,6 +468,14 @@ def counterexample_raw(j_hi: int = 3):
     negative dyadic sequence.  Denominators grow like 2^(2^(j^2)) and
     are not capped: they need at most 2^(j_hi^2) + j_hi + 1 bits.
     """
+    # V must reach the scales 2^-(N_j - k) that cancel the leading part of U
+    V = [Fraction(-1, 2 ** j) for j in range(1, 2 ** (j_hi * j_hi))]
+    return _counterexample_u(j_hi), sorted(V)
+
+
+def _counterexample_u(j_hi: int) -> list[Fraction]:
+    """U of ``counterexample_raw`` alone: 2^(j_hi + 1) - 4 points, against
+    the 2^(j_hi^2) - 1 of V."""
     U: list[Fraction] = []
     for j in range(2, j_hi + 1):
         Nj = 2 ** (j * j)
@@ -475,9 +483,7 @@ def counterexample_raw(j_hi: int = 3):
         for k in range(1, Mj + 1):
             q = Fraction(1, 2 ** Nj) * (1 + Fraction(k, Mj))
             U.append(Fraction(1, 2 ** (Nj - k)) + q)
-    # V must reach the scales 2^-(N_j - k) that cancel the leading part of U
-    V = [Fraction(-1, 2 ** j) for j in range(1, 2 ** (j_hi * j_hi))]
-    return sorted(U), sorted(V)
+    return sorted(U)
 
 
 def generate(spec: GeneratorSpec | str):
@@ -556,9 +562,9 @@ def generate(spec: GeneratorSpec | str):
         if jmax > 3 and kind != "counterexample_u":
             raise SizeCapExceeded(f"{kind}: jmax > 3 would materialize "
                                   f"2^{jmax * jmax} - 1 points of V")
-        U, V = counterexample_raw(j_hi=jmax)
         if kind == "counterexample_u":
-            return [(u,) for u in U]
+            return [(u,) for u in _counterexample_u(jmax)]
+        U, V = counterexample_raw(j_hi=jmax)
         if kind == "counterexample_v":
             return [(v + 1,) for v in V]  # shift into [0,1); affine-safe
         s = sorted({u + v for u in U for v in V})

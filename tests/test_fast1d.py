@@ -15,7 +15,7 @@ from helpers import all_roots_1d, split_values
 from test_acceptance import ACCEPT_CFG
 from kakeyalab import fast1d
 from kakeyalab._mix import trial_seed
-from kakeyalab.errors import InvalidInput
+from kakeyalab.errors import InvalidInput, SizeCapExceeded
 from kakeyalab.fast1d import FastInstance, cs_bound
 from kakeyalab.harness import construct_kakeya, kakeya_tubes, pruned_instance
 from kakeyalab.madic import DigitRuleTree, cantor_tree, full_tree
@@ -275,7 +275,11 @@ def test_pair_sums_past_81_roots_match_the_dense_oracle():
     # at a clipped end that pair reads the table next to its top entry
     edges = fast.assign(1)
     edges[0], edges[-1] = fast.by_slope[-1], fast.by_slope[0]
-    for codes in (fast.assign(0), edges):
+    # the plan spans all 8 classes while this realization fills 7
+    emptied = fast.assign(2)
+    emptied[emptied == fast.by_slope[3]] = fast.by_slope[4]
+    assert len(np.unique(emptied)) == 7
+    for codes in (fast.assign(0), edges, emptied):
         assert fast.pair_sum(codes, ORACLE_WINDOWS) == tuple(
             dense_pair_sum(fast, codes, w) for w in ORACLE_WINDOWS)
 
@@ -293,6 +297,41 @@ def test_a_slope_class_of_2_to_the_20_roots_is_refused():
     ws = [(F(0), F(1, 3)), (F(1, 3), F(1))]
     got = FastInstance.pair_sum(fast, codes, ws)
     assert got == tuple(dense_pair_sum(fast, codes, w) for w in ws) and got[0] > 0
+
+
+def test_an_instance_of_2_to_the_23_roots_is_refused():
+    # N = 8 (K = 3^16) would take about 1 GB of count tables, N = 7 (3^14)
+    # about 115 MB; the refusal comes before any array is built, so one
+    # code stands in for all K of them
+    assert 3 ** 14 < fast1d.PAIR_SUM_ROOT_CAP == 2 ** 23 < 3 ** 16
+    fast = SimpleNamespace(K=2 ** 23, D=2 ** 23, sigma=[0, 3],
+                           slope_rank=np.array([0, 1], dtype=np.uint8))
+    with pytest.raises(SizeCapExceeded, match="2\\^23"):
+        FastInstance.pair_sum(fast, np.zeros(1, dtype=np.int64), [(F(0), F(1))])
+
+
+def test_the_pair_plan_is_keyed_on_k_d_sigma_and_the_ends():
+    # cantor3 at N = 2 and the digits-{0, 1} tree share K = D = 81 but not
+    # sigma; the near windows' ends are a proper subset of the oracle
+    # windows', so a plan keyed without the ends would serve the near
+    # windows first and then lack ends for the oracle windows
+    insts = [instance("cantor3", 2, 1)[1], FastInstance(prune(cantor_tree(25), N=3, C0=1)),
+             FastInstance(prune(cantor_tree(25, digits=(0, 1)), N=2, C0=1))]
+    assert insts[0].K == insts[2].K == insts[0].D == insts[2].D == 81
+    assert insts[0].sigma != insts[2].sigma
+    near = [(F(ACCEPT_CFG.M) ** -r, F(ACCEPT_CFG.M) ** (1 - r)) for r in ACCEPT_CFG.r_values]
+    visits = [(fast, ws) for fast in insts for ws in (near, ORACLE_WINDOWS)]
+    fast1d._pair_plan.cache_clear()
+    want = {}
+    for fast, ws in visits + visits[::-1]:
+        codes = fast.assign(4)
+        key = (id(fast), id(ws))
+        if key not in want:
+            want[key] = tuple(dense_pair_sum(fast, codes, w) for w in ws)
+        assert fast.pair_sum(codes, ws) == want[key]
+        hits = fast1d._pair_plan.cache_info().hits
+        assert fast.pair_sum(codes, ws) == want[key]
+        assert fast1d._pair_plan.cache_info().hits == hits + 1
 
 
 def test_no_windows_give_no_sums():
