@@ -214,6 +214,29 @@ def test_probability_triple_agreement_sampled(inst, roots):
                 == prob_enumerate(inst, prs)
 
 
+def test_closed_form_reaches_every_configuration_class_at_n3():
+    # 64 roots and 8 codes: seeded admissible prescriptions of 3 and 4
+    # pairs reach every (size, type, swapped) class that occurs, and the
+    # closed form of each equals the constraint count
+    p = prune(full_tree(16, 2), N=3, C0=1)
+    roots, rng, seen = all_roots_1d(p), random.Random(31), set()
+    assert len(roots) == 64 and len(p.slopes) == 8
+    for size in (3, 4):
+        admitted = 0
+        while admitted < 3000:
+            prs = [(t, rng.randrange(8)) for t in rng.sample(roots, size)]
+            if not is_sticky_admissible(p, prs)[0]:
+                continue
+            admitted += 1
+            ts = [t for t, _ in prs]
+            cfg = classify_roots(ts if size == 3 else (ts[:2], ts[2:]))
+            seen.add((size, cfg.ctype, cfg.swapped))
+            assert prob_closed_form(p, prs) == prob_exact(p, prs), prs
+    assert seen == {(3, 1, False), (3, 1, True), (3, 2, False),
+                    (4, 1, False), (4, 1, True), (4, 2, False), (4, 2, True),
+                    (4, 3, False)}
+
+
 def test_closed_form_invariant_under_relabelling(inst, roots):
     rng = random.Random(23)
     for size in (3, 4):
