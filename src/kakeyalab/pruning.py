@@ -238,6 +238,7 @@ class PrunedSlopeTree:
         self.last_pass: tuple[tuple, tuple, dict | None] = ((), (), {})
         self.slope_ycas: dict[tuple[int, int], Address] = {}
         self.mus: dict[tuple[Address, int], int] = {}
+        self.code_mus: dict[tuple[int, int, int], int] = {}
         self.metrics: dict[Address, SlopeMetrics] = {}
         self.cube_indices: dict[Address, tuple[int, ...]] = {}
 

@@ -17,7 +17,7 @@ basic slope cube of its prescribed slope.  The event is realizable exactly
 when no reference cube is forced to carry two different bits, which is
 what :func:`is_sticky_admissible` decides; the closed forms of
 :func:`prob_closed_form` reproduce the same exponent from the youngest
-common ancestors of roots and slopes alone.
+common ancestors of roots and slopes alone, counting a repeated pair once.
 
 Stickiness is pairwise: a prescription is admissible exactly when every
 two of its pairs are, since a conflict is one cube given two bits, and
@@ -29,8 +29,9 @@ Every input of these checks is computed once per instance and looked up
 in the tables that :mod:`kakeyalab.counting`, :mod:`kakeyalab.tubes` and
 :mod:`kakeyalab.fast1d` read too: the pruned tree builds its code-bit
 and slope-lattice tables up front and memoizes
-``slope_yca`` per code pair; the reference cubes per (root, code) and mu
-per (vertex, height) are memoized on it here.  :func:`is_sticky_admissible`,
+``slope_yca`` per code pair; the reference cubes per (root, code), mu
+per (vertex, height) and mu at the slope yca per (code, code, height), at
+most 4^N (J + 1) entries, are memoized on it here.  :func:`is_sticky_admissible`,
 :func:`prob_exact`, :func:`prob_closed_form` and :class:`ReferenceTree`
 share one private pass per prescription: it normalizes the pairs, which
 then serve directly as keys of the reference-cube memo (whose misses
@@ -41,14 +42,16 @@ objects reuses it, so a caller that asks for the verdict and both
 probabilities of one list makes one pass.  Two module caches
 hold what depends on no instance: :func:`classify_roots` keeps the
 configurations of the last ``CONFIG_CACHE_SIZE`` root tuples (a sweep
-asks about one root tuple for each of its code tuples), and every
-probability is the one shared ``Fraction`` 2^-n of its exponent.
+asks about one root tuple for each of its code tuples), each with every
+root-only height and cross index that the closed form reads, so a
+prescription pays only for its code-pair lookups; and every probability
+is the one shared ``Fraction`` 2^-n of its exponent.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -364,139 +367,146 @@ def mu(pruned: PrunedSlopeTree, w: Address, k: int) -> int:
 
 @dataclass(frozen=True)
 class RootConfiguration:
+    """The configuration of a root tuple and every root-only quantity that
+    :func:`prob_closed_form` reads.  ``size`` counts the distinct roots;
+    ``pairs``, ``swapped``, ``u`` and ``u2`` describe the canonical order
+    of those.  Each ``(i, j, h)`` of ``terms`` takes
+    mu(D(v_i, v_j), h) off the exponent, and ``meet``, of 4-pair type 1,
+    the least of its three, where i and j index the roots as given and v_i
+    is the prescribed slope of root i."""
     size: int
     ctype: int
     pairs: tuple          # canonicalized ((t1, t2), ...) or ((t1, t2), (t1p, t2p))
     swapped: bool         # whether the canonical order swapped the input
     u: Address
     u2: Address
+    terms: tuple
+    meet: tuple = ()
 
 
 def classify_roots(roots) -> RootConfiguration:
     """Configuration type of a 3-tuple (t1, t2, t2') or an ordered pair of
-    pairs ((t1, t2), (t1', t2')) of distinct root cubes.  Lists are read as
-    tuples; the configurations of the last ``CONFIG_CACHE_SIZE`` root
-    tuples are kept, and invalid input raises on every call."""
+    pairs ((t1, t2), (t1', t2')) of distinct root cubes; the flat 4-tuple
+    (t1, t2, t1', t2') reads as the latter.  The configurations of the
+    last ``CONFIG_CACHE_SIZE`` root tuples are kept, and invalid input
+    raises on every call."""
     roots = tuple(roots)
-    if len(roots) == 2:
-        roots = tuple(map(tuple, roots))
-    return _classify_roots(roots)
+    if len(roots) == 2 and all(len(r) == 2 for r in roots):
+        roots = (*roots[0], *roots[1])
+    if len(roots) not in (3, 4):
+        raise InvalidInput("expected 3 roots or two root pairs")
+    cfg = _configuration(roots)
+    if cfg.size != len(roots):
+        raise InvalidInput("roots must be distinct")
+    return cfg
 
 
 @lru_cache(maxsize=CONFIG_CACHE_SIZE)
-def _classify_roots(roots: tuple) -> RootConfiguration:
+def _configuration(roots: tuple) -> RootConfiguration:
+    """The configuration of a flat tuple of roots.  A repeated root is read
+    once: its configuration is that of the distinct roots in order of first
+    appearance, with their terms indexed into ``roots``."""
+    distinct = tuple(dict.fromkeys(roots))
+    if len(distinct) < len(roots):
+        cfg = _configuration(distinct)
+        at = [roots.index(t) for t in distinct]
+        return replace(cfg, terms=tuple((at[i], at[j], h) for i, j, h in cfg.terms),
+                       meet=tuple((at[i], at[j], h) for i, j, h in cfg.meet))
+    if len(roots) == 1:
+        return RootConfiguration(1, 0, (), False, roots[0], roots[0], ())
+    if len(roots) == 2:
+        u = youngest_common_ancestor(*roots)
+        return RootConfiguration(2, 1, (roots,), False, u, u, ((0, 1, len(u)),))
+
     if len(roots) == 3:
         t1, t2, t2p = roots
-        if len({t1, t2, t2p}) != 3:
-            raise InvalidInput("roots must be distinct")
+        b, c = 1, 2  # the input indices of t2 and t2p
         u = youngest_common_ancestor(t1, t2)
         u2 = youngest_common_ancestor(t1, t2p)
         swapped = len(u2) < len(u)
         if swapped:
-            t2, t2p = t2p, t2
+            t2, t2p, b, c = t2p, t2, c, b
             u, u2 = u2, u
         # now u2 (deeper) is contained in u
-        if len(u2) > len(u) or u == u2 == youngest_common_ancestor(t2, t2p):
-            ctype = 1
-        else:
-            ctype = 2
-        return RootConfiguration(3, ctype, ((t1, t2), (t1, t2p)), swapped, u, u2)
+        terms = (0, b, len(u)), (0, c, len(u2))
+        ctype = 1
+        if len(u2) == len(u):
+            t = youngest_common_ancestor(t2, t2p)
+            if not u == u2 == t:
+                ctype, terms = 2, ((0, b, len(u)), (b, c, len(t)))
+        return RootConfiguration(3, ctype, ((t1, t2), (t1, t2p)), swapped, u, u2, terms)
 
-    if len(roots) == 2 and all(len(r) == 2 for r in roots):
-        (t1, t2), (t1p, t2p) = roots
-    elif len(roots) == 4:
-        t1, t2, t1p, t2p = roots
-    else:
-        raise InvalidInput("expected 3 roots or two root pairs")
-    if len({t1, t2, t1p, t2p}) != 4:
-        raise InvalidInput("roots must be distinct")
+    if len(roots) != 4:
+        raise InvalidInput("closed forms exist for at most 4 distinct roots")
+    t1, t2, t1p, t2p = roots
+    ij, ij2 = (0, 1), (2, 3)  # the input indices of each pair
     u = youngest_common_ancestor(t1, t2)
     u2 = youngest_common_ancestor(t1p, t2p)
     swapped = len(u) > len(u2)
     if swapped:
-        (t1, t2), (t1p, t2p) = (t1p, t2p), (t1, t2)
+        (t1, t2), (t1p, t2p), ij, ij2 = (t1p, t2p), (t1, t2), ij2, ij
         u, u2 = u2, u
+    k, k2 = len(u), len(u2)
+    pairs, meet = ((t1, t2), (t1p, t2p)), ()
     # h(u) <= h(u2): u2 is either disjoint from u, equal, or strictly inside
-    if u2[: len(u)] != u:
+    if u2[:k] != u:
         ctype = 1  # disjoint ancestors
-    elif len(u2) > len(u):
+    elif k2 > k:
         ctype = 2
+        (i, j), t = _max_cross(*pairs)
+        terms = (*ij, k), (*ij2, k2), (ij[i], ij2[j], len(t))
+    elif all(youngest_common_ancestor(a, b) == u for a in pairs[0] for b in pairs[1]):
+        ctype = 1
     else:
-        cross = [youngest_common_ancestor(a, b)
-                 for a in (t1, t2) for b in (t1p, t2p)]
-        ctype = 1 if all(c == u for c in cross) else 3
-    return RootConfiguration(4, ctype, ((t1, t2), (t1p, t2p)), swapped, u, u2)
+        ctype = 3
+        (i2, j2), s2 = _max_cross(*pairs, strictly_below=u)
+        i1, j1 = 1 - i2, 1 - j2
+        s1 = youngest_common_ancestor(pairs[0][i1], pairs[1][j1])
+        terms = (*ij, k), (ij[i1], ij2[j1], len(s1)), (ij[i2], ij2[j2], len(s2))
+    if ctype == 1:
+        # mu at the yca of all four slopes, the shortest of D(v1, v2),
+        # D(v1', v2') and D(v1, v1'), so the least of their mu (mu only
+        # grows down a path of the slope tree)
+        kz = len(youngest_common_ancestor(u, u2))
+        terms = (*ij, k), (*ij2, k2)
+        meet = (*ij, kz), (*ij2, kz), (ij[0], ij2[0], kz)
+    return RootConfiguration(4, ctype, pairs, swapped, u, u2, terms, meet)
 
 
-classify_roots.cache_info = _classify_roots.cache_info
+classify_roots.cache_info = _configuration.cache_info
+
+
+def _code_mu(pruned: PrunedSlopeTree, c1: int, c2: int, h: int) -> int:
+    """mu(D(v_c1, v_c2), h), memoized on the instance per (c1, c2, h): at
+    most 4^N (J + 1) entries."""
+    key = (c1, c2, h)
+    got = pruned.code_mus.get(key)
+    if got is None:
+        got = pruned.code_mus[key] = mu(pruned, pruned.slope_yca(c1, c2), h)
+    return got
 
 
 def prob_closed_form(pruned: PrunedSlopeTree, pairs) -> Fraction:
-    """Closed-form probability for 2, 3, or 4 prescribed root-slope pairs.
+    """Closed-form probability of a prescription of at most 4 distinct
+    root-slope pairs, each counted once.
 
-    Dispatches on the root configuration type and evaluates the power of
-    1/2 whose exponent combines N with mu at the youngest common ancestors
-    dictated by the type.  Inputs must be sticky-admissible.
+    The power of 1/2 whose exponent is N per pair less mu at the youngest
+    common ancestors that the root configuration type dictates: the root
+    side is read off the cached :class:`RootConfiguration`, the slope side
+    off the per-(code pair, height) memo.  Inputs must be sticky-admissible,
+    so a repeated root carries one code.
     """
     pairs = _constraints(pruned, pairs, required=True)[0]
-    n = len(pairs)
-    N = pruned.N
-    if n == 1:
-        return _half_power(N)
-
-    if n == 2:
-        (t1, c1), (t2, c2) = pairs
-        if t1 == t2:
-            return _half_power(N)
-        u = youngest_common_ancestor(t1, t2)
-        w = pruned.slope_yca(c1, c2)
-        return _half_power(2 * N - mu(pruned, w, len(u)))
-
-    if n == 3:
-        (ta, ca), (tb, cb), (tc, cc) = pairs
-        cfg = _classify_roots((ta, tb, tc))
-        if cfg.swapped:
-            (tb, cb), (tc, cc) = (tc, cc), (tb, cb)
-        k, k2 = len(cfg.u), len(cfg.u2)
-        w = pruned.slope_yca(ca, cb)
-        w2 = pruned.slope_yca(ca, cc)
-        if cfg.ctype == 1:
-            expo = 3 * N - mu(pruned, w, k) - mu(pruned, w2, k2)
-        else:
-            t = youngest_common_ancestor(tb, tc)
-            vt = pruned.slope_yca(cb, cc)
-            expo = 3 * N - mu(pruned, w, k) - mu(pruned, vt, len(t))
-        return _half_power(expo)
-
-    if n == 4:
-        (ta, ca), (tb, cb), (tC, cC), (td, cd) = pairs
-        cfg = _classify_roots(((ta, tb), (tC, td)))
-        if cfg.swapped:
-            (ta, ca), (tb, cb), (tC, cC), (td, cd) = (tC, cC), (td, cd), (ta, ca), (tb, cb)
-        k, k2 = len(cfg.u), len(cfg.u2)
-        w = pruned.slope_yca(ca, cb)
-        w2 = pruned.slope_yca(cC, cd)
-        if cfg.ctype == 1:
-            z = youngest_common_ancestor(cfg.u, cfg.u2)
-            v = youngest_common_ancestor(w, w2)
-            expo = (4 * N - mu(pruned, w, k) - mu(pruned, w2, k2)
-                    - mu(pruned, v, len(z)))
-        elif cfg.ctype == 2:
-            (i2, j2), t = _max_cross((ta, tb), (tC, td))
-            vtheta = pruned.slope_yca((ca, cb)[i2], (cC, cd)[j2])
-            expo = (4 * N - mu(pruned, w, k) - mu(pruned, w2, k2)
-                    - mu(pruned, vtheta, len(t)))
-        else:
-            (i2, j2), s2 = _max_cross((ta, tb), (tC, td), strictly_below=cfg.u)
-            i1, j1 = 1 - i2, 1 - j2
-            s1 = youngest_common_ancestor((ta, tb)[i1], (tC, td)[j1])
-            th1 = pruned.slope_yca((ca, cb)[i1], (cC, cd)[j1])
-            th2 = pruned.slope_yca((ca, cb)[i2], (cC, cd)[j2])
-            expo = (4 * N - mu(pruned, w, k) - mu(pruned, th1, len(s1))
-                    - mu(pruned, th2, len(s2)))
-        return _half_power(expo)
-
-    raise InvalidInput("closed forms exist for 2, 3, or 4 pairs only")
+    if len(pairs) < 2:
+        return _half_power(len(pairs) * pruned.N)
+    roots, codes = zip(*pairs)
+    cfg = _configuration(roots)
+    expo = cfg.size * pruned.N
+    for i, j, h in cfg.terms:
+        expo -= _code_mu(pruned, codes[i], codes[j], h)
+    if cfg.meet:
+        expo -= min(_code_mu(pruned, codes[i], codes[j], h) for i, j, h in cfg.meet)
+    return _half_power(expo)
 
 
 def _max_cross(pair1, pair2, strictly_below: Address | None = None):

@@ -112,11 +112,10 @@ def _pair_frame(p1: Tube, p2: Tube):
     return dc, dw
 
 
-def _feasible_x1(p1: Tube, p2: Tube, w: tuple[Fraction, Fraction]):
-    """Open x1-interval where the cross-sections overlap, or None."""
-    dc, dw = _pair_frame(p1, p2)
-    s = p1.side
-    lo, hi = clip_x1(*w, p1.A0)
+def _feasible_x1(dc, dw, s: Fraction, A0: int, w: tuple[Fraction, Fraction]):
+    """Open x1-interval where two cross-sections of side s, whose centres
+    differ by ``dc`` and slopes by ``dw``, overlap, or None."""
+    lo, hi = clip_x1(*w, A0)
     if lo >= hi:
         return None
     open_lo, open_hi = Fraction(lo), Fraction(hi)
@@ -169,11 +168,11 @@ def intersects(p1: Tube, p2: Tube, w: tuple[Fraction, Fraction]) -> bool:
     This Fraction test is the oracle of the integer scan in
     ``counting.enumerate_E2``.
     """
-    iv = _feasible_x1(p1, p2, w)
+    dc, dw = _pair_frame(p1, p2)
+    iv = _feasible_x1(dc, dw, p1.side, p1.A0, w)
     if iv is None:
         return False
     if p1.root != p2.root:
-        dc, dw = _pair_frame(p1, p2)
         assert_pair_inequalities(dc, dw, iv, p1.M, p1.J)
     return True
 

@@ -237,6 +237,67 @@ def test_closed_form_reaches_every_configuration_class_at_n3():
                     (4, 3, False)}
 
 
+def test_closed_form_counts_a_repeated_pair_once(inst, roots):
+    # a repeated pair adds no reference cube, and the empty prescription
+    # is certain: the closed form answers what prob_exact answers
+    t0, t5, t8 = roots[0], roots[5], roots[8]
+    for prs, want in (([], 1), ([(t0, 0), (t0, 0), (t5, 1)], F(1, 16)),
+                      ([(t0, 0), (t5, 1), (t8, 0), (t0, 0)], F(1, 64))):
+        assert prob_closed_form(inst, prs) is prob_exact(inst, prs) == want
+    five = [(t, 0) for t in roots[:5]]
+    with pytest.raises(InvalidInput, match="at most 4 distinct"):
+        prob_closed_form(inst, five)
+    assert prob_closed_form(inst, five[:4] + five[:1]) is prob_exact(inst, five[:4])
+    rng, repeated = random.Random(37), 0
+    for size in range(5):
+        admitted = 0
+        while admitted < 150:
+            ts = [rng.choice(roots[:6]) for _ in range(size)]
+            code = {t: rng.randrange(4) for t in ts}
+            prs = [(t, code[t]) for t in ts]
+            if not is_sticky_admissible(inst, prs)[0]:
+                continue
+            admitted += 1
+            repeated += len(set(ts)) < size
+            assert prob_closed_form(inst, prs) is prob_exact(inst, prs), prs
+    assert repeated > 200
+
+
+def test_closed_form_does_root_work_once_per_root_tuple(inst, roots, monkeypatch):
+    # a sweep asks about all 256 code tuples of one 4-root tuple in a row:
+    # the root ancestors and cross indices are computed on the first only
+    quads = {}
+    for quad in combinations(roots, 4):
+        for ts in (quad, quad[::2] + quad[1::2]):  # nested and crossed pairs
+            # the reversed tuple has the same type under another key
+            quads.setdefault(classify_roots(ts[::-1]).ctype, ts)
+    assert set(quads) == {1, 2, 3}
+    max_cross, yca = sticky._max_cross, sticky.youngest_common_ancestor
+    for ts in quads.values():
+        below = {t[:h] for t in ts for h in range(inst.J + 1)}
+        calls = [0]  # root-only calls per code tuple
+
+        def on_roots(*args):
+            calls[-1] += set(args) <= below
+            return yca(*args)
+
+        def cross(*args, **kwargs):
+            calls[-1] += 1
+            return max_cross(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(sticky, "_max_cross", cross)
+            m.setattr(sticky, "youngest_common_ancestor", on_roots)
+            sticky._configuration.cache_clear()
+            for cs in product(range(4), repeat=4):
+                prs = list(zip(ts, cs))
+                if is_sticky_admissible(inst, prs)[0]:
+                    assert prob_exact(inst, prs) == prob_closed_form(inst, prs)
+                calls.append(0)
+        assert calls[0] > 0 and not any(calls[1:]), (ts, calls)
+        assert classify_roots.cache_info().misses == 1
+
+
 def test_closed_form_invariant_under_relabelling(inst, roots):
     rng = random.Random(23)
     for size in (3, 4):
