@@ -18,10 +18,10 @@ anchor w.  What a scan reads of neither u nor its roots (the clipped
 window, the code pairs with their lattice forms, the reach of a hit and
 the box array) is one cached plan per (instance, w, rho, A0); the int64
 refusal, the stickiness verdict and every configuration check still run
-on each call.  Slope ancestors, slope metrics and the lattice are the
-per-instance tables every module reads, and the root cube indices one
-more that the scan fills; only the oracles recompute slope ancestors
-inline, to stay independent.
+on each call.  Slope ycas, slope metrics and the lattice come off the
+pruned instance, as in every module, and the root cube indices are a
+per-instance table that the scan fills; only the oracles recompute slope
+ancestors inline, to stay independent.
 :func:`enumerate_E2_bruteforce` is its independent oracle, a plain loop
 over every root and slope pair through the Fraction test
 ``tubes.intersects``.  The triple and quadruple collections are joins over

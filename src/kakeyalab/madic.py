@@ -153,9 +153,6 @@ class MadicTree:
                     yield u
             level = nxt
 
-    def leaves(self) -> list[Address]:
-        return [v for v in self.vertices() if len(v) == self.height]
-
     def split_value(self, addr: Address) -> int:
         """split_T(addr): max over subtrees rooted there of the min number
         of splitting vertices along a ray."""

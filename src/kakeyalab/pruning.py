@@ -165,7 +165,6 @@ class PrunedSlopeTree:
         self.H: list[list[Address]] = [[] for _ in range(N + 1)]
         self.H[0] = [gamma1]
         self._psi: dict[tuple, Address] = {(): gamma1}
-        self._psi_inv: dict[Address, tuple] = {gamma1: ()}
         slopes: dict[int, Point] = {}
 
         # eta[code][j-1] = height of the j-th basic slope cube on the ray
@@ -193,7 +192,6 @@ class PrunedSlopeTree:
                 cubes.append(cube)
                 code = bits + (bit,)
                 self._psi[code] = cube
-                self._psi_inv[cube] = code
                 if j < N:
                     nexts.append(down)
                     stack.append((down, j + 1, code, hts))
@@ -226,19 +224,18 @@ class PrunedSlopeTree:
             tuple((code >> (N - 1 - i)) & 1 for i in range(N))
             for code in range(2 ** N))
         self.eta = [eta[c] for c in range(2 ** N)]
-        # lookup tables filled on first use (slope_yca here, metrics by
-        # slope_metrics, cube indices by :mod:`kakeyalab.counting`, the rest
-        # by :mod:`kakeyalab.sticky`): the reference cubes per (root, code)
-        # alone would be K * 2^N entries, and an instance-level table dies
-        # with the instance
+        # lookup tables filled on first use (the reference cubes per (root,
+        # code) and the last pass by :mod:`kakeyalab.sticky`, slope metrics
+        # by slope_metrics, cube indices by :mod:`kakeyalab.counting`): the
+        # reference cubes alone would be K * 2^N entries, and an
+        # instance-level table dies with the instance.  mu and lambda at a
+        # slope yca need no table: :mod:`kakeyalab.sticky` reads them off
+        # eta by the leading bits the two codes share
         self.ref_cubes: dict[tuple[Address, int], tuple[Address, tuple]] = {}
         # the last constraint pass of :mod:`kakeyalab.sticky`: the pairs it
         # read, the normalized pairs and the merged constraints; it starts
         # as the pass of the empty prescription
         self.last_pass: tuple[tuple, tuple, dict | None] = ((), (), {})
-        self.slope_ycas: dict[tuple[int, int], Address] = {}
-        self.mus: dict[tuple[Address, int], int] = {}
-        self.code_mus: dict[tuple[int, int, int], int] = {}
         self.metrics: dict[Address, SlopeMetrics] = {}
         self.cube_indices: dict[Address, tuple[int, ...]] = {}
 
@@ -258,14 +255,8 @@ class PrunedSlopeTree:
         return self._leaves[code]
 
     def slope_yca(self, c1: int, c2: int) -> Address:
-        """Youngest common ancestor of two slope leaves, memoized per code
-        pair; repeat calls return the same address."""
-        key = (c1, c2)
-        got = self.slope_ycas.get(key)
-        if got is None:
-            got = youngest_common_ancestor(self._leaves[c1], self._leaves[c2])
-            self.slope_ycas[key] = got
-        return got
+        """Youngest common ancestor D(v_c1, v_c2) of two slope leaves."""
+        return youngest_common_ancestor(self._leaves[c1], self._leaves[c2])
 
     def psi(self, bits) -> Address:
         """Basic slope cube for a bit string of length 0..N."""
@@ -273,11 +264,6 @@ class PrunedSlopeTree:
         if key not in self._psi:
             raise InvalidInput(f"bit string {key} outside the coding tree")
         return self._psi[key]
-
-    def psi_inverse(self, cube: Address) -> tuple:
-        if cube not in self._psi_inv:
-            raise InvalidInput(f"{cube} is not a basic slope cube")
-        return self._psi_inv[cube]
 
     def nu(self, addr: Address) -> int:
         return self.gamma[addr].nu

@@ -27,11 +27,14 @@ of :mod:`kakeyalab.counting` and for ``tubes.reference_trees``.
 
 Every input of these checks is computed once per instance and looked up
 in the tables that :mod:`kakeyalab.counting`, :mod:`kakeyalab.tubes` and
-:mod:`kakeyalab.fast1d` read too: the pruned tree builds its code-bit
-and slope-lattice tables up front and memoizes
-``slope_yca`` per code pair; the reference cubes per (root, code), mu
-per (vertex, height) and mu at the slope yca per (code, code, height), at
-most 4^N (J + 1) entries, are memoized on it here.  :func:`is_sticky_admissible`,
+:mod:`kakeyalab.fast1d` read too: the pruned tree builds its code-bit,
+slope-lattice and basic-height (``eta``) tables up front, and the
+reference cubes per (root, code) are memoized on it here.  Two codes
+that share their first s bits have the first s basic slope cubes of
+their rays in common and part at their slope yca D(v, v'), so mu(D(v,
+v'), h) counts the first s heights of ``eta`` that are at most h, and
+lambda(D(v, v')) is the (s + 1)-th: no slope address is walked.
+:func:`is_sticky_admissible`,
 :func:`prob_exact`, :func:`prob_closed_form` and :class:`ReferenceTree`
 share one private pass per prescription: it normalizes the pairs, which
 then serve directly as keys of the reference-cube memo (whose misses
@@ -44,13 +47,14 @@ hold what depends on no instance: :func:`classify_roots` keeps the
 configurations of the last ``CONFIG_CACHE_SIZE`` root tuples (a sweep
 asks about one root tuple for each of its code tuples), each with every
 root-only height and cross index that the closed form reads, so a
-prescription pays only for its code-pair lookups; and every probability
-is the one shared ``Fraction`` 2^-n of its exponent.
+prescription pays only for its code-pair lookups in ``eta``; and every
+probability is the one shared ``Fraction`` 2^-n of its exponent.
 """
 
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -287,11 +291,13 @@ def sticky_pair(pruned: PrunedSlopeTree, a, b) -> bool:
     together: always with equal codes, else iff the roots differ and
     lambda(D(v1, v2)) > h(D(t1, t2)).  The codes share their bits down to
     D(v1, v2) and differ at its basic height lambda, where the two roots
-    conflict iff they share their ancestor."""
+    conflict iff they share their ancestor.  With s = N - bit_length(c1 ^
+    c2) shared leading bits, that height is eta[c1][s], c1's (s + 1)-th
+    basic height."""
     (t1, c1), (t2, c2) = a, b
     if c1 == c2:
         return True
-    return t1 != t2 and pruned.gamma[pruned.slope_yca(c1, c2)].lam > len(
+    return t1 != t2 and pruned.eta[c1][pruned.N - (c1 ^ c2).bit_length()] > len(
         youngest_common_ancestor(t1, t2))
 
 
@@ -335,33 +341,6 @@ def prob_enumerate(pruned: PrunedSlopeTree, pairs, cap_bits: int = 20) -> Fracti
 
 
 # ---------------------------------------------------------------------------
-# mu / theta helpers
-# ---------------------------------------------------------------------------
-
-def theta(pruned: PrunedSlopeTree, w: Address, k: int) -> Address | None:
-    """Basic slope cube containing the slope-tree vertex w of maximal
-    height <= k, or None when no basic cube that shallow contains w."""
-    best = None
-    for h in range(min(k, len(w)), 0, -1):
-        if w[:h] in pruned._psi_inv and len(pruned.psi_inverse(w[:h])) >= 1:
-            best = w[:h]
-            break
-    return best
-
-
-def mu(pruned: PrunedSlopeTree, w: Address, k: int) -> int:
-    """Number of basic slope cubes of height <= k containing w, that is
-    the code length of theta(w, k).  Memoized on the instance per (w, k)."""
-    key = (w, k)
-    got = pruned.mus.get(key)
-    if got is None:
-        th = theta(pruned, w, k)
-        got = 0 if th is None else len(pruned.psi_inverse(th))
-        pruned.mus[key] = got
-    return got
-
-
-# ---------------------------------------------------------------------------
 # root configuration types
 # ---------------------------------------------------------------------------
 
@@ -389,9 +368,11 @@ def classify_roots(roots) -> RootConfiguration:
     pairs ((t1, t2), (t1', t2')) of distinct root cubes; the flat 4-tuple
     (t1, t2, t1', t2') reads as the latter.  The configurations of the
     last ``CONFIG_CACHE_SIZE`` root tuples are kept, and invalid input
-    raises on every call."""
+    raises on every call.  Two root pairs are told from two roots by their
+    nesting: a root's items are digits, tuples of ints, and a pair's items
+    are roots."""
     roots = tuple(roots)
-    if len(roots) == 2 and all(len(r) == 2 for r in roots):
+    if len(roots) == 2 and all(_is_root_pair(r) for r in roots):
         roots = (*roots[0], *roots[1])
     if len(roots) not in (3, 4):
         raise InvalidInput("expected 3 roots or two root pairs")
@@ -399,6 +380,15 @@ def classify_roots(roots) -> RootConfiguration:
     if cfg.size != len(roots):
         raise InvalidInput("roots must be distinct")
     return cfg
+
+
+def _is_root_pair(item) -> bool:
+    """Whether an item is a pair of roots: its first item is a root, whose
+    first item is a digit."""
+    try:
+        return len(item) == 2 and isinstance(item[0][0], (tuple, list))
+    except (TypeError, IndexError):
+        return False
 
 
 @lru_cache(maxsize=CONFIG_CACHE_SIZE)
@@ -477,13 +467,12 @@ classify_roots.cache_info = _configuration.cache_info
 
 
 def _code_mu(pruned: PrunedSlopeTree, c1: int, c2: int, h: int) -> int:
-    """mu(D(v_c1, v_c2), h), memoized on the instance per (c1, c2, h): at
-    most 4^N (J + 1) entries."""
-    key = (c1, c2, h)
-    got = pruned.code_mus.get(key)
-    if got is None:
-        got = pruned.code_mus[key] = mu(pruned, pruned.slope_yca(c1, c2), h)
-    return got
+    """mu(D(v_c1, v_c2), h), the number of basic slope cubes of height <= h
+    above the slope yca.  Those above it are the first s of either code's
+    ray, s = N - bit_length(c1 ^ c2) the number of leading bits the codes
+    share, so mu counts the first s heights of ``eta[c1]`` that are at
+    most h."""
+    return bisect_right(pruned.eta[c1], h, 0, pruned.N - (c1 ^ c2).bit_length())
 
 
 def prob_closed_form(pruned: PrunedSlopeTree, pairs) -> Fraction:
@@ -493,8 +482,8 @@ def prob_closed_form(pruned: PrunedSlopeTree, pairs) -> Fraction:
     The power of 1/2 whose exponent is N per pair less mu at the youngest
     common ancestors that the root configuration type dictates: the root
     side is read off the cached :class:`RootConfiguration`, the slope side
-    off the per-(code pair, height) memo.  Inputs must be sticky-admissible,
-    so a repeated root carries one code.
+    off the basic heights ``eta`` of the codes.  Inputs must be
+    sticky-admissible, so a repeated root carries one code.
     """
     pairs = _constraints(pruned, pairs, required=True)[0]
     if len(pairs) < 2:

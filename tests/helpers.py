@@ -1,7 +1,7 @@
 """Shared test utilities: root enumeration, example trees, split values,
-inversion counts, the extension of a sticky map to every root-tree
-vertex, the rasterization oracle and the affine image of a lacunary
-witness."""
+inversion counts, the tree-walk oracle of theta and mu, the extension of
+a sticky map to every root-tree vertex, the rasterization oracle and the
+affine image of a lacunary witness."""
 
 from fractions import Fraction
 
@@ -11,7 +11,7 @@ from kakeyalab._mix import mix_chain
 from kakeyalab.errors import InvalidInput
 from kakeyalab.lacunarity import LacunaryWitness
 from kakeyalab.madic import Address, DigitRuleTree, ancestor, point_address
-from kakeyalab.sticky import theta, walk_chain
+from kakeyalab.sticky import walk_chain
 
 
 def root_addr(i: int, M: int, J: int):
@@ -87,6 +87,31 @@ def count_inversions(seq) -> int:
 def split_values(tree) -> dict[Address, int]:
     """Per-vertex split values for every vertex."""
     return {v: tree.split_value(v) for v in tree.vertices()}
+
+
+def basic_cubes(pruned) -> dict[Address, int]:
+    """Every basic slope cube of a pruned tree with the length of its code:
+    the two cubes below a splitting vertex of index nu have nu-bit codes."""
+    return {cube: info.nu for info in pruned.gamma.values() for cube in info.h_cubes}
+
+
+def theta(pruned, w: Address, k: int) -> Address | None:
+    """Basic slope cube containing the slope-tree vertex w of maximal
+    height <= k, or None when no basic cube that shallow contains w; found
+    by walking up w's ancestors."""
+    cubes = basic_cubes(pruned)
+    for h in range(min(k, len(w)), 0, -1):
+        if w[:h] in cubes:
+            return w[:h]
+    return None
+
+
+def mu(pruned, w: Address, k: int) -> int:
+    """Number of basic slope cubes of height <= k containing w, that is
+    the code length of theta(w, k): the tree-walk oracle of the closed
+    form's mu."""
+    th = theta(pruned, w, k)
+    return 0 if th is None else basic_cubes(pruned)[th]
 
 
 def root_ancestor_at_mu(pruned, u: Address, w: Address, k: int) -> Address:

@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+from helpers import mu
 from kakeyalab import counting
 from kakeyalab.counting import (
     all_root_cubes,
@@ -25,7 +26,7 @@ from kakeyalab.madic import (
     youngest_common_ancestor,
 )
 from kakeyalab.pruning import PrunedSlopeTree, prune
-from kakeyalab.sticky import classify_roots, is_sticky_admissible, mu
+from kakeyalab.sticky import classify_roots, is_sticky_admissible
 from kakeyalab.tubes import (
     SlabWindow,
     assert_pair_inequalities,

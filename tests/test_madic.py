@@ -42,7 +42,7 @@ def test_encode_full_binary():
     m = 4
     t = encode_set([(F(k, 2 ** m),) for k in range(2 ** m)], 2, m)
     assert all(len(t.children(v)) == 2 for v in t.vertices(m - 1))
-    assert len(t.leaves()) == 2 ** m
+    assert sum(len(v) == m for v in t.vertices()) == 2 ** m
 
 
 def test_encode_rejects_bad_coordinates():
@@ -55,7 +55,7 @@ def test_encode_rejects_bad_coordinates():
 def test_encode_idempotent():
     pts = [(F(1, 2 ** j),) for j in range(1, 6)]
     t = encode_set(pts, 2, 6)
-    reps = [t.min_point(v) for v in t.leaves()]
+    reps = [t.min_point(v) for v in t.vertices() if len(v) == t.height]
     t2 = encode_set(reps, 2, 6)
     assert set(t.vertices()) == set(t2.vertices())
 

@@ -2,6 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from helpers import mu
+from kakeyalab import sticky
 from kakeyalab.errors import InfeasibleInstance, InvalidInput
 from kakeyalab.madic import (
     cantor_tree,
@@ -100,9 +102,6 @@ def test_psi_bijection_and_roundtrip():
     assert p.psi(()) == min(p.gamma, key=len)  # the first splitting vertex
     images = {p.psi(p.code_bits(c)) for c in range(8)}
     assert len(images) == 2 ** 3 == len(p.slopes)
-    for c in range(8):
-        bits = p.code_bits(c)
-        assert p.psi_inverse(p.psi(bits)) == bits
     for j in range(1, 4):
         assert len({p.psi(p.code_bits(c)[:j]) for c in range(8)}) == 2 ** j
 
@@ -140,14 +139,28 @@ def test_eta_monotone_and_fundamental_heights():
 @pytest.mark.parametrize("instance", [
     lambda: prune(cantor_tree(25), 2, 1),
     lambda: prune(cantor_tree(30, d=2), 2, 1),
-], ids=["d1", "d2"])
+    lambda: prune(full_tree(8), 1, 1),
+    lambda: prune(full_tree(12), 2, 1),
+    lambda: prune(full_tree(28, d=2), 2, 1),
+    lambda: prune(full_tree(12, M=4), 2, 1),
+    lambda: prune(full_tree(28, M=4, d=2), 2, 1),
+    lambda: prune(cantor_tree(25), 5, 1),
+], ids=["d1", "d2", "M2-N1", "M2", "M2-d2", "M4", "M4-d2", "N5"])
 def test_slope_tables_match_their_definitions(instance):
+    # mu and lambda at a slope yca, read off eta by the codes' shared
+    # prefix, against the walk up the slope yca's ancestors
     p = instance()
     for c1 in range(2 ** p.N):
         for c2 in range(2 ** p.N):
-            got = p.slope_yca(c1, c2)
-            assert got == youngest_common_ancestor(p.slope_leaf(c1), p.slope_leaf(c2))
-            assert p.slope_yca(c1, c2) is got
+            w = p.slope_yca(c1, c2)
+            assert w == youngest_common_ancestor(p.slope_leaf(c1), p.slope_leaf(c2))
+            for h in range(p.J + 2):
+                assert sticky._code_mu(p, c1, c2, h) == mu(p, w, h)
+            if c1 != c2:
+                b1, b2 = p.code_bits(c1), p.code_bits(c2)
+                s = next(i for i in range(p.N) if b1[i] != b2[i])
+                assert s == p.N - (c1 ^ c2).bit_length()
+                assert p.eta[c1][s] == p.gamma[w].lam
     assert p.D % p.M ** p.J == 0
     for code, slope in enumerate(p.slopes):
         assert len(p.sigma[code]) == p.d

@@ -6,7 +6,7 @@ from itertools import combinations, combinations_with_replacement, product
 import numpy as np
 import pytest
 
-from helpers import all_roots_1d, extend, root_addr, root_ancestor_at_mu
+from helpers import all_roots_1d, extend, mu, root_addr, root_ancestor_at_mu, theta
 from kakeyalab.errors import InvalidInput, SizeCapExceeded
 from kakeyalab.fast1d import FastInstance
 from kakeyalab.madic import cantor_tree, full_tree, youngest_common_ancestor
@@ -19,14 +19,12 @@ from kakeyalab.sticky import (
     ReferenceTree,
     classify_roots,
     is_sticky_admissible,
-    mu,
     prob_closed_form,
     prob_enumerate,
     prob_exact,
     reference_cubes,
     sample_assignment,
     sticky_pair,
-    theta,
     walk_chain,
 )
 
@@ -376,6 +374,15 @@ def test_configuration_cache(roots):
         == classify_roots(((quad[0], quad[1]), (quad[2], quad[3]))) \
         == classify_roots(tuple(quad))
     assert classify_roots(list(triple)) is classify_roots(tuple(triple))
+    # at J = 2 a root is two digits, yet two roots are not read as two
+    # pairs: a pair's items are roots, a root's items are digits
+    low = all_root_cubes(prune(full_tree(12, M=4), N=2, C0=1))
+    a, b, c, d = low[1], low[6], low[11], low[12]
+    assert classify_roots([(a, b), (c, d)]) == classify_roots((a, b, c, d))
+    for two in ((((0,), (0,)), ((0,), (1,))), (((0,), (1,)), ((1,), (2,))),
+                (((0,), (1,)), ((2,), (3,)))):
+        with pytest.raises(InvalidInput, match="expected 3 roots or two root pairs"):
+            classify_roots(two)
 
 
 def test_cached_paths_still_refuse_bad_prescriptions(inst, roots):
