@@ -6,15 +6,19 @@ grows only once 1/E|far| outpaces N, far past N = 5. Criterion 10 checks that th
 far-slab volume decays in N, which the paper's C/N bound makes falsifiable.
 The analysis of both, with the measured tables, is in the README section
 "Criteria 10 and 11 at desk scale".
+The last test checks every number of that section against what the
+harness computes.
 Run with ``pytest -s tests/test_acceptance.py`` to see the verdict lines.
 """
 
 import math
 import random
+import re
 import time
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 
@@ -74,11 +78,14 @@ from kakeyalab.tubes import (
 )
 
 
-def verdict(num: int, ok: bool, detail: str, t0: float, cap: float):
+def verdict(num: int | str, ok: bool, detail: str, t0: float, cap: float):
+    """Print the verdict line of a criterion (by number) or of another
+    check (by name) and hold it to its time budget."""
+    name = f"criterion {num:02d}" if isinstance(num, int) else num
     dt = time.time() - t0
     status = "PASS" if ok else "FAIL"
-    print(f"[criterion {num:02d}] {status} ({dt:.1f}s / cap {cap:.0f}s) {detail}")
-    assert dt < cap, f"criterion {num} exceeded its time budget: {dt:.1f}s"
+    print(f"[{name}] {status} ({dt:.1f}s / cap {cap:.0f}s) {detail}")
+    assert dt < cap, f"{name} exceeded its time budget: {dt:.1f}s"
     return dt
 
 
@@ -387,20 +394,28 @@ def _median(vs):
     return sorted(vs)[len(vs) // 2]
 
 
-def test_criterion_11_ratio_trend():
-    t0 = time.time()
+def _ratio_rows():
+    """Criterion 11's 50-seed table, one (N, R window, near width, median
+    far, median CS-only ratio) row per N."""
     table = experiment_ratio(replace(ACCEPT_CFG, seeds=50))
-    seq_lb = [table["per_n"][n]["median_ratio_lb"] for n in ACCEPT_CFG.n_values]
-    inv = count_inversions(seq_lb)
-    ok = inv <= 1
     M = ACCEPT_CFG.M
-    windows = []
+    rows = []
     for n in ACCEPT_CFG.n_values:
         rs = table["per_n"][n]["r_range"]
         width = sum(F(1, M ** (r - 1)) - F(1, M ** r) for r in rs)
         far = _median([row["far"] for row in table["rows"] if row["N"] == n])
-        windows.append(f"N={n}: R in {list(rs)}, near width {width}, "
-                       f"median far {far:.5f}")
+        rows.append((n, rs, width, far, table["per_n"][n]["median_ratio_lb"]))
+    return rows
+
+
+def test_criterion_11_ratio_trend():
+    t0 = time.time()
+    rows = _ratio_rows()
+    seq_lb = [ratio for *_, ratio in rows]
+    inv = count_inversions(seq_lb)
+    ok = inv <= 1
+    windows = [f"N={n}: R in {list(rs)}, near width {width}, median far {far:.5f}"
+               for n, rs, width, far, _ in rows]
     verdict(11, ok,
             f"median CS-only ratios = {['%.3f' % v for v in seq_lb]}, "
             f"inversions = {inv} (README: Criteria 10 and 11 at desk scale)",
@@ -412,3 +427,80 @@ def test_criterion_11_ratio_trend():
         "window R = 2, where the near CS bound falls as E[moment1] grows "
         "with N while far falls only slightly; see the README section "
         "'Criteria 10 and 11 at desk scale'.")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _desk_scale_section() -> tuple[str, list[list[list[str]]]]:
+    """The README section "Criteria 10 and 11 at desk scale" and its
+    tables, each a list of rows of cell strings without the separator."""
+    text = README.read_text().split("### Criteria 10 and 11 at desk scale")[1]
+    text = text.split("\n## ")[0]
+    tables, rows = [], None
+    for line in text.splitlines():
+        if not line.startswith("|"):
+            rows = None
+            continue
+        if set(line) <= set("|- "):
+            continue
+        if rows is None:
+            rows = []
+            tables.append(rows)
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return text, tables
+
+
+def _as_printed(value: float, cell: str) -> str:
+    """A value at the precision of the printed cell."""
+    return f"{value:.{len(cell.partition('.')[2])}f}"
+
+
+def test_readme_desk_scale_numbers():
+    # every number of the section, at its printed precision, is what the
+    # harness computes; after criteria 9 to 11 the cells come from its caches
+    t0 = time.time()
+    text, tables = _desk_scale_section()
+    assert len(tables) == 3, \
+        "expected the survival row and the tables of criteria 10 and 11"
+    survival, far_table, ratio_table = tables
+    quoted, computed = [], []
+
+    ns = [int(n) for n in survival[0][1:]]
+    assert survival[1][0] == "n * survival"
+    quoted += survival[1][1:]
+    computed += [n * float(survival_exact(full_tree(n, M=2))) for n in ns]
+
+    far_rows = experiment_far_slab(ACCEPT_CFG)["rows"]
+    assert [int(row[0]) for row in far_table[1:]] == [r["N"] for r in far_rows]
+    steps = [None] + [(a["mean_far"] - b["mean_far"])
+                      / math.hypot(a["stderr_far"], b["stderr_far"])
+                      for a, b in zip(far_rows, far_rows[1:])]
+    for row, r, step in zip(far_table[1:], far_rows, steps):
+        quoted += row[1:]
+        computed += [r["mean_far"], r["stderr_far"], r["n_times_mean"], step]
+
+    ratio_rows = _ratio_rows()
+    assert [int(row[0]) for row in ratio_table[1:]] == [n for n, *_ in ratio_rows]
+    for row, (n, rs, width, far, ratio) in zip(ratio_table[1:], ratio_rows):
+        quoted += row[1:]
+        computed += [", ".join(map(str, rs)), str(width), far, ratio]
+
+    # the prose figures: the steps of 1/E|far| and the drop of the median far
+    inverse = [1 / r["mean_far"] for r in far_rows]
+    rise = re.search(r"rises by ([\d.]+), ([\d.]+) and ([\d.]+)", text)
+    drop = re.search(r"far falls by only ([\d.]+)%", text)
+    assert rise and drop, "the prose figures of criterion 11 are missing"
+    quoted += [*rise.groups(), drop.group(1)]
+    computed += [b - a for a, b in zip(inverse, inverse[1:])]
+    computed.append(100 * (1 - ratio_rows[-1][3] / ratio_rows[-2][3]))
+
+    bad = [(cell, value) for cell, value in zip(quoted, computed)
+           if cell != ("" if value is None else value if isinstance(value, str)
+                       else _as_printed(value, cell))]
+    ok = not bad and len(quoted) == len(computed)
+    verdict("README tables", ok,
+            f"{len(quoted)} quoted numbers of 'Criteria 10 and 11 at desk scale' "
+            f"against survival_exact, experiment_far_slab and experiment_ratio, "
+            f"{len(bad)} differ", t0, 900)
+    assert ok, f"README cells differ from the computed values (cell, value): {bad}"
