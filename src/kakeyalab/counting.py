@@ -16,12 +16,13 @@ Fraction oracle, and stickiness is one comparison per call,
 lambda(w) > h(u), since every hit shares the root anchor u and the slope
 anchor w.  What a scan reads of neither u nor its roots (the clipped
 window, the code pairs with their lattice forms, the reach of a hit and
-the box array) is one cached plan per (instance, w, rho, A0); the int64
-refusal, the stickiness verdict and every configuration check still run
-on each call.  Slope ycas, slope metrics and the lattice come off the
-pruned instance, as in every module, and the root cube indices are a
-per-instance table that the scan fills; only the oracles recompute slope
-ancestors inline, to stay independent.
+the box array) is one cached plan per (instance, w, rho, A0), and so is
+the verdict of each configuration the plan's scans have checked; the
+int64 refusal and the stickiness verdict still run on each call.  Slope
+ycas, slope metrics and the lattice come off the pruned instance, as in
+every module, and the root cube indices are a per-instance table that the
+scan fills with checked roots; only the oracles recompute slope ancestors
+inline, to stay independent.
 :func:`enumerate_E2_bruteforce` is its independent oracle, a plain loop
 over every root and slope pair through the Fraction test
 ``tubes.intersects``.  The triple and quadruple collections are joins over
@@ -48,7 +49,7 @@ import numpy as np
 from .errors import InvalidInput, SizeCapExceeded
 from .madic import Address, cube_address, cube_index, cube_origin, youngest_common_ancestor
 from .pruning import PrunedSlopeTree, slope_metrics
-from .sticky import _max_cross, classify_roots, is_sticky_admissible, sticky_pair
+from .sticky import _check_root, _max_cross, classify_roots, is_sticky_admissible, sticky_pair
 from .tubes import (
     SlabWindow,
     clip_x1,
@@ -91,6 +92,13 @@ def _plan(pruned: PrunedSlopeTree, w: Address, rho: Fraction, A0: int):
     box comes from lo < r2 and r1 < hi on a moving axis (i, sgn, |b_i|) and
     from |a| < s on a still one, cut to the reach; the cross forms are
     r1_i < r2_j.
+
+    The last field, ``verdicts``, maps (delta, code-pair index) to the
+    geometric verdict of that configuration; the scans fill it.  A
+    configuration's check reads only these plan fields and delta, so
+    each runs once per plan, and a delta lies in its pair's box, so the
+    dict holds at most the sum over code pairs of the box's lattice
+    points.
     """
     win = SlabWindow(rho, 2)
     M, d, J = pruned.M, pruned.d, pruned.J
@@ -139,7 +147,7 @@ def _plan(pruned: PrunedSlopeTree, w: Address, rho: Fraction, A0: int):
     # the two children of the splitting vertex w give some code pair
     box = np.array(boxes, dtype=np.int64)
     box.flags.writeable = False  # shared by every call with this key
-    return tuple(pairs), box, reach, lo, hi, S, E
+    return tuple(pairs), box, reach, lo, hi, S, E, {}
 
 
 def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
@@ -156,16 +164,23 @@ def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
     Everything that depends on neither u nor the roots, the clipped window,
     the code pairs with their lattice forms, the reach and the box array,
     is one cached plan per (instance, w, rho, A0); a call adds its own
-    roots, as the cube indices of the instance table ``cube_indices``.  One
+    roots, as the cube indices of the instance table ``cube_indices``.  A
+    root missing from that table is checked to be a height-J cube of the
+    lattice and stored with the object checked; a hit on an equal but
+    distinct object is checked again, as in ``sticky.reference_cubes``.  A
+    call with no plan returns before it reads a root.  One
     numpy pass over blocks of t1 forms the root offsets and runs the reach
     and box tests of every (root pair, code pair) as array comparisons;
     the cross forms (d >= 2), whose coefficients scale with ``pruned.D``,
-    are Python-int tests on the box survivors.  The centre and scale
-    inequalities depend only on (delta, code pair), so every call checks
-    them in integers on the same lattice once per distinct configuration
-    among its geometric hits, including hits that stickiness then rejects;
+    are Python-int tests on the box survivors.  The cross forms and the
+    centre and scale inequalities depend only on the plan and (delta,
+    code pair), so each distinct configuration among the geometric hits
+    of the plan's scans, hits that stickiness then rejects included, is
+    checked in integers on the same lattice once and its verdict kept in
+    the plan.  A verdict is stored only after its check returns, so a
+    configuration that fails its check raises on every call;
     ``tubes.assert_pair_inequalities``, which ``tubes.intersects`` runs,
-    is their Fraction oracle.  Stickiness is decided once per
+    is the Fraction oracle of that check.  Stickiness is decided once per
     call: every hit has root yca u and slope yca w, so by the two-pair
     rule ``sticky_pair`` it is sticky exactly when lambda(w) > h(u).  The
     int64 refusal, too, is read off the instance on every call.
@@ -182,24 +197,30 @@ def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
     if plan is None or h >= J:
         return []
     under = [t for t in roots if t[:h] == u]
-    if len(under) < 2:
-        return []
-    pairs, box, reach, lo, hi, S, E = plan
-    # every hit has root yca u and slope yca w, so one comparison, the
-    # rule sticky_pair, decides the stickiness of them all
-    admissible = pruned.gamma[w].lam > h
     # the cube index of each root per axis, (n, d), and its branch of u
     cubes, branch, idx, grp = pruned.cube_indices, {}, [], []
     for t in under:
-        i = cubes.get(t)
-        if i is None:
-            i = cubes[t] = cube_index(t, M, d)
-        idx.append(i)
+        try:
+            got = cubes.get(t)
+        except TypeError:  # an unhashable root, refused below
+            got = None
+        # a miss, or a root that only equals the one checked, is checked
+        if got is None:
+            _check_root(pruned, t)
+            got = cubes[t] = (t, cube_index(t, M, d))
+        elif got[0] is not t:
+            _check_root(pruned, t)
+        idx.append(got[1])
         grp.append(branch.setdefault(t[h], len(branch)))
+    if len(under) < 2:
+        return []
+    pairs, box, reach, lo, hi, S, E, verdicts = plan
+    # every hit has root yca u and slope yca w, so one comparison, the
+    # rule sticky_pair, decides the stickiness of them all
+    admissible = pruned.gamma[w].lam > h
     idx, grp = np.array(idx, dtype=np.int64), np.array(grp)
 
     out = []
-    seen = {}  # (delta, code pair) -> geometric hit, asserted when true
     rows = max(1, _PAIR_BLOCK // len(under))
     for b0 in range(0, len(under), rows):
         delta = idx[b0:b0 + rows, None, :] - idx[None, :, :]
@@ -217,13 +238,15 @@ def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
             delta_p = deltas[p]
             c1, c2, cross, moving, b = pairs[q]
             key = (delta_p, q)
-            geometric = seen.get(key)
+            geometric = verdicts.get(key)
             if geometric is None:
-                geometric = seen[key] = all(
-                    fi * delta_p[i] + fj * delta_p[j] < bound
-                    for i, j, fi, fj, bound in cross)
+                geometric = all(fi * delta_p[i] + fj * delta_p[j] < bound
+                                for i, j, fi, fj, bound in cross)
                 if geometric:
                     _assert_configuration(pruned, delta_p, moving, b, lo, hi, S, E)
+                # stored after the check, so a configuration that fails it
+                # raises on every call
+                verdicts[key] = geometric
             if geometric and admissible:
                 out.append(((under[i1[p]], c1), (under[i2[p]], c2)))
     return out
@@ -327,6 +350,17 @@ def slope_complexity(pruned: PrunedSlopeTree, verts) -> int:
 # triple and quadruple collections
 # ---------------------------------------------------------------------------
 
+def _check_join(ctype, anchors: dict, ctypes: tuple):
+    """Refuse a configuration type outside ``ctypes`` and anchors without
+    u, u2, w or w2."""
+    if ctype not in ctypes:
+        raise InvalidInput(f"configuration type {ctype!r} is not one of "
+                           f"{', '.join(map(str, ctypes))}")
+    missing = [k for k in ("u", "u2", "w", "w2") if k not in anchors]
+    if missing:
+        raise InvalidInput(f"anchors lack {', '.join(missing)}")
+
+
 def _joined_pairs(pruned, anchors, rho, A0, roots):
     """The two pair collections of a join, E2[u, w] and E2[u2, w2]; with
     equal anchors they are one collection, computed once."""
@@ -345,8 +379,10 @@ def enumerate_E3(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
     share t1, so u2 is u or lies inside it: none when it does not, 1 when
     u2 is strictly inside u, and, when u = u2, 2 if t2 and t2' share a
     branch of u and 1 if not.  The two joined pairs are sticky, so
-    the triple is when (t2, v2), (t2', v2') is.
+    the triple is when (t2, v2), (t2', v2') is.  A type other than 1 or 2,
+    or anchors without u, u2, w or w2, raise InvalidInput.
     """
+    _check_join(ctype, anchors, (1, 2))
     u, u2, h = anchors["u"], anchors["u2"], len(anchors["u"])
     types = () if u2[:h] != u else (1,) if len(u2) > h else (1, 2)
     if ctype not in types:
@@ -384,8 +420,10 @@ def enumerate_E4(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
     swapped), 1 when u2 is not inside u, 2 when u2 is strictly inside u,
     and, when u = u2, 3 if the two pairs share a branch of u and 1 if not.
     The two joined pairs are sticky, so the quadruple is when its four
-    cross pairs are.
+    cross pairs are.  A type other than 1, 2 or 3, or anchors without u,
+    u2, w or w2, raise InvalidInput.
     """
+    _check_join(ctype, anchors, (1, 2, 3))
     u, u2, h = anchors["u"], anchors["u2"], len(anchors["u"])
     types = () if h > len(u2) else (1,) if u2[:h] != u else (2,) if u2 != u else (1, 3)
     if ctype not in types:

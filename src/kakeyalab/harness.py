@@ -2,16 +2,16 @@
 
 Every experiment runs over a seeded family of realizations of one pruned
 instance per N.  Every cache is a ``functools.lru_cache`` keyed on what it
-reads: the instance on (generator, M, C0, N), a far slab on (instance,
-seed, A0, slices) and a cell on those and its windows.  A far slab and a
-cell read the one realization ``construct_kakeya(instance, seed)``, which
-keeps the last assignment, so a computed cell assigns once, the far-slab
-and moment experiments consume identical tube sets and a far-slab table
-alone computes no pair sum.  Exact quantities are bit-reproducible from
-(config, seed) and the quadrature estimates are deterministic given the
-slice count.  A far slab or cell computed on a cache miss adds the wall
-time of each of its stages to ``STAGE_SECONDS``, which every run-log
-record carries.
+reads: the instance on (generator, M, C0, N), its ``FastInstance`` on the
+instance, a far slab on (instance, seed, A0, slices) and a cell on those
+and its windows.  A far slab and a cell read the one realization
+``construct_kakeya(instance, seed)``, which keeps the last assignment, so
+a computed cell assigns once, the far-slab and moment experiments consume
+identical tube sets and a far-slab table alone computes no pair sum.
+Exact quantities are bit-reproducible from (config, seed) and the
+quadrature estimates are deterministic given the slice count.  A far slab
+or cell computed on a cache miss adds the wall time of each of its stages
+to ``STAGE_SECONDS``, which every run-log record carries.
 
 The near/far ratio follows the slab-decomposition route: the near volume
 is accumulated over the x1 slabs [M^-R, M^-(R-1)] for integer R in
@@ -123,14 +123,22 @@ def pruned_instance(config: ExperimentConfig, n: int) -> PrunedSlopeTree:
     return _prune_cached(config.generator, config.M, config.C0, n)
 
 
+@lru_cache(maxsize=None)
+def _fast_instance(pruned: PrunedSlopeTree) -> FastInstance:
+    """The one FastInstance of a pruned instance; nothing mutates it, so
+    every realization shares it."""
+    return FastInstance(pruned)
+
+
 @lru_cache(maxsize=1)
 def construct_kakeya(pruned: PrunedSlopeTree, seed: int):
     """The realized tube family K_N(X): one tube per root cube, as
     (FastInstance, read-only slope-code array) for 1-d instances; tubes are
     materialized lazily through :func:`kakeya_tubes` since the family has
     M^(dJ) members.  The last realization is kept, so one cell's fields
-    share one assignment."""
-    fast = FastInstance(pruned)
+    share one assignment, and every realization of an instance shares its
+    one FastInstance."""
+    fast = _fast_instance(pruned)
     codes = fast.assign(seed)
     codes.flags.writeable = False
     return fast, codes

@@ -237,7 +237,8 @@ class PrunedSlopeTree:
         # as the pass of the empty prescription
         self.last_pass: tuple[tuple, tuple, dict | None] = ((), (), {})
         self.metrics: dict[Address, SlopeMetrics] = {}
-        self.cube_indices: dict[Address, tuple[int, ...]] = {}
+        # each checked root with its cube index per axis, by root
+        self.cube_indices: dict[Address, tuple[Address, tuple[int, ...]]] = {}
 
     # -- basic accessors -----------------------------------------------------
 

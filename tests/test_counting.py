@@ -5,6 +5,7 @@ from dataclasses import dataclass
 from fractions import Fraction, Fraction as F
 from itertools import product
 
+import numpy as np
 import pytest
 
 from helpers import mu
@@ -140,23 +141,28 @@ def _raise_centre(*args):
 def test_e2_asserts_each_geometric_configuration_once(inst3, monkeypatch):
     # at rho = 1/27 no pair under this height-2 anchor is sticky, but the
     # scan still asserts the inequalities of every geometric hit (at 1/3
-    # the anchor has no geometric hit at all)
+    # the anchor has no geometric hit at all); cold plans, since a plan
+    # keeps the verdicts of the configurations it has checked
     g1, u, rho = inst3.psi(()), ((1,), (0,)), F(1, 27)
     roots = _benchmark_subset(all_root_cubes(inst3))
+    counting._plan.cache_clear()
     seen = []
     _record_configurations(monkeypatch, seen)
     assert enumerate_E2(inst3, u, g1, rho, roots=roots) == []
     hits = _geometric_hits(inst3, u, g1, rho, roots)
     assert hits and len(seen) == len(hits) and set(seen) == set(hits.values())
 
+    counting._plan.cache_clear()
     monkeypatch.setattr(counting, "_assert_configuration", _raise_centre)
     with pytest.raises(AssertionError, match="centre inequality"):
         enumerate_E2(inst3, u, g1, rho, roots=roots)
 
 
-def test_e2_warm_plan_still_checks_every_configuration(inst3, monkeypatch):
-    # the plan of (instance, w, rho, A0) is shared across calls, the
-    # configuration checks are not: a repeat call checks every hit again
+def test_e2_warm_plan_keeps_configuration_verdicts(inst3, monkeypatch):
+    # the plan of (instance, w, rho, A0) keeps the verdict of every
+    # configuration it has checked: a repeat call checks none, a failing
+    # check is stored as no verdict and raises again, and a cleared cache
+    # checks every hit again
     g1, u, rho = inst3.psi(()), ((1,), (0,)), F(1, 27)
     roots = _benchmark_subset(all_root_cubes(inst3))
     want = enumerate_E2(inst3, u, g1, rho, roots=roots)
@@ -166,11 +172,74 @@ def test_e2_warm_plan_still_checks_every_configuration(inst3, monkeypatch):
     warm = counting._plan.cache_info().hits
     assert enumerate_E2(inst3, u, g1, rho, roots=roots) == want
     assert counting._plan.cache_info().hits == warm + 1
-    assert hits and len(seen) == len(hits) and set(seen) == set(hits.values())
+    assert hits and seen == []
 
+    counting._plan.cache_clear()
+    assert enumerate_E2(inst3, u, g1, rho, roots=roots) == want
+    assert len(seen) == len(hits) and set(seen) == set(hits.values())
+
+    # the recorder stored verdicts it never checked, so start cold again
+    counting._plan.cache_clear()
     monkeypatch.setattr(counting, "_assert_configuration", _raise_centre)
-    with pytest.raises(AssertionError, match="centre inequality"):
-        enumerate_E2(inst3, u, g1, rho, roots=roots)
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="centre inequality"):
+            enumerate_E2(inst3, u, g1, rho, roots=roots)
+
+
+def test_e2_plans_check_each_configuration_once(inst3, monkeypatch):
+    # the benchmark's sweep, every anchor u up to height 2, every w and
+    # rho 1/3 to 1/81, each call on its own subset of 5 roots per branch:
+    # from cold plans it checks each configuration once, as many as the
+    # plans keep and at most the lattice points of their boxes, and the
+    # same sweep again checks none
+    roots = all_root_cubes(inst3)
+    anchors = sorted({t[:h] for t in roots for h in (0, 1, 2)})
+    rhos = [F(1, 3), F(1, 9), F(1, 27), F(1, 81)]
+    calls = [(u, w, rho, 10, _benchmark_subset(roots, seed)) for seed, (u, w, rho)
+             in enumerate(product(anchors, sorted(inst3.gamma), rhos))]
+    check, checked = counting._assert_configuration, []
+    monkeypatch.setattr(counting, "_assert_configuration",
+                        lambda *args: checked.append(args) or check(*args))
+    counting._plan.cache_clear()
+    want = [enumerate_E2(inst3, *call) for call in calls]
+    plans = [plan for w, rho in product(inst3.gamma, rhos)
+             if (plan := counting._plan(inst3, w, rho, 10)) is not None]
+    verdicts = [v for plan in plans for v in plan[-1].values()]
+    bound = sum(int(np.prod(np.maximum(box[:, :, 1] - box[:, :, 0] + 1, 0), axis=1).sum())
+                for _, box, *_ in plans)
+    # d = 1 has no cross forms, so every configuration in a box is checked
+    assert any(want) and all(verdicts)
+    assert 0 < len(checked) == len(verdicts) <= bound
+    checked.clear()
+    assert [enumerate_E2(inst3, *call) for call in calls] == want
+    assert checked == []
+
+
+def test_e2_refuses_off_lattice_roots():
+    # a digit past M - 1, a negative digit, a height-3 cube and the float
+    # twin of a lattice root, the oracle's refusals: first on an empty root
+    # table, with the bad root read first, then on a table that holds
+    # every lattice root, read last; the table never gains an entry
+    pruned = prune(cantor_tree(25), N=2, C0=1)
+    roots = all_root_cubes(pruned)
+    bad = [((0,), (0,), (0,), (5,)), ((2,), (0,), (0,), (-1,)),
+           ((2,), (2,), (2,)), ((2,), (2,), (2,), (1.0,))]
+    calls = list(product(sorted(pruned.gamma), (F(1, 3), F(1, 9))))
+    for t in bad:
+        for w, rho in calls:
+            with pytest.raises(InvalidInput, match="height-4 cube of the base-3"):
+                enumerate_E2(pruned, (), w, rho, roots=[t] + roots)
+    assert pruned.cube_indices == {}
+    for w, rho in calls:
+        enumerate_E2(pruned, (), w, rho, roots=roots)
+    table = dict(pruned.cube_indices)
+    assert len(table) == len(roots)
+    for t in bad:
+        for w, rho in calls:
+            with pytest.raises(InvalidInput, match="height-4 cube of the base-3"):
+                enumerate_E2(pruned, (), w, rho, roots=roots + [t])
+    assert pruned.cube_indices == table
+    assert all(checked is t for t, (checked, _) in table.items())
 
 
 def test_e2_plan_is_keyed_on_window(inst3, monkeypatch):
@@ -234,6 +303,7 @@ def test_integer_configuration_check_matches_fraction_reference(inst3, monkeypat
     scans = [(inst3, [(), ((0,),), ((1,),)], [F(1, 3), F(1, 9), F(1, 27), F(1, 81)], None),
              (d2, [()], [F(3), F(1), F(1, 3), F(1, 9)], d2_roots)]
     check, outcomes = counting._assert_configuration, set()
+    counting._plan.cache_clear()  # warm plans check no configuration
     for pruned, us, rhos, roots in scans:
         configs = set()
         monkeypatch.setattr(counting, "_assert_configuration",
@@ -568,6 +638,20 @@ def test_e3_skips_candidates_the_anchors_rule_out(inst3, monkeypatch):
                 m.setattr(counting, "enumerate_E2", lambda *args: calls.append(args) or [])
                 assert enumerate_E3(inst3, ctype, anchors, F(1, 3), roots=roots) == []
     assert calls == []
+
+
+def test_joins_refuse_unknown_types_and_missing_anchors(inst3):
+    g1 = inst3.psi(())
+    anchors = {"u": (), "u2": (), "w": g1, "w2": g1}
+    for join, ctype, valid in ((enumerate_E3, 7, "1, 2"), (enumerate_E3, 3, "1, 2"),
+                               (enumerate_E4, 0, "1, 2, 3"), (enumerate_E4, "1", "1, 2, 3")):
+        with pytest.raises(InvalidInput, match=f"is not one of {valid}$"):
+            join(inst3, ctype, anchors, F(1, 3))
+    for key in anchors:
+        partial = {k: v for k, v in anchors.items() if k != key}
+        for join in (enumerate_E3, enumerate_E4):
+            with pytest.raises(InvalidInput, match=f"anchors lack {key}$"):
+                join(inst3, 1, partial, F(1, 3))
 
 
 def test_e3_join_structure(inst3):

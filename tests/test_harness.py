@@ -53,6 +53,15 @@ def test_construct_tube_family_properties(cfg):
     assert all(t.slope in pruned.slopes for t in tubes)
 
 
+def test_realizations_share_one_fast_instance(cfg):
+    pruned = pruned_instance(cfg, 2)
+    fast, codes = construct_kakeya(pruned, seed=5)
+    other, _ = construct_kakeya(pruned, seed=6)
+    assert other is fast
+    assert np.array_equal(construct_kakeya(pruned, seed=5)[1], codes)
+    assert construct_kakeya(pruned_instance(cfg, 3), seed=5)[0] is not fast
+
+
 def test_realization_is_read_only(cfg):
     _, codes = construct_kakeya(pruned_instance(cfg, 2), seed=5)
     with pytest.raises(ValueError):
