@@ -29,6 +29,7 @@ from .harness import (
 )
 from .lacunarity import (
     GeneratorSpec,
+    _check_cap,
     decompose_lacunary_order,
     decompose_split_one,
     direction_evidence,
@@ -46,6 +47,9 @@ from .madic import (
 from .pruning import prune
 
 USAGE_ERROR = 64
+# the denominators a JSON output may print: str() refuses an int of more
+# than 4,300 digits by default, and one of 14,000 bits has at most 4,215
+_JSON_CAP_BITS = 14_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,6 +61,7 @@ class _Parser(argparse.ArgumentParser):
 
 def cmd_encode(args) -> int:
     pts = generate(args.set)
+    _check_cap((c for p in pts for c in p), _JSON_CAP_BITS)
     print(points_to_json(pts, args.base, len(pts[0]), args.height))
     return 0
 
@@ -75,6 +80,8 @@ def cmd_split_number(args) -> int:
 def cmd_lacunarity(args) -> int:
     spec = GeneratorSpec.parse(args.set)
     pts = generate(spec)
+    # every rational written below has at most the bits of these points
+    _check_cap((c for p in pts for c in p), _JSON_CAP_BITS)
     d = len(pts[0])
     if d > 1:
         if args.order_one:

@@ -7,21 +7,12 @@ lattice: root centres differ by delta/M^J, the slopes are the integer
 numerators ``pruned.sigma`` over the instance's one denominator
 ``pruned.D``, and whether some x1 in the window puts the two
 cross-sections within the tube side on every axis is a set of integer
-comparisons.  One numpy pass per call runs them over every root pair and
-code pair (int64 offsets and clipped box ends; the cross forms of d >= 2
-stay Python ints), the centre and scale inequalities are checked in
-integers on the same lattice once per distinct (offset, code pair) among
-the geometric hits, with ``tubes.assert_pair_inequalities`` as their
-Fraction oracle, and stickiness is one comparison per call,
-lambda(w) > h(u), since every hit shares the root anchor u and the slope
-anchor w.  What a scan reads of neither u nor its roots (the clipped
-window, the code pairs with their lattice forms, the reach of a hit and
-the box array) is one cached plan per (instance, w, rho, A0), and so is
-the verdict of each configuration the plan's scans have checked; the
-int64 refusal and the stickiness verdict still run on each call.  Slope
-ycas, slope metrics and the lattice come off the pruned instance, as in
-every module, and the root cube indices are a per-instance table that the
-scan fills with checked roots; only the oracles recompute slope ancestors
+comparisons, run in one numpy pass per call.  What a scan reads of
+neither u nor its roots is one cached plan per (instance, w, rho, A0),
+which also keeps the verdict of each configuration its scans checked.
+Slope ycas, slope metrics and the lattice come off the pruned instance,
+as in every module, and each root's cube index off its entry in the root
+table of ``sticky._root``; only the oracles recompute slope ancestors
 inline, to stay independent.
 :func:`enumerate_E2_bruteforce` is its independent oracle, a plain loop
 over every root and slope pair through the Fraction test
@@ -47,9 +38,9 @@ from math import isqrt
 import numpy as np
 
 from .errors import InvalidInput, SizeCapExceeded
-from .madic import Address, cube_address, cube_index, cube_origin, youngest_common_ancestor
+from .madic import Address, cube_address, cube_origin, youngest_common_ancestor
 from .pruning import PrunedSlopeTree, slope_metrics
-from .sticky import _check_root, _max_cross, classify_roots, is_sticky_admissible, sticky_pair
+from .sticky import _max_cross, _root, classify_roots, is_sticky_admissible, sticky_pair
 from .tubes import (
     SlabWindow,
     clip_x1,
@@ -63,12 +54,18 @@ _PAIR_BLOCK = 1 << 14  # root pairs per block of the E2 array scan
 
 
 def all_root_cubes(pruned: PrunedSlopeTree, cap: int = ROOT_CAP):
-    """Every height-J cube of the root tree, as addresses."""
+    """Every height-J cube of the root tree, as addresses: after the cap
+    check, a new list of the same tuple objects on every call, which
+    :func:`_root_cubes` builds once."""
     n = pruned.M ** (pruned.d * pruned.J)
     if n > cap:
         raise SizeCapExceeded(f"{n} root cubes exceed the scan cap {cap}")
-    M, J = pruned.M, pruned.J
-    return [cube_address(idx, M, J) for idx in product(range(M ** J), repeat=pruned.d)]
+    return list(_root_cubes(pruned.M, pruned.d, pruned.J))
+
+
+@lru_cache(maxsize=16)
+def _root_cubes(M: int, d: int, J: int) -> tuple:
+    return tuple(cube_address(idx, M, J) for idx in product(range(M ** J), repeat=d))
 
 
 # ---------------------------------------------------------------------------
@@ -156,35 +153,24 @@ def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
     D(t1, t2) = u and D(v1, v2) = w, meeting inside [rho, 2 rho].
 
     The pairs come out with t1, then t2, in ``roots`` order, then (c1, c2)
-    in code order.  Root pairs are drawn from the roots under u whose
-    digits at height h(u) differ.  The geometry is decided on an integer
-    lattice: root centres differ by delta/M^J, slopes are numerators over
-    one common denominator, and the test of ``tubes.intersects`` (closed
-    window ends, open coordinate bounds) becomes integer comparisons.
-    Everything that depends on neither u nor the roots, the clipped window,
-    the code pairs with their lattice forms, the reach and the box array,
-    is one cached plan per (instance, w, rho, A0); a call adds its own
-    roots, as the cube indices of the instance table ``cube_indices``.  A
-    root missing from that table is checked to be a height-J cube of the
-    lattice and stored with the object checked; a hit on an equal but
-    distinct object is checked again, as in ``sticky.reference_cubes``.  A
-    call with no plan returns before it reads a root.  One
-    numpy pass over blocks of t1 forms the root offsets and runs the reach
-    and box tests of every (root pair, code pair) as array comparisons;
-    the cross forms (d >= 2), whose coefficients scale with ``pruned.D``,
-    are Python-int tests on the box survivors.  The cross forms and the
-    centre and scale inequalities depend only on the plan and (delta,
-    code pair), so each distinct configuration among the geometric hits
-    of the plan's scans, hits that stickiness then rejects included, is
-    checked in integers on the same lattice once and its verdict kept in
-    the plan.  A verdict is stored only after its check returns, so a
-    configuration that fails its check raises on every call;
-    ``tubes.assert_pair_inequalities``, which ``tubes.intersects`` runs,
-    is the Fraction oracle of that check.  Stickiness is decided once per
-    call: every hit has root yca u and slope yca w, so by the two-pair
-    rule ``sticky_pair`` it is sticky exactly when lambda(w) > h(u).  The
-    int64 refusal, too, is read off the instance on every call.
-    ``enumerate_E2_bruteforce`` is the independent Fraction oracle.
+    in code order; root pairs are drawn from the roots under u whose
+    digits at height h(u) differ.  The test of ``tubes.intersects`` (closed
+    window ends, open coordinate bounds) becomes integer comparisons on the
+    lattice of :func:`_plan`, the part of a scan that is cached.  A call
+    reads each root through the instance's root table (``sticky._root``)
+    before the filter on u, so it checks every root it reads and reads a
+    list root as its tuple; a call with no plan returns before it reads a
+    root.  One numpy pass over blocks of t1 runs the reach and box tests of
+    every (root pair, code pair); the cross forms (d >= 2) are Python-int
+    tests on the box survivors.  Each distinct (delta, code pair) among the
+    geometric hits, hits that stickiness then rejects included, is checked
+    once per plan by :func:`_assert_configuration`, whose Fraction oracle
+    is ``tubes.assert_pair_inequalities``; a verdict is kept only after
+    its check returns, so a failing configuration raises on every call.
+    Stickiness and the int64 refusal are decided once per call: every hit
+    has root yca u and slope yca w, so by the two-pair rule ``sticky_pair``
+    it is sticky exactly when lambda(w) > h(u).  ``enumerate_E2_bruteforce``
+    is the independent Fraction oracle.
     """
     if w not in pruned.gamma:
         raise InvalidInput("slope anchor must be a splitting vertex")
@@ -196,22 +182,21 @@ def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
     plan = _plan(pruned, w, Fraction(rho), A0)
     if plan is None or h >= J:
         return []
-    under = [t for t in roots if t[:h] == u]
-    # the cube index of each root per axis, (n, d), and its branch of u
-    cubes, branch, idx, grp = pruned.cube_indices, {}, [], []
-    for t in under:
+    # every root read through the table; per root under u, its cube index
+    # per axis, (n, d), and its branch of u
+    get, under, idx, grp, branch = pruned.roots.get, [], [], [], {}
+    for t in roots:
         try:
-            got = cubes.get(t)
-        except TypeError:  # an unhashable root, refused below
+            got = get(t)
+        except TypeError:  # a list or unhashable digits, left to _root
             got = None
-        # a miss, or a root that only equals the one checked, is checked
-        if got is None:
-            _check_root(pruned, t)
-            got = cubes[t] = (t, cube_index(t, M, d))
-        elif got[0] is not t:
-            _check_root(pruned, t)
-        idx.append(got[1])
-        grp.append(branch.setdefault(t[h], len(branch)))
+        if got is None or got[0] is not t:
+            got = _root(pruned, t)
+            t = got[0]
+        if t[:h] == u:
+            under.append(t)
+            idx.append(got[1])
+            grp.append(branch.setdefault(t[h], len(branch)))
     if len(under) < 2:
         return []
     pairs, box, reach, lo, hi, S, E, verdicts = plan
@@ -287,8 +272,8 @@ def enumerate_E2_bruteforce(pruned, u, w, rho, A0: int = 10, roots=None):
     no prefilter."""
     if w not in pruned.gamma:
         raise InvalidInput("slope anchor must be a splitting vertex")
-    if roots is None:
-        roots = all_root_cubes(pruned)
+    # a list root reads as its tuple, as in enumerate_E2
+    roots = all_root_cubes(pruned) if roots is None else [tuple(t) for t in roots]
     win = SlabWindow(Fraction(rho), 2)
     codes = range(2 ** pruned.N)
     out = []
@@ -503,8 +488,8 @@ def bruteforce_E4(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
     assignments, with ``classify_roots`` and ``is_sticky_admissible``.  The
     ``tubes.intersects`` verdict of each ordered tube pair is taken once
     per call, since many quadruples share a pair."""
-    if roots is None:
-        roots = all_root_cubes(pruned, cap=3 ** 5)
+    # a list root reads as its tuple, as in enumerate_E4
+    roots = all_root_cubes(pruned, cap=3 ** 5) if roots is None else [tuple(t) for t in roots]
     win = SlabWindow(Fraction(rho), 2)
     u, u2, w, w2 = anchors["u"], anchors["u2"], anchors["w"], anchors["w2"]
     meets = {}

@@ -432,12 +432,11 @@ def spec_tree(spec: GeneratorSpec | str, M: int):
 DENOMINATOR_CAP_BITS = 512
 
 
-def _check_cap(values):
+def _check_cap(values, cap: int = DENOMINATOR_CAP_BITS):
     for v in values:
-        if isinstance(v, Fraction) and v.denominator.bit_length() > DENOMINATOR_CAP_BITS:
+        if isinstance(v, Fraction) and v.denominator.bit_length() > cap:
             raise SizeCapExceeded(
-                f"denominator needs {v.denominator.bit_length()} bits, "
-                f"cap {DENOMINATOR_CAP_BITS}")
+                f"denominator needs {v.denominator.bit_length()} bits, cap {cap}")
 
 
 def stern_brocot_rationals(lo: Fraction, hi: Fraction, count: int):

@@ -224,21 +224,18 @@ class PrunedSlopeTree:
             tuple((code >> (N - 1 - i)) & 1 for i in range(N))
             for code in range(2 ** N))
         self.eta = [eta[c] for c in range(2 ** N)]
-        # lookup tables filled on first use (the reference cubes per (root,
-        # code) and the last pass by :mod:`kakeyalab.sticky`, slope metrics
-        # by slope_metrics, cube indices by :mod:`kakeyalab.counting`): the
-        # reference cubes alone would be K * 2^N entries, and an
-        # instance-level table dies with the instance.  mu and lambda at a
-        # slope yca need no table: :mod:`kakeyalab.sticky` reads them off
-        # eta by the leading bits the two codes share
-        self.ref_cubes: dict[tuple[Address, int], tuple[Address, tuple]] = {}
+        # lookup tables filled on first use, which die with the instance:
+        # the root table, the last pass of :mod:`kakeyalab.sticky` and the
+        # slope metrics.  ``sticky._root`` alone checks roots and adds them,
+        # each with its cube index per axis and its reference cubes by code
+        # (filled per code: all K * 2^N would be too many).  mu and lambda
+        # at a slope yca are read off eta by the codes' shared leading bits
+        self.roots: dict[Address, tuple[Address, tuple[int, ...], list]] = {}
         # the last constraint pass of :mod:`kakeyalab.sticky`: the pairs it
         # read, the normalized pairs and the merged constraints; it starts
         # as the pass of the empty prescription
         self.last_pass: tuple[tuple, tuple, dict | None] = ((), (), {})
         self.metrics: dict[Address, SlopeMetrics] = {}
-        # each checked root with its cube index per axis, by root
-        self.cube_indices: dict[Address, tuple[Address, tuple[int, ...]]] = {}
 
     # -- basic accessors -----------------------------------------------------
 

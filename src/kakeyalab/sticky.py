@@ -28,22 +28,22 @@ of :mod:`kakeyalab.counting` and for ``tubes.reference_trees``.
 Every input of these checks is computed once per instance and looked up
 in the tables that :mod:`kakeyalab.counting`, :mod:`kakeyalab.tubes` and
 :mod:`kakeyalab.fast1d` read too: the pruned tree builds its code-bit,
-slope-lattice and basic-height (``eta``) tables up front, and the
-reference cubes per (root, code) are memoized on it here.  Two codes
-that share their first s bits have the first s basic slope cubes of
-their rays in common and part at their slope yca D(v, v'), so mu(D(v,
-v'), h) counts the first s heights of ``eta`` that are at most h, and
-lambda(D(v, v')) is the (s + 1)-th: no slope address is walked.
-:func:`is_sticky_admissible`,
+slope-lattice and basic-height (``eta``) tables up front, and its root
+table holds, per checked root, the object checked, its cube index (read
+by the E2 scan) and its reference cubes by code.  :func:`_root` alone
+checks a root and fills the table.  Two codes that share their first s
+bits have the first s basic slope cubes of their rays in common and part
+at their slope yca D(v, v'), so mu(D(v, v'), h) counts the first s
+heights of ``eta`` that are at most h, and lambda(D(v, v')) is the
+(s + 1)-th: no slope address is walked.  :func:`is_sticky_admissible`,
 :func:`prob_exact`, :func:`prob_closed_form` and :class:`ReferenceTree`
-share one private pass per prescription: it normalizes the pairs, which
-then serve directly as keys of the reference-cube memo (whose misses
-range-check the code and the root, and whose hits check a root that is
-not the very object checked before), and merges their constraints.  The
-instance keeps the last pass, and a call whose pairs are the identical
-objects reuses it, so a caller that asks for the verdict and both
-probabilities of one list makes one pass.  Two module caches
-hold what depends on no instance: :func:`classify_roots` keeps the
+share one private pass per prescription: it normalizes the pairs, reads
+each root's entry in the root table (a root that is not the very object
+checked before goes through :func:`_root`) and merges their constraints.
+The instance keeps the last pass, and a call whose pairs are the
+identical objects reuses it, so a caller that asks for the verdict and
+both probabilities of one list makes one pass.  Two module caches hold
+what depends on no instance: :func:`classify_roots` keeps the
 configurations of the last ``CONFIG_CACHE_SIZE`` root tuples (a sweep
 asks about one root tuple for each of its code tuples), each with every
 root-only height and cross index that the closed form reads, so a
@@ -66,7 +66,6 @@ from .madic import Address, ancestor, cube_index, youngest_common_ancestor
 from .pruning import PrunedSlopeTree
 
 CONFIG_CACHE_SIZE = 1024  # root tuples whose configuration classify_roots keeps
-_UNCHECKED = (object(), None)  # a reference-cube memo miss
 
 
 class BernoulliWarehouse:
@@ -157,31 +156,51 @@ def _check_root(pruned: PrunedSlopeTree, t) -> None:
             f"root {t!r} is not a height-{pruned.J} cube of the base-{M} lattice")
 
 
+def _code(pruned: PrunedSlopeTree, code) -> int:
+    """A slope code as an int in 0..2^N - 1 (a numpy integer or a bool
+    reads as its int), else InvalidInput."""
+    try:
+        code = operator.index(code)
+    except TypeError:
+        raise InvalidInput(f"slope {code!r} is not a code") from None
+    if not 0 <= code < len(pruned.slopes):
+        raise InvalidInput(f"slope code {code} outside 0..{len(pruned.slopes) - 1}")
+    return code
+
+
+def _root(pruned: PrunedSlopeTree, t) -> tuple:
+    """Root t's entry in the root table ``pruned.roots``: (the root object
+    checked, its cube index per axis, its reference cubes by code, filled
+    on first use).  A non-tuple root reads as ``tuple(t)``.  A root is
+    checked to be a height-J cube of the lattice when it enters, and again
+    when it only equals the object checked, since an equal root may have
+    other digit types (1.0 or True for 1)."""
+    try:
+        t = t if type(t) is tuple else tuple(t)
+        got = pruned.roots.get(t)
+    except TypeError:  # not iterable or unhashable, so off the lattice
+        got = None
+    if got is None or got[0] is not t:
+        _check_root(pruned, t)
+        if got is None:
+            got = pruned.roots[t] = (t, cube_index(t, pruned.M, pruned.d),
+                                     [None] * len(pruned.slopes))
+    return got
+
+
 def reference_cubes(pruned: PrunedSlopeTree, t: Address, code: int) -> tuple:
     """The reference cubes of a root under a prescribed slope: ancestors of
     t at the heights of the slope's basic cubes, paired with the bit each
-    must carry.  Memoized on the instance per (t, code), with the root
-    object that was checked; repeat calls return the same tuple.  A miss
-    checks the code and that t is a height-J cube of the lattice: J
-    digits, each a d-tuple of ints in 0..M-1.  A hit checks t again unless
-    it is that very object, since an equal root may have other digit types
-    (1.0 or True for 1)."""
-    key = (t, code)
-    try:
-        got = pruned.ref_cubes.get(key)
-    except TypeError:  # an unhashable root, refused below
-        got = None
+    must carry.  Kept in t's root table entry, so repeat calls return the
+    same tuple; every call reads the code by :func:`_code` and the root by
+    :func:`_root`."""
+    code = _code(pruned, code)
+    t, _, by_code = _root(pruned, t)
+    got = by_code[code]
     if got is None:
-        n_codes = len(pruned.slopes)
-        if not 0 <= code < n_codes:
-            raise InvalidInput(f"slope code {code} outside 0..{n_codes - 1}")
-        _check_root(pruned, t)
-        got = (t, tuple((ancestor(t, h), b)
-                        for h, b in zip(pruned.eta[code], pruned.code_bits(code))))
-        pruned.ref_cubes[key] = got
-    elif got[0] is not t:
-        _check_root(pruned, t)
-    return got[1]
+        got = by_code[code] = tuple(
+            (ancestor(t, h), b) for h, b in zip(pruned.eta[code], pruned.code_bits(code)))
+    return got
 
 
 def _constraints(pruned: PrunedSlopeTree, pairs, required: bool):
@@ -203,42 +222,31 @@ def _constraints(pruned: PrunedSlopeTree, pairs, required: bool):
 
 
 def _pass(pruned: PrunedSlopeTree, pairs):
-    """One pass over a prescription: it normalizes each pair, which then
-    serves as its key of the reference-cube memo, and merges the cubes.  A
-    slope is an integer code (a numpy integer too).  The memo holds only
-    checked pairs, each with the root object that was checked, so its
-    misses, and its hits on a root that only equals that object, go to
-    :func:`reference_cubes`, which checks the code and the root; a
+    """One pass over a prescription: it normalizes each pair and merges the
+    reference cubes kept in its root's table entry.  A code off the fast
+    path (a non-int, or out of range) is read by :func:`_code`, and a root
+    that the table misses or holds as another object by :func:`_root`; a
     conflict ends the merging but not these checks.  The result is stored
     in ``last_pass`` only when every pair was already canonical, a tuple
     of a tuple root and an int code, so a reuse by identity skips no
     conversion; a pair that raises stores nothing."""
-    memo = pruned.ref_cubes
+    table, n_codes = pruned.roots, len(pruned.slopes)
     keys, constraints, canonical = [], {}, True
     for pair in pairs:
         t, code = pair
-        if type(code) is int and type(t) is tuple and type(pair) is tuple:
-            key = pair
-        else:
-            if type(code) is not int:
-                try:
-                    code = operator.index(code)
-                except TypeError:
-                    raise InvalidInput(f"slope {code!r} is not a code") from None
-            try:
-                key = (t if type(t) is tuple else tuple(t), code)
-            except TypeError:  # not iterable, so off the lattice
-                _check_root(pruned, t)
-            canonical = False
-        keys.append(key)
+        if type(code) is not int or type(t) is not tuple or type(pair) is not tuple \
+                or not 0 <= code < n_codes:
+            code, canonical = _code(pruned, code), False
         try:
-            checked, cubes = memo.get(key, _UNCHECKED)
-        except TypeError:  # an unhashable root, which reference_cubes refuses
-            checked = _UNCHECKED
-        # a miss, or a root that only equals the one the memo checked, is
-        # checked there
-        if checked is not t:
-            cubes = reference_cubes(pruned, *key)
+            got = table.get(t)
+        except TypeError:  # a list or unhashable digits, left to _root
+            got = None
+        if got is None or got[0] is not t:
+            got = _root(pruned, t)
+        keys.append(pair if canonical else (got[0], code))
+        cubes = got[2][code]
+        if cubes is None:
+            cubes = reference_cubes(pruned, got[0], code)
         if constraints is not None:
             for cube, bit in cubes:
                 if constraints.setdefault(cube, bit) != bit:

@@ -1,4 +1,5 @@
 import copy
+import operator
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import mu
-from kakeyalab import counting
+from kakeyalab import counting, sticky
 from kakeyalab.counting import (
     all_root_cubes,
     bruteforce_E4,
@@ -27,7 +28,7 @@ from kakeyalab.madic import (
     youngest_common_ancestor,
 )
 from kakeyalab.pruning import PrunedSlopeTree, prune
-from kakeyalab.sticky import classify_roots, is_sticky_admissible
+from kakeyalab.sticky import classify_roots, is_sticky_admissible, prob_exact
 from kakeyalab.tubes import (
     SlabWindow,
     assert_pair_inequalities,
@@ -229,17 +230,84 @@ def test_e2_refuses_off_lattice_roots():
         for w, rho in calls:
             with pytest.raises(InvalidInput, match="height-4 cube of the base-3"):
                 enumerate_E2(pruned, (), w, rho, roots=[t] + roots)
-    assert pruned.cube_indices == {}
+    assert pruned.roots == {}
     for w, rho in calls:
         enumerate_E2(pruned, (), w, rho, roots=roots)
-    table = dict(pruned.cube_indices)
+    table = dict(pruned.roots)
     assert len(table) == len(roots)
     for t in bad:
         for w, rho in calls:
             with pytest.raises(InvalidInput, match="height-4 cube of the base-3"):
                 enumerate_E2(pruned, (), w, rho, roots=roots + [t])
-    assert pruned.cube_indices == table
-    assert all(checked is t for t, (checked, _) in table.items())
+    assert pruned.roots == table
+    assert all(checked is t for t, (checked, _, _) in table.items())
+
+
+def _count_root_checks(monkeypatch):
+    """Count the calls of ``sticky._check_root``, which ``sticky._root``
+    makes for every root it checks."""
+    calls = []
+    check = sticky._check_root
+    monkeypatch.setattr(sticky, "_check_root",
+                        lambda pruned, t: (calls.append(t), check(pruned, t)))
+    return calls
+
+
+def test_e2_reads_a_list_root_as_its_tuple():
+    # every third root and the list form of root 1: E2 used to drop the
+    # list root, and the oracle to keep some of its pairs
+    pruned = prune(cantor_tree(25), N=2, C0=1)
+    roots = all_root_cubes(pruned)
+    w = pruned.psi(())
+    tuples = roots[::3] + [roots[1]]
+    lists = roots[::3] + [list(roots[1])]
+    want = enumerate_E2(pruned, (), w, F(1, 3), roots=tuples)
+    assert len(want) == 1060
+    assert enumerate_E2(pruned, (), w, F(1, 3), roots=lists) == want
+    assert enumerate_E2_bruteforce(pruned, (), w, F(1, 3), roots=lists) == want
+
+
+def test_e2_refuses_unhashable_roots():
+    # a tuple root with a list digit cannot be hashed; it is refused by
+    # name, cold and once its lattice twin is in the root table
+    pruned = prune(cantor_tree(25), N=2, C0=1)
+    roots = all_root_cubes(pruned)
+    bad = ((0,), (0,), (0,), [1])
+    for _ in range(2):
+        with pytest.raises(InvalidInput, match="height-4 cube of the base-3"):
+            enumerate_E2(pruned, (), pruned.psi(()), F(1, 3), roots=roots + [bad])
+        with pytest.raises(InvalidInput, match="height-4 cube of the base-3"):
+            is_sticky_admissible(pruned, [(bad, 0)])
+        assert len(pruned.roots) == len(roots)
+
+
+def test_default_roots_are_built_once(monkeypatch):
+    pruned = prune(cantor_tree(25), N=2, C0=1)
+    calls = _count_root_checks(monkeypatch)
+    w = pruned.psi(())
+    first = enumerate_E2(pruned, (), w, F(1, 9))
+    assert first and len(calls) == 3 ** 4
+    assert enumerate_E2(pruned, (), w, F(1, 9)) == first
+    assert len(calls) == 3 ** 4
+    # a new list of the same tuples each call, so callers may extend it
+    a, b = all_root_cubes(pruned), all_root_cubes(pruned)
+    assert a == b and a is not b and all(map(operator.is_, a, b))
+
+
+def test_probabilities_and_e2_share_one_root_table(monkeypatch):
+    # on the benchmark instance, the roots that prob_exact checked are the
+    # entries E2 reads: it checks none again and adds no entry
+    pruned = prune(cantor_tree(25), N=2, C0=1)
+    roots = _benchmark_subset(all_root_cubes(pruned))
+    for t in roots:
+        prob_exact(pruned, [(t, 0)])
+    table = dict(pruned.roots)
+    assert len(table) == len(roots)
+    calls = _count_root_checks(monkeypatch)
+    for w in sorted(pruned.gamma):
+        enumerate_E2(pruned, (), w, F(1, 3), roots=roots)
+    assert calls == []
+    assert pruned.roots == table
 
 
 def test_e2_plan_is_keyed_on_window(inst3, monkeypatch):

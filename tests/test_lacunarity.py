@@ -366,6 +366,21 @@ def test_lacunarity_command_reads_every_coordinate(spec, M, capsys):
     assert _lacunarity_command(spec, M, "--order-one") == 2
 
 
+def test_unprintable_point_sets_are_refused_by_name(capsys):
+    # counterexample_u at jmax = 4 has denominators of 65,541 bits, past
+    # what str() prints by default; jmax = 3 (516 bits) still prints
+    spec = "counterexample_u:jmax=4"
+    for argv in (["encode", "--set", spec], ["lacunarity", "--set", spec, "--base", "2"]):
+        assert cli_main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [
+            "invalid input: denominator needs 65541 bits, cap 14000"]
+    assert cli_main(["split-number", "--set", spec, "--base", "2"]) == 0
+    assert capsys.readouterr().out == "1\n"
+    assert cli_main(["encode", "--set", "counterexample_u:jmax=3"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["points"]) == 12
+
+
 def test_lacunarity_command_carbery_stays_at_two(capsys):
     for kmax in range(3, 13):
         assert _lacunarity_command(f"carbery:lam=1/2,kmax={kmax},d=2", 2) == 0

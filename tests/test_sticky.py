@@ -107,8 +107,9 @@ def test_single_pair_probability(inst, roots):
     assert prob_exact(inst, [(roots[5], 3)]) == F(1, 4)
 
 
-@pytest.mark.parametrize("bad", [-1, 4, (F(1, 3),), 1.0, None],
-                         ids=["negative", "past_last", "unknown_point", "float", "none"])
+@pytest.mark.parametrize("bad", [-1, 4, (F(1, 3),), 1.0, None, "1"],
+                         ids=["negative", "past_last", "unknown_point", "float", "none",
+                              "string"])
 def test_out_of_range_slopes_rejected(inst, roots, bad):
     # code -1 must not be read as code 2^N - 1 = 3 by a table lookup
     prs = [(roots[0], bad), (roots[5], 3)]
@@ -116,9 +117,20 @@ def test_out_of_range_slopes_rejected(inst, roots, bad):
                prob_enumerate, ReferenceTree):
         with pytest.raises(InvalidInput):
             fn(inst, prs)
-    if isinstance(bad, int):
+    # alike cold and warm: the cubes of code 1 kept first must not answer
+    # for 1.0
+    for warm in (False, True):
+        pruned = tiny_instance()
+        if warm:
+            reference_cubes(pruned, roots[0], 1)
         with pytest.raises(InvalidInput):
-            reference_cubes(inst, roots[0], bad)
+            reference_cubes(pruned, roots[0], bad)
+
+
+def test_integer_codes_read_as_their_ints(inst, roots):
+    got = reference_cubes(inst, roots[0], 1)
+    assert reference_cubes(inst, roots[0], True) is got
+    assert reference_cubes(inst, roots[0], np.int64(1)) is got
 
 
 @pytest.mark.parametrize("instance", [
@@ -138,7 +150,10 @@ def test_reference_cubes_replay_the_chain_walk(instance):
             got = reference_cubes(p, t, code)
             assert got == want
             assert reference_cubes(p, t, code) is got
-    assert len(p.ref_cubes) == p.M ** p.J * 2 ** p.N
+    # one root table entry per root, each with all 2^N cubes filled
+    assert len(p.roots) == p.M ** p.J
+    assert all(None not in by_code and len(by_code) == 2 ** p.N
+               for _, _, by_code in p.roots.values())
 
 
 def test_numpy_codes_read_as_their_ints():
