@@ -334,6 +334,7 @@ class FastInstance:
             pos += start
             pos.sort()
             np.subtract(pos[1:], pos[:-1], out=gaps)
-            # K - 1 gaps of at most side each may pass 2^31 together
-            covered += int(np.minimum(gaps, side, out=gaps).sum(dtype=np.int64)) + side
+            # the K - 1 capped gaps sum to under K side <= scale / W, which
+            # fits the positions' dtype: scale < 2^30 on the int32 path
+            covered += int(np.minimum(gaps, side, out=gaps).sum(dtype=dtype)) + side
         return Fraction((B - A) * covered, slices * q * scale)

@@ -16,7 +16,11 @@ Their common base :class:`MadicTree` memoizes child lookups and split
 values; a tree kind supplies only ``_children(addr)``.
 
 All coordinates are :class:`fractions.Fraction`; membership and ancestry
-are decided exactly, never by floating comparison.
+are decided exactly, never by floating comparison.  Digits and distances
+are exact integers over one denominator: a point set's digits are integer
+divisions of each point's cube index at the tree's height, and the gap
+between two cubes is counted on the finer cube's scale.  A ``Fraction``
+is built only where a public function returns one.
 """
 
 from __future__ import annotations
@@ -68,10 +72,15 @@ def point_address(p: Point, M: int, J: int) -> Address:
 
 def cube_index(addr: Address, M: int, d: int) -> tuple[int, ...]:
     """Origin of the cube ``addr`` per axis, in units of its side M^-len(addr)."""
-    idx = [0] * d
-    for dig in addr:
-        idx = [i * M + g for i, g in zip(idx, dig)]
-    return tuple(idx)
+    if not addr:
+        return (0,) * d
+    out = []
+    for digits in zip(*addr):
+        i = 0
+        for g in digits:
+            i = i * M + g
+        out.append(i)
+    return tuple(out)
 
 
 def cube_address(idx: Sequence[int], M: int, J: int) -> Address:
@@ -90,19 +99,17 @@ def cube_center(addr: Address, M: int, d: int) -> Point:
     return tuple(Fraction(2 * i + 1, 2 * side) for i in cube_index(addr, M, d))
 
 
-def cube_distance_sq(u: Address, v: Address, M: int, d: int) -> Fraction:
-    """Squared Euclidean distance between the closed cubes u and v."""
-    ou, ov = cube_origin(u, M, d), cube_origin(v, M, d)
-    su, sv = Fraction(1, M ** len(u)), Fraction(1, M ** len(v))
-    total = Fraction(0)
-    for a in range(d):
-        gap = max(ov[a] - (ou[a] + su), ou[a] - (ov[a] + sv), Fraction(0))
+def cube_gap_sq(u: Address, v: Address, M: int, d: int) -> int:
+    """Squared Euclidean distance between the closed cubes u and v, in
+    units of M^-2h on the finer cube's scale h = max(len(u), len(v))."""
+    h = max(len(u), len(v))
+    su, sv = M ** (h - len(u)), M ** (h - len(v))
+    total = 0
+    for a, b in zip(cube_index(u, M, d), cube_index(v, M, d)):
+        a, b = a * su, b * sv
+        gap = max(b - a - su, a - b - sv, 0)
         total += gap * gap
     return total
-
-
-def point_distance_sq(p: Point, q: Point) -> Fraction:
-    return sum((a - b) * (a - b) for a, b in zip(p, q))
 
 
 # ---------------------------------------------------------------------------
@@ -187,33 +194,42 @@ class PointSetTree(MadicTree):
                 if not (0 <= c < 1):
                     raise InvalidInput(f"coordinate {c} outside [0,1)")
         self.points = tuple(sorted(set(points)))
-        self._member_memo: dict[Address, tuple[Point, ...]] = {(): self.points}
+        # each point's cube index at height J, so that its digit at height
+        # k <= J is an integer division: floor(c M^k) = floor(c M^J) // M^(J-k)
+        side = M ** J
+        self._cubes = tuple(tuple(c.numerator * side // c.denominator for c in p)
+                            for p in self.points)
+        # the positions in ``points`` of the points inside each cube, in
+        # ascending order, so the first is the lexicographically least
+        self._member_memo: dict[Address, tuple[int, ...]] = {
+            (): tuple(range(len(self.points)))}
 
-    def _members(self, addr: Address) -> tuple[Point, ...]:
+    def _positions(self, addr: Address) -> tuple[int, ...]:
         got = self._member_memo.get(addr)
         if got is None:
-            k = len(addr)
-            parent = self._members(addr[:-1])
-            dig = addr[-1]
-            got = tuple(
-                p for p in parent
-                if all(point_digit(c, self.M, k) == dg for c, dg in zip(p, dig))
-            )
+            if len(addr) > self.height:
+                raise InvalidInput(f"{addr} lies below the tree's height {self.height}")
+            parent = self._positions(addr[:-1])
+            unit, M, dig = self.M ** (self.height - len(addr)), self.M, addr[-1]
+            cubes = self._cubes
+            got = tuple(i for i in parent
+                        if all(c // unit % M == dg for c, dg in zip(cubes[i], dig)))
             self._member_memo[addr] = got
         return got
 
+    def _members(self, addr: Address) -> tuple[Point, ...]:
+        return tuple(self.points[i] for i in self._positions(addr))
+
     def _children(self, addr: Address) -> tuple[Digits, ...]:
-        k = len(addr) + 1
-        return tuple(sorted({
-            tuple(point_digit(c, self.M, k) for c in p)
-            for p in self._members(addr)
-        }))
+        unit, M, cubes = self.M ** (self.height - len(addr) - 1), self.M, self._cubes
+        return tuple(sorted({tuple(c // unit % M for c in cubes[i])
+                             for i in self._positions(addr)}))
 
     def min_point(self, addr: Address) -> Point:
-        members = self._members(addr)
-        if not members:
+        positions = self._positions(addr)
+        if not positions:
             raise InvalidInput("empty cube")
-        return min(members)
+        return self.points[positions[0]]
 
 
 class DigitRuleTree(MadicTree):

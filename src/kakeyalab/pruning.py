@@ -9,7 +9,9 @@ height-J encoding tree has:
   (iii) Euclidean separation C0 * M^-h between the first splitting
         descendants of the two children of any splitting vertex, where h is
         the smaller of their heights,
-  (iv)  C0 * M^-J <= the minimum pairwise slope distance (J minimal such).
+  (iv)  C0 * M^-J <= the minimum pairwise slope distance, J being the
+        least height, no shallower than the skeleton's leaves, where this
+        holds.
 
 The block step (:func:`find_separated_pair`) walks a budget-pruned subtree
 breadth-first to the first generation with more than ``(2*C0+1)^d``
@@ -29,16 +31,16 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import Sequence
 
 from .errors import InfeasibleInstance, InvalidInput
 from .madic import (
     Address,
     Point,
     PointSetTree,
-    cube_distance_sq,
+    cube_gap_sq,
     encode_set,
     point_address,
-    point_distance_sq,
     youngest_common_ancestor,
 )
 
@@ -50,6 +52,28 @@ def leq_rational_plus_sqrt(lhs: Fraction, coeff: Fraction, radicand: int) -> boo
     if coeff <= 0:
         return False
     return lhs * lhs <= coeff * coeff * radicand
+
+
+def distances_sq(points: Sequence[Point],
+                 others: Sequence[Point] | None = None) -> tuple[list[int], int]:
+    """Exact squared distances as integers over one denominator.
+
+    Puts the points on their common denominator D and returns the integers
+    |p - q|^2 D^2, with D^2: over the pairs p before q of ``points``, or
+    over ``points`` x ``others`` when ``others`` is given."""
+    both, n = tuple(points) + tuple(others or ()), len(points)
+    D = lcm(*(x.denominator for p in both for x in p))
+    ints = [tuple(x.numerator * (D // x.denominator) for x in p) for p in both]
+    rows = (((a, ints[i + 1:]) for i, a in enumerate(ints)) if others is None
+            else ((a, ints[n:]) for a in ints[:n]))
+    out = []
+    for a, rest in rows:
+        # one pass per axis over the points that a pairs with
+        row = [0] * len(rest)
+        for k, x in enumerate(a):
+            row = [s + (x - b[k]) ** 2 for s, b in zip(row, rest)]
+        out += row
+    return out, D * D
 
 
 # ---------------------------------------------------------------------------
@@ -104,12 +128,13 @@ def find_separated_pair(tree, root: Address, n0: int, c0: int):
             nxt.extend(_budget_children(tree, addr, b))
         level = nxt
 
-    floor_sq = Fraction(c0 * c0, tree.M ** (2 * k))
+    # every cube lies at height k, so squared gaps count in units of M^-2k
+    floor_sq = c0 * c0
     best = None
     addrs = sorted(a for a, _ in level)
     for i, u in enumerate(addrs):
         for v in addrs[i + 1:]:
-            dsq = cube_distance_sq(u, v, tree.M, tree.d)
+            dsq = cube_gap_sq(u, v, tree.M, tree.d)
             if dsq >= floor_sq:
                 key = (-dsq, u, v)
                 if best is None or key < best:
@@ -322,10 +347,11 @@ def prune(tree, N: int, C0: int) -> PrunedSlopeTree:
     if len(set(points)) != 2 ** N:
         raise InvalidInput("representative points collide")
 
-    delta_sq = min(point_distance_sq(p, q)
-                   for i, p in enumerate(points) for q in points[i + 1:])
+    # the least J with C0^2 M^-2J <= delta^2 = dists / den_sq
+    dists, den_sq = distances_sq(points)
+    delta_sq = min(dists)
     J = max(len(leaf) for leaf, _ in frontier)
-    while Fraction(C0 * C0, tree.M ** (2 * J)) > delta_sq:
+    while C0 * C0 * den_sq > delta_sq * tree.M ** (2 * J):
         J += 1
 
     pruned = PrunedSlopeTree(encode_set(points, tree.M, J), N, C0)
@@ -356,14 +382,13 @@ def check_pruned_invariants(p: PrunedSlopeTree) -> None:
         if info.nu >= p.N:
             continue
         g1, g2 = info.next_gammas
-        h = min(len(g1), len(g2))
-        dsq = cube_distance_sq(g1, g2, p.M, p.d)
-        if dsq < Fraction(p.C0 * p.C0, p.M ** (2 * h)):
+        # the gap counts in units of the finer cube, M^-max(heights)
+        h, fine = sorted((len(g1), len(g2)))
+        if cube_gap_sq(g1, g2, p.M, p.d) < p.C0 * p.C0 * p.M ** (2 * (fine - h)):
             raise AssertionError(f"separation fails below {info.addr}")
-    # (iv) with minimal J
-    delta_sq = min(point_distance_sq(a, b)
-                   for i, a in enumerate(p.slopes) for b in p.slopes[i + 1:])
-    if Fraction(p.C0 ** 2, p.M ** (2 * p.J)) > delta_sq:
+    # (iv) C0 M^-J <= the minimum slope distance (not that J is least)
+    dists, den_sq = distances_sq(p.slopes)
+    if p.C0 ** 2 * den_sq > min(dists) * p.M ** (2 * p.J):
         raise AssertionError("C0 M^-J exceeds the minimum slope distance")
     # eta is nondecreasing and ends at J
     for code in range(2 ** p.N):
@@ -401,10 +426,10 @@ def slope_metrics(p: PrunedSlopeTree, gamma_addr: Address) -> SlopeMetrics:
     if gamma_addr not in p.gamma:
         raise InvalidInput(f"{gamma_addr} is not a splitting vertex")
     kids = p.tree.children(gamma_addr)
-    side0 = p.tree._members(gamma_addr + (kids[0],))
-    side1 = p.tree._members(gamma_addr + (kids[1],))
-    dists = [point_distance_sq(a, b) for a in side0 for b in side1]
-    m = SlopeMetrics(rho_sq=max(dists), delta_sq=min(dists))
+    dists, den_sq = distances_sq(p.tree._members(gamma_addr + (kids[0],)),
+                                 p.tree._members(gamma_addr + (kids[1],)))
+    m = SlopeMetrics(rho_sq=Fraction(max(dists), den_sq),
+                     delta_sq=Fraction(min(dists), den_sq))
     # delta <= rho <= (1 + 2 sqrt(d)/C0) delta, exactly
     assert m.delta_sq <= m.rho_sq
     lhs = m.rho_sq - (1 + Fraction(4 * p.d, p.C0 ** 2)) * m.delta_sq

@@ -1,8 +1,10 @@
 """Shared test utilities: root enumeration, example trees, split values,
 inversion counts, the tree-walk oracle of theta and mu, the extension of
-a sticky map to every root-tree vertex, the rasterization oracle and the
-affine image of a lacunary witness."""
+a sticky map to every root-tree vertex, the rasterization oracle, the
+affine image of a lacunary witness and the Fraction references of the
+integer digits and distances."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +12,13 @@ import numpy as np
 from kakeyalab._mix import mix_chain
 from kakeyalab.errors import InvalidInput
 from kakeyalab.lacunarity import LacunaryWitness
-from kakeyalab.madic import Address, DigitRuleTree, ancestor, point_address
+from kakeyalab.madic import (
+    Address,
+    DigitRuleTree,
+    ancestor,
+    cube_origin,
+    point_address,
+)
 from kakeyalab.sticky import walk_chain
 
 
@@ -203,3 +211,44 @@ def transform_witness(w: LacunaryWitness, c1: Fraction, c2: Fraction) -> Lacunar
         children={k: transform_witness(child, c1, c2)
                   for k, child in w.children.items()},
     )
+
+
+def cube_distance_sq(u: Address, v: Address, M: int, d: int) -> Fraction:
+    """Squared Euclidean distance between the closed cubes u and v, in
+    Fractions: the reference for ``madic.cube_gap_sq``."""
+    ou, ov = cube_origin(u, M, d), cube_origin(v, M, d)
+    su, sv = Fraction(1, M ** len(u)), Fraction(1, M ** len(v))
+    total = Fraction(0)
+    for a in range(d):
+        gap = max(ov[a] - (ou[a] + su), ou[a] - (ov[a] + sv), Fraction(0))
+        total += gap * gap
+    return total
+
+
+def point_set_vertex(points, M: int, addr: Address):
+    """The points of a finite set inside the cube ``addr`` and the sorted
+    digits of their children, from the Fraction digits floor(c M^k) mod M:
+    the reference for ``madic.PointSetTree``."""
+    def digits(p, k):
+        return tuple(math.floor(c * M ** k) % M for c in p)
+
+    members = sorted(p for p in set(points)
+                     if all(digits(p, k) == dg for k, dg in enumerate(addr, start=1)))
+    return members, tuple(sorted({digits(p, len(addr) + 1) for p in members}))
+
+
+def random_points(rng, count: int, d: int) -> list:
+    """``count`` distinct sorted points of [0,1)^d with coordinates over
+    mixed denominators, drawn from the ``random.Random`` given."""
+    pts = set()
+    while len(pts) < count:
+        pts.add(tuple(Fraction(rng.randrange(q), q) for q in
+                      (rng.choice((2, 3, 7, 12, 81, 1000, 3 ** 9)) for _ in range(d))))
+    return sorted(pts)
+
+
+def min_distance_sq(points) -> Fraction:
+    """Least squared distance between two points of a set, in Fractions:
+    the reference for ``pruning.distances_sq``."""
+    return min(sum((a - b) * (a - b) for a, b in zip(p, q))
+               for i, p in enumerate(points) for q in points[i + 1:])

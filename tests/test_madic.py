@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 from fractions import Fraction as F
@@ -6,13 +7,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import counted_tree, path_tree, random_counts, split_values
+from helpers import (
+    counted_tree,
+    cube_distance_sq,
+    path_tree,
+    point_set_vertex,
+    random_counts,
+    random_points,
+    split_values,
+)
 from kakeyalab.errors import InvalidInput, SizeCapExceeded
 from kakeyalab.madic import (
     CondensedTree,
     agreement_height_scalar,
     cantor_tree,
     cube_center,
+    cube_gap_sq,
     cube_origin,
     encode_set,
     full_tree,
@@ -58,6 +68,48 @@ def test_encode_idempotent():
     reps = [t.min_point(v) for v in t.vertices() if len(v) == t.height]
     t2 = encode_set(reps, 2, 6)
     assert set(t.vertices()) == set(t2.vertices())
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_point_set_digits_match_fraction_reference(d):
+    # every cube below a present vertex, present or not, against the
+    # Fraction digits of each point
+    rng = random.Random(4100 + d)
+    for _ in range(12):
+        M, J = rng.randrange(2, 5), rng.randrange(1, 6)
+        pts = random_points(rng, rng.randrange(1, 15), d)
+        t = encode_set(pts, M, J)
+        for v in t.vertices(J - 1):
+            members, kids = point_set_vertex(pts, M, v)
+            assert t._members(v) == tuple(members) and t.min_point(v) == members[0]
+            assert t.children(v) == kids
+            for dig in itertools.product(range(M), repeat=d):
+                members, _ = point_set_vertex(pts, M, v + (dig,))
+                assert t._members(v + (dig,)) == tuple(members)
+
+
+def test_point_set_refuses_cubes_below_its_height():
+    # a digit below height J is not an integer division of the cube index
+    t = encode_set([(F(1, 3),)], 3, 2)
+    with pytest.raises(InvalidInput):
+        t.min_point(((1,), (0,), (0,)))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_cube_gap_matches_fraction_reference(d):
+    # cubes of unequal heights, apart, touching and nested
+    rng = random.Random(3200 + d)
+    heights = set()
+    for _ in range(400):
+        M = rng.randrange(2, 5)
+        u, v = (tuple(tuple(rng.randrange(M) for _ in range(d))
+                      for _ in range(rng.randrange(6))) for _ in range(2))
+        if rng.random() < 0.3:
+            v = u[:rng.randrange(len(u) + 1)] + v
+        heights.add(len(u) == len(v))
+        got = F(cube_gap_sq(u, v, M, d), M ** (2 * max(len(u), len(v))))
+        assert got == cube_distance_sq(u, v, M, d)
+    assert heights == {True, False}
 
 
 def test_yca_basics():

@@ -1,19 +1,23 @@
+import hashlib
+import json
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from helpers import mu
+from helpers import cube_distance_sq, min_distance_sq, mu, random_points
 from kakeyalab import sticky
 from kakeyalab.errors import InfeasibleInstance, InvalidInput
+from kakeyalab.lacunarity import spec_tree
 from kakeyalab.madic import (
     cantor_tree,
-    cube_distance_sq,
     encode_set,
     full_tree,
     youngest_common_ancestor,
 )
 from kakeyalab.pruning import (
     check_pruned_invariants,
+    distances_sq,
     find_separated_pair,
     leq_rational_plus_sqrt,
     prune,
@@ -171,9 +175,7 @@ def test_minimal_j():
     # shrinking J by one must violate either the separation requirement or
     # the leaf heights of the pruned skeleton
     p = prune(cantor_tree(40), N=2, C0=2)
-    from kakeyalab.madic import point_distance_sq
-    delta_sq = min(point_distance_sq(a, b)
-                   for i, a in enumerate(p.slopes) for b in p.slopes[i + 1:])
+    delta_sq = min_distance_sq(p.slopes)
     max_split_height = max(len(g) for g in p.gamma)
     assert p.J > max_split_height
     smaller = p.J - 1
@@ -197,3 +199,37 @@ def test_pruned_json_serialization():
     assert len(obj["slopes"]) == 4
     assert len(obj["splitting_vertices"]) == 3
     assert obj["psi"][""] == [list(d) for d in p.psi(())]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_distances_sq_match_fraction_reference(d):
+    rng = random.Random(5100 + d)
+    for _ in range(25):
+        pts = random_points(rng, rng.randrange(2, 12), d)
+        dists, den_sq = distances_sq(pts)
+        assert F(min(dists), den_sq) == min_distance_sq(pts)
+        assert [F(x, den_sq) for x in dists] == [
+            sum((a - b) ** 2 for a, b in zip(p, q))
+            for i, p in enumerate(pts) for q in pts[i + 1:]]
+        cut = rng.randrange(1, len(pts))
+        dists, den_sq = distances_sq(pts[:cut], pts[cut:])
+        assert [F(x, den_sq) for x in dists] == [
+            sum((a - b) ** 2 for a, b in zip(p, q))
+            for p in pts[:cut] for q in pts[cut:]]
+
+
+# one digest of to_json(), D, sigma, J and eta over these prunes (C0 = 1),
+# pinned from a prune that did its geometry in Fractions: the integer
+# geometry must reproduce it bit for bit
+GOLDEN_PRUNES = ([("cantor:depth=25", 3, n) for n in range(1, 8)]
+                 + [("cantor:depth=40", 3, 8), ("dyadic:m=10", 2, 2)])
+GOLDEN_PRUNE_DIGEST = "a3bb1d3a686f6125a2e7aaf7153c1d3c600c717704515781a3c735715e82dc35"
+
+
+def test_prune_golden_digest():
+    pruned = [prune(spec_tree(spec, M), n, 1) for spec, M, n in GOLDEN_PRUNES]
+    pruned.append(prune(cantor_tree(30, d=2), 2, 1))
+    h = hashlib.sha256()
+    for p in pruned:
+        h.update(json.dumps([p.to_json(), p.D, p.sigma, p.J, p.eta]).encode())
+    assert h.hexdigest() == GOLDEN_PRUNE_DIGEST
