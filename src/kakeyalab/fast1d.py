@@ -50,6 +50,16 @@ to [0, 10 A0] as [A/q, B/q].  Three quantities are computed exactly:
 Everything returned is a Fraction; numpy only holds int64 counts and int32
 or int64 positions, and every product that can exceed 63 bits is a Python
 int.
+
+The gather indices and entries of a pair-sum call and the sorted positions
+and gaps of a quadrature slice live on one workspace: two int64 arrays per
+thread, grown only when a larger K arrives, so that back-to-back calls
+reuse their pages instead of faulting in fresh ones, and so that two
+threads never write into each other's scratch.  The quadrature views them
+as int32 or int64.  A kernel overwrites whatever it reads there, and
+nothing it returns or keeps is backed by them.  Each count table is still
+built anew by ``repeat``, which is faster than an in-place build on a
+reused array.
 """
 
 from __future__ import annotations
@@ -58,6 +68,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import mul
+from threading import local
 from typing import NamedTuple
 
 import numpy as np
@@ -69,14 +80,33 @@ from .tubes import DEFAULT_A0, clip_x1, cross_section_dilation
 
 # the tube side is one W-th of a root cell
 W = int(1 / cross_section_dilation(1))
-# pair_sum's count table and its two gather scratch arrays take 24 (K + 1)
-# bytes: about 115 MB at K = 3^14 (N = 7), about 1 GB at 3^16 (N = 8)
+# the workspace keeps 16 K bytes for the largest K a thread has seen, and
+# each pair_sum count table takes a transient 8 (K + 1): together 24 (K + 1)
+# bytes, about 115 MB at K = 3^14 (N = 7) and about 1 GB at 3^16 (N = 8)
 PAIR_SUM_ROOT_CAP = 2 ** 23
+
+# each thread's two int64 scratch arrays, in ``buffers``
+_workspace = local()
+
+
+def _scratch(K: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Two arrays of K entries of ``dtype`` (int32 or int64), views of this
+    thread's workspace, which grows to K int64 entries per array when it
+    holds fewer.  Their contents are whatever the last call left."""
+    bufs = getattr(_workspace, "buffers", ())
+    if not bufs or len(bufs[0]) < K:
+        bufs = _workspace.buffers = (np.empty(K, np.int64), np.empty(K, np.int64))
+    return bufs[0].view(dtype)[:K], bufs[1].view(dtype)[:K]
+
+
+def workspace_bytes() -> int:
+    """The size in bytes of the workspace this thread holds."""
+    return sum(b.nbytes for b in getattr(_workspace, "buffers", ()))
 
 
 def _np_mix64(x: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
-        z = (x + np.uint64(GOLDEN)) & np.uint64(MASK64)
+        z = x + np.uint64(GOLDEN)
         z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
         return z ^ (z >> np.uint64(31))
@@ -230,7 +260,7 @@ class FastInstance:
         K = self.K
         if K >= PAIR_SUM_ROOT_CAP:
             raise SizeCapExceeded(f"{K} roots reach the pair-sum cap of 2^23: "
-                                  "its count tables take 24 (K + 1) bytes")
+                                  "its workspace and count tables take 24 (K + 1) bytes")
         clipped = [clip_x1(*w, a0) for w in windows]
         ends = tuple(sorted({e for lo, hi in clipped if lo < hi for e in (lo, hi)}))
         if not ends:
@@ -255,7 +285,7 @@ class FastInstance:
         # the packed counts of each (class, steeper class, end) segment
         sums = np.zeros(plan.offsets.shape, dtype=np.int64)
         # scratch for the gathers: the indices into a table and the entries
-        idx, got = np.empty(K, dtype=np.int64), np.empty(K, dtype=np.int64)
+        idx, got = _scratch(K, np.int64)
         for at, k in enumerate(present[:-1].tolist()):
             stop = int(stops[at])
             start = stop - int(counts[at])
@@ -328,7 +358,8 @@ class FastInstance:
                  + (2 * slices * A + B - A) * moves)
         side, covered = scale // (W * K), 0
         # two scratch arrays for every slice: the sorted positions and gaps
-        pos, gaps = np.empty(K, dtype=dtype), np.empty(K - 1, dtype=dtype)
+        pos, gaps = _scratch(K, dtype)
+        gaps = gaps[:K - 1]
         for k in range(slices):
             np.multiply(moves, 2 * k * (B - A), out=pos)
             pos += start

@@ -42,7 +42,7 @@ import numpy as np
 from . import __version__
 from ._mix import trial_seed
 from .errors import InvalidInput
-from .fast1d import FastInstance, cs_bound
+from .fast1d import FastInstance, cs_bound, workspace_bytes
 from .lacunarity import spec_tree
 from .madic import point_address
 from .pruning import PrunedSlopeTree, prune
@@ -358,8 +358,9 @@ def _git_sha() -> str | None:
 
 def _provenance(config: ExperimentConfig, elapsed_s: float | None) -> dict:
     """The full config, the versions and commit that computed the run, its
-    wall time, and the hits and misses of the instance, cell and far-slab
-    caches and the wall seconds per cell stage so far in this process."""
+    wall time, the hits and misses of the instance, cell and far-slab
+    caches and the wall seconds per cell stage so far in this process, and
+    the bytes of the ``fast1d`` workspace that this thread holds."""
 
     def counts(cached):
         info = cached.cache_info()
@@ -373,7 +374,8 @@ def _provenance(config: ExperimentConfig, elapsed_s: float | None) -> dict:
             "elapsed_s": elapsed_s,
             "caches": {"prune": counts(_prune_cached), "cell": counts(_cell),
                        "far": counts(_far)},
-            "stage_seconds": dict(STAGE_SECONDS)}
+            "stage_seconds": dict(STAGE_SECONDS),
+            "workspace_bytes": workspace_bytes()}
 
 
 def append_run_log(config: ExperimentConfig, experiment: str, payload: dict,

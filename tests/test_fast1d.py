@@ -2,6 +2,8 @@
 reference, and the named errors at the edges of their range."""
 
 import hashlib
+import sys
+import threading
 from fractions import Fraction as F
 from functools import lru_cache
 from types import SimpleNamespace
@@ -21,8 +23,9 @@ from kakeyalab.harness import construct_kakeya, kakeya_tubes, pruned_instance
 from kakeyalab.madic import DigitRuleTree, cantor_tree, full_tree
 from kakeyalab.pruning import prune
 from kakeyalab.sticky import sample_assignment
-from kakeyalab.tubes import (DEFAULT_A0, clip_x1, cross_section_dilation,
-                             pair_intersection_volume, union_volume)
+from kakeyalab.tubes import (DEFAULT_A0, _slice_union_measure, clip_x1,
+                             cross_section_dilation, pair_intersection_volume,
+                             union_volume)
 
 SLICES = 3
 TOP = 10 * DEFAULT_A0  # the far end of every tube
@@ -124,31 +127,32 @@ def test_windows_with_3_to_the_30_denominators(w):
 
 
 class SliceDtypes:
-    """numpy as ``fast1d`` sees it, recording the dtype of every
-    ``np.empty``: the scratch arrays of the quadrature's slices."""
+    """``fast1d._scratch`` recording every dtype it is asked for: the
+    scratch arrays of the quadrature's slices."""
 
     def __init__(self):
         self.seen = set()
+        self.scratch = fast1d._scratch
 
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def empty(self, shape, dtype):
+    def __call__(self, K, dtype):
         self.seen.add(np.dtype(dtype))
-        return np.empty(shape, dtype)
+        return self.scratch(K, dtype)
 
 
-@pytest.mark.parametrize("w, dtype", [
-    ((F(1, 288950), F(1, 3)), np.int32),   # positions bounded by 2^30
-    ((F(1, 288952), F(1, 3)), np.int64),   # by 2^31
-    ((F(1, 3 ** 25), F(1, 3)), np.int64),  # by 2^50
-])
+# the three windows' positions are bounded by 2^30 at K = 81, and by 2^31
+# and 2^50
+SLICE_WINDOWS = [((F(1, 288950), F(1, 3)), np.int32),
+                 ((F(1, 288952), F(1, 3)), np.int64),
+                 ((F(1, 3 ** 25), F(1, 3)), np.int64)]
+
+
+@pytest.mark.parametrize("w, dtype", SLICE_WINDOWS)
 def test_slices_on_both_sides_of_30_bits(w, dtype, monkeypatch):
     pruned, fast = instance("cantor3", 2, 1)
     codes = fast.assign(11)
     want = union_volume(kakeya_tubes(pruned, codes), w, SLICES)[0]
     spy = SliceDtypes()
-    monkeypatch.setattr(fast1d, "np", spy)
+    monkeypatch.setattr(fast1d, "_scratch", spy)
     assert fast.union_quadrature(codes, w, SLICES) == want
     assert spy.seen == {np.dtype(dtype)}
 
@@ -159,7 +163,7 @@ def test_accept_cfg_windows_sort_in_int32(n, monkeypatch):
     fast, codes = construct_kakeya(pruned_instance(cfg, n),
                                    trial_seed(cfg.master_seed, "cell", n, 0))
     spy = SliceDtypes()
-    monkeypatch.setattr(fast1d, "np", spy)
+    monkeypatch.setattr(fast1d, "_scratch", spy)
     for w in [(F(cfg.A0), F(cfg.A0 + 1))] + [
             (F(cfg.M) ** -r, F(cfg.M) ** (1 - r)) for r in cfg.ratio_r_range(n)]:
         fast.union_quadrature(codes, w, cfg.slices, cfg.A0)
@@ -284,6 +288,99 @@ def test_pair_sums_past_81_roots_match_the_dense_oracle():
             dense_pair_sum(fast, codes, w) for w in ORACLE_WINDOWS)
 
 
+@lru_cache(maxsize=None)
+def cantor3_n4():
+    """cantor3 at N = 4: K = 6561 roots in 16 slope classes."""
+    pruned = prune(cantor_tree(25), N=4, C0=1)
+    return pruned, FastInstance(pruned)
+
+
+def scalar_quadrature(family, w):
+    """The estimate of ``tubes.union_volume`` alone: its Cauchy-Schwarz
+    bound loops over all tube pairs, about 20 s at 729 tubes.  At K = 81,
+    seed 11 and the slice windows it meets ``union_volume`` through
+    ``test_slices_on_both_sides_of_30_bits``."""
+    lo, hi = clip_x1(*w, DEFAULT_A0)
+    width = (hi - lo) / SLICES
+    return sum((_slice_union_measure(family, lo + width * k + width / 2) * width
+                for k in range(SLICES)), F(0))
+
+
+# at the third slice window's ends the dense oracle's 2 Q^2 outgrows int64
+PAIR_WINDOWS = [w for w, _ in SLICE_WINDOWS[:2]]
+
+
+def test_kernels_ignore_what_the_workspace_holds(monkeypatch):
+    """Garbage in the workspace before every call, at K = 81, then 6561,
+    then 81 again, through int32 and int64 views; the workspace grows only
+    for a larger K and a later call reuses its arrays."""
+    small, large = instance("cantor3", 2, 1), cantor3_n4()
+    want = {}
+    for pruned, fast in (small, large):
+        codes = fast.assign(11)
+        family = kakeya_tubes(pruned, codes)
+        want[fast.K] = (codes, tuple(dense_pair_sum(fast, codes, w) for w in PAIR_WINDOWS),
+                        [scalar_quadrature(family, w) for w, _ in SLICE_WINDOWS])
+    rng = np.random.default_rng(0)
+
+    def poison():
+        for buf in fast1d._workspace.buffers:
+            buf[:] = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max,
+                                  len(buf), dtype=np.int64)
+
+    # a workspace that starts empty, as in a new thread
+    monkeypatch.setattr(fast1d, "_workspace", threading.local())
+    assert fast1d.workspace_bytes() == 0
+    held, largest = None, 0
+    for _, fast in (small, large, small):
+        codes, pairs, volumes = want[fast.K]
+        for _ in range(2):
+            assert fast.pair_sum(codes, PAIR_WINDOWS) == pairs
+            bufs = fast1d._workspace.buffers
+            # the same two arrays unless this K is the largest so far
+            assert (bufs is held) == (fast.K <= largest)
+            held, largest = bufs, max(largest, fast.K)
+            assert fast1d.workspace_bytes() == 16 * largest
+            for (w, _), volume in zip(SLICE_WINDOWS, volumes):
+                poison()
+                assert fast.union_quadrature(codes, w, SLICES) == volume
+                assert fast1d._workspace.buffers is held
+            poison()
+
+
+def test_threads_keep_their_own_workspace():
+    """Four threads alternate kernel calls at K = 81 and 6561 and switch
+    every microsecond; a shared workspace would mix their scratch."""
+    jobs = []
+    for _, fast in (instance("cantor3", 2, 1), cantor3_n4()):
+        codes = fast.assign(3)
+        jobs.append((fast, codes, fast.pair_sum(codes, PAIR_WINDOWS),
+                     [fast.union_quadrature(codes, w, SLICES) for w, _ in SLICE_WINDOWS]))
+    wrong, done = [], []
+
+    def work(turn):
+        for rep in range(40):
+            fast, codes, pairs, volumes = jobs[(turn + rep) % 2]
+            if fast.pair_sum(codes, PAIR_WINDOWS) != pairs:
+                wrong.append(("pair_sum", fast.K))
+            if [fast.union_quadrature(codes, w, SLICES) for w, _ in SLICE_WINDOWS] != volumes:
+                wrong.append(("union_quadrature", fast.K))
+        done.append(turn)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(turn,)) for turn in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == [] and sorted(done) == [0, 1, 2, 3]
+
+
 def test_a_slope_class_of_2_to_the_20_roots_is_refused():
     # hand-set pair-sum attributes: 2^20 roots, slopes 0 and 3 / 2^20;
     # no tree small enough for tier-1 prunes to that many roots
@@ -306,8 +403,10 @@ def test_an_instance_of_2_to_the_23_roots_is_refused():
     assert 3 ** 14 < fast1d.PAIR_SUM_ROOT_CAP == 2 ** 23 < 3 ** 16
     fast = SimpleNamespace(K=2 ** 23, D=2 ** 23, sigma=[0, 3],
                            slope_rank=np.array([0, 1], dtype=np.uint8))
+    held = fast1d.workspace_bytes()
     with pytest.raises(SizeCapExceeded, match="2\\^23"):
         FastInstance.pair_sum(fast, np.zeros(1, dtype=np.int64), [(F(0), F(1))])
+    assert fast1d.workspace_bytes() == held
 
 
 def test_the_pair_plan_is_keyed_on_k_d_sigma_and_the_ends():

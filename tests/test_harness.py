@@ -281,9 +281,14 @@ def test_run_log_and_csv(tmp_path, cfg):
     # the cells of a config that no other test builds add to the totals
     fresh = replace(cfg2, master_seed=4242)
     experiment_moments(fresh)
-    after = append_run_log(fresh, "moments", {})["stage_seconds"]
+    fresh_rec = append_run_log(fresh, "moments", {})
+    after = fresh_rec["stage_seconds"]
     assert after["pair_sum"] > stages["pair_sum"]
     assert all(after[k] >= v for k, v in stages.items())
+    # and the fast1d workspace, two int64 arrays of at least K entries once
+    # this thread has computed a cell of K roots
+    pruned = pruned_instance(fresh, 2)
+    assert fresh_rec["workspace_bytes"] >= 16 * pruned.M ** pruned.J > 0
     csv_path = write_results_csv(cfg2, tmp_path / "results.csv")
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
