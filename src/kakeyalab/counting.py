@@ -23,8 +23,9 @@ collection when the anchors rule it out, and check only the cross pairs
 a join adds with ``sticky.sticky_pair``, stickiness being pairwise.  The
 oracles, :func:`bruteforce_E4` among them, classify and merge with
 ``classify_roots`` and ``is_sticky_admissible`` instead.  E2, E3 and E4
-return tuples of (root, code) pairs.
-:func:`slope_complexity` orders and checks its vertices itself.
+return tuples of (root, code) pairs.  Any input off its one form raises
+InvalidInput before any early return: ``roots`` is a list or tuple of
+roots, an anchor u a cube of the root lattice, a w a splitting vertex.
 Everything here is desk-scale and exhaustive, guarded by hard size caps.
 """
 
@@ -40,7 +41,8 @@ import numpy as np
 from .errors import InvalidInput, SizeCapExceeded
 from .madic import Address, cube_address, cube_origin, youngest_common_ancestor
 from .pruning import PrunedSlopeTree, slope_metrics
-from .sticky import _max_cross, _root, classify_roots, is_sticky_admissible, sticky_pair
+from .sticky import (_check_root, _max_cross, _root, classify_roots, is_sticky_admissible,
+                     sticky_pair)
 from .tubes import (
     SlabWindow,
     clip_x1,
@@ -66,6 +68,24 @@ def all_root_cubes(pruned: PrunedSlopeTree, cap: int = ROOT_CAP):
 @lru_cache(maxsize=16)
 def _root_cubes(M: int, d: int, J: int) -> tuple:
     return tuple(cube_address(idx, M, J) for idx in product(range(M ** J), repeat=d))
+
+
+def _scan_roots(pruned: PrunedSlopeTree, roots, cap: int = ROOT_CAP):
+    """``roots``, a list or tuple, or every root cube when it is None."""
+    if roots is not None and type(roots) not in (list, tuple):
+        raise InvalidInput(f"roots must be a list or tuple, not {type(roots).__name__}")
+    return all_root_cubes(pruned, cap) if roots is None else roots
+
+
+def _check_anchors(pruned: PrunedSlopeTree, us=(), ws=()) -> None:
+    """Refuse root anchors ``us`` and slope anchors ``ws`` unless each is a
+    cube of the lattice, checked as ``sticky._check_root`` checks an
+    anchor, and each slope anchor a splitting vertex."""
+    for a in (*us, *ws):
+        _check_root(pruned, a, anchor=True)
+    for w in ws:
+        if w not in pruned.gamma:
+            raise InvalidInput(f"{w!r} is not a splitting vertex")
 
 
 # ---------------------------------------------------------------------------
@@ -157,25 +177,24 @@ def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
     digits at height h(u) differ.  The test of ``tubes.intersects`` (closed
     window ends, open coordinate bounds) becomes integer comparisons on the
     lattice of :func:`_plan`, the part of a scan that is cached.  A call
-    reads each root through the instance's root table (``sticky._root``)
-    before the filter on u, so it checks every root it reads and reads a
-    list root as its tuple; a call with no plan returns before it reads a
-    root.  One numpy pass over blocks of t1 runs the reach and box tests of
-    every (root pair, code pair); the cross forms (d >= 2) are Python-int
-    tests on the box survivors.  Each distinct (delta, code pair) among the
-    geometric hits, hits that stickiness then rejects included, is checked
-    once per plan by :func:`_assert_configuration`, whose Fraction oracle
-    is ``tubes.assert_pair_inequalities``; a verdict is kept only after
-    its check returns, so a failing configuration raises on every call.
+    checks its anchors first, then reads each root through the instance's
+    root table (``sticky._root``) before the filter on u, so it refuses
+    every root it reads that is off the lattice, a list among them; a call
+    with no plan returns before it reads a root.  One numpy pass over
+    blocks of t1 runs the reach and box tests of every (root pair, code
+    pair); the cross forms (d >= 2) are Python-int tests on the box
+    survivors.  Each distinct (delta, code pair) among the geometric hits,
+    hits that stickiness then rejects included, is checked once per plan
+    by :func:`_assert_configuration`, whose Fraction oracle is
+    ``tubes.assert_pair_inequalities``; a verdict is kept only after its
+    check returns, so a failing configuration raises on every call.
     Stickiness and the int64 refusal are decided once per call: every hit
     has root yca u and slope yca w, so by the two-pair rule ``sticky_pair``
     it is sticky exactly when lambda(w) > h(u).  ``enumerate_E2_bruteforce``
     is the independent Fraction oracle.
     """
-    if w not in pruned.gamma:
-        raise InvalidInput("slope anchor must be a splitting vertex")
-    if roots is None:
-        roots = all_root_cubes(pruned)
+    _check_anchors(pruned, (u,), (w,))
+    roots = _scan_roots(pruned, roots)
     M, d, J, h = pruned.M, pruned.d, pruned.J, len(u)
     if d * M ** (2 * J) >= 2 ** 63:
         raise InvalidInput("root offsets too large for the int64 scan")
@@ -188,11 +207,10 @@ def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
     for t in roots:
         try:
             got = get(t)
-        except TypeError:  # a list or unhashable digits, left to _root
+        except TypeError:  # a list or unhashable digits, refused by _root
             got = None
         if got is None or got[0] is not t:
             got = _root(pruned, t)
-            t = got[0]
         if t[:h] == u:
             under.append(t)
             idx.append(got[1])
@@ -270,10 +288,10 @@ def enumerate_E2_bruteforce(pruned, u, w, rho, A0: int = 10, roots=None):
     """Oracle of ``enumerate_E2``: every (t1, t2, c1, c2) with the ancestor
     filters, stickiness and the Fraction test ``tubes.intersects``, with
     no prefilter."""
-    if w not in pruned.gamma:
-        raise InvalidInput("slope anchor must be a splitting vertex")
-    # a list root reads as its tuple, as in enumerate_E2
-    roots = all_root_cubes(pruned) if roots is None else [tuple(t) for t in roots]
+    _check_anchors(pruned, (u,), (w,))
+    roots = _scan_roots(pruned, roots)
+    for t in roots:
+        _check_root(pruned, t)
     win = SlabWindow(Fraction(rho), 2)
     codes = range(2 ** pruned.N)
     out = []
@@ -308,19 +326,16 @@ def slope_complexity(pruned: PrunedSlopeTree, verts) -> int:
     must contain w2 and w3; m is 2 nu(w3) + nu(w2) + nu(w1) when w3 lies
     inside w2, and 2 (nu(w3) + nu(w2)) when they are disjoint.
     """
-    given = [tuple(v) for v in verts]
-    if len(given) not in (2, 3, 4):
-        raise InvalidInput("slope complexity takes 2, 3, or 4 vertices")
-    for v in given:
-        if v not in pruned.gamma:
-            raise InvalidInput(f"{v} is not a splitting vertex")
+    if type(verts) not in (list, tuple) or len(verts) not in (2, 3, 4):
+        raise InvalidInput("slope complexity takes a list or tuple of 2 to 4 vertices")
+    _check_anchors(pruned, ws=verts)
     nu = pruned.nu
-    if len(given) == 2:
-        w1, w2 = sorted(given, key=len)
+    if len(verts) == 2:
+        w1, w2 = sorted(verts, key=len)
         if w2[: len(w1)] != w1:
             raise InvalidInput("pair of slope vertices must be nested")
         return 2 * nu(w2) + nu(w1)
-    vs = sorted(dict.fromkeys(given), key=len)
+    vs = sorted(dict.fromkeys(verts), key=len)
     if len(vs) > 3:
         raise InvalidInput("more than three distinct slope vertices")
     w1, w2, w3 = vs[:1] * (3 - len(vs)) + vs
@@ -335,15 +350,16 @@ def slope_complexity(pruned: PrunedSlopeTree, verts) -> int:
 # triple and quadruple collections
 # ---------------------------------------------------------------------------
 
-def _check_join(ctype, anchors: dict, ctypes: tuple):
-    """Refuse a configuration type outside ``ctypes`` and anchors without
-    u, u2, w or w2."""
+def _check_join(pruned, ctype, anchors: dict, ctypes: tuple):
+    """Refuse a configuration type outside ``ctypes``, anchors without u,
+    u2, w or w2 and anchors that :func:`_check_anchors` refuses."""
     if ctype not in ctypes:
         raise InvalidInput(f"configuration type {ctype!r} is not one of "
                            f"{', '.join(map(str, ctypes))}")
     missing = [k for k in ("u", "u2", "w", "w2") if k not in anchors]
     if missing:
         raise InvalidInput(f"anchors lack {', '.join(missing)}")
+    _check_anchors(pruned, (anchors["u"], anchors["u2"]), (anchors["w"], anchors["w2"]))
 
 
 def _joined_pairs(pruned, anchors, rho, A0, roots):
@@ -367,7 +383,7 @@ def enumerate_E3(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
     the triple is when (t2, v2), (t2', v2') is.  A type other than 1 or 2,
     or anchors without u, u2, w or w2, raise InvalidInput.
     """
-    _check_join(ctype, anchors, (1, 2))
+    _check_join(pruned, ctype, anchors, (1, 2))
     u, u2, h = anchors["u"], anchors["u2"], len(anchors["u"])
     types = () if u2[:h] != u else (1,) if len(u2) > h else (1, 2)
     if ctype not in types:
@@ -408,7 +424,7 @@ def enumerate_E4(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
     cross pairs are.  A type other than 1, 2 or 3, or anchors without u,
     u2, w or w2, raise InvalidInput.
     """
-    _check_join(ctype, anchors, (1, 2, 3))
+    _check_join(pruned, ctype, anchors, (1, 2, 3))
     u, u2, h = anchors["u"], anchors["u2"], len(anchors["u"])
     types = () if h > len(u2) else (1,) if u2[:h] != u else (2,) if u2 != u else (1, 3)
     if ctype not in types:
@@ -488,8 +504,10 @@ def bruteforce_E4(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
     assignments, with ``classify_roots`` and ``is_sticky_admissible``.  The
     ``tubes.intersects`` verdict of each ordered tube pair is taken once
     per call, since many quadruples share a pair."""
-    # a list root reads as its tuple, as in enumerate_E4
-    roots = all_root_cubes(pruned, cap=3 ** 5) if roots is None else [tuple(t) for t in roots]
+    _check_join(pruned, ctype, anchors, (1, 2, 3))
+    roots = _scan_roots(pruned, roots, cap=3 ** 5)
+    for t in roots:
+        _check_root(pruned, t)
     win = SlabWindow(Fraction(rho), 2)
     u, u2, w, w2 = anchors["u"], anchors["u2"], anchors["w"], anchors["w2"]
     meets = {}
@@ -510,7 +528,7 @@ def bruteforce_E4(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
             continue
         if youngest_common_ancestor(tc, td) != u2:
             continue
-        cfg = classify_roots(((ta, tb), (tc, td)))
+        cfg = classify_roots((ta, tb, tc, td))
         if cfg.swapped or cfg.ctype != ctype:
             continue
         for ca, cb, cc, cd in product(codes, repeat=4):

@@ -43,12 +43,6 @@ Point = tuple  # d-tuple of Fractions in [0,1)
 # address arithmetic
 # ---------------------------------------------------------------------------
 
-def ancestor(addr: Address, h: int) -> Address:
-    if h > len(addr):
-        raise InvalidInput(f"ancestor height {h} exceeds vertex height {len(addr)}")
-    return addr[:h]
-
-
 def youngest_common_ancestor(u: Address, v: Address) -> Address:
     """Longest common prefix of the two addresses."""
     n = 0

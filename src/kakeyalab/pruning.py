@@ -90,8 +90,9 @@ def _budget_children(tree, addr: Address, budget: int):
     kids = [addr + (dg,) for dg in tree.children(addr)]
     if not kids:
         raise InfeasibleInstance(f"ray ended with split budget {budget} left")
-    if budget <= 0:
-        return [(kids[0], 0)]
+    # budget >= 1: in find_separated_pair a split turns one level entry into
+    # two or more and none disappears, so a ray with s splits means more than
+    # s entries; the loop stops past (2C0+1)^d <= n0 entries, so n0 - s >= 1
     rich = [(c, tree.split_value(c)) for c in kids]
     eligible = [c for c, s in rich if s >= budget - 1]
     if len(eligible) >= 2:
@@ -187,8 +188,6 @@ class PrunedSlopeTree:
             raise InvalidInput("slope tree has no splitting vertex")
         self.gamma: dict[Address, GammaInfo] = {}
         self.gamma_levels: list[list[Address]] = [[] for _ in range(N + 1)]
-        self.H: list[list[Address]] = [[] for _ in range(N + 1)]
-        self.H[0] = [gamma1]
         self._psi: dict[tuple, Address] = {(): gamma1}
         slopes: dict[int, Point] = {}
 
@@ -232,7 +231,6 @@ class PrunedSlopeTree:
                              h_cubes=tuple(cubes), next_gammas=tuple(nexts))
             self.gamma[g] = info
             self.gamma_levels[j].append(g)
-            self.H[j].extend(cubes)
 
         if len(slopes) != 2 ** N:
             raise InvalidInput(f"expected 2^{N} slopes, found {len(slopes)}")
@@ -290,9 +288,6 @@ class PrunedSlopeTree:
 
     def nu(self, addr: Address) -> int:
         return self.gamma[addr].nu
-
-    def lam(self, addr: Address) -> int:
-        return self.gamma[addr].lam
 
     # -- serialization -------------------------------------------------------
 
@@ -371,12 +366,10 @@ def check_pruned_invariants(p: PrunedSlopeTree) -> None:
         for v in splits:
             if len(p.tree.children(v)) != 2:
                 raise AssertionError(f"splitting vertex {v} not binary")
-    # level cardinalities
+    # level cardinalities; |H_j| = 2^j follows, two basic cubes per vertex
     for j in range(1, p.N + 1):
         if len(p.gamma_levels[j]) != 2 ** (j - 1):
             raise AssertionError(f"|G_{j}| != 2^{j - 1}")
-        if len(p.H[j]) != 2 ** j:
-            raise AssertionError(f"|H_{j}| != 2^{j}")
     # (iii) separation of first splitting descendants
     for info in p.gamma.values():
         if info.nu >= p.N:
@@ -408,10 +401,6 @@ def check_pruned_invariants(p: PrunedSlopeTree) -> None:
 class SlopeMetrics:
     rho_sq: Fraction
     delta_sq: Fraction
-
-    @property
-    def rho(self) -> float:
-        return float(self.rho_sq) ** 0.5
 
 
 def slope_metrics(p: PrunedSlopeTree, gamma_addr: Address) -> SlopeMetrics:

@@ -37,11 +37,14 @@ at their slope yca D(v, v'), so mu(D(v, v'), h) counts the first s
 heights of ``eta`` that are at most h, and lambda(D(v, v')) is the
 (s + 1)-th: no slope address is walked.  :func:`is_sticky_admissible`,
 :func:`prob_exact`, :func:`prob_closed_form` and :class:`ReferenceTree`
-share one private pass per prescription: it normalizes the pairs, reads
-each root's entry in the root table (a root that is not the very object
+share one private pass per prescription: it checks the pairs, reads each
+root's entry in the root table (a root that is not the very object
 checked before goes through :func:`_root`) and merges their constraints.
-The instance keeps the last pass, and a call whose pairs are the
-identical objects reuses it, so a caller that asks for the verdict and
+Nothing is converted: a root is a tuple of digit tuples, a pair a 2-tuple
+(root, code) of any integer code and a prescription a list or tuple of
+pairs, and any other form raises InvalidInput where it enters.  The
+instance keeps the last pass, and a call whose pairs are the identical,
+immutable objects reuses it, so a caller that asks for the verdict and
 both probabilities of one list makes one pass.  Two module caches hold
 what depends on no instance: :func:`classify_roots` keeps the
 configurations of the last ``CONFIG_CACHE_SIZE`` root tuples (a sweep
@@ -62,7 +65,7 @@ from itertools import product
 
 from ._mix import bit_from_keys
 from .errors import InvalidInput, SizeCapExceeded
-from .madic import Address, ancestor, cube_index, youngest_common_ancestor
+from .madic import Address, cube_index, youngest_common_ancestor
 from .pruning import PrunedSlopeTree
 
 CONFIG_CACHE_SIZE = 1024  # root tuples whose configuration classify_roots keeps
@@ -104,7 +107,7 @@ def walk_chain(pruned: PrunedSlopeTree, t: Address, bit_of) -> list[tuple[Addres
     steps, g = [], pruned.psi(())
     for _ in range(pruned.N):
         info = pruned.gamma[g]
-        q = ancestor(t, info.lam)
+        q = t[:info.lam]
         b = bit_of(q)
         steps.append((q, b))
         g = info.next_gammas[b]
@@ -121,8 +124,7 @@ class StickyMap:
     def chain(self, t: Address) -> list[tuple[Address, int]]:
         """Basic spatial cubes of the root cube t, top down, each with its
         realized bit."""
-        if len(t) != self.pruned.J:
-            raise InvalidInput("chain is defined on root cubes (height J)")
+        _check_root(self.pruned, t)
         return walk_chain(self.pruned, t, self.warehouse.bit)
 
     def slope_code(self, t: Address) -> int:
@@ -144,16 +146,20 @@ def _half_power(n: int) -> Fraction:
     return Fraction(1, 2 ** n)
 
 
-def _check_root(pruned: PrunedSlopeTree, t) -> None:
-    """Refuse t unless it is a height-J cube of the lattice: J digits, each
-    a d-tuple of ints in 0..M-1."""
-    M, d = pruned.M, pruned.d
-    if type(t) is not tuple or len(t) != pruned.J or not all(
-            type(digit) is tuple and len(digit) == d
-            and all(type(x) is int and 0 <= x < M for x in digit)
-            for digit in t):
-        raise InvalidInput(
-            f"root {t!r} is not a height-{pruned.J} cube of the base-{M} lattice")
+def _check_root(pruned: PrunedSlopeTree, t, anchor: bool = False) -> None:
+    """Refuse t unless it is a cube of the lattice, a tuple of digits, each
+    a d-tuple of ints in 0..M-1: J digits for a root, at most J for an
+    ``anchor``."""
+    M, d, J = pruned.M, pruned.d, pruned.J
+    ok = type(t) is tuple and (len(t) <= J if anchor else len(t) == J)
+    for digit in t if ok else ():  # plain loops: nested all()s cost 3x as much
+        ok = ok and type(digit) is tuple and len(digit) == d
+        for x in digit if ok else ():
+            ok = ok and type(x) is int and 0 <= x < M
+    if not ok:
+        what = f"anchor {t!r} is not a cube of height at most {J}" if anchor \
+            else f"root {t!r} is not a height-{J} cube"
+        raise InvalidInput(f"{what} of the base-{M} lattice")
 
 
 def _code(pruned: PrunedSlopeTree, code) -> int:
@@ -171,14 +177,12 @@ def _code(pruned: PrunedSlopeTree, code) -> int:
 def _root(pruned: PrunedSlopeTree, t) -> tuple:
     """Root t's entry in the root table ``pruned.roots``: (the root object
     checked, its cube index per axis, its reference cubes by code, filled
-    on first use).  A non-tuple root reads as ``tuple(t)``.  A root is
-    checked to be a height-J cube of the lattice when it enters, and again
-    when it only equals the object checked, since an equal root may have
-    other digit types (1.0 or True for 1)."""
+    on first use).  A root is checked to be a height-J cube of the lattice
+    when it enters, and again when it only equals the object checked,
+    since an equal root may have other digit types (1.0 or True for 1)."""
     try:
-        t = t if type(t) is tuple else tuple(t)
         got = pruned.roots.get(t)
-    except TypeError:  # not iterable or unhashable, so off the lattice
+    except TypeError:  # unhashable, so off the lattice
         got = None
     if got is None or got[0] is not t:
         _check_root(pruned, t)
@@ -199,20 +203,20 @@ def reference_cubes(pruned: PrunedSlopeTree, t: Address, code: int) -> tuple:
     got = by_code[code]
     if got is None:
         got = by_code[code] = tuple(
-            (ancestor(t, h), b) for h, b in zip(pruned.eta[code], pruned.code_bits(code)))
+            (t[:h], b) for h, b in zip(pruned.eta[code], pruned.code_bits(code)))
     return got
 
 
 def _constraints(pruned: PrunedSlopeTree, pairs, required: bool):
-    """The admissibility pass of a prescription: its normalized (root
-    tuple, slope code) pairs and the bit each of their distinct reference
-    cubes must carry, or None when some cube would need two bits.  The
-    instance keeps the last pass in ``last_pass``; a call whose pairs are
-    the very objects that pass read reuses it.  ``required`` is applied
-    after that lookup, so an inadmissible prescription raises
+    """The admissibility pass of a prescription, a list or tuple of pairs:
+    its checked (root, int code) pairs and the bit each of their distinct
+    reference cubes must carry, or None when some cube would need two
+    bits.  The instance keeps the last pass in ``last_pass``; a call whose
+    pairs are the very objects that pass read reuses it.  ``required`` is
+    applied after that lookup, so an inadmissible prescription raises
     InvalidInput on every call."""
     if type(pairs) is not list and type(pairs) is not tuple:
-        pairs = tuple(pairs)
+        raise InvalidInput(f"{type(pairs).__name__} is not a list or tuple of pairs")
     read, keys, constraints = pruned.last_pass
     if len(pairs) != len(read) or not all(map(operator.is_, pairs, read)):
         keys, constraints = _pass(pruned, pairs)
@@ -222,28 +226,33 @@ def _constraints(pruned: PrunedSlopeTree, pairs, required: bool):
 
 
 def _pass(pruned: PrunedSlopeTree, pairs):
-    """One pass over a prescription: it normalizes each pair and merges the
-    reference cubes kept in its root's table entry.  A code off the fast
-    path (a non-int, or out of range) is read by :func:`_code`, and a root
-    that the table misses or holds as another object by :func:`_root`; a
-    conflict ends the merging but not these checks.  The result is stored
-    in ``last_pass`` only when every pair was already canonical, a tuple
-    of a tuple root and an int code, so a reuse by identity skips no
-    conversion; a pair that raises stores nothing."""
+    """One pass over a prescription: it checks each pair, a 2-tuple (root,
+    code), and merges the reference cubes kept in its root's table entry.
+    A pair off the fast path (not a tuple, or a code that is a non-int or
+    out of range) is checked here, its code read by :func:`_code`, and a
+    root that the table misses or holds as another object by
+    :func:`_root`; a conflict ends the merging but not these checks.
+    Every accepted pair is immutable, so every pass is kept in
+    ``last_pass``, with int codes; a pair that raises stores nothing."""
     table, n_codes = pruned.roots, len(pruned.slopes)
-    keys, constraints, canonical = [], {}, True
+    keys, constraints = [], {}
     for pair in pairs:
-        t, code = pair
-        if type(code) is not int or type(t) is not tuple or type(pair) is not tuple \
-                or not 0 <= code < n_codes:
-            code, canonical = _code(pruned, code), False
+        try:
+            t, code = pair
+        except (TypeError, ValueError):  # not two items, refused below
+            t = code = None
+        if type(code) is not int or type(pair) is not tuple or not 0 <= code < n_codes:
+            if type(pair) is not tuple or len(pair) != 2:
+                raise InvalidInput(f"pair {pair!r} is not a 2-tuple (root, code)")
+            code = _code(pruned, code)
+            pair = (t, code)
         try:
             got = table.get(t)
-        except TypeError:  # a list or unhashable digits, left to _root
+        except TypeError:  # unhashable digits, left to _root
             got = None
         if got is None or got[0] is not t:
             got = _root(pruned, t)
-        keys.append(pair if canonical else (got[0], code))
+        keys.append(pair)
         cubes = got[2][code]
         if cubes is None:
             cubes = reference_cubes(pruned, got[0], code)
@@ -253,8 +262,7 @@ def _pass(pruned: PrunedSlopeTree, pairs):
                     constraints = None
                     break
     keys = tuple(keys)
-    if canonical:
-        pruned.last_pass = (tuple(pairs), keys, constraints)
+    pruned.last_pass = (tuple(pairs), keys, constraints)
     return keys, constraints
 
 
@@ -329,8 +337,7 @@ def prob_enumerate(pruned: PrunedSlopeTree, pairs, cap_bits: int = 20) -> Fracti
     """Oracle: exhaust all realizations of the warehouse bits that can
     influence the listed roots, and count the matching ones."""
     pairs = _constraints(pruned, pairs, required=False)[0]
-    cubes = sorted({ancestor(t, h)
-                    for t, _ in pairs for h in pruned.fundamental_heights})
+    cubes = sorted({t[:h] for t, _ in pairs for h in pruned.fundamental_heights})
     if len(cubes) > cap_bits:
         raise SizeCapExceeded(f"{len(cubes)} bits exceed the enumeration cap")
 
@@ -372,31 +379,21 @@ class RootConfiguration:
 
 
 def classify_roots(roots) -> RootConfiguration:
-    """Configuration type of a 3-tuple (t1, t2, t2') or an ordered pair of
-    pairs ((t1, t2), (t1', t2')) of distinct root cubes; the flat 4-tuple
-    (t1, t2, t1', t2') reads as the latter.  The configurations of the
-    last ``CONFIG_CACHE_SIZE`` root tuples are kept, and invalid input
-    raises on every call.  Two root pairs are told from two roots by their
-    nesting: a root's items are digits, tuples of ints, and a pair's items
-    are roots."""
-    roots = tuple(roots)
-    if len(roots) == 2 and all(_is_root_pair(r) for r in roots):
-        roots = (*roots[0], *roots[1])
-    if len(roots) not in (3, 4):
-        raise InvalidInput("expected 3 roots or two root pairs")
-    cfg = _configuration(roots)
+    """Configuration type of a list or tuple of distinct root cubes, each a
+    tuple: (t1, t2, t2') or, for the ordered pairs (t1, t2) and (t1',
+    t2'), (t1, t2, t1', t2').  The configurations of the last
+    ``CONFIG_CACHE_SIZE`` root tuples are kept, and invalid input raises
+    on every call."""
+    if type(roots) not in (list, tuple) or len(roots) not in (3, 4) \
+            or not all(type(t) is tuple for t in roots):
+        raise InvalidInput("expected a list or tuple of 3 or 4 roots, each a tuple")
+    try:
+        cfg = _configuration(tuple(roots))
+    except TypeError:  # the cache key: a digit that cannot be hashed
+        raise InvalidInput(f"roots {roots!r} hold an unhashable digit") from None
     if cfg.size != len(roots):
         raise InvalidInput("roots must be distinct")
     return cfg
-
-
-def _is_root_pair(item) -> bool:
-    """Whether an item is a pair of roots: its first item is a root, whose
-    first item is a digit."""
-    try:
-        return len(item) == 2 and isinstance(item[0][0], (tuple, list))
-    except (TypeError, IndexError):
-        return False
 
 
 @lru_cache(maxsize=CONFIG_CACHE_SIZE)

@@ -15,7 +15,6 @@ from kakeyalab.lacunarity import LacunaryWitness
 from kakeyalab.madic import (
     Address,
     DigitRuleTree,
-    ancestor,
     cube_origin,
     point_address,
 )
@@ -125,7 +124,7 @@ def mu(pruned, w: Address, k: int) -> int:
 def root_ancestor_at_mu(pruned, u: Address, w: Address, k: int) -> Address:
     """Ancestor of the root-tree vertex u at the height of theta(w, k)."""
     th = theta(pruned, w, k)
-    return ancestor(u, 0 if th is None else len(th))
+    return u[:0 if th is None else len(th)]
 
 
 def extend(smap, q: Address):
@@ -150,11 +149,11 @@ def extend(smap, q: Address):
         info = p.gamma[g]
         if info.lam >= h:
             if h <= len(g):
-                return ancestor(g, h), True
+                return g[:h], True
             # h(gamma) < h <= lambda(gamma): the basic cube of the
             # lex-min root's bit, which any root below q shares iff
             # lambda = h
-            return ancestor(info.h_cubes[b], h), info.lam == h
+            return info.h_cubes[b][:h], info.lam == h
         g = info.next_gammas[b]
 
 

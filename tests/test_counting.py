@@ -4,6 +4,7 @@ import random
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction, Fraction as F
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -253,18 +254,62 @@ def _count_root_checks(monkeypatch):
     return calls
 
 
-def test_e2_reads_a_list_root_as_its_tuple():
-    # every third root and the list form of root 1: E2 used to drop the
-    # list root, and the oracle to keep some of its pairs
+def test_e2_refuses_a_list_root():
+    # the list form of root 1 is refused by name, not read as its tuple:
+    # by E2 and both oracles, on an empty root table and on one that holds
+    # the tuple form, and the table gains no entry
     pruned = prune(cantor_tree(25), N=2, C0=1)
     roots = all_root_cubes(pruned)
     w = pruned.psi(())
-    tuples = roots[::3] + [roots[1]]
-    lists = roots[::3] + [list(roots[1])]
-    want = enumerate_E2(pruned, (), w, F(1, 3), roots=tuples)
-    assert len(want) == 1060
-    assert enumerate_E2(pruned, (), w, F(1, 3), roots=lists) == want
-    assert enumerate_E2_bruteforce(pruned, (), w, F(1, 3), roots=lists) == want
+    anchors = {"u": (), "u2": (), "w": w, "w2": w}
+    lists = [list(roots[1])] + roots[::3]
+    calls = (partial(enumerate_E2, pruned, (), w),
+             partial(enumerate_E2_bruteforce, pruned, (), w),
+             partial(bruteforce_E4, pruned, 1, anchors))
+    for warm in (False, True):
+        if warm:
+            tuples = [roots[1]] + roots[::3]
+            assert len(enumerate_E2(pruned, (), w, F(1, 3), roots=tuples)) == 1060
+        table = dict(pruned.roots)
+        for call in calls:
+            with pytest.raises(InvalidInput, match="height-4 cube of the base-3"):
+                call(F(1, 3), roots=lists)
+            assert pruned.roots == table
+    assert len(table) == 1 + len(roots[::3])
+
+
+_G2 = ((0,), (0,))  # a level-2 splitting vertex of prune(cantor_tree(25), 2, 1)
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("u", []), ("u", ((5,),)), ("u", ((0,),) * 5), ("u", ((1.0,),)), ("u", [(0,)]),
+    ("w", []), ("w", list(_G2)), ("w", ([0], [0])), ("w", ((0,),)), ("w", ((0,), (0,), (0,))),
+], ids=["u_empty_list", "u_off_lattice", "u_too_deep", "u_float_digit", "u_list",
+        "w_empty_list", "w_list", "w_list_digits", "w_not_splitting", "w_below_vertex"])
+def test_bad_anchors_refused_by_every_entry_point(inst3, key, bad):
+    # refused by name before any early return: on the E2 scans and oracle,
+    # in every position of every join type and of the E4 oracle, and, for a
+    # slope vertex, by slope_complexity
+    g1 = inst3.psi(())
+    assert g1 == () and _G2 in inst3.gamma
+    roots, rho = all_root_cubes(inst3)[:4], F(1, 3)
+    good = {"u": (), "u2": ((0,),), "w": g1, "w2": _G2}
+    calls = []
+    for fn in (enumerate_E2, enumerate_E2_bruteforce):
+        calls.append(partial(fn, inst3, bad, g1) if key == "u" else partial(fn, inst3, (), bad))
+    for k in (key, key + "2"):
+        anchors = {**good, k: bad}
+        calls += [partial(enumerate_E3, inst3, ctype, anchors) for ctype in (1, 2)]
+        calls += [partial(fn, inst3, ctype, anchors)
+                  for fn in (enumerate_E4, bruteforce_E4) for ctype in (1, 2, 3)]
+    match = "anchor .* of the base-3 lattice" if key == "u" else "lattice|splitting vertex"
+    for call in calls:
+        with pytest.raises(InvalidInput, match=match):
+            call(rho, roots=roots)
+    if key == "w":
+        for verts in ([g1, bad], (g1, _G2, bad)):
+            with pytest.raises(InvalidInput, match=match):
+                slope_complexity(inst3, verts)
 
 
 def test_e2_refuses_unhashable_roots():
@@ -497,7 +542,7 @@ def test_per_slice_count_bound(inst3):
     from collections import Counter
     from kakeyalab.pruning import slope_metrics
     slices = Counter((t1, c1, c2) for (t1, c1), (t2, c2) in pairs)
-    rho_w = float(slope_metrics(inst3, g1).rho)
+    rho_w = float(slope_metrics(inst3, g1).rho_sq) ** 0.5
     cap = float(rho) * rho_w * inst3.M ** inst3.J
     worst = max(v / cap for v in slices.values())
     assert worst <= 8  # fitted C2 recorded; generous but finite

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import platform
@@ -313,6 +314,30 @@ def test_cli_run_log_times_the_experiment(tmp_path):
     assert cli_main(["far-slab", "--config", str(cfg_path)]) == 0
     parsed = json.loads((tmp_path / "runlog.jsonl").read_text())
     assert parsed["experiment"] == "far_slab" and parsed["elapsed_s"] > 0
+
+
+def test_cli_moments_csv_holds_run_cell_values(tmp_path, capsys):
+    # moments --csv writes one row per (N, R, seed) under CSV_COLUMNS, each
+    # value the float of run_cell's exact one
+    cfg_path, csv_path = tmp_path / "cfg.json", tmp_path / "cells.csv"
+    cfg_path.write_text(json.dumps({"seeds": 2, "n_values": [2, 3], "r_values": [1, 2],
+                                    "slices": 4, "out_dir": str(tmp_path)}))
+    assert cli_main(["moments", "--config", str(cfg_path), "--csv", str(csv_path)]) == 0
+    capsys.readouterr()
+    cfg = ExperimentConfig.from_json(cfg_path.read_text())
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == CSV_COLUMNS
+    got = [[int(x) for x in row[:3]] + [float(x) for x in row[3:]] for row in rows[1:]]
+    want = []
+    for n in cfg.n_values:
+        for trial in range(cfg.seeds):
+            cell = run_cell(cfg, n, trial)
+            for r in cfg.r_values:
+                want.append([n, r, cell.seed, float(cell.near_est), float(cell.near_lb),
+                             float(cell.far), float(cell.moment1[r]),
+                             float(cell.moment1[r] ** 2)])
+    assert len(want) == 8 and got == want
 
 
 def test_far_only_requests_build_no_cells(monkeypatch):

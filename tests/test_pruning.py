@@ -181,7 +181,7 @@ def test_minimal_j():
     smaller = p.J - 1
     assert (F(p.C0 ** 2, p.M ** (2 * smaller)) > delta_sq
             or any(smaller < len(p.slope_leaf(c)) for c in range(4))
-            or smaller < max(p.lam(g) for g in p.gamma_levels[1]))
+            or smaller < max(p.gamma[g].lam for g in p.gamma_levels[1]))
 
 
 def test_surd_comparison_helper():

@@ -242,7 +242,7 @@ def test_closed_form_reaches_every_configuration_class_at_n3():
                 continue
             admitted += 1
             ts = [t for t, _ in prs]
-            cfg = classify_roots(ts if size == 3 else (ts[:2], ts[2:]))
+            cfg = classify_roots(ts)
             seen.add((size, cfg.ctype, cfg.swapped))
             assert prob_closed_form(p, prs) == prob_exact(p, prs), prs
     assert seen == {(3, 1, False), (3, 1, True), (3, 2, False),
@@ -342,8 +342,7 @@ def test_classification_totality(inst, roots):
         assert cfg.ctype in (1, 2)
     for ts in combinations(small[:8], 4):
         for pairing in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2)):
-            quad = tuple(ts[i] for i in pairing)
-            cfg = classify_roots(((quad[0], quad[1]), (quad[2], quad[3])))
+            cfg = classify_roots(tuple(ts[i] for i in pairing))
             assert cfg.ctype in (1, 2, 3)
 
 
@@ -352,7 +351,7 @@ def test_four_point_type_example():
     # disjoint ancestors
     t1, t2 = root_addr(0, 2, 2), root_addr(1, 2, 2)
     t1p, t2p = root_addr(2, 2, 2), root_addr(3, 2, 2)
-    cfg = classify_roots(((t1, t2), (t1p, t2p)))
+    cfg = classify_roots((t1, t2, t1p, t2p))
     assert cfg.ctype == 1 and cfg.size == 4
 
 
@@ -378,26 +377,14 @@ def test_duplicate_roots_rejected(inst, roots):
         with pytest.raises(InvalidInput):
             classify_roots((roots[0], roots[0], roots[1]))
         with pytest.raises(InvalidInput):
-            classify_roots(((roots[0], roots[1]), (roots[2], roots[0])))
+            classify_roots((roots[0], roots[1], roots[2], roots[0]))
 
 
 def test_configuration_cache(roots):
     assert classify_roots.cache_info().maxsize == CONFIG_CACHE_SIZE
     triple, quad = roots[1:4], roots[4:8]
-    assert classify_roots(list(triple)) == classify_roots(tuple(triple))
-    assert classify_roots([list(quad[:2]), list(quad[2:])]) \
-        == classify_roots(((quad[0], quad[1]), (quad[2], quad[3]))) \
-        == classify_roots(tuple(quad))
     assert classify_roots(list(triple)) is classify_roots(tuple(triple))
-    # at J = 2 a root is two digits, yet two roots are not read as two
-    # pairs: a pair's items are roots, a root's items are digits
-    low = all_root_cubes(prune(full_tree(12, M=4), N=2, C0=1))
-    a, b, c, d = low[1], low[6], low[11], low[12]
-    assert classify_roots([(a, b), (c, d)]) == classify_roots((a, b, c, d))
-    for two in ((((0,), (0,)), ((0,), (1,))), (((0,), (1,)), ((1,), (2,))),
-                (((0,), (1,)), ((2,), (3,)))):
-        with pytest.raises(InvalidInput, match="expected 3 roots or two root pairs"):
-            classify_roots(two)
+    assert classify_roots(list(quad)) is classify_roots(tuple(quad))
 
 
 def test_cached_paths_still_refuse_bad_prescriptions(inst, roots):
@@ -525,11 +512,11 @@ def test_type_not_preserved_by_sticky_image(inst, roots):
     for seed in range(200):
         sm = sample_assignment(inst, seed)
         for ts in combinations(roots[:10], 4):
-            cfg = classify_roots(((ts[0], ts[1]), (ts[2], ts[3])))
+            cfg = classify_roots(ts)
             leaves = [inst.slope_leaf(sm.slope_code(t)) for t in ts]
             if len(set(leaves)) != 4:
                 continue
-            img = classify_roots(((leaves[0], leaves[1]), (leaves[2], leaves[3])))
+            img = classify_roots(leaves)
             if img.ctype != cfg.ctype:
                 found = (seed, ts, cfg.ctype, img.ctype)
                 break
@@ -550,7 +537,7 @@ def test_quadruple_nested_slope_pairs(inst, roots):
         ok, _ = is_sticky_admissible(inst, prs)
         if not ok:
             continue
-        cfg = classify_roots(((ts[0], ts[1]), (ts[2], ts[3])))
+        cfg = classify_roots(ts)
         if cfg.ctype == 1:
             continue
         seen += 1
@@ -600,7 +587,8 @@ def test_inadmissible_probability_raises(inst, roots):
 @pytest.mark.parametrize("k", [3, 4])
 def test_one_pass_per_prescription(monkeypatch, k):
     # a sweep asks is_sticky_admissible, then prob_exact and
-    # prob_closed_form of the same list: the later calls reuse the pass
+    # prob_closed_form of the same list: the later calls reuse the pass,
+    # numpy codes as well, which every pass reads as ints
     p = prune(full_tree(12, 2), 2, 1)
     real, passes = sticky._pass, []
 
@@ -610,14 +598,18 @@ def test_one_pass_per_prescription(monkeypatch, k):
 
     monkeypatch.setattr(sticky, "_pass", counted)
     ts = all_roots_1d(p)[3:3 + k]
-    admissible = 0
-    for cs in product(range(2 ** p.N), repeat=k):
-        prs = list(zip(ts, cs))
-        if is_sticky_admissible(p, prs)[0]:
-            admissible += 1
-            assert prob_exact(p, prs) == prob_closed_form(p, prs)
-    assert admissible > 0
-    assert len(passes) == 4 ** k
+    answers = {}
+    for code in (int, np.int64):
+        passes.clear()
+        got = answers[code] = []
+        for cs in product(range(2 ** p.N), repeat=k):
+            prs = list(zip(ts, map(code, cs)))
+            if is_sticky_admissible(p, prs)[0]:
+                got.append(prob_exact(p, prs))
+                assert prob_closed_form(p, prs) is got[-1]
+        assert len(got) > 0
+        assert len(passes) == 4 ** k
+    assert answers[int] == answers[np.int64]
 
 
 def test_equal_pairs_are_no_hit(inst, roots):
@@ -671,6 +663,46 @@ def test_roots_off_the_lattice_rejected(inst, roots, root):
                 fn(inst, prs)
     with pytest.raises(InvalidInput, match="lattice"):
         reference_cubes(inst, root, 2)
+    with pytest.raises(InvalidInput, match="lattice"):
+        sample_assignment(inst, 0).slope_code(root)
+
+
+@pytest.mark.parametrize("form", [
+    lambda t: [t, 2], lambda t: (t, 2, 0), lambda t: (list(t), 2), lambda t: (t,),
+], ids=["list_pair", "three_tuple_pair", "list_root", "one_tuple_pair"])
+def test_one_pair_form_refused_cold_and_warm(form):
+    # a pair is a 2-tuple (root, code) of a tuple root: nothing else is
+    # converted, whether or not the root table holds t1; a refused
+    # prescription leaves the last pass as it was and adds no t1 entry
+    t0, t1 = ((0,), (0,), (1,), (1,)), ((1,), (0,), (0,), (1,))
+    match = "lattice" if type(form(t1)[0]) is list else "2-tuple"
+    for fn in (is_sticky_admissible, prob_exact, prob_closed_form,
+               prob_enumerate, ReferenceTree):
+        pruned = tiny_instance()
+        for warm in (False, True):
+            if warm:
+                assert is_sticky_admissible(pruned, [(t0, 1), (t1, 2)])[0]
+            before = pruned.last_pass
+            with pytest.raises(InvalidInput, match=match):
+                fn(pruned, [(t0, 1), form(t1)])
+            assert pruned.last_pass is before
+            assert (t1 in pruned.roots) == warm
+
+
+def test_one_prescription_and_root_tuple_form(inst, roots):
+    # a prescription is a list or tuple of pairs, and classify_roots takes
+    # a list or tuple of 3 or 4 roots, flat
+    prs = [(roots[0], 1), (roots[6], 1)]
+    for fn in (is_sticky_admissible, prob_exact, prob_closed_form,
+               prob_enumerate, ReferenceTree):
+        for bad in (iter(prs), dict(prs), None):
+            with pytest.raises(InvalidInput, match="list or tuple of pairs"):
+                fn(inst, bad)
+    a, b, c, d = roots[1:5]
+    for bad in ((a, b), ((a, b), (c, d)), (a, b, c, d, roots[5]), iter((a, b, c)),
+                (a, b, list(c)), (a, b, c[:-1] + ([1],))):
+        with pytest.raises(InvalidInput):
+            classify_roots(bad)
 
 
 @pytest.mark.parametrize("digit", [1.0, True, np.int64(1)], ids=["float", "bool", "numpy"])
