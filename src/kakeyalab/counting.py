@@ -9,7 +9,12 @@ numerators ``pruned.sigma`` over the instance's one denominator
 cross-sections within the tube side on every axis is a set of integer
 comparisons, run in one numpy pass per call.  What a scan reads of
 neither u nor its roots is one cached plan per (instance, w, rho, A0),
-which also keeps the verdict of each configuration its scans checked.
+which also keeps an int8 verdict table with one row per root offset and
+one column per code pair.  The scan reads its hits as arrays keyed by
+(root offset, code pair) off that table and zips the records from them
+last; a sum grouped by configuration, such as the sum of probability
+times intersection volume over E2, should read those arrays, not the
+records.
 Slope ycas, slope metrics and the lattice come off the pruned instance,
 as in every module, and each root's cube index off its entry in the root
 table of ``sticky._root``; only the oracles recompute slope ancestors
@@ -34,7 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 
@@ -52,6 +57,7 @@ from .tubes import (
 )
 
 ROOT_CAP = 3 ** 8
+VERDICT_CAP = 1 << 20  # entries of one E2 plan's verdict table
 _PAIR_BLOCK = 1 << 14  # root pairs per block of the E2 array scan
 
 
@@ -92,32 +98,38 @@ def _check_anchors(pruned: PrunedSlopeTree, us=(), ws=()) -> None:
 # pair collections
 # ---------------------------------------------------------------------------
 
+class _Plan:
+    """An E2 plan of :func:`_plan`: its fields, and the verdict table of
+    :func:`_verdict_grid`, None until a scan first reaches it."""
+
+    __slots__ = ("pairs", "box", "lo", "hi", "S", "E", "grid")
+
+    def __init__(self, pairs, box, lo, hi, S, E):
+        self.pairs, self.box, self.lo, self.hi, self.S, self.E = pairs, box, lo, hi, S, E
+        self.grid = None
+
+
 @lru_cache(maxsize=256)
-def _plan(pruned: PrunedSlopeTree, w: Address, rho: Fraction, A0: int):
-    """What an E2 scan over [rho, 2 rho] with slope anchor w reads of
-    neither u nor its roots, or None when every such scan is empty.
+def _plan(pruned: PrunedSlopeTree, w: Address, p: int, q: int, A0: int):
+    """What an E2 scan over [rho, 2 rho], rho = p/q in lowest terms, with
+    slope anchor w reads of neither u nor its roots, or None when every
+    such scan is empty.
 
     The window cut to [lo, hi] by ``clip_x1``, the tube side S/(E M^J),
     the code pairs (c1, c2, cross, moving, b) whose slope leaves separate
-    exactly at w, the squared offset ``reach`` of a hit and the int64
-    ``box`` of each code pair, (code pair, axis, end).  With D the
-    slope-lattice denominator ``pruned.D``, the slope difference of a pair
-    is b/D on each axis, ``b`` holding the signed integers; a root offset
-    delta (centres delta/M^J apart) overlaps at some x1 in [lo, hi] exactly
-    when every axis keeps delta in its closed ``box`` and every ``cross``
-    form (i, j, f_i, f_j, bound) has f_i delta_i + f_j delta_j < bound.  The
-    box comes from lo < r2 and r1 < hi on a moving axis (i, sgn, |b_i|) and
-    from |a| < s on a still one, cut to the reach; the cross forms are
-    r1_i < r2_j.
-
-    The last field, ``verdicts``, maps (delta, code-pair index) to the
-    geometric verdict of that configuration; the scans fill it.  A
-    configuration's check reads only these plan fields and delta, so
-    each runs once per plan, and a delta lies in its pair's box, so the
-    dict holds at most the sum over code pairs of the box's lattice
-    points.
+    exactly at w and the int64 ``box`` of each code pair, (code pair,
+    axis, end).  With D the slope-lattice denominator ``pruned.D``, the
+    slope difference of a pair is b/D on each axis, ``b`` holding the
+    signed integers; a root offset delta (centres delta/M^J apart)
+    overlaps at some x1 in [lo, hi] exactly when every axis keeps delta in
+    its closed ``box`` and every ``cross`` form (i, j, f_i, f_j, bound)
+    has f_i delta_i + f_j delta_j < bound.  The box comes from lo < r2 and
+    r1 < hi on a moving axis (i, sgn, |b_i|) and from |a| < s on a still
+    one, cut to the reach of a hit; the cross forms are r1_i < r2_j.  A
+    configuration's check reads only these fields and delta, so the
+    verdict table kept with the plan holds each verdict once per plan.
     """
-    win = SlabWindow(rho, 2)
+    win = SlabWindow(Fraction(p, q), 2)
     M, d, J = pruned.M, pruned.d, pruned.J
     K, D, sigma = M ** J, pruned.D, pruned.sigma
     rho_sq = slope_metrics(pruned, w).rho_sq
@@ -131,10 +143,9 @@ def _plan(pruned: PrunedSlopeTree, w: Address, rho: Fraction, A0: int):
     S, E = cd.numerator, cd.denominator  # tube side S / (E M^J)
     # a hit has |cen(t1) - cen(t2)| <= 2 rho rho_w + 2 c_d sqrt(d) M^-J;
     # no |delta|^2 exceeds d (K - 1)^2, and no box end matters past the
-    # reach, so the offsets, their squares and the box ends fit int64
+    # reach, so the offsets and the box ends fit int64
     reach_sq = 2 * win.hi ** 2 * rho_sq + Fraction(8 * d) * cd * cd / (K * K)
-    reach = min(int(reach_sq * K * K), d * (K - 1) ** 2)
-    lim = isqrt(reach) + 1
+    lim = isqrt(min(int(reach_sq * K * K), d * (K - 1) ** 2)) + 1
     still = -(-S // E) - 1  # |delta| E < S
     pl, ql, ph, qh = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     codes = range(2 ** pruned.N)
@@ -164,7 +175,42 @@ def _plan(pruned: PrunedSlopeTree, w: Address, rho: Fraction, A0: int):
     # the two children of the splitting vertex w give some code pair
     box = np.array(boxes, dtype=np.int64)
     box.flags.writeable = False  # shared by every call with this key
-    return tuple(pairs), box, reach, lo, hi, S, E, {}
+    return _Plan(tuple(pairs), box, lo, hi, S, E)
+
+
+def _verdict_grid(plan: _Plan) -> tuple:
+    """The plan's verdict table and its frame (table, origin, dims,
+    strides), built on first use.
+
+    The table has one int8 row per root offset in the hull of the code
+    pairs' boxes (per axis, least box start to largest box end, over the
+    boxes that hold a lattice point), row-major from ``origin`` over
+    ``dims`` (uint64, so that an unsigned delta - origin < dims puts delta
+    in the hull), and one column per code pair: -1 where the offset lies
+    in that pair's box and is unchecked, 0 for a miss and 1 for a hit
+    whose ``_assert_configuration`` returned.  Offset delta is row
+    (delta - origin) . strides.  A table of more than ``VERDICT_CAP`` entries
+    raises SizeCapExceeded before anything is allocated.
+    """
+    if plan.grid is None:
+        box, n = plan.box, len(plan.pairs)
+        full = box[(box[:, :, 0] <= box[:, :, 1]).all(axis=1)]
+        d = box.shape[1]
+        origin = full[:, :, 0].min(axis=0).tolist() if len(full) else [0] * d
+        end = full[:, :, 1].max(axis=0).tolist() if len(full) else [-1] * d
+        dims = [b - a + 1 for a, b in zip(origin, end)]
+        if n * prod(dims) > VERDICT_CAP:
+            raise SizeCapExceeded(f"a verdict table of {n * prod(dims)} entries "
+                                  f"exceeds the cap {VERDICT_CAP}")
+        inside = np.ones((1, n), dtype=bool)
+        for i, (a, b) in enumerate(zip(origin, end)):
+            x = np.arange(a, b + 1)[:, None]
+            inside = (inside[:, None] & (box[:, i, 0] <= x) & (x <= box[:, i, 1])
+                      ).reshape(-1, n)
+        strides = [prod(dims[i + 1:]) for i in range(d)]
+        plan.grid = (-inside.astype(np.int8), np.array(origin, dtype=np.int64),
+                     np.array(dims, dtype=np.uint64), np.array(strides, dtype=np.int64))
+    return plan.grid
 
 
 def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
@@ -176,18 +222,21 @@ def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
     in code order; root pairs are drawn from the roots under u whose
     digits at height h(u) differ.  The test of ``tubes.intersects`` (closed
     window ends, open coordinate bounds) becomes integer comparisons on the
-    lattice of :func:`_plan`, the part of a scan that is cached.  A call
-    checks its anchors first, then reads each root through the instance's
-    root table (``sticky._root``) before the filter on u, so it refuses
-    every root it reads that is off the lattice, a list among them; a call
-    with no plan returns before it reads a root.  One numpy pass over
-    blocks of t1 runs the reach and box tests of every (root pair, code
-    pair); the cross forms (d >= 2) are Python-int tests on the box
-    survivors.  Each distinct (delta, code pair) among the geometric hits,
-    hits that stickiness then rejects included, is checked once per plan
-    by :func:`_assert_configuration`, whose Fraction oracle is
-    ``tubes.assert_pair_inequalities``; a verdict is kept only after its
-    check returns, so a failing configuration raises on every call.
+    lattice of :func:`_plan`, the part of a scan that is cached, keyed on
+    rho's numerator and denominator.  A call checks its anchors first, then
+    reads each root through the instance's root table (``sticky._root``)
+    before the filter on u, so it refuses every root it reads that is off
+    the lattice, a list among them; a call with no plan returns before it
+    reads a root.  One numpy pass over blocks of t1 keeps the root pairs
+    from different branches of u whose offset lies in the hull of the
+    plan's boxes and reads the verdict of every code pair for them from
+    the plan's table (:func:`_verdict_grid`) with one gather.  Each
+    unchecked (offset, code pair) is decided there once per plan, by the
+    cross forms (d >= 2) and, for a geometric hit, hits that stickiness
+    then rejects included, by :func:`_assert_configuration`, whose
+    Fraction oracle is ``tubes.assert_pair_inequalities``; a verdict is
+    stored only after its check returns, so a failing configuration raises
+    on every call.  The records are zipped from the hit arrays.
     Stickiness and the int64 refusal are decided once per call: every hit
     has root yca u and slope yca w, so by the two-pair rule ``sticky_pair``
     it is sticky exactly when lambda(w) > h(u).  ``enumerate_E2_bruteforce``
@@ -198,7 +247,9 @@ def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
     M, d, J, h = pruned.M, pruned.d, pruned.J, len(u)
     if d * M ** (2 * J) >= 2 ** 63:
         raise InvalidInput("root offsets too large for the int64 scan")
-    plan = _plan(pruned, w, Fraction(rho), A0)
+    if type(rho) is not int and type(rho) is not Fraction:
+        rho = Fraction(rho)
+    plan = _plan(pruned, w, rho.numerator, rho.denominator, A0)
     if plan is None or h >= J:
         return []
     # every root read through the table; per root under u, its cube index
@@ -217,41 +268,47 @@ def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
             grp.append(branch.setdefault(t[h], len(branch)))
     if len(under) < 2:
         return []
-    pairs, box, reach, lo, hi, S, E, verdicts = plan
+    table, origin, dims, strides = _verdict_grid(plan)
+    pairs = plan.pairs
     # every hit has root yca u and slope yca w, so one comparison, the
     # rule sticky_pair, decides the stickiness of them all
     admissible = pruned.gamma[w].lam > h
     idx, grp = np.array(idx, dtype=np.int64), np.array(grp)
+    first = idx - origin
 
     out = []
     rows = max(1, _PAIR_BLOCK // len(under))
     for b0 in range(0, len(under), rows):
-        delta = idx[b0:b0 + rows, None, :] - idx[None, :, :]
-        near = (grp[b0:b0 + rows, None] != grp) & ((delta * delta).sum(axis=2) <= reach)
-        i1, i2 = np.nonzero(near)
-        dsel = delta[i1, i2]
-        inside = np.ones((len(dsel), len(pairs)), dtype=bool)
+        # delta - origin per (t1, t2, axis); unsigned, below dims in the hull
+        x = first[b0:b0 + rows, None] - idx
+        keep = grp[b0:b0 + rows, None] != grp
         for i in range(d):
-            x = dsel[:, i, None]
-            inside &= (box[:, i, 0] <= x) & (x <= box[:, i, 1])
-        hit_p, hit_q = np.nonzero(inside)  # row-major: t1, t2, then (c1, c2)
-        deltas = list(map(tuple, dsel.tolist()))
-        i1, i2 = (i1 + b0).tolist(), i2.tolist()
-        for p, q in zip(hit_p.tolist(), hit_q.tolist()):
-            delta_p = deltas[p]
-            c1, c2, cross, moving, b = pairs[q]
-            key = (delta_p, q)
-            geometric = verdicts.get(key)
-            if geometric is None:
-                geometric = all(fi * delta_p[i] + fj * delta_p[j] < bound
+            keep &= x[:, :, i].view(np.uint64) < dims[i]
+        i1, i2 = keep.nonzero()  # row-major: t1, then t2
+        x = x[i1, i2]  # per kept pair
+        at = x @ strides  # its row of the table
+        got = table[at]  # the verdicts of every code pair, per kept pair
+        new_p, new_q = (got < 0).nonzero()
+        if len(new_p):
+            for r, q, dl in zip(at[new_p].tolist(), new_q.tolist(),
+                                (x[new_p] + origin).tolist()):
+                if table[r, q] >= 0:  # checked for an earlier pair of the block
+                    continue
+                _, _, cross, moving, b = pairs[q]
+                dl = tuple(dl)
+                geometric = all(fi * dl[i] + fj * dl[j] < bound
                                 for i, j, fi, fj, bound in cross)
                 if geometric:
-                    _assert_configuration(pruned, delta_p, moving, b, lo, hi, S, E)
+                    _assert_configuration(pruned, dl, moving, b,
+                                          plan.lo, plan.hi, plan.S, plan.E)
                 # stored after the check, so a configuration that fails it
                 # raises on every call
-                verdicts[key] = geometric
-            if geometric and admissible:
-                out.append(((under[i1[p]], c1), (under[i2[p]], c2)))
+                table[r, q] = geometric
+            got = table[at]
+        if admissible:
+            hit_p, hit_q = (got > 0).nonzero()  # t1, t2, then (c1, c2)
+            out += [((under[a], pairs[q][0]), (under[b], pairs[q][1])) for a, b, q
+                    in zip((i1[hit_p] + b0).tolist(), i2[hit_p].tolist(), hit_q.tolist())]
     return out
 
 
@@ -380,10 +437,22 @@ def enumerate_E3(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
     share t1, so u2 is u or lies inside it: none when it does not, 1 when
     u2 is strictly inside u, and, when u = u2, 2 if t2 and t2' share a
     branch of u and 1 if not.  The two joined pairs are sticky, so
-    the triple is when (t2, v2), (t2', v2') is.  A type other than 1 or 2,
-    or anchors without u, u2, w or w2, raise InvalidInput.
+    the triple is when (t2, v2), (t2', v2') is.  The optional anchors of
+    type 2, ``t`` = D(t2, t2') and ``vtheta`` = D(v2, v2'), filter its
+    triples; a ``t`` that is not a cube of the root lattice and a
+    ``vtheta`` that is neither a splitting vertex nor a slope leaf raise
+    InvalidInput, as do a type other than 1 or 2 and anchors without u,
+    u2, w or w2, all before any early return.
     """
     _check_join(pruned, ctype, anchors, (1, 2))
+    t, vtheta = anchors.get("t"), anchors.get("vtheta")
+    if t is not None:
+        _check_root(pruned, t, anchor=True)
+    if vtheta is not None:
+        _check_root(pruned, vtheta, anchor=True)
+        if vtheta not in pruned.gamma and \
+                vtheta not in map(pruned.slope_leaf, range(len(pruned.slopes))):
+            raise InvalidInput(f"{vtheta!r} is neither a splitting vertex nor a slope leaf")
     u, u2, h = anchors["u"], anchors["u2"], len(anchors["u"])
     types = () if u2[:h] != u else (1,) if len(u2) > h else (1, 2)
     if ctype not in types:
@@ -402,9 +471,9 @@ def enumerate_E3(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
             if not sticky_pair(pruned, b, c):
                 continue
             if ctype == 2:
-                if anchors.get("t") not in (None, youngest_common_ancestor(tb, td)):
+                if t not in (None, youngest_common_ancestor(tb, td)):
                     continue
-                if anchors.get("vtheta") not in (None, pruned.slope_yca(cb, cd)):
+                if vtheta not in (None, pruned.slope_yca(cb, cd)):
                     continue
             out.append((a, b, c))
     return out

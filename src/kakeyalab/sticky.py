@@ -383,7 +383,10 @@ def classify_roots(roots) -> RootConfiguration:
     tuple: (t1, t2, t2') or, for the ordered pairs (t1, t2) and (t1',
     t2'), (t1, t2, t1', t2').  The configurations of the last
     ``CONFIG_CACHE_SIZE`` root tuples are kept, and invalid input raises
-    on every call."""
+    on every call.  With no instance, it checks only the form of its
+    roots (a list or tuple of 3 or 4, each a tuple, hashable and
+    distinct), never that they are cubes of a lattice: callers holding an
+    instance check that, as ``sticky._root`` does."""
     if type(roots) not in (list, tuple) or len(roots) not in (3, 4) \
             or not all(type(t) is tuple for t in roots):
         raise InvalidInput("expected a list or tuple of 3 or 4 roots, each a tuple")

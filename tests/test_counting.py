@@ -192,8 +192,8 @@ def test_e2_plans_check_each_configuration_once(inst3, monkeypatch):
     # the benchmark's sweep, every anchor u up to height 2, every w and
     # rho 1/3 to 1/81, each call on its own subset of 5 roots per branch:
     # from cold plans it checks each configuration once, as many as the
-    # plans keep and at most the lattice points of their boxes, and the
-    # same sweep again checks none
+    # verdict tables hold asserted entries and at most the lattice points
+    # of their boxes, and the same sweep again checks none
     roots = all_root_cubes(inst3)
     anchors = sorted({t[:h] for t in roots for h in (0, 1, 2)})
     rhos = [F(1, 3), F(1, 9), F(1, 27), F(1, 81)]
@@ -204,14 +204,15 @@ def test_e2_plans_check_each_configuration_once(inst3, monkeypatch):
                         lambda *args: checked.append(args) or check(*args))
     counting._plan.cache_clear()
     want = [enumerate_E2(inst3, *call) for call in calls]
-    plans = [plan for w, rho in product(inst3.gamma, rhos)
-             if (plan := counting._plan(inst3, w, rho, 10)) is not None]
-    verdicts = [v for plan in plans for v in plan[-1].values()]
-    bound = sum(int(np.prod(np.maximum(box[:, :, 1] - box[:, :, 0] + 1, 0), axis=1).sum())
-                for _, box, *_ in plans)
-    # d = 1 has no cross forms, so every configuration in a box is checked
-    assert any(want) and all(verdicts)
-    assert 0 < len(checked) == len(verdicts) <= bound
+    plans = [plan for w, rho in product(inst3.gamma, rhos) if (plan := counting._plan(
+        inst3, w, rho.numerator, rho.denominator, 10)) is not None]
+    tables = [plan.grid[0] for plan in plans]  # the u = () calls reach every plan
+    bound = sum(int(np.prod(np.maximum(plan.box[:, :, 1] - plan.box[:, :, 0] + 1, 0),
+                            axis=1).sum()) for plan in plans)
+    # d = 1 has no cross forms, so every configuration in a box is a hit:
+    # a table entry reads 0 only outside its code pair's box
+    assert any(want) and sum(int((t != 0).sum()) for t in tables) == bound
+    assert 0 < len(checked) == sum(int((t == 1).sum()) for t in tables) <= bound
     checked.clear()
     assert [enumerate_E2(inst3, *call) for call in calls] == want
     assert checked == []
@@ -525,6 +526,21 @@ def test_e2_refuses_offsets_beyond_int64(inst2):
         enumerate_E2(fine, (), inst2.psi(()), F(1, 4), roots=[])
 
 
+def test_e2_refuses_a_verdict_table_beyond_the_cap(inst2):
+    # at J = 31 the boxes reach about 2^31 offsets each way: a scan with
+    # two roots would build a table of far more than VERDICT_CAP entries,
+    # and is refused before the table is built; with no roots the call
+    # returns before it reaches the table
+    big = copy.copy(inst2)
+    big.J, big.roots = 31, {}  # its own root table, so inst2's keeps no J = 31 root
+    w, rho = inst2.psi(()), F(1, 4)
+    assert enumerate_E2(big, (), w, rho, roots=[]) == []
+    for _ in range(2):
+        with pytest.raises(SizeCapExceeded, match=f"exceeds the cap {counting.VERDICT_CAP}"):
+            enumerate_E2(big, (), w, rho, roots=[((0,),) * 31, ((1,),) * 31])
+    assert counting._plan(big, w, 1, 4, 10).grid is None
+
+
 def test_e2_membership_structure(inst3):
     g1 = inst3.psi(())
     pairs = enumerate_E2(inst3, (), g1, F(1, 3))
@@ -765,6 +781,26 @@ def test_joins_refuse_unknown_types_and_missing_anchors(inst3):
         for join in (enumerate_E3, enumerate_E4):
             with pytest.raises(InvalidInput, match=f"anchors lack {key}$"):
                 join(inst3, 1, partial, F(1, 3))
+
+
+@pytest.mark.parametrize("key, bad, match", [
+    ("t", [(1,), (0,)], "anchor"), ("t", ((9,),), "anchor"), ("t", ((0,),) * 5, "anchor"),
+    ("vtheta", "x", "anchor"), ("vtheta", ((7,), (7,)), "anchor"),
+    ("vtheta", ((1,),), "neither a splitting vertex nor a slope leaf"),
+], ids=["t_list", "t_off_lattice", "t_too_deep", "vtheta_str", "vtheta_off_lattice",
+        "vtheta_not_vertex_or_leaf"])
+def test_e3_refuses_bad_optional_anchors(inst3, key, bad, match):
+    # the type-2 anchors t and vtheta are refused by name, for both types,
+    # on anchors with records and on anchors that rule every type out
+    roots, rho = all_root_cubes(inst3)[::2], F(1, 27)
+    anchors = {"u": (), "u2": (), "w": (), "w2": ()}
+    good = {"t": ((1,), (0,)), "vtheta": inst3.slope_leaf(0)}
+    assert len(enumerate_E3(inst3, 2, {**anchors, "t": good["t"]}, rho, roots=roots)) == 4
+    enumerate_E3(inst3, 2, {**anchors, "vtheta": good["vtheta"]}, rho, roots=roots)
+    for base in (anchors, {**anchors, "u": ((0,),)}):
+        for ctype in (1, 2):
+            with pytest.raises(InvalidInput, match=match):
+                enumerate_E3(inst3, ctype, {**base, key: bad}, rho, roots=roots)
 
 
 def test_e3_join_structure(inst3):
