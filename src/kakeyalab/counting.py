@@ -99,14 +99,15 @@ def _check_anchors(pruned: PrunedSlopeTree, us=(), ws=()) -> None:
 # ---------------------------------------------------------------------------
 
 class _Plan:
-    """An E2 plan of :func:`_plan`: its fields, and the verdict table of
-    :func:`_verdict_grid`, None until a scan first reaches it."""
+    """An E2 plan of :func:`_plan`: its fields, the verdict table of
+    :func:`_verdict_grid`, None until a scan first reaches it, and the
+    number of its unchecked entries."""
 
-    __slots__ = ("pairs", "box", "lo", "hi", "S", "E", "grid")
+    __slots__ = ("pairs", "box", "lo", "hi", "S", "E", "grid", "unchecked")
 
     def __init__(self, pairs, box, lo, hi, S, E):
         self.pairs, self.box, self.lo, self.hi, self.S, self.E = pairs, box, lo, hi, S, E
-        self.grid = None
+        self.grid, self.unchecked = None, 0
 
 
 @lru_cache(maxsize=256)
@@ -208,6 +209,7 @@ def _verdict_grid(plan: _Plan) -> tuple:
             inside = (inside[:, None] & (box[:, i, 0] <= x) & (x <= box[:, i, 1])
                       ).reshape(-1, n)
         strides = [prod(dims[i + 1:]) for i in range(d)]
+        plan.unchecked = int(inside.sum())
         plan.grid = (-inside.astype(np.int8), np.array(origin, dtype=np.int64),
                      np.array(dims, dtype=np.uint64), np.array(strides, dtype=np.int64))
     return plan.grid
@@ -271,8 +273,11 @@ def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
     table, origin, dims, strides = _verdict_grid(plan)
     pairs = plan.pairs
     # every hit has root yca u and slope yca w, so one comparison, the
-    # rule sticky_pair, decides the stickiness of them all
+    # rule sticky_pair, decides the stickiness of them all; with none
+    # sticky, a scan only checks configurations, and a full table has none
     admissible = pruned.gamma[w].lam > h
+    if not admissible and not plan.unchecked:
+        return []
     idx, grp = np.array(idx, dtype=np.int64), np.array(grp)
     first = idx - origin
 
@@ -288,7 +293,7 @@ def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
         x = x[i1, i2]  # per kept pair
         at = x @ strides  # its row of the table
         got = table[at]  # the verdicts of every code pair, per kept pair
-        new_p, new_q = (got < 0).nonzero()
+        new_p, new_q = (got < 0).nonzero() if plan.unchecked else ((), ())
         if len(new_p):
             for r, q, dl in zip(at[new_p].tolist(), new_q.tolist(),
                                 (x[new_p] + origin).tolist()):
@@ -304,6 +309,7 @@ def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
                 # stored after the check, so a configuration that fails it
                 # raises on every call
                 table[r, q] = geometric
+                plan.unchecked -= 1
             got = table[at]
         if admissible:
             hit_p, hit_q = (got > 0).nonzero()  # t1, t2, then (c1, c2)

@@ -213,6 +213,7 @@ def test_e2_plans_check_each_configuration_once(inst3, monkeypatch):
     # a table entry reads 0 only outside its code pair's box
     assert any(want) and sum(int((t != 0).sum()) for t in tables) == bound
     assert 0 < len(checked) == sum(int((t == 1).sum()) for t in tables) <= bound
+    assert [plan.unchecked for plan in plans] == [int((t < 0).sum()) for t in tables]
     checked.clear()
     assert [enumerate_E2(inst3, *call) for call in calls] == want
     assert checked == []
