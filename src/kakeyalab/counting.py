@@ -241,8 +241,9 @@ def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
     on every call.  The records are zipped from the hit arrays.
     Stickiness and the int64 refusal are decided once per call: every hit
     has root yca u and slope yca w, so by the two-pair rule ``sticky_pair``
-    it is sticky exactly when lambda(w) > h(u).  ``enumerate_E2_bruteforce``
-    is the independent Fraction oracle.
+    it is sticky exactly when lambda(w) > h(u); a call with no sticky pair
+    and a plan with no unchecked entry returns before its scan.
+    ``enumerate_E2_bruteforce`` is the independent Fraction oracle.
     """
     _check_anchors(pruned, (u,), (w,))
     roots = _scan_roots(pruned, roots)
