@@ -795,9 +795,9 @@ def test_e3_refuses_bad_optional_anchors(inst3, key, bad, match):
     # on anchors with records and on anchors that rule every type out
     roots, rho = all_root_cubes(inst3)[::2], F(1, 27)
     anchors = {"u": (), "u2": (), "w": (), "w2": ()}
-    good = {"t": ((1,), (0,)), "vtheta": inst3.slope_leaf(0)}
-    assert len(enumerate_E3(inst3, 2, {**anchors, "t": good["t"]}, rho, roots=roots)) == 4
-    enumerate_E3(inst3, 2, {**anchors, "vtheta": good["vtheta"]}, rho, roots=roots)
+    # good forms: a lattice cube t, here keeping 4 records, and a slope leaf
+    assert len(enumerate_E3(inst3, 2, {**anchors, "t": ((1,), (0,))}, rho, roots=roots)) == 4
+    enumerate_E3(inst3, 2, {**anchors, "vtheta": inst3.slope_leaf(0)}, rho, roots=roots)
     for base in (anchors, {**anchors, "u": ((0,),)}):
         for ctype in (1, 2):
             with pytest.raises(InvalidInput, match=match):
