@@ -3,7 +3,7 @@
 Every random quantity is derived by hashing integer keys through splitmix64,
 so a fixed master seed reproduces every bit regardless of query order.
 
-Published derivation rules (kept in sync with README):
+Published derivation rules:
 
 * ``mix64(x)``: one splitmix64 finalization round.
 * warehouse bit for cube at height ``k`` with per-axis cell indices

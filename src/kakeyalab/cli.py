@@ -31,10 +31,8 @@ from .lacunarity import (
     GeneratorSpec,
     _check_cap,
     decompose_lacunary_order,
-    decompose_split_one,
     direction_evidence,
     generate,
-    is_lacunary_sequence,
     spec_tree,
     verify_witness,
 )
@@ -60,6 +58,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def cmd_encode(args) -> int:
+    if args.base < 2 or args.height < 0:
+        raise InvalidInput("need --base >= 2 and --height >= 0")
     pts = generate(args.set)
     _check_cap((c for p in pts for c in p), _JSON_CAP_BITS)
     print(points_to_json(pts, args.base, len(pts[0]), args.height))
@@ -78,14 +78,19 @@ def cmd_split_number(args) -> int:
 
 
 def cmd_lacunarity(args) -> int:
+    """A 1-d set's verified lacunary witnesses.  A set in [0,1)^d with
+    d >= 2 has no decomposition here: the command prints ``d``, the
+    splitting number of its d-dimensional tree and, under ``projections``,
+    those of its projections onto the axes and the diagonals keyed by
+    direction as ``"1,-1"``, which are evidence only.  For
+    ``carbery:lam=1/2,kmax=4,d=2`` at M = 2 the tree reads 2 and the
+    projections 1, 1, 2 and 3."""
     spec = GeneratorSpec.parse(args.set)
     pts = generate(spec)
     # every rational written below has at most the bits of these points
     _check_cap((c for p in pts for c in p), _JSON_CAP_BITS)
     d = len(pts[0])
     if d > 1:
-        if args.order_one:
-            raise InvalidInput(f"--order-one decomposes 1-d sets; this set has d = {d}")
         evidence = direction_evidence(pts, args.base)
         print(json.dumps({
             "d": d,
@@ -93,18 +98,7 @@ def cmd_lacunarity(args) -> int:
             "projections": {",".join(map(str, w)): n for w, n in evidence.items()},
         }, indent=1))
         return 0
-    pts = [p[0] for p in pts]
-    if args.order_one:
-        seqs = decompose_split_one(pts, args.base)
-        ok = all(is_lacunary_sequence(s, a, Fraction(1, args.base))
-                 for s, a in seqs)
-        print(json.dumps({
-            "sequences": len(seqs), "bound_6M": 6 * args.base,
-            "all_verified": ok,
-            "members": [[str(x) for x in s] for s, _ in seqs],
-        }, indent=1))
-        return 0 if ok else 3
-    pieces, order = decompose_lacunary_order(pts, args.base)
+    pieces, order = decompose_lacunary_order([p[0] for p in pts], args.base)
     ok = all(verify_witness(list(sub), w) for sub, w in pieces)
     print(json.dumps({
         "order": order, "pieces": len(pieces), "all_verified": ok,
@@ -206,8 +200,11 @@ def cmd_verify_prob(args) -> int:
 
 def _config_from_args(args) -> ExperimentConfig:
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            return ExperimentConfig.from_json(fh.read())
+        try:
+            with open(args.config) as fh:
+                return ExperimentConfig.from_json(fh.read())
+        except (OSError, InvalidInput) as exc:
+            raise InvalidInput(f"{args.config}: {exc}") from None
     return ExperimentConfig(**{f.name: getattr(args, f.name) for f in _config_fields()
                                if getattr(args, f.name) is not None})
 
@@ -251,7 +248,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("lacunarity", help="decompose and verify lacunarity")
     p.add_argument("--set", required=True)
     p.add_argument("--base", type=int, default=2)
-    p.add_argument("--order-one", action="store_true")
     p.set_defaults(fn=cmd_lacunarity)
 
     p = sub.add_parser("prune", help="emit a pruned slope tree as JSON")

@@ -98,7 +98,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        obj = json.loads(text)
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InvalidInput(f"config is not JSON: {exc}") from None
+        if not isinstance(obj, dict):
+            raise InvalidInput("config is not a JSON object")
         unknown = sorted(set(obj) - {f.name for f in fields(cls)})
         if unknown:
             raise InvalidInput(f"unknown config keys: {', '.join(unknown)}")

@@ -77,6 +77,7 @@ class LacunaryWitness:
         return sorted(set(self.special) | {self.alpha})
 
     def to_jsonable(self):
+        """Witness JSON for audits, the children keyed by gap index."""
         return {
             "order": self.order,
             "lambda": str(self.lam),
@@ -188,11 +189,11 @@ def decompose_split_one(points: Sequence[Rational], M: int):
     constant <= 1/M.  Their union (as sets) covers the input.
     """
     pts = sorted(set(points))
+    tree = CondensedTree(pts, M)
     if not pts:
         return []
     if len(pts) == 1:
         return [((pts[0],), pts[0])]
-    tree = CondensedTree(pts, M)
     split = tree.split_value()
     if split != 1:
         raise InvalidInput(f"splitting number is {split}, not 1")
@@ -228,9 +229,9 @@ def decompose_lacunary_order(points: Sequence[Rational], M: int,
     pts = sorted(set(points))
     if _depth > 64:
         raise SizeCapExceeded("decomposition recursion too deep")
+    tree = CondensedTree(pts, M)
     if len(pts) <= 1:
         return [(tuple(pts), LacunaryWitness(order=0))], 0
-    tree = CondensedTree(pts, M)
     N = tree.split_value()
     if N == 1:
         pieces = [(seq, LacunaryWitness(order=1, lam=Fraction(1, M),

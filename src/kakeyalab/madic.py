@@ -343,7 +343,7 @@ def agreement_height_scalar(a: Fraction, b: Fraction, M: int) -> int:
     the (untruncated) M-adic tree, computed without materializing digits.
     The tree of a set that meets several unit intervals [n, n+1) joins
     them under one root at height -1, so an integer shift of the set
-    changes no agreement height.
+    changes no agreement height, splitting number or decomposition.
     """
     if a == b:
         raise InvalidInput("equal points have unbounded agreement")
@@ -375,10 +375,13 @@ class CondensedTree:
     stay cheap.  A run branches where its adjacent points agree least.
     One left-to-right pass over the adjacent agreement heights, with a
     stack of the open runs, records every run's children and split value;
-    nothing recurses.
+    nothing recurses, so a chain of 20,000 nested runs ({2^-j : j = 1..20,000}
+    at M = 2) needs no raised recursion limit.
     """
 
     def __init__(self, pts: Sequence[Fraction], M: int):
+        if M < 2:
+            raise InvalidInput("need M >= 2")
         self.pts = pts
         self._children: dict[tuple[int, int], list[tuple[int, int]]] = {}
         self._split: dict[tuple[int, int], int] = {}
@@ -417,11 +420,15 @@ class CondensedTree:
 
 
 def splitting_number_1d_points(points: Sequence[Fraction], M: int) -> int:
-    """Splitting number of the untruncated tree of a finite 1-d rational set."""
+    """Splitting number of the untruncated tree of a finite 1-d rational set.
+
+    It reads the set through the M-adic grid, so it bounds the lacunary
+    order from above and need not equal it: {+-2^-j : j = 1..7}, a union of
+    two lacunary sequences converging to 0, reads 2 at M = 2 at every
+    integer shift."""
     pts = sorted(set(points))
-    if len(pts) <= 1:
-        return 0
-    return CondensedTree(pts, M).split_value()
+    tree = CondensedTree(pts, M)  # refuses M < 2 at any size
+    return tree.split_value() if len(pts) > 1 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +436,8 @@ def splitting_number_1d_points(points: Sequence[Fraction], M: int) -> int:
 # ---------------------------------------------------------------------------
 
 def points_to_json(points: Sequence[Point], M: int, d: int, J: int) -> str:
+    """The JSON that ``encode`` prints, such as ``{"M": 3, "d": 1, "J": 4,
+    "points": [["1/3"], ["2/9"]]}``; no command reads it."""
     return json.dumps({
         "M": M, "d": d, "J": J,
         "points": [[f"{c.numerator}/{c.denominator}" for c in p] for p in points],

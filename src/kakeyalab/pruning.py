@@ -292,6 +292,7 @@ class PrunedSlopeTree:
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> str:
+        """The slopes, ``J``, the splitting-vertex table and the coding table."""
         def frac(x):
             return f"{x.numerator}/{x.denominator}"
 

@@ -4,10 +4,11 @@
 prints on stdout.  The ``prune`` output pins the pruned slope tree (slopes,
 splitting vertices, coding table, fundamental heights); the ``verify-prob``
 output pins ``pairs_checked``, the number of sticky-admissible root-slope
-pairs of its instance.  The ``lacunarity`` lines pin an order-one
-decomposition, an order-4 one with nested witnesses, an order-1 one
-found by the general descent, and the d = 2 tree's splitting number of
-Carbery's product set with its projections; ``percolate`` pins the exact fair-bit
+pairs of its instance.  The ``lacunarity`` lines pin the verified
+witnesses of two order-1 sets (the power sequence's three special lists
+are its split-1 decomposition), an order-4 one with nested witnesses,
+and the d = 2 tree's splitting number of Carbery's product set with its
+projections; ``percolate`` pins the exact fair-bit
 resistance, survival and bounds with a seeded Monte Carlo estimate;
 ``encode`` pins the Parcet-Rogers direction points, and ``split-number``
 the d = 2 tree's splitting number of Carbery's product set.  Regenerate only when
@@ -30,7 +31,7 @@ GOLDEN = Path(__file__).parent / "golden" / "cli.json"
 COMMANDS = (
     "prune --set cantor:depth=40 --base 3 --N 3 --C0 2",
     "verify-prob --generator full:depth=12 --M 2 --C0 1 --N 2",
-    "lacunarity --set power:lam=1/2,J=12 --base 2 --order-one",
+    "lacunarity --set power:lam=1/2,J=12 --base 2",
     "lacunarity --set cantor:L=4 --base 3",
     "lacunarity --set perturbed_geometric:jmax=4 --base 2",
     "lacunarity --set carbery:lam=1/2,kmax=4,d=2 --base 2",

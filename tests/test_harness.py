@@ -405,6 +405,21 @@ def test_cli_config_with_unknown_key_exit_code(tmp_path, capsys):
     assert "unknown config keys: d, ratio_c" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[]", "config is not a JSON object"),
+    ("5", "config is not a JSON object"),
+    ("{bad", "config is not JSON"),
+    (None, "No such file"),
+])
+def test_cli_unreadable_config_file_exit_code(text, message, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    assert cli_main(["far-slab", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid input: {path}: ") and message in err
+
+
 @pytest.mark.parametrize("argv", [
     ["volume", "--N", "2", "--slices", "-1"],
     ["ratio", "--seeds", "2", "--n-values", "2", "--slices", "-1"],

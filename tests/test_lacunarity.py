@@ -350,8 +350,8 @@ def test_spec_keys_cover_what_the_readers_use():
     assert len(generate("nsw")) == 8  # the default exponents 1+2
 
 
-def _lacunarity_command(spec, M, *extra):
-    return cli_main(["lacunarity", "--set", spec, "--base", str(M), *extra])
+def _lacunarity_command(spec, M):
+    return cli_main(["lacunarity", "--set", spec, "--base", str(M)])
 
 
 @pytest.mark.parametrize("M", [2, 3])
@@ -362,8 +362,22 @@ def test_lacunarity_command_reads_every_coordinate(spec, M, capsys):
     assert out["d"] == 2
     assert out["splitting_number"] == splitting_number(spec_tree(spec, M))
     assert sorted(out["projections"]) == ["0,1", "1,-1", "1,0", "1,1"]
-    # the 1-d decompositions refuse a set in [0,1)^2
-    assert _lacunarity_command(spec, M, "--order-one") == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["split-number", "--set", "cantor:L=3", "--base", "1"],
+    ["split-number", "--set", "cantor:L=3", "--base", "0"],
+    ["split-number", "--set", "power:lam=1/2,J=1", "--base", "1"],
+    ["lacunarity", "--set", "power:lam=1/2,J=1", "--base", "0"],
+    ["lacunarity", "--set", "power:lam=1/2,J=6", "--base", "1"],
+    ["lacunarity", "--set", "carbery:lam=1/2,kmax=4,d=2", "--base", "0"],
+    ["encode", "--set", "dyadic:m=1", "--base", "1"],
+    ["encode", "--set", "dyadic:m=1", "--base", "2", "--height", "-1"],
+])
+def test_bases_below_two_and_negative_heights_are_refused(argv, capsys):
+    assert cli_main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("invalid input: need")
 
 
 def test_unprintable_point_sets_are_refused_by_name(capsys):

@@ -254,6 +254,13 @@ def _reference_tree(pts, M):
     return children, split
 
 
+@pytest.mark.parametrize("M", [1, 0, -2])
+def test_condensed_tree_refuses_bases_below_two(M):
+    # as MadicTree does; agreement heights divide by log2 M
+    with pytest.raises(InvalidInput, match="need M >= 2"):
+        CondensedTree([F(1, 4), F(1, 2)], M)
+
+
 @pytest.mark.parametrize("M", [2, 3, 5])
 def test_condensed_tree_matches_the_recursive_definition(M):
     rng = random.Random(M)
