@@ -9,8 +9,10 @@ numerators ``pruned.sigma`` over the instance's one denominator
 cross-sections within the tube side on every axis is a set of integer
 comparisons, run in one numpy pass per call.  What a scan reads of
 neither u nor its roots is one cached plan per (instance, w, rho, A0),
-which also keeps an int8 verdict table with one row per root offset and
-one column per code pair.  The scan reads its hits as arrays keyed by
+which also holds a bool verdict table with one row per root offset and
+one column per code pair, complete and read-only once the plan is built
+(a plan that cannot be built raises on every call, however few its
+roots).  The scan reads its hits as arrays keyed by
 (root offset, code pair) off that table and zips the records from them
 last; a sum grouped by configuration, such as the sum of probability
 times intersection volume over E2, should read those arrays, not the
@@ -40,6 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import isqrt, prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +52,7 @@ from .pruning import PrunedSlopeTree, slope_metrics
 from .sticky import (_check_root, _max_cross, _root, classify_roots, is_sticky_admissible,
                      sticky_pair)
 from .tubes import (
+    DEFAULT_A0,
     SlabWindow,
     clip_x1,
     cross_section_dilation,
@@ -98,37 +102,47 @@ def _check_anchors(pruned: PrunedSlopeTree, us=(), ws=()) -> None:
 # pair collections
 # ---------------------------------------------------------------------------
 
-class _Plan:
-    """An E2 plan of :func:`_plan`: its fields, the verdict table of
-    :func:`_verdict_grid`, None until a scan first reaches it, and the
-    number of its unchecked entries."""
+class _Plan(NamedTuple):
+    """An E2 plan of :func:`_plan`, read-only: the (c1, c2) code pairs
+    whose slope leaves separate exactly at w, and the verdict table with
+    its frame.
 
-    __slots__ = ("pairs", "box", "lo", "hi", "S", "E", "grid", "unchecked")
+    ``table`` has one bool row per root offset in the hull of the code
+    pairs' boxes, row-major from ``origin`` over ``dims`` (uint64, so that
+    an unsigned delta - origin < dims puts delta in the hull), and one
+    column per code pair, True exactly for a hit.  Offset delta is row
+    (delta - origin) . strides."""
 
-    def __init__(self, pairs, box, lo, hi, S, E):
-        self.pairs, self.box, self.lo, self.hi, self.S, self.E = pairs, box, lo, hi, S, E
-        self.grid, self.unchecked = None, 0
+    pairs: tuple
+    table: np.ndarray
+    origin: np.ndarray
+    dims: np.ndarray
+    strides: np.ndarray
 
 
 @lru_cache(maxsize=256)
 def _plan(pruned: PrunedSlopeTree, w: Address, p: int, q: int, A0: int):
     """What an E2 scan over [rho, 2 rho], rho = p/q in lowest terms, with
     slope anchor w reads of neither u nor its roots, or None when every
-    such scan is empty.
+    such scan is empty; its verdict table is complete when this returns,
+    and nothing writes to it again.
 
-    The window cut to [lo, hi] by ``clip_x1``, the tube side S/(E M^J),
-    the code pairs (c1, c2, cross, moving, b) whose slope leaves separate
-    exactly at w and the int64 ``box`` of each code pair, (code pair,
-    axis, end).  With D the slope-lattice denominator ``pruned.D``, the
-    slope difference of a pair is b/D on each axis, ``b`` holding the
+    The window is cut to [lo, hi] by ``clip_x1`` and the tube side is
+    S/(E M^J).  With D the slope-lattice denominator ``pruned.D``, the
+    slope difference of a code pair is b/D on each axis, ``b`` holding the
     signed integers; a root offset delta (centres delta/M^J apart)
     overlaps at some x1 in [lo, hi] exactly when every axis keeps delta in
-    its closed ``box`` and every ``cross`` form (i, j, f_i, f_j, bound)
-    has f_i delta_i + f_j delta_j < bound.  The box comes from lo < r2 and
+    the pair's closed box and every cross form (i, j, f_i, f_j, bound) has
+    f_i delta_i + f_j delta_j < bound.  The box comes from lo < r2 and
     r1 < hi on a moving axis (i, sgn, |b_i|) and from |a| < s on a still
-    one, cut to the reach of a hit; the cross forms are r1_i < r2_j.  A
-    configuration's check reads only these fields and delta, so the
-    verdict table kept with the plan holds each verdict once per plan.
+    one, cut to the reach of a hit; the cross forms are r1_i < r2_j.  Each
+    in-box entry with a nonzero offset (no root pair has offset 0) is
+    decided once, by the cross forms (d >= 2) and, for a hit, by
+    :func:`_assert_configuration`, whose Fraction oracle is
+    ``tubes.assert_pair_inequalities``.  A table of more than
+    ``VERDICT_CAP`` entries raises SizeCapExceeded before it is built, and
+    a failing check raises too; either way nothing is cached, so every
+    call on the key raises, a call with no roots included.
     """
     win = SlabWindow(Fraction(p, q), 2)
     M, d, J = pruned.M, pruned.d, pruned.J
@@ -150,7 +164,7 @@ def _plan(pruned: PrunedSlopeTree, w: Address, p: int, q: int, A0: int):
     still = -(-S // E) - 1  # |delta| E < S
     pl, ql, ph, qh = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     codes = range(2 ** pruned.N)
-    pairs, boxes = [], []
+    pairs, forms, boxes = [], [], []
     for c1 in codes:
         for c2 in codes:
             if pruned.slope_yca(c1, c2) != w:
@@ -171,52 +185,39 @@ def _plan(pruned: PrunedSlopeTree, w: Address, p: int, q: int, A0: int):
             # E (x_j B_i - x_i B_j) < S (B_i + B_j)
             cross = tuple((i, j, -E * si * Bj, E * sj * Bi, S * (Bi + Bj))
                           for i, si, Bi in moving for j, sj, Bj in moving if i != j)
-            pairs.append((c1, c2, cross, tuple(moving), b))
+            pairs.append((c1, c2))
+            forms.append((cross, tuple(moving), b))
             boxes.append([(max(l, -lim), min(r, lim)) for l, r in box])
-    # the two children of the splitting vertex w give some code pair
-    box = np.array(boxes, dtype=np.int64)
-    box.flags.writeable = False  # shared by every call with this key
-    return _Plan(tuple(pairs), box, lo, hi, S, E)
-
-
-def _verdict_grid(plan: _Plan) -> tuple:
-    """The plan's verdict table and its frame (table, origin, dims,
-    strides), built on first use.
-
-    The table has one int8 row per root offset in the hull of the code
-    pairs' boxes (per axis, least box start to largest box end, over the
-    boxes that hold a lattice point), row-major from ``origin`` over
-    ``dims`` (uint64, so that an unsigned delta - origin < dims puts delta
-    in the hull), and one column per code pair: -1 where the offset lies
-    in that pair's box and is unchecked, 0 for a miss and 1 for a hit
-    whose ``_assert_configuration`` returned.  Offset delta is row
-    (delta - origin) . strides.  A table of more than ``VERDICT_CAP`` entries
-    raises SizeCapExceeded before anything is allocated.
-    """
-    if plan.grid is None:
-        box, n = plan.box, len(plan.pairs)
-        full = box[(box[:, :, 0] <= box[:, :, 1]).all(axis=1)]
-        d = box.shape[1]
-        origin = full[:, :, 0].min(axis=0).tolist() if len(full) else [0] * d
-        end = full[:, :, 1].max(axis=0).tolist() if len(full) else [-1] * d
-        dims = [b - a + 1 for a, b in zip(origin, end)]
-        if n * prod(dims) > VERDICT_CAP:
-            raise SizeCapExceeded(f"a verdict table of {n * prod(dims)} entries "
-                                  f"exceeds the cap {VERDICT_CAP}")
-        inside = np.ones((1, n), dtype=bool)
-        for i, (a, b) in enumerate(zip(origin, end)):
-            x = np.arange(a, b + 1)[:, None]
-            inside = (inside[:, None] & (box[:, i, 0] <= x) & (x <= box[:, i, 1])
-                      ).reshape(-1, n)
-        strides = [prod(dims[i + 1:]) for i in range(d)]
-        plan.unchecked = int(inside.sum())
-        plan.grid = (-inside.astype(np.int8), np.array(origin, dtype=np.int64),
-                     np.array(dims, dtype=np.uint64), np.array(strides, dtype=np.int64))
-    return plan.grid
+    # the two children of the splitting vertex w give some code pair; the
+    # hull spans, per axis, the boxes that hold a lattice point
+    box, n = np.array(boxes, dtype=np.int64), len(pairs)
+    full = box[(box[:, :, 0] <= box[:, :, 1]).all(axis=1)]
+    origin = full[:, :, 0].min(axis=0) if len(full) else np.zeros(d, dtype=np.int64)
+    dims = (full[:, :, 1].max(axis=0) - origin + 1).tolist() if len(full) else [0] * d
+    if n * prod(dims) > VERDICT_CAP:
+        raise SizeCapExceeded(f"a verdict table of {n * prod(dims)} entries "
+                              f"exceeds the cap {VERDICT_CAP}")
+    # every offset of the hull, row-major, and the boxes that hold it
+    delta = np.indices(dims).reshape(d, -1).T + origin
+    table = ((box[:, :, 0] <= delta[:, None]) & (delta[:, None] <= box[:, :, 1])).all(axis=2)
+    table[(delta == 0).all(axis=1)] = False
+    rows, cols = table.nonzero()
+    for r, q, dl in zip(rows.tolist(), cols.tolist(), delta[rows].tolist()):
+        cross, moving, b = forms[q]
+        if all(fi * dl[i] + fj * dl[j] < bound for i, j, fi, fj, bound in cross):
+            _assert_configuration(pruned, tuple(dl), moving, b, lo, hi, S, E)
+        else:
+            table[r, q] = False
+    strides = [prod(dims[i + 1:]) for i in range(d)]
+    plan = _Plan(tuple(pairs), table, origin, np.array(dims, dtype=np.uint64),
+                 np.array(strides, dtype=np.int64))
+    for a in plan[1:]:
+        a.flags.writeable = False  # shared by every call with this key
+    return plan
 
 
 def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
-                 rho, A0: int = 10, roots=None):
+                 rho, A0: int = DEFAULT_A0, roots=None):
     """All sticky-admissible intersecting pairs ((t1, c1), (t2, c2)) with
     D(t1, t2) = u and D(v1, v2) = w, meeting inside [rho, 2 rho].
 
@@ -225,24 +226,20 @@ def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
     digits at height h(u) differ.  The test of ``tubes.intersects`` (closed
     window ends, open coordinate bounds) becomes integer comparisons on the
     lattice of :func:`_plan`, the part of a scan that is cached, keyed on
-    rho's numerator and denominator.  A call checks its anchors first, then
-    reads each root through the instance's root table (``sticky._root``)
-    before the filter on u, so it refuses every root it reads that is off
-    the lattice, a list among them; a call with no plan returns before it
-    reads a root.  One numpy pass over blocks of t1 keeps the root pairs
-    from different branches of u whose offset lies in the hull of the
-    plan's boxes and reads the verdict of every code pair for them from
-    the plan's table (:func:`_verdict_grid`) with one gather.  Each
-    unchecked (offset, code pair) is decided there once per plan, by the
-    cross forms (d >= 2) and, for a geometric hit, hits that stickiness
-    then rejects included, by :func:`_assert_configuration`, whose
-    Fraction oracle is ``tubes.assert_pair_inequalities``; a verdict is
-    stored only after its check returns, so a failing configuration raises
-    on every call.  The records are zipped from the hit arrays.
-    Stickiness and the int64 refusal are decided once per call: every hit
-    has root yca u and slope yca w, so by the two-pair rule ``sticky_pair``
-    it is sticky exactly when lambda(w) > h(u); a call with no sticky pair
-    and a plan with no unchecked entry returns before its scan.
+    rho's numerator and denominator; its verdict table is complete when
+    the plan is built and only read here.  A call checks its anchors,
+    ``roots`` and the int64 bound first, and returns before it reads a
+    root when there is no plan; a plan it cannot build (a table over
+    ``VERDICT_CAP``, a failing configuration check) raises.  It then reads
+    each root through the instance's root table (``sticky._root``) before
+    the filter on u, so it refuses every root it reads that is off the
+    lattice, a list among them.  Every hit has root yca u and slope yca w,
+    so by the two-pair rule ``sticky_pair`` it is sticky exactly when
+    lambda(w) > h(u); a call with no sticky pair returns once its roots
+    are read.  One numpy pass over blocks of t1 keeps the root pairs from
+    different branches of u whose offset lies in the hull of the plan's
+    table and reads the verdicts of every code pair for them with one
+    gather; the records are zipped from the hit arrays.
     ``enumerate_E2_bruteforce`` is the independent Fraction oracle.
     """
     _check_anchors(pruned, (u,), (w,))
@@ -269,18 +266,11 @@ def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
             under.append(t)
             idx.append(got[1])
             grp.append(branch.setdefault(t[h], len(branch)))
-    if len(under) < 2:
+    if len(under) < 2 or pruned.gamma[w].lam <= h:
         return []
-    table, origin, dims, strides = _verdict_grid(plan)
-    pairs = plan.pairs
-    # every hit has root yca u and slope yca w, so one comparison, the
-    # rule sticky_pair, decides the stickiness of them all; with none
-    # sticky, a scan only checks configurations, and a full table has none
-    admissible = pruned.gamma[w].lam > h
-    if not admissible and not plan.unchecked:
-        return []
+    pairs, table, dims, strides = plan.pairs, plan.table, plan.dims, plan.strides
     idx, grp = np.array(idx, dtype=np.int64), np.array(grp)
-    first = idx - origin
+    first = idx - plan.origin
 
     out = []
     rows = max(1, _PAIR_BLOCK // len(under))
@@ -291,31 +281,10 @@ def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
         for i in range(d):
             keep &= x[:, :, i].view(np.uint64) < dims[i]
         i1, i2 = keep.nonzero()  # row-major: t1, then t2
-        x = x[i1, i2]  # per kept pair
-        at = x @ strides  # its row of the table
-        got = table[at]  # the verdicts of every code pair, per kept pair
-        new_p, new_q = (got < 0).nonzero() if plan.unchecked else ((), ())
-        if len(new_p):
-            for r, q, dl in zip(at[new_p].tolist(), new_q.tolist(),
-                                (x[new_p] + origin).tolist()):
-                if table[r, q] >= 0:  # checked for an earlier pair of the block
-                    continue
-                _, _, cross, moving, b = pairs[q]
-                dl = tuple(dl)
-                geometric = all(fi * dl[i] + fj * dl[j] < bound
-                                for i, j, fi, fj, bound in cross)
-                if geometric:
-                    _assert_configuration(pruned, dl, moving, b,
-                                          plan.lo, plan.hi, plan.S, plan.E)
-                # stored after the check, so a configuration that fails it
-                # raises on every call
-                table[r, q] = geometric
-                plan.unchecked -= 1
-            got = table[at]
-        if admissible:
-            hit_p, hit_q = (got > 0).nonzero()  # t1, t2, then (c1, c2)
-            out += [((under[a], pairs[q][0]), (under[b], pairs[q][1])) for a, b, q
-                    in zip((i1[hit_p] + b0).tolist(), i2[hit_p].tolist(), hit_q.tolist())]
+        # the verdicts of every code pair per kept pair, read off its row
+        hit_p, hit_q = table[x[i1, i2] @ strides].nonzero()  # t1, t2, then (c1, c2)
+        out += [((under[a], pairs[q][0]), (under[b], pairs[q][1])) for a, b, q
+                in zip((i1[hit_p] + b0).tolist(), i2[hit_p].tolist(), hit_q.tolist())]
     return out
 
 
@@ -348,7 +317,7 @@ def _assert_configuration(pruned, delta, moving, b, lo, hi, S, E):
         raise AssertionError("scale inequality |x1||v-v'| >= M^-J/2 fails")
 
 
-def enumerate_E2_bruteforce(pruned, u, w, rho, A0: int = 10, roots=None):
+def enumerate_E2_bruteforce(pruned, u, w, rho, A0: int = DEFAULT_A0, roots=None):
     """Oracle of ``enumerate_E2``: every (t1, t2, c1, c2) with the ancestor
     filters, stickiness and the Fraction test ``tubes.intersects``, with
     no prefilter."""
@@ -435,7 +404,7 @@ def _joined_pairs(pruned, anchors, rho, A0, roots):
 
 
 def enumerate_E3(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
-                 rho, A0: int = 10, roots=None):
+                 rho, A0: int = DEFAULT_A0, roots=None):
     """Sticky-admissible triples ((t1,v1), (t2,v2), (t2',v2')) of the given
     3-point type whose two tube pairs both meet the window, with the
     prescribed anchor vertices.
@@ -487,7 +456,7 @@ def enumerate_E3(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
 
 
 def enumerate_E4(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
-                 rho, A0: int = 10, roots=None):
+                 rho, A0: int = DEFAULT_A0, roots=None):
     """Sticky-admissible quadruples ((t1,v1), (t2,v2), (t1',v1'), (t2',v2'))
     of the given 4-point type with both windowed intersections; necessary
     location conditions are asserted on every returned tuple.
@@ -575,7 +544,7 @@ def _assert_necessary_conditions(pruned, pairs, ctype: int, u: Address, bound, d
 
 
 def bruteforce_E4(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
-                  rho, A0: int = 10, roots=None):
+                  rho, A0: int = DEFAULT_A0, roots=None):
     """Quartic oracle of ``enumerate_E4`` over all root quadruples and slope
     assignments, with ``classify_roots`` and ``is_sticky_admissible``.  The
     ``tubes.intersects`` verdict of each ordered tube pair is taken once

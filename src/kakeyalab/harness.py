@@ -173,8 +173,12 @@ def run_cell(config: ExperimentConfig, n: int, trial: int) -> CellMetrics:
 
     Cached on what the cell reads, so configs that differ only in
     ``seeds``, ``out_dir`` or ``n_values`` share their cells;
-    ``_cell.cache_info()`` counts hits and misses.
+    ``_cell.cache_info()`` counts hits and misses.  A trial outside
+    ``0 <= trial < config.seeds``, a cell no experiment computes, raises
+    InvalidInput.
     """
+    if not 0 <= trial < config.seeds:
+        raise InvalidInput(f"trial {trial} is outside 0..{config.seeds - 1}")
     # not through pruned_instance: a cached cell calls no other function,
     # and perfbench's trace counts a cell with a child span as computed
     pruned = _prune_cached(config.generator, config.M, config.C0, n)

@@ -356,9 +356,11 @@ def agreement_height_scalar(a: Fraction, b: Fraction, M: int) -> int:
     bits = gap.denominator.bit_length() - gap.numerator.bit_length()
     hi = max(0, int((bits + 2) / math.log2(M)) + 2)
     lo = 0
+    # floor(a M^k) in integers, as p M^k // q: no Fraction is built
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if math.floor(a * M**mid) == math.floor(b * M**mid):
+        if an * M**mid // ad == bn * M**mid // bd:
             lo = mid
         else:
             hi = mid - 1

@@ -2,7 +2,7 @@
 inversion counts, the tree-walk oracle of theta and mu, the extension of
 a sticky map to every root-tree vertex, the rasterization oracle, the
 affine image of a lacunary witness and the Fraction references of the
-integer digits and distances."""
+integer digits, distances and agreement heights."""
 
 import math
 from fractions import Fraction
@@ -244,6 +244,16 @@ def random_points(rng, count: int, d: int) -> list:
         pts.add(tuple(Fraction(rng.randrange(q), q) for q in
                       (rng.choice((2, 3, 7, 12, 81, 1000, 3 ** 9)) for _ in range(d))))
     return sorted(pts)
+
+
+def agreement_height_reference(a: Fraction, b: Fraction, M: int) -> int:
+    """Largest k >= 0 with floor(a M^k) == floor(b M^k) for a != b, -1
+    when none, by walking k up with Fraction floors: the reference for
+    ``madic.agreement_height_scalar``."""
+    k = -1
+    while math.floor(a * M ** (k + 1)) == math.floor(b * M ** (k + 1)):
+        k += 1
+    return k
 
 
 def min_distance_sq(points) -> Fraction:

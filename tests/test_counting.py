@@ -1,6 +1,7 @@
 import copy
 import operator
 import random
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction, Fraction as F
@@ -25,6 +26,7 @@ from kakeyalab.errors import InvalidInput, SizeCapExceeded
 from kakeyalab.madic import (
     DigitRuleTree,
     cantor_tree,
+    cube_index,
     full_tree,
     youngest_common_ancestor,
 )
@@ -188,35 +190,83 @@ def test_e2_warm_plan_keeps_configuration_verdicts(inst3, monkeypatch):
             enumerate_E2(inst3, u, g1, rho, roots=roots)
 
 
-def test_e2_plans_check_each_configuration_once(inst3, monkeypatch):
-    # the benchmark's sweep, every anchor u up to height 2, every w and
-    # rho 1/3 to 1/81, each call on its own subset of 5 roots per branch:
-    # from cold plans it checks each configuration once, as many as the
-    # verdict tables hold asserted entries and at most the lattice points
-    # of their boxes, and the same sweep again checks none
-    roots = all_root_cubes(inst3)
+_SCAN_RHOS = [F(1, 3), F(1, 9), F(1, 27), F(1, 81)]
+
+
+def _tuple_scan_calls(pruned):
+    """The benchmark's sweep: every anchor u up to height 2, every w and
+    rho 1/3 to 1/81, each call on its own subset of 5 roots per branch."""
+    roots = all_root_cubes(pruned)
     anchors = sorted({t[:h] for t in roots for h in (0, 1, 2)})
-    rhos = [F(1, 3), F(1, 9), F(1, 27), F(1, 81)]
-    calls = [(u, w, rho, 10, _benchmark_subset(roots, seed)) for seed, (u, w, rho)
-             in enumerate(product(anchors, sorted(inst3.gamma), rhos))]
+    return [(u, w, rho, 10, _benchmark_subset(roots, seed)) for seed, (u, w, rho)
+            in enumerate(product(anchors, sorted(pruned.gamma), _SCAN_RHOS))]
+
+
+def _plans(pruned, rhos, A0=10):
+    """The cached plans of every w and rho, in that order, None dropped."""
+    return [plan for w, rho in product(sorted(pruned.gamma), rhos) if (plan := counting._plan(
+        pruned, w, rho.numerator, rho.denominator, A0)) is not None]
+
+
+def _count_configuration_checks(monkeypatch):
+    """Record the arguments of every configuration check, which still runs."""
     check, checked = counting._assert_configuration, []
     monkeypatch.setattr(counting, "_assert_configuration",
                         lambda *args: checked.append(args) or check(*args))
+    return checked
+
+
+def test_e2_plans_check_each_configuration_once(inst3, monkeypatch):
+    # the benchmark's sweep from cold plans asserts exactly the hits of
+    # their verdict tables, once each: (offset, slope difference, window)
+    # per hit, as often as the tables hold it; the same sweep again
+    # asserts none
+    calls = _tuple_scan_calls(inst3)
+    checked = _count_configuration_checks(monkeypatch)
     counting._plan.cache_clear()
     want = [enumerate_E2(inst3, *call) for call in calls]
-    plans = [plan for w, rho in product(inst3.gamma, rhos) if (plan := counting._plan(
-        inst3, w, rho.numerator, rho.denominator, 10)) is not None]
-    tables = [plan.grid[0] for plan in plans]  # the u = () calls reach every plan
-    bound = sum(int(np.prod(np.maximum(plan.box[:, :, 1] - plan.box[:, :, 0] + 1, 0),
-                            axis=1).sum()) for plan in plans)
-    # d = 1 has no cross forms, so every configuration in a box is a hit:
-    # a table entry reads 0 only outside its code pair's box
-    assert any(want) and sum(int((t != 0).sum()) for t in tables) == bound
-    assert 0 < len(checked) == sum(int((t == 1).sum()) for t in tables) <= bound
-    assert [plan.unchecked for plan in plans] == [int((t < 0).sum()) for t in tables]
+    expect = Counter()
+    for rho in _SCAN_RHOS:
+        lo, hi = clip_x1(*SlabWindow(rho), 10)
+        for plan in _plans(inst3, [rho]):
+            for r, q in zip(*plan.table.nonzero()):
+                at = np.unravel_index(r, plan.dims.tolist())
+                delta = tuple((np.array(at) + plan.origin).tolist())
+                c1, c2 = plan.pairs[q]
+                b = tuple(x - y for x, y in zip(inst3.sigma[c1], inst3.sigma[c2]))
+                expect[delta, b, lo, hi] += 1
+    assert any(want) and expect
+    assert Counter((args[1], args[3], args[4], args[5]) for args in checked) == expect
     checked.clear()
     assert [enumerate_E2(inst3, *call) for call in calls] == want
     assert checked == []
+
+
+def test_e2_plans_are_complete_and_read_only(inst3, monkeypatch):
+    # every verdict is decided when a plan is built: the cold pass of the
+    # benchmark's sweep checks one configuration per hit of the frozen
+    # tables, and a warm pass checks none and reads the same plans, byte
+    # for byte; no root pair has offset 0, so its row holds no hit
+    calls = _tuple_scan_calls(inst3)
+    checked = _count_configuration_checks(monkeypatch)
+    counting._plan.cache_clear()
+    for call in calls:
+        enumerate_E2(inst3, *call)
+    plans = _plans(inst3, _SCAN_RHOS)
+    cold = [plan.table.tobytes() for plan in plans]
+    assert 0 < len(checked) == sum(int(plan.table.sum()) for plan in plans)
+    checked.clear()
+    for call in calls:
+        enumerate_E2(inst3, *call)
+    assert checked == [] and all(map(operator.is_, _plans(inst3, _SCAN_RHOS), plans))
+    assert [plan.table.tobytes() for plan in plans] == cold
+    # (c2, c1) mirrors the box of (c1, c2), so a hull that holds a point holds 0
+    for plan in plans:
+        assert not any(a.flags.writeable for a in plan[1:])
+        zero = -plan.origin
+        if len(plan.table):
+            assert (zero.view(np.uint64) < plan.dims).all()
+            assert not plan.table[zero @ plan.strides].any()
 
 
 def test_e2_refuses_off_lattice_roots():
@@ -408,11 +458,11 @@ def _outcome(check, *args):
 
 
 def test_integer_configuration_check_matches_fraction_reference(inst3, monkeypatch):
-    # every configuration the scan asserts, then each root offset moved by
-    # up to 9 per axis, the window's lower end rescaled and, in d = 1,
-    # windows that put the midpoint exactly on either bound, so that both
-    # inequalities fail somewhere and hold with equality somewhere; the two
-    # checks raise alike
+    # every configuration the scan asserts whose offset its own root pairs
+    # realize, then each root offset moved by up to 9 per axis, the
+    # window's lower end rescaled and, in d = 1, windows that put the
+    # midpoint exactly on either bound, so that both inequalities fail
+    # somewhere and hold with equality somewhere; the two checks raise alike
     d2 = prune(cantor_tree(30, d=2), N=2, C0=1)
     d2_roots = sorted(random.Random(1).sample(all_root_cubes(d2), 40))
     scans = [(inst3, [(), ((0,),), ((1,),)], [F(1, 3), F(1, 9), F(1, 27), F(1, 81)], None),
@@ -425,6 +475,11 @@ def test_integer_configuration_check_matches_fraction_reference(inst3, monkeypat
                             lambda *args: configs.add(args[1:]) or check(*args))
         for u, w, rho in product(us, sorted(pruned.gamma), rhos):
             enumerate_E2(pruned, u, w, rho, roots=roots)
+        index = {t: cube_index(t, pruned.M, pruned.d) for t in roots or all_root_cubes(pruned)}
+        realized = {tuple(x - y for x, y in zip(index[t1], index[t2]))
+                    for t1, t2 in product(index, repeat=2) for u in us
+                    if t1[:len(u)] == u == t2[:len(u)] and t1[len(u)] != t2[len(u)]}
+        configs = [config for config in configs if config[0] in realized]
         assert configs
         for delta, moving, b, lo, hi, S, E in configs:
             windows = [(lo * scale, hi) for scale in (1, F(1, 9), 3, 27)]
@@ -518,28 +573,28 @@ def test_e2_anchor_must_be_splitting(inst3):
 
 
 def test_e2_refuses_offsets_beyond_int64(inst2):
-    # d M^(2J) squared offsets must fit int64: 2^62 does, 2^64 does not
+    # d M^(2J) squared offsets must fit int64: 2^62 does, and the call goes
+    # on to its plan, whose table is over the cap; 2^64 does not
     fine = copy.copy(inst2)
     fine.J = 31
-    assert enumerate_E2(fine, (), inst2.psi(()), F(1, 4), roots=[]) == []
+    with pytest.raises(SizeCapExceeded, match="exceeds the cap"):
+        enumerate_E2(fine, (), inst2.psi(()), F(1, 4), roots=[])
     fine.J = 32
     with pytest.raises(InvalidInput, match="int64"):
         enumerate_E2(fine, (), inst2.psi(()), F(1, 4), roots=[])
 
 
 def test_e2_refuses_a_verdict_table_beyond_the_cap(inst2):
-    # at J = 31 the boxes reach about 2^31 offsets each way: a scan with
-    # two roots would build a table of far more than VERDICT_CAP entries,
-    # and is refused before the table is built; with no roots the call
-    # returns before it reaches the table
+    # at J = 31 the boxes reach about 2^31 offsets each way: the plan's
+    # table would hold far more than VERDICT_CAP entries, so the plan is
+    # refused before the table is built and nothing is cached; every call
+    # raises, with roots or without
     big = copy.copy(inst2)
     big.J, big.roots = 31, {}  # its own root table, so inst2's keeps no J = 31 root
     w, rho = inst2.psi(()), F(1, 4)
-    assert enumerate_E2(big, (), w, rho, roots=[]) == []
-    for _ in range(2):
+    for roots in ([], [((0,),) * 31, ((1,),) * 31], []):
         with pytest.raises(SizeCapExceeded, match=f"exceeds the cap {counting.VERDICT_CAP}"):
-            enumerate_E2(big, (), w, rho, roots=[((0,),) * 31, ((1,),) * 31])
-    assert counting._plan(big, w, 1, 4, 10).grid is None
+            enumerate_E2(big, (), w, rho, roots=roots)
 
 
 def test_e2_membership_structure(inst3):

@@ -426,6 +426,9 @@ def test_cli_unreadable_config_file_exit_code(text, message, tmp_path, capsys):
     ["volume", "--N", "2", "--slices", "0"],
     ["far-slab", "--seeds", "0"],
     ["moments", "--seeds", "0"],
+    # trials run 0..seeds-1: any other is a cell no experiment computes
+    ["volume", "--N", "2", "--trial", "-1"],
+    ["volume", "--N", "2", "--trial", "2", "--seeds", "2"],
 ])
 def test_cli_out_of_range_slices_or_seeds_exit_code(argv, capsys):
     assert cli_main(argv) == 2

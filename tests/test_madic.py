@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (
+    agreement_height_reference,
     counted_tree,
     cube_distance_sq,
     path_tree,
@@ -211,6 +212,20 @@ def test_agreement_height_scalar():
     assert agreement_height_scalar(F(0), F(1, 4), 2) == 1
     assert agreement_height_scalar(F(3, 8), F(1, 4), 2) == 2
     assert agreement_height_scalar(F(5, 8), F(1, 4), 2) == 0
+
+
+@pytest.mark.parametrize("M", [2, 3, 5, 10])
+def test_agreement_height_scalar_matches_fraction_floors(M):
+    # seeded pairs over mixed denominators, negative points and pairs a
+    # tiny gap apart among them, so that heights reach the hundreds
+    rng = random.Random(M)
+    for _ in range(500):
+        a = F(rng.randrange(-10 ** 6, 10 ** 6), rng.choice((1, 7, M ** 5, 10 ** 6 + 3)))
+        gap = F(rng.choice((-1, 1)), rng.choice((2, 9, M ** rng.randrange(1, 300),
+                                                  rng.randrange(1, 10 ** 90))))
+        b = a + gap if rng.random() < 0.8 else F(rng.randrange(-10 ** 6, 10 ** 6), 999)
+        if a != b:
+            assert agreement_height_scalar(a, b, M) == agreement_height_reference(a, b, M)
 
 
 def test_rule_tree_lazy_depth():
