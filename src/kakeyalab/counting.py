@@ -12,7 +12,10 @@ neither u nor its roots is one cached plan per (instance, w, rho, A0),
 which also holds a bool verdict table with one row per root offset and
 one column per code pair, complete and read-only once the plan is built
 (a plan that cannot be built raises on every call, however few its
-roots).  The scan reads its hits as arrays keyed by
+roots).  One rule holds for every scan and join here: a call that cannot
+return a record returns nothing before it reads a root, as when its plan
+holds no hit, lambda(w) <= h(u) makes no pair sticky, or a join's first
+pair collection is empty.  The scan reads its hits as arrays keyed by
 (root offset, code pair) off that table and zips the records from them
 last; a sum grouped by configuration, such as the sum of probability
 times intersection volume over E2, should read those arrays, not the
@@ -123,8 +126,9 @@ class _Plan(NamedTuple):
 @lru_cache(maxsize=256)
 def _plan(pruned: PrunedSlopeTree, w: Address, p: int, q: int, A0: int):
     """What an E2 scan over [rho, 2 rho], rho = p/q in lowest terms, with
-    slope anchor w reads of neither u nor its roots, or None when every
-    such scan is empty; its verdict table is complete when this returns,
+    slope anchor w reads of neither u nor its roots, or None when its
+    verdict table would hold no hit (an empty hull included), so that no
+    such scan need read a root; the table is complete when this returns,
     and nothing writes to it again.
 
     The window is cut to [lo, hi] by ``clip_x1`` and the tube side is
@@ -208,6 +212,8 @@ def _plan(pruned: PrunedSlopeTree, w: Address, p: int, q: int, A0: int):
             _assert_configuration(pruned, tuple(dl), moving, b, lo, hi, S, E)
         else:
             table[r, q] = False
+    if not table.any():
+        return None
     strides = [prod(dims[i + 1:]) for i in range(d)]
     plan = _Plan(tuple(pairs), table, origin, np.array(dims, dtype=np.uint64),
                  np.array(strides, dtype=np.int64))
@@ -228,18 +234,18 @@ def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
     lattice of :func:`_plan`, the part of a scan that is cached, keyed on
     rho's numerator and denominator; its verdict table is complete when
     the plan is built and only read here.  A call checks its anchors,
-    ``roots`` and the int64 bound first, and returns before it reads a
-    root when there is no plan; a plan it cannot build (a table over
-    ``VERDICT_CAP``, a failing configuration check) raises.  It then reads
-    each root through the instance's root table (``sticky._root``) before
-    the filter on u, so it refuses every root it reads that is off the
-    lattice, a list among them.  Every hit has root yca u and slope yca w,
-    so by the two-pair rule ``sticky_pair`` it is sticky exactly when
-    lambda(w) > h(u); a call with no sticky pair returns once its roots
-    are read.  One numpy pass over blocks of t1 keeps the root pairs from
-    different branches of u whose offset lies in the hull of the plan's
-    table and reads the verdicts of every code pair for them with one
-    gather; the records are zipped from the hit arrays.
+    ``roots`` and the int64 bound first; a plan it cannot build (a table
+    over ``VERDICT_CAP``, a failing configuration check) raises.  Every
+    hit has root yca u and slope yca w, so by the two-pair rule
+    ``sticky_pair`` it is sticky exactly when lambda(w) > h(u).  A call
+    that cannot return a record, with no plan or with lambda(w) <= h(u),
+    returns [] before it reads a root.  Any other call reads each root
+    through the instance's root table (``sticky._root``) before the filter
+    on u, so it refuses every root it reads that is off the lattice, a
+    list among them.  One numpy pass over blocks of t1 keeps the root
+    pairs from different branches of u whose offset lies in the hull of
+    the plan's table and reads the verdicts of every code pair for them
+    with one gather; the records are zipped from the hit arrays.
     ``enumerate_E2_bruteforce`` is the independent Fraction oracle.
     """
     _check_anchors(pruned, (u,), (w,))
@@ -250,7 +256,7 @@ def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
     if type(rho) is not int and type(rho) is not Fraction:
         rho = Fraction(rho)
     plan = _plan(pruned, w, rho.numerator, rho.denominator, A0)
-    if plan is None or h >= J:
+    if plan is None or h >= J or pruned.gamma[w].lam <= h:
         return []
     # every root read through the table; per root under u, its cube index
     # per axis, (n, d), and its branch of u
@@ -266,7 +272,7 @@ def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
             under.append(t)
             idx.append(got[1])
             grp.append(branch.setdefault(t[h], len(branch)))
-    if len(under) < 2 or pruned.gamma[w].lam <= h:
+    if len(under) < 2:
         return []
     pairs, table, dims, strides = plan.pairs, plan.table, plan.dims, plan.strides
     idx, grp = np.array(idx, dtype=np.int64), np.array(grp)
@@ -396,11 +402,11 @@ def _check_join(pruned, ctype, anchors: dict, ctypes: tuple):
 
 
 def _joined_pairs(pruned, anchors, rho, A0, roots):
-    """The two pair collections of a join, E2[u, w] and E2[u2, w2]; with
-    equal anchors they are one collection, computed once."""
+    """The two pair collections of a join, E2[u, w] and E2[u2, w2], one
+    when the anchors are equal; an empty first one skips the second."""
     a, b = (anchors["u"], anchors["w"]), (anchors["u2"], anchors["w2"])
     e2a = enumerate_E2(pruned, *a, rho, A0, roots)
-    return e2a, e2a if b == a else enumerate_E2(pruned, *b, rho, A0, roots)
+    return e2a, e2a if b == a or not e2a else enumerate_E2(pruned, *b, rho, A0, roots)
 
 
 def enumerate_E3(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
@@ -418,7 +424,9 @@ def enumerate_E3(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
     triples; a ``t`` that is not a cube of the root lattice and a
     ``vtheta`` that is neither a splitting vertex nor a slope leaf raise
     InvalidInput, as do a type other than 1 or 2 and anchors without u,
-    u2, w or w2, all before any early return.
+    u2, w or w2, all before any early return.  A call that cannot return a
+    record reads no root it need not: a type its anchors rule out ends it
+    before either pair collection, an empty E2[u, w] before E2[u2, w2].
     """
     _check_join(pruned, ctype, anchors, (1, 2))
     t, vtheta = anchors.get("t"), anchors.get("vtheta")
@@ -467,7 +475,9 @@ def enumerate_E4(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
     and, when u = u2, 3 if the two pairs share a branch of u and 1 if not.
     The two joined pairs are sticky, so the quadruple is when its four
     cross pairs are.  A type other than 1, 2 or 3, or anchors without u,
-    u2, w or w2, raise InvalidInput.
+    u2, w or w2, raise InvalidInput.  As in :func:`enumerate_E3`, a type
+    its anchors rule out ends a call before either pair collection, an
+    empty E2[u, w] before E2[u2, w2].
     """
     _check_join(pruned, ctype, anchors, (1, 2, 3))
     u, u2, h = anchors["u"], anchors["u2"], len(anchors["u"])

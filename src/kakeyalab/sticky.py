@@ -290,10 +290,6 @@ class ReferenceTree:
                     raise AssertionError("reference tree ill-defined: conflicting edges")
         self.n = len(self.bits)
 
-    @property
-    def probability(self) -> Fraction:
-        return _half_power(self.n)
-
     def children(self, path: tuple) -> tuple[Address, ...]:
         """The cubes one level below the end of ``path``, which lists the
         cubes from level 1 to level ``len(path)`` (the root is ``()``).

@@ -260,13 +260,13 @@ def test_e2_plans_are_complete_and_read_only(inst3, monkeypatch):
         enumerate_E2(inst3, *call)
     assert checked == [] and all(map(operator.is_, _plans(inst3, _SCAN_RHOS), plans))
     assert [plan.table.tobytes() for plan in plans] == cold
-    # (c2, c1) mirrors the box of (c1, c2), so a hull that holds a point holds 0
+    # every plan holds a hit, and (c2, c1) mirrors the box of (c1, c2), so
+    # every hull holds 0
     for plan in plans:
         assert not any(a.flags.writeable for a in plan[1:])
         zero = -plan.origin
-        if len(plan.table):
-            assert (zero.view(np.uint64) < plan.dims).all()
-            assert not plan.table[zero @ plan.strides].any()
+        assert (zero.view(np.uint64) < plan.dims).all()
+        assert not plan.table[zero @ plan.strides].any()
 
 
 def test_e2_refuses_off_lattice_roots():
@@ -376,6 +376,28 @@ def test_e2_refuses_unhashable_roots():
         with pytest.raises(InvalidInput, match="height-4 cube of the base-3"):
             is_sticky_admissible(pruned, [(bad, 0)])
         assert len(pruned.roots) == len(roots)
+
+
+def test_calls_that_cannot_return_a_record_read_no_root(inst3, monkeypatch):
+    # with an off-lattice root last, a call whose plan holds no hit (an
+    # empty hull at 1/27, no plan at 1/81) or whose pairs cannot be sticky
+    # (lambda(w) = 2 <= h(u)) returns [] without checking a root; a call
+    # that can hit still refuses the bad root
+    roots = all_root_cubes(inst3) + [((0,), (0,), (0,), (5,))]
+    table = dict(inst3.roots)
+    calls = _count_root_checks(monkeypatch)
+    g1, u2 = inst3.psi(()), ((1,), (0,))
+    assert inst3.gamma[g1].lam == len(u2) == 2
+    for u, w, rho in (((), _G2, F(1, 27)), ((), _G2, F(1, 81)), (u2, g1, F(1, 3))):
+        assert enumerate_E2(inst3, u, w, rho, roots=roots) == []
+    assert calls == [] and inst3.roots == table
+    with pytest.raises(InvalidInput, match="height-4 cube of the base-3"):
+        enumerate_E2(inst3, (), g1, F(1, 3), roots=roots)
+    # the sweep's plans: None exactly at level 2 for 1/27 and 1/81
+    for w, rho in product(sorted(inst3.gamma), _SCAN_RHOS):
+        plan = counting._plan(inst3, w, rho.numerator, rho.denominator, 10)
+        none = w in inst3.gamma_levels[2] and rho <= F(1, 27)
+        assert (plan is None) == none and (none or plan.table.any()), (w, rho)
 
 
 def test_default_roots_are_built_once(monkeypatch):
@@ -540,6 +562,22 @@ def test_equal_anchor_joins_compute_one_pair_collection(inst3, monkeypatch):
         m.setattr(counting, "_joined_pairs", two_calls)
         assert got == [records(join, ctype) for join, ctype in joins]
     assert all(got)
+
+
+def test_an_empty_first_collection_ends_a_join(inst3, monkeypatch):
+    # E2[(), level-2 w] at 1/27 has no plan, so the type-1 E3 join never
+    # reads E2[(), top vertex]; with the anchors swapped the first
+    # collection holds pairs and the join reads both
+    roots = _benchmark_subset(all_root_cubes(inst3))
+    e2, calls = counting.enumerate_E2, []
+    monkeypatch.setattr(counting, "enumerate_E2",
+                        lambda *args: calls.append(args) or e2(*args))
+    for w, w2, want in ((_G2, inst3.psi(()), 1), (inst3.psi(()), _G2, 2)):
+        calls.clear()
+        anchors = {"u": (), "u2": (), "w": w, "w2": w2}
+        assert enumerate_E3(inst3, 1, anchors, F(1, 27), roots=roots) == []
+        assert len(calls) == want
+    assert e2(inst3, (), inst3.psi(()), F(1, 27), roots=roots)
 
 
 def test_tangent_pairs_are_not_hits(inst3):

@@ -303,7 +303,7 @@ def test_assignment_query_structure():
     t0 = point_address((F(0),), 2, p.J)
     t1 = point_address((F(1, 2),), 2, p.J)
     q = ReferenceTree(p, [(t0, 0), (t1, 3)])
-    assert q.probability == prob_exact(p, [(t0, 0), (t1, 3)])
+    assert prob_exact(p, [(t0, 0), (t1, 3)]) == F(1, 2 ** q.n)
     assert len(q.parent) == q.n
     import pytest as _pytest
     t2 = point_address((F(1, 2 ** p.J),), 2, p.J)

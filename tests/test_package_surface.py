@@ -1,16 +1,18 @@
 """Every public definition of the package has a reader outside the tests.
 
 A public top-level function or class of ``src/kakeyalab`` (``__init__.py``
-aside) stays in the package only when some package module other than
-``__init__.py`` uses it by name or attribute, a ``perfbench`` script uses
-it, or the README names it in backticks.  Neither its own ``def`` nor a
-call from its own body counts.
+aside), and a public method or property of such a class, stays in the
+package only when some package module other than ``__init__.py`` uses it
+by name or attribute, a ``perfbench`` script uses it, or the README names
+it in backticks.  Neither its own ``def`` nor a call from its own body
+counts.
 Test fixtures, writers and checks that only the tests call live in the
 tests, and each test file imports only what it uses.
 """
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -18,16 +20,12 @@ PACKAGE = ROOT / "src" / "kakeyalab"
 DEFS = (ast.FunctionDef, ast.ClassDef)
 
 
-def _used_names(node: ast.AST) -> set:
-    """Names that the ``Name`` and ``Attribute`` nodes under a node read; a
-    ``def`` or ``class`` statement binds its name without such a node."""
-    used = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            used.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            used.add(sub.attr)
-    return used
+def _reads(node: ast.AST) -> Counter:
+    """How often the ``Name`` and ``Attribute`` nodes under a node read each
+    name; a ``def`` or ``class`` statement binds its name without such a
+    node."""
+    return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, (ast.Name, ast.Attribute)))
 
 
 def _parse(path: Path) -> ast.Module:
@@ -35,18 +33,19 @@ def _parse(path: Path) -> ast.Module:
 
 
 def test_every_public_definition_has_a_reader():
-    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    trees = {p.stem: _parse(p) for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"}
     spans = re.findall(r"`([^`]+)`", (ROOT / "README.md").read_text())
-    outside = set().union(*(_used_names(_parse(p))
-                            for p in (ROOT / "perfbench").glob("*.py")),
+    outside = set().union(*(_reads(_parse(p)) for p in (ROOT / "perfbench").glob("*.py")),
                           re.findall(r"\w+", " ".join(spans)))
-    # (module, name it defines or None, names it reads) per top-level statement
-    statements = [(mod, node.name if isinstance(node, DEFS) else None, _used_names(node))
-                  for mod in modules for node in _parse(mod).body]
-    unread = [f"{mod.stem}.{name}" for mod, name, _ in statements
-              if name and not name.startswith("_") and name not in outside
-              and not any(name in reads for other, by, reads in statements
-                          if (other, by) != (mod, name))]
+    reads = sum(map(_reads, trees.values()), Counter())
+    defs = [(f"{mod}.{node.name}", node) for mod, tree in trees.items()
+            for node in tree.body if isinstance(node, DEFS) and not node.name.startswith("_")]
+    defs += [(f"{owner}.{node.name}", node) for owner, cls in defs
+             if isinstance(cls, ast.ClassDef) for node in cls.body
+             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    # read when some read of its name lies outside its own definition
+    unread = [name for name, node in defs if node.name not in outside
+              and reads[node.name] == _reads(node)[node.name]]
     assert not unread, (f"{len(unread)} public definitions that only the "
                         f"tests read: {', '.join(unread)}")
 
