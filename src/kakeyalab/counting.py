@@ -8,7 +8,7 @@ numerators ``pruned.sigma`` over the instance's one denominator
 ``pruned.D``, and whether some x1 in the window puts the two
 cross-sections within the tube side on every axis is a set of integer
 comparisons, run in one numpy pass per call.  What a scan reads of
-neither u nor its roots is one cached plan per (instance, w, rho, A0),
+neither u nor its roots is one cached plan per (instance, w, rho),
 which also holds a bool verdict table with one row per root offset and
 one column per code pair, complete and read-only once the plan is built
 (a plan that cannot be built raises on every call, however few its
@@ -124,14 +124,15 @@ class _Plan(NamedTuple):
 
 
 @lru_cache(maxsize=256)
-def _plan(pruned: PrunedSlopeTree, w: Address, p: int, q: int, A0: int):
+def _plan(pruned: PrunedSlopeTree, w: Address, p: int, q: int):
     """What an E2 scan over [rho, 2 rho], rho = p/q in lowest terms, with
     slope anchor w reads of neither u nor its roots, or None when its
     verdict table would hold no hit (an empty hull included), so that no
     such scan need read a root; the table is complete when this returns,
     and nothing writes to it again.
 
-    The window is cut to [lo, hi] by ``clip_x1`` and the tube side is
+    The window is cut to [lo, hi] by ``clip_x1`` to the extent [0, 10 A0]
+    of every tube, A0 = ``tubes.DEFAULT_A0``, and the tube side is
     S/(E M^J).  With D the slope-lattice denominator ``pruned.D``, the
     slope difference of a code pair is b/D on each axis, ``b`` holding the
     signed integers; a root offset delta (centres delta/M^J apart)
@@ -155,7 +156,7 @@ def _plan(pruned: PrunedSlopeTree, w: Address, p: int, q: int, A0: int):
     # a hit has M^-J / 2 <= |x1||v1 - v2| <= 2 rho rho_w
     if 4 * win.hi ** 2 * rho_sq < Fraction(1, K * K):
         return None
-    lo, hi = clip_x1(*win, A0)
+    lo, hi = clip_x1(*win, DEFAULT_A0)
     if lo >= hi:
         return None
     cd = cross_section_dilation(d)
@@ -222,8 +223,7 @@ def _plan(pruned: PrunedSlopeTree, w: Address, p: int, q: int, A0: int):
     return plan
 
 
-def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
-                 rho, A0: int = DEFAULT_A0, roots=None):
+def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address, rho, roots=None):
     """All sticky-admissible intersecting pairs ((t1, c1), (t2, c2)) with
     D(t1, t2) = u and D(v1, v2) = w, meeting inside [rho, 2 rho].
 
@@ -255,7 +255,7 @@ def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address,
         raise InvalidInput("root offsets too large for the int64 scan")
     if type(rho) is not int and type(rho) is not Fraction:
         rho = Fraction(rho)
-    plan = _plan(pruned, w, rho.numerator, rho.denominator, A0)
+    plan = _plan(pruned, w, rho.numerator, rho.denominator)
     if plan is None or h >= J or pruned.gamma[w].lam <= h:
         return []
     # every root read through the table; per root under u, its cube index
@@ -323,7 +323,19 @@ def _assert_configuration(pruned, delta, moving, b, lo, hi, S, E):
         raise AssertionError("scale inequality |x1||v-v'| >= M^-J/2 fails")
 
 
-def enumerate_E2_bruteforce(pruned, u, w, rho, A0: int = DEFAULT_A0, roots=None):
+def _oracle_parts(pruned, roots, ws):
+    """What an oracle call reads of no root pair, built once per call: the
+    Fraction tube of every (root, code), and per slope anchor of ``ws``
+    the code pairs, in code order, whose slope leaves have it as youngest
+    common ancestor."""
+    codes, leaf = range(2 ** pruned.N), pruned.slope_leaf
+    tube = {(t, c): make_tube(pruned, t, c) for t in roots for c in codes}
+    pairs = [[(c1, c2) for c1 in codes for c2 in codes
+              if youngest_common_ancestor(leaf(c1), leaf(c2)) == w] for w in ws]
+    return tube, pairs
+
+
+def enumerate_E2_bruteforce(pruned, u, w, rho, roots=None):
     """Oracle of ``enumerate_E2``: every (t1, t2, c1, c2) with the ancestor
     filters, stickiness and the Fraction test ``tubes.intersects``, with
     no prefilter."""
@@ -332,22 +344,17 @@ def enumerate_E2_bruteforce(pruned, u, w, rho, A0: int = DEFAULT_A0, roots=None)
     for t in roots:
         _check_root(pruned, t)
     win = SlabWindow(Fraction(rho), 2)
-    codes = range(2 ** pruned.N)
+    tube, (pairs,) = _oracle_parts(pruned, roots, (w,))
     out = []
     for t1 in roots:
         for t2 in roots:
             if t1 == t2 or youngest_common_ancestor(t1, t2) != u:
                 continue
-            for c1 in codes:
-                for c2 in codes:
-                    if youngest_common_ancestor(pruned.slope_leaf(c1),
-                                                pruned.slope_leaf(c2)) != w:
-                        continue
-                    if not is_sticky_admissible(pruned, [(t1, c1), (t2, c2)])[0]:
-                        continue
-                    if intersects(make_tube(pruned, t1, c1, A0),
-                                  make_tube(pruned, t2, c2, A0), win):
-                        out.append(((t1, c1), (t2, c2)))
+            for c1, c2 in pairs:
+                if not is_sticky_admissible(pruned, [(t1, c1), (t2, c2)])[0]:
+                    continue
+                if intersects(tube[t1, c1], tube[t2, c2], win):
+                    out.append(((t1, c1), (t2, c2)))
     return out
 
 
@@ -401,16 +408,15 @@ def _check_join(pruned, ctype, anchors: dict, ctypes: tuple):
     _check_anchors(pruned, (anchors["u"], anchors["u2"]), (anchors["w"], anchors["w2"]))
 
 
-def _joined_pairs(pruned, anchors, rho, A0, roots):
+def _joined_pairs(pruned, anchors, rho, roots):
     """The two pair collections of a join, E2[u, w] and E2[u2, w2], one
     when the anchors are equal; an empty first one skips the second."""
     a, b = (anchors["u"], anchors["w"]), (anchors["u2"], anchors["w2"])
-    e2a = enumerate_E2(pruned, *a, rho, A0, roots)
-    return e2a, e2a if b == a or not e2a else enumerate_E2(pruned, *b, rho, A0, roots)
+    e2a = enumerate_E2(pruned, *a, rho, roots)
+    return e2a, e2a if b == a or not e2a else enumerate_E2(pruned, *b, rho, roots)
 
 
-def enumerate_E3(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
-                 rho, A0: int = DEFAULT_A0, roots=None):
+def enumerate_E3(pruned: PrunedSlopeTree, ctype: int, anchors: dict, rho, roots=None):
     """Sticky-admissible triples ((t1,v1), (t2,v2), (t2',v2')) of the given
     3-point type whose two tube pairs both meet the window, with the
     prescribed anchor vertices.
@@ -441,7 +447,7 @@ def enumerate_E3(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
     types = () if u2[:h] != u else (1,) if len(u2) > h else (1, 2)
     if ctype not in types:
         return []
-    e2a, e2b = _joined_pairs(pruned, anchors, rho, A0, roots)
+    e2a, e2b = _joined_pairs(pruned, anchors, rho, roots)
     shared = {}  # the pairs of e2b by their first tube, in e2b order
     for first, second in e2b:
         shared.setdefault(first, []).append(second)
@@ -463,8 +469,7 @@ def enumerate_E3(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
     return out
 
 
-def enumerate_E4(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
-                 rho, A0: int = DEFAULT_A0, roots=None):
+def enumerate_E4(pruned: PrunedSlopeTree, ctype: int, anchors: dict, rho, roots=None):
     """Sticky-admissible quadruples ((t1,v1), (t2,v2), (t1',v1'), (t2',v2'))
     of the given 4-point type with both windowed intersections; necessary
     location conditions are asserted on every returned tuple.
@@ -484,7 +489,7 @@ def enumerate_E4(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
     types = () if h > len(u2) else (1,) if u2[:h] != u else (2,) if u2 != u else (1, 3)
     if ctype not in types:
         return []
-    e2a, e2b = _joined_pairs(pruned, anchors, rho, A0, roots)
+    e2a, e2b = _joined_pairs(pruned, anchors, rho, roots)
     partners = {}  # the pairs of e2b, in e2b order, by the branches of u they join
     # every pair of e2a has slope yca w and every pair of e2b w2, so the
     # bound of the necessary conditions is one per call
@@ -553,8 +558,7 @@ def _assert_necessary_conditions(pruned, pairs, ctype: int, u: Address, bound, d
                              else "type-3 anchors violate the distance constraint")
 
 
-def bruteforce_E4(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
-                  rho, A0: int = DEFAULT_A0, roots=None):
+def bruteforce_E4(pruned: PrunedSlopeTree, ctype: int, anchors: dict, rho, roots=None):
     """Quartic oracle of ``enumerate_E4`` over all root quadruples and slope
     assignments, with ``classify_roots`` and ``is_sticky_admissible``.  The
     ``tubes.intersects`` verdict of each ordered tube pair is taken once
@@ -565,17 +569,16 @@ def bruteforce_E4(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
         _check_root(pruned, t)
     win = SlabWindow(Fraction(rho), 2)
     u, u2, w, w2 = anchors["u"], anchors["u2"], anchors["w"], anchors["w2"]
+    tube, (pairs, pairs2) = _oracle_parts(pruned, roots, (w, w2))
     meets = {}
 
     def meet(t1, c1, t2, c2):
         key = (t1, c1, t2, c2)
         if key not in meets:
-            meets[key] = intersects(make_tube(pruned, t1, c1, A0),
-                                    make_tube(pruned, t2, c2, A0), win)
+            meets[key] = intersects(tube[t1, c1], tube[t2, c2], win)
         return meets[key]
 
     out = []
-    codes = range(2 ** pruned.N)
     for ta, tb, tc, td in product(roots, repeat=4):
         if len({ta, tb, tc, td}) != 4:
             continue
@@ -586,13 +589,7 @@ def bruteforce_E4(pruned: PrunedSlopeTree, ctype: int, anchors: dict,
         cfg = classify_roots((ta, tb, tc, td))
         if cfg.swapped or cfg.ctype != ctype:
             continue
-        for ca, cb, cc, cd in product(codes, repeat=4):
-            if youngest_common_ancestor(pruned.slope_leaf(ca),
-                                        pruned.slope_leaf(cb)) != w:
-                continue
-            if youngest_common_ancestor(pruned.slope_leaf(cc),
-                                        pruned.slope_leaf(cd)) != w2:
-                continue
+        for (ca, cb), (cc, cd) in product(pairs, pairs2):
             prs = [(ta, ca), (tb, cb), (tc, cc), (td, cd)]
             ok, _ = is_sticky_admissible(pruned, prs)
             if not ok:

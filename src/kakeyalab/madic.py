@@ -140,12 +140,11 @@ class MadicTree:
             got = self._child_memo[addr] = self._children(addr)
         return got
 
-    def vertices(self, max_height: int | None = None) -> Iterable[Address]:
-        """Breadth-first enumeration up to max_height (inclusive)."""
-        cap = self.height if max_height is None else min(max_height, self.height)
+    def vertices(self) -> Iterable[Address]:
+        """Breadth-first enumeration of every vertex."""
         level = [()]
         yield ()
-        for _ in range(cap):
+        for _ in range(self.height):
             nxt = []
             for v in level:
                 for dig in self.children(v):

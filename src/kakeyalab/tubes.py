@@ -14,7 +14,7 @@ inequality 2 c_d sqrt(d) <= 1/2 is asserted by squaring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import lcm
@@ -57,21 +57,21 @@ class Tube:
     M: int
     J: int
     A0: int = DEFAULT_A0
+    # formed once, and no part of a comparison
+    center: Point = field(init=False, repr=False, compare=False)
+    side: Fraction = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "center", cube_center(self.root, self.M, self.d))
+        object.__setattr__(self, "side",
+                           cross_section_dilation(self.d) * Fraction(1, self.M ** self.J))
 
     @property
     def d(self) -> int:
         return len(self.slope)
 
-    @property
-    def side(self) -> Fraction:
-        return cross_section_dilation(self.d) * Fraction(1, self.M ** self.J)
-
-    def center(self) -> Point:
-        return cube_center(self.root, self.M, self.d)
-
     def section_center(self, x1: Fraction) -> Point:
-        c = self.center()
-        return tuple(ci + x1 * wi for ci, wi in zip(c, self.slope))
+        return tuple(ci + x1 * wi for ci, wi in zip(self.center, self.slope))
 
     def contains(self, x) -> bool:
         """Exact membership of a point (x1, y) in R^{d+1}."""
@@ -107,7 +107,7 @@ def make_tube(pruned: PrunedSlopeTree, root: Address, slope_code: int,
 def _pair_frame(p1: Tube, p2: Tube):
     if (p1.M, p1.J, p1.d, p1.A0) != (p2.M, p2.J, p2.d, p2.A0):
         raise InvalidInput("tubes from mismatched instances")
-    dc = tuple(a - b for a, b in zip(p1.center(), p2.center()))
+    dc = tuple(a - b for a, b in zip(p1.center, p2.center))
     dw = tuple(a - b for a, b in zip(p1.slope, p2.slope))
     return dc, dw
 
@@ -324,38 +324,37 @@ def union_volume(tubes: Sequence[Tube], w: tuple[Fraction, Fraction], slices: in
 # Poss(x) and the reference trees
 # ---------------------------------------------------------------------------
 
-def poss(x, pruned: PrunedSlopeTree, A0: int = DEFAULT_A0) -> dict[Address, int]:
+def poss(x, pruned: PrunedSlopeTree) -> dict[Address, int]:
     """Root cubes that can carry a tube through x, with the unique
     compatible slope for each.
 
     Characterized by ``t`` meeting ``x - x1 * Omega_N``; at most one slope
-    fits a given root once x1 >= A0, which is asserted.
+    fits a given root once x1 >= A0 = ``DEFAULT_A0``, which is asserted.
     """
-    x1, y = x[0], tuple(x[1:])
+    x1, y, A0 = x[0], tuple(x[1:]), DEFAULT_A0
     if not (A0 <= x1 <= 10 * A0):
-        raise InvalidInput(f"x1 = {x1} outside [A0, 10 A0]")
+        raise InvalidInput(f"x1 = {x1} outside [{A0}, {10 * A0}]")
     out: dict[Address, int] = {}
     for code, wvec in enumerate(pruned.slopes):
         pre = tuple(yi - x1 * wi for yi, wi in zip(y, wvec))
         if all(0 <= c < 1 for c in pre):
             t = point_address(pre, pruned.M, pruned.J)
             if t in out:
-                raise AssertionError(
-                    "two slopes fit one root; C0 too small for this A0")
+                raise AssertionError("two slopes fit one root; C0 too small")
             out[t] = code
     return out
 
 
-def poss_strict(x, pruned: PrunedSlopeTree, A0: int = DEFAULT_A0) -> dict[Address, int]:
+def poss_strict(x, pruned: PrunedSlopeTree) -> dict[Address, int]:
     """The subset of poss(x) whose dilated tube actually contains x."""
     out = {}
-    for t, code in poss(x, pruned, A0).items():
-        if make_tube(pruned, t, code, A0).contains(x):
+    for t, code in poss(x, pruned).items():
+        if make_tube(pruned, t, code).contains(x):
             out[t] = code
     return out
 
 
-def reference_trees(x, pruned: PrunedSlopeTree, A0: int = DEFAULT_A0) -> ReferenceTree:
+def reference_trees(x, pruned: PrunedSlopeTree) -> ReferenceTree:
     """N_x, the percolation substrate at x: the reference tree of the
     prescription poss(x), whose edge into each reference cube carries the
     bit kappa telling which branch of its splitting vertex the ideal slope
@@ -366,23 +365,22 @@ def reference_trees(x, pruned: PrunedSlopeTree, A0: int = DEFAULT_A0) -> Referen
     With no possible root, N_x is the root alone, a leaf: there
     ``survival_exact`` gives 1 while no ray of a root survives.
     """
-    items = list(poss(x, pruned, A0).items())
+    items = list(poss(x, pruned).items())
     for i, a in enumerate(items):
         for b in items[i + 1:]:
             if a[1] != b[1] and pruned.slope_yca(a[1], b[1]) not in pruned.gamma:
                 raise AssertionError("slope ancestor is not a splitting vertex")
             if not sticky_pair(pruned, a, b):
-                raise AssertionError(
-                    "weak stickiness h(u) < lambda(w) fails; raise C0 or A0")
+                raise AssertionError("weak stickiness h(u) < lambda(w) fails; raise C0")
     return ReferenceTree(pruned, items)
 
 
-def inclusion_check(x, sticky_map: StickyMap, A0: int = DEFAULT_A0):
+def inclusion_check(x, sticky_map: StickyMap):
     """Witness root for membership of x in the realized union of tubes.
 
     Returns a root t in Poss(x) whose realized slope matches the ideal one
     and whose (dilated) tube contains x, or None; absence of a witness is
     equivalent to non-membership.
     """
-    return next((t for t, code in poss_strict(x, sticky_map.pruned, A0).items()
+    return next((t for t, code in poss_strict(x, sticky_map.pruned).items()
                  if sticky_map.slope_code(t) == code), None)

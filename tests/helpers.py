@@ -170,8 +170,8 @@ def rasterize_pair_volume(t1, t2, window, cells: int = 1000):
     if a >= b:
         return 0.0, 0.0
     s = float(t1.side)
-    c1 = float(t1.center()[0]); w1 = float(t1.slope[0])
-    c2 = float(t2.center()[0]); w2 = float(t2.slope[0])
+    c1 = float(t1.center[0]); w1 = float(t1.slope[0])
+    c2 = float(t2.center[0]); w2 = float(t2.slope[0])
     ylo = min(c1 + a * w1, c1 + b * w1, c2 + a * w2, c2 + b * w2) - s
     yhi = max(c1 + a * w1, c1 + b * w1, c2 + a * w2, c2 + b * w2) + s
     xs = np.linspace(a, b, cells, endpoint=False) + (b - a) / (2 * cells)

@@ -72,6 +72,9 @@ def test_e2_restricted_equals_bruteforce(inst3):
     subset = sorted(t for b in branches.values() for t in rng.sample(b, 5))
     d2 = prune(cantor_tree(30, d=2), N=2, C0=1)
     d2_roots = sorted(random.Random(1).sample(all_root_cubes(d2), 40))
+    # slopes 8/729 apart meet past x1 = 60, where inst3's, 8/81 apart, cannot
+    fine = prune(cantor_tree(25), N=3, C0=1)
+    fine_roots = sorted(random.Random(1).sample(all_root_cubes(fine), 20))
     # every slope is (sigma, 0), so axis 1 of each slope pair is still; J = 8
     # gives 3^16 roots, so take 40 seeded ones under one height-5 cube
     still = prune(DigitRuleTree(lambda a: ((0, 0), (2, 0)), 3, 2, 30,
@@ -81,25 +84,25 @@ def test_e2_restricted_equals_bruteforce(inst3):
     top = tuple(rng.choice(digits) for _ in range(5))
     still_roots = sorted(top + tail for tail in
                          rng.sample(list(product(digits, repeat=still.J - 5)), 40))
-    cases = {  # name: (instance, anchors u, rhos, A0, roots, expect hits)
+    cases = {  # name: (instance, anchors u, rhos, roots, expect hits)
         "u up to height 1": (inst3, sorted({r[:h] for r in roots for h in (0, 1)}),
-                             [F(1, 3)], 10, roots, True),
-        "u at height 2": (inst3, sorted(branches), [F(1, 3), F(1, 81)], 10,
-                          subset, True),
-        "window cut by 10 A0": (inst3, [()], [F(6)], 1, subset, True),
-        "window beyond 10 A0": (inst3, [()], [F(10)], 1, subset, False),
-        "rho over 3^30": (inst3, [()], [F(3 ** 29 + 1, 3 ** 30)], 10, subset, True),
-        "d = 2": (d2, [()], [F(3), F(1), F(1, 3), F(1, 9)], 10, d2_roots, True),
+                             [F(1, 3)], roots, True),
+        "u at height 2": (inst3, sorted(branches), [F(1, 3), F(1, 81)], subset, True),
+        # every tube ends at x1 = 10 A0 = 100
+        "window cut by 10 A0": (fine, [()], [F(60)], fine_roots, True),
+        "window beyond 10 A0": (inst3, [()], [F(100)], subset, False),
+        "rho over 3^30": (inst3, [()], [F(3 ** 29 + 1, 3 ** 30)], subset, True),
+        "d = 2": (d2, [()], [F(3), F(1), F(1, 3), F(1, 9)], d2_roots, True),
         "still axis": (still, sorted({t[:h] for t in still_roots for h in (5, 6)}),
-                       [F(9), F(3), F(1), F(1, 3), F(1, 9)], 10, still_roots, True),
+                       [F(9), F(3), F(1), F(1, 3), F(1, 9)], still_roots, True),
     }
-    for name, (p, us, rhos, A0, rts, hits) in cases.items():
+    for name, (p, us, rhos, rts, hits) in cases.items():
         total = 0
         for u in us:
             for w in p.gamma:
                 for rho in rhos:
-                    a = enumerate_E2(p, u, w, rho, A0=A0, roots=rts)
-                    b = enumerate_E2_bruteforce(p, u, w, rho, A0=A0, roots=rts)
+                    a = enumerate_E2(p, u, w, rho, roots=rts)
+                    b = enumerate_E2_bruteforce(p, u, w, rho, roots=rts)
                     assert a == b, (name, u, w, rho)
                     total += len(a)
         assert (total > 0) == hits, name
@@ -125,7 +128,7 @@ def _geometric_hits(pruned, u, w, rho, roots):
                 continue
             a, b = make_tube(pruned, t1, c1), make_tube(pruned, t2, c2)
             if intersects(a, b, SlabWindow(rho)):
-                dc = tuple(x - y for x, y in zip(a.center(), b.center()))
+                dc = tuple(x - y for x, y in zip(a.center, b.center))
                 hits[dc, c1, c2] = dc, tuple(x - y for x, y in zip(a.slope, b.slope))
     return hits
 
@@ -163,7 +166,7 @@ def test_e2_asserts_each_geometric_configuration_once(inst3, monkeypatch):
 
 
 def test_e2_warm_plan_keeps_configuration_verdicts(inst3, monkeypatch):
-    # the plan of (instance, w, rho, A0) keeps the verdict of every
+    # the plan of (instance, w, rho) keeps the verdict of every
     # configuration it has checked: a repeat call checks none, a failing
     # check is stored as no verdict and raises again, and a cleared cache
     # checks every hit again
@@ -198,14 +201,14 @@ def _tuple_scan_calls(pruned):
     rho 1/3 to 1/81, each call on its own subset of 5 roots per branch."""
     roots = all_root_cubes(pruned)
     anchors = sorted({t[:h] for t in roots for h in (0, 1, 2)})
-    return [(u, w, rho, 10, _benchmark_subset(roots, seed)) for seed, (u, w, rho)
+    return [(u, w, rho, _benchmark_subset(roots, seed)) for seed, (u, w, rho)
             in enumerate(product(anchors, sorted(pruned.gamma), _SCAN_RHOS))]
 
 
-def _plans(pruned, rhos, A0=10):
+def _plans(pruned, rhos):
     """The cached plans of every w and rho, in that order, None dropped."""
     return [plan for w, rho in product(sorted(pruned.gamma), rhos) if (plan := counting._plan(
-        pruned, w, rho.numerator, rho.denominator, A0)) is not None]
+        pruned, w, rho.numerator, rho.denominator)) is not None]
 
 
 def _count_configuration_checks(monkeypatch):
@@ -395,7 +398,7 @@ def test_calls_that_cannot_return_a_record_read_no_root(inst3, monkeypatch):
         enumerate_E2(inst3, (), g1, F(1, 3), roots=roots)
     # the sweep's plans: None exactly at level 2 for 1/27 and 1/81
     for w, rho in product(sorted(inst3.gamma), _SCAN_RHOS):
-        plan = counting._plan(inst3, w, rho.numerator, rho.denominator, 10)
+        plan = counting._plan(inst3, w, rho.numerator, rho.denominator)
         none = w in inst3.gamma_levels[2] and rho <= F(1, 27)
         assert (plan is None) == none and (none or plan.table.any()), (w, rho)
 
@@ -430,27 +433,29 @@ def test_probabilities_and_e2_share_one_root_table(monkeypatch):
 
 
 def test_e2_plan_is_keyed_on_window(inst3, monkeypatch):
-    # windows that share rho or A0, visited in turn for every w and then
-    # in the opposite order: a plan read under another window's key would
-    # change the pairs or the window that their configurations are checked in
+    # windows whose rhos share a numerator or a denominator, one cut by the
+    # tubes' end at x1 = 100 and one beyond it, visited in turn for every w
+    # and then in the opposite order: a plan read under another window's
+    # key would change the pairs or the window that their configurations
+    # are checked in
     roots = _benchmark_subset(all_root_cubes(inst3))
-    windows = [(6, 1), (6, 10), (10, 1), (F(1, 3), 10), (F(1, 81), 10)]
+    rhos = [6, 60, 100, F(1, 3), F(1, 81)]
     check, checked = counting._assert_configuration, set()
     monkeypatch.setattr(counting, "_assert_configuration",
                         lambda *args: checked.add(args[4:6]) or check(*args))
     counting._plan.cache_clear()
-    want = {(w, *win): enumerate_E2_bruteforce(inst3, (), w, *win, roots=roots)
-            for w in inst3.gamma for win in windows}
+    want = {(w, rho): enumerate_E2_bruteforce(inst3, (), w, rho, roots=roots)
+            for w in inst3.gamma for rho in rhos}
     assert any(want.values())
     seen_windows = set()
-    for order in (windows, windows[::-1]):
+    for order in (rhos, rhos[::-1]):
         for w in sorted(inst3.gamma):
-            for rho, A0 in order:
+            for rho in order:
                 checked.clear()
-                assert enumerate_E2(inst3, (), w, rho, A0, roots) == want[w, rho, A0]
-                assert checked <= {clip_x1(*SlabWindow(F(rho)), A0)}, (w, rho, A0)
+                assert enumerate_E2(inst3, (), w, rho, roots) == want[w, rho]
+                assert checked <= {clip_x1(*SlabWindow(F(rho)), 10)}, (w, rho)
                 seen_windows |= checked
-    assert {(6, 10), (6, 12)} <= seen_windows
+    assert (6, 12) in seen_windows
     for w in inst3.gamma:
         assert enumerate_E2(inst3, (), w, 6, roots=roots) == \
             enumerate_E2(inst3, (), w, F(6), roots=roots)
@@ -543,9 +548,9 @@ def test_equal_anchor_joins_compute_one_pair_collection(inst3, monkeypatch):
         calls.append(args)
         return e2(*args)
 
-    def two_calls(pruned, anchors, rho, A0, roots):
-        return (e2(pruned, anchors["u"], anchors["w"], rho, A0, roots),
-                e2(pruned, anchors["u2"], anchors["w2"], rho, A0, roots))
+    def two_calls(pruned, anchors, rho, roots):
+        return (e2(pruned, anchors["u"], anchors["w"], rho, roots),
+                e2(pruned, anchors["u2"], anchors["w2"], rho, roots))
 
     def records(join, ctype):
         return join(inst3, ctype, anchors, rho, roots=roots)
@@ -586,7 +591,7 @@ def test_tangent_pairs_are_not_hits(inst3):
     g1 = inst3.psi(())
     for (t1, c1), (t2, c2) in enumerate_E2(inst3, (), g1, F(1, 3)):
         a, b = make_tube(inst3, t1, c1), make_tube(inst3, t2, c2)
-        dc, dw = a.center()[0] - b.center()[0], a.slope[0] - b.slope[0]
+        dc, dw = a.center[0] - b.center[0], a.slope[0] - b.slope[0]
         r1, r2 = sorted(((-a.side - dc) / dw, (a.side - dc) / dw))
         if r1 > 0:
             break
@@ -795,6 +800,8 @@ def _bruteforce_E3(pruned, ctype, anchors, rho, roots):
     the anchors, the configuration type, joint stickiness and both
     Fraction intersection tests."""
     win = SlabWindow(F(rho), 2)
+    codes = range(2 ** pruned.N)
+    tube = {(t, c): make_tube(pruned, t, c) for t in roots for c in codes}
 
     def D(c1, c2):
         return youngest_common_ancestor(pruned.slope_leaf(c1), pruned.slope_leaf(c2))
@@ -807,13 +814,13 @@ def _bruteforce_E3(pruned, ctype, anchors, rho, roots):
         cfg = classify_roots((ta, tb, td))
         if cfg.swapped or cfg.ctype != ctype:
             continue
-        for ca, cb, cd in product(range(2 ** pruned.N), repeat=3):
+        for ca, cb, cd in product(codes, repeat=3):
             if D(ca, cb) != anchors["w"] or D(ca, cd) != anchors["w2"]:
                 continue
             prs = ((ta, ca), (tb, cb), (td, cd))
             if not is_sticky_admissible(pruned, prs)[0]:
                 continue
-            a, b, c = (make_tube(pruned, t, code) for t, code in prs)
+            a, b, c = (tube[pr] for pr in prs)
             if not (intersects(a, b, win) and intersects(a, c, win)):
                 continue
             if ctype == 2 and (anchors.get("t") not in (None, youngest_common_ancestor(tb, td))
