@@ -56,13 +56,27 @@ def inst4():
     return prune(full_tree(12, M=4), N=2, C0=1)  # M=4, J=2, 16 roots
 
 
+@pytest.fixture(scope="module")
+def far():
+    # M=3, J=8: slopes 8/6561 apart can meet up to x1 of about 820, past
+    # the end x1 = 10 A0 = 100 of every tube; inst3's, 8/81 apart, stop near 10
+    return prune(cantor_tree(25), N=4, C0=1)
+
+
+@pytest.fixture(scope="module")
+def far_roots(far):
+    # 8 seeded roots; under u = () their pairs meet in [6, 12] and [60, 100],
+    # and would meet in (100, 120] and [100, 200] were the tubes longer
+    return sorted(random.Random(11).sample(all_root_cubes(far), 8))
+
+
 def test_root_cap():
     p = prune(cantor_tree(25), N=5, C0=1)
     with pytest.raises(SizeCapExceeded):
         all_root_cubes(p)
 
 
-def test_e2_restricted_equals_bruteforce(inst3):
+def test_e2_restricted_equals_bruteforce(inst3, far, far_roots):
     # the lattice scan equals the Fraction oracle in content and order
     roots = all_root_cubes(inst3)
     branches = {}
@@ -72,9 +86,6 @@ def test_e2_restricted_equals_bruteforce(inst3):
     subset = sorted(t for b in branches.values() for t in rng.sample(b, 5))
     d2 = prune(cantor_tree(30, d=2), N=2, C0=1)
     d2_roots = sorted(random.Random(1).sample(all_root_cubes(d2), 40))
-    # slopes 8/729 apart meet past x1 = 60, where inst3's, 8/81 apart, cannot
-    fine = prune(cantor_tree(25), N=3, C0=1)
-    fine_roots = sorted(random.Random(1).sample(all_root_cubes(fine), 20))
     # every slope is (sigma, 0), so axis 1 of each slope pair is still; J = 8
     # gives 3^16 roots, so take 40 seeded ones under one height-5 cube
     still = prune(DigitRuleTree(lambda a: ((0, 0), (2, 0)), 3, 2, 30,
@@ -88,9 +99,10 @@ def test_e2_restricted_equals_bruteforce(inst3):
         "u up to height 1": (inst3, sorted({r[:h] for r in roots for h in (0, 1)}),
                              [F(1, 3)], roots, True),
         "u at height 2": (inst3, sorted(branches), [F(1, 3), F(1, 81)], subset, True),
-        # every tube ends at x1 = 10 A0 = 100
-        "window cut by 10 A0": (fine, [()], [F(60)], fine_roots, True),
-        "window beyond 10 A0": (inst3, [()], [F(100)], subset, False),
+        # far's pairs meet in (100, 120] and in [100, 200] were the tubes
+        # longer, so a scan that kept the whole window would find them
+        "window cut by 10 A0": (far, [()], [F(60)], far_roots, True),
+        "window beyond 10 A0": (far, [()], [F(100)], far_roots, False),
         "rho over 3^30": (inst3, [()], [F(3 ** 29 + 1, 3 ** 30)], subset, True),
         "d = 2": (d2, [()], [F(3), F(1), F(1, 3), F(1, 9)], d2_roots, True),
         "still axis": (still, sorted({t[:h] for t in still_roots for h in (5, 6)}),
@@ -432,33 +444,32 @@ def test_probabilities_and_e2_share_one_root_table(monkeypatch):
     assert pruned.roots == table
 
 
-def test_e2_plan_is_keyed_on_window(inst3, monkeypatch):
+def test_e2_plan_is_keyed_on_window(far, far_roots, monkeypatch):
     # windows whose rhos share a numerator or a denominator, one cut by the
-    # tubes' end at x1 = 100 and one beyond it, visited in turn for every w
-    # and then in the opposite order: a plan read under another window's
-    # key would change the pairs or the window that their configurations
-    # are checked in
-    roots = _benchmark_subset(all_root_cubes(inst3))
-    rhos = [6, 60, 100, F(1, 3), F(1, 81)]
+    # tubes' end at x1 = 100 to [60, 100] and one beyond it, visited in turn
+    # for every w and then in the opposite order: a plan read under another
+    # window's key, or one that kept the whole window, would change the
+    # pairs or the window that their configurations are checked in
+    rhos = [6, 60, 100, F(1, 27), F(1, 81)]
     check, checked = counting._assert_configuration, set()
     monkeypatch.setattr(counting, "_assert_configuration",
                         lambda *args: checked.add(args[4:6]) or check(*args))
     counting._plan.cache_clear()
-    want = {(w, rho): enumerate_E2_bruteforce(inst3, (), w, rho, roots=roots)
-            for w in inst3.gamma for rho in rhos}
+    want = {(w, rho): enumerate_E2_bruteforce(far, (), w, rho, roots=far_roots)
+            for w in far.gamma for rho in rhos}
     assert any(want.values())
     seen_windows = set()
     for order in (rhos, rhos[::-1]):
-        for w in sorted(inst3.gamma):
+        for w in sorted(far.gamma):
             for rho in order:
                 checked.clear()
-                assert enumerate_E2(inst3, (), w, rho, roots) == want[w, rho]
+                assert enumerate_E2(far, (), w, rho, far_roots) == want[w, rho]
                 assert checked <= {clip_x1(*SlabWindow(F(rho)), 10)}, (w, rho)
                 seen_windows |= checked
-    assert (6, 12) in seen_windows
-    for w in inst3.gamma:
-        assert enumerate_E2(inst3, (), w, 6, roots=roots) == \
-            enumerate_E2(inst3, (), w, F(6), roots=roots)
+    assert {(6, 12), (60, 100)} <= seen_windows
+    for w in far.gamma:
+        assert enumerate_E2(far, (), w, 6, roots=far_roots) == \
+            enumerate_E2(far, (), w, F(6), roots=far_roots)
 
 
 def _fraction_configuration(pruned, delta, moving, b, lo, hi, S, E):
