@@ -8,15 +8,16 @@ numerators ``pruned.sigma`` over the instance's one denominator
 ``pruned.D``, and whether some x1 in the window puts the two
 cross-sections within the tube side on every axis is a set of integer
 comparisons, run in one numpy pass per call.  What a scan reads of
-neither u nor its roots is one cached plan per (instance, w, rho),
-which also holds a bool verdict table with one row per root offset and
-one column per code pair, complete and read-only once the plan is built
+neither u nor its roots is one cached plan per (instance, w, rho): per
+code pair, the closed box of root offsets that can hit and, in d >= 2
+where cross forms cut the box, a bool table over that box alone (in
+d = 1 a box is all hits), complete and read-only once the plan is built
 (a plan that cannot be built raises on every call, however few its
 roots).  One rule holds for every scan and join here: a call that cannot
 return a record returns nothing before it reads a root, as when its plan
 holds no hit, lambda(w) <= h(u) makes no pair sticky, or a join's first
 pair collection is empty.  The scan reads its hits as arrays keyed by
-(root offset, code pair) off that table and zips the records from them
+(root pair, code pair) off those boxes and zips the records from them
 last; a sum grouped by configuration, such as the sum of probability
 times intersection volume over E2, should read those arrays, not the
 records.
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product
 from math import isqrt, prod
 from typing import NamedTuple
 
@@ -64,7 +65,7 @@ from .tubes import (
 )
 
 ROOT_CAP = 3 ** 8
-VERDICT_CAP = 1 << 20  # entries of one E2 plan's verdict table
+VERDICT_CAP = 1 << 20  # root offsets in the boxes of one E2 plan
 _PAIR_BLOCK = 1 << 14  # root pairs per block of the E2 array scan
 
 
@@ -106,30 +107,32 @@ def _check_anchors(pruned: PrunedSlopeTree, us=(), ws=()) -> None:
 # ---------------------------------------------------------------------------
 
 class _Plan(NamedTuple):
-    """An E2 plan of :func:`_plan`, read-only: the (c1, c2) code pairs
-    whose slope leaves separate exactly at w, and the verdict table with
-    its frame.
-
-    ``table`` has one bool row per root offset in the hull of the code
-    pairs' boxes, row-major from ``origin`` over ``dims`` (uint64, so that
-    an unsigned delta - origin < dims puts delta in the hull), and one
-    column per code pair, True exactly for a hit.  Offset delta is row
-    (delta - origin) . strides."""
+    """An E2 plan of :func:`_plan`, read-only: in code order, the (c1, c2)
+    code pairs whose slope leaves separate exactly at w and whose closed
+    box ``lo[q] <= delta <= hi[q]`` of root offsets (int64, a row per pair,
+    a column per axis) holds a hit, and ``tables``, (q, bool table over
+    box q, row-major from lo[q], True for a hit) for each d >= 2 box that
+    cross forms cut.  The scan reads unsigned offsets from ``low``, the
+    boxes' overall low corner: delta - low <= ``reach`` within the boxes'
+    overall bounds, and delta - low - ``start`` <= ``span`` in a box,
+    where start = lo - low and span = hi - lo."""
 
     pairs: tuple
-    table: np.ndarray
-    origin: np.ndarray
-    dims: np.ndarray
-    strides: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    tables: tuple
+    low: np.ndarray
+    reach: np.ndarray
+    start: np.ndarray
+    span: np.ndarray
 
 
 @lru_cache(maxsize=256)
 def _plan(pruned: PrunedSlopeTree, w: Address, p: int, q: int):
     """What an E2 scan over [rho, 2 rho], rho = p/q in lowest terms, with
-    slope anchor w reads of neither u nor its roots, or None when its
-    verdict table would hold no hit (an empty hull included), so that no
-    such scan need read a root; the table is complete when this returns,
-    and nothing writes to it again.
+    slope anchor w reads of neither u nor its roots, or None when no code
+    pair's box holds a hit, so that no such scan need read a root; the
+    plan is complete when this returns, and nothing writes to it again.
 
     The window is cut to [lo, hi] by ``clip_x1`` to the extent [0, 10 A0]
     of every tube, A0 = ``tubes.DEFAULT_A0``, and the tube side is
@@ -140,13 +143,13 @@ def _plan(pruned: PrunedSlopeTree, w: Address, p: int, q: int):
     the pair's closed box and every cross form (i, j, f_i, f_j, bound) has
     f_i delta_i + f_j delta_j < bound.  The box comes from lo < r2 and
     r1 < hi on a moving axis (i, sgn, |b_i|) and from |a| < s on a still
-    one, cut to the reach of a hit; the cross forms are r1_i < r2_j.  Each
-    in-box entry with a nonzero offset (no root pair has offset 0) is
-    decided once, by the cross forms (d >= 2) and, for a hit, by
-    :func:`_assert_configuration`, whose Fraction oracle is
-    ``tubes.assert_pair_inequalities``.  A table of more than
-    ``VERDICT_CAP`` entries raises SizeCapExceeded before it is built, and
-    a failing check raises too; either way nothing is cached, so every
+    one, cut to the reach of a hit; the cross forms are r1_i < r2_j, so a
+    d = 1 box is all hits.  Each offset in a box other than 0 (no root
+    pair has offset 0) is decided once, by the cross forms (d >= 2) and,
+    for a hit, by :func:`_assert_configuration`, whose Fraction oracle is
+    ``tubes.assert_pair_inequalities``.  Boxes of more than ``VERDICT_CAP``
+    offsets in all raise SizeCapExceeded before any is decided, in d = 1
+    too, as does a failing check; either way nothing is cached, so every
     call on the key raises, a call with no roots included.
     """
     win = SlabWindow(Fraction(p, q), 2)
@@ -169,7 +172,7 @@ def _plan(pruned: PrunedSlopeTree, w: Address, p: int, q: int):
     still = -(-S // E) - 1  # |delta| E < S
     pl, ql, ph, qh = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     codes = range(2 ** pruned.N)
-    pairs, forms, boxes = [], [], []
+    cands = []
     for c1 in codes:
         for c2 in codes:
             if pruned.slope_yca(c1, c2) != w:
@@ -190,35 +193,33 @@ def _plan(pruned: PrunedSlopeTree, w: Address, p: int, q: int):
             # E (x_j B_i - x_i B_j) < S (B_i + B_j)
             cross = tuple((i, j, -E * si * Bj, E * sj * Bi, S * (Bi + Bj))
                           for i, si, Bi in moving for j, sj, Bj in moving if i != j)
-            pairs.append((c1, c2))
-            forms.append((cross, tuple(moving), b))
-            boxes.append([(max(l, -lim), min(r, lim)) for l, r in box])
-    # the two children of the splitting vertex w give some code pair; the
-    # hull spans, per axis, the boxes that hold a lattice point
-    box, n = np.array(boxes, dtype=np.int64), len(pairs)
-    full = box[(box[:, :, 0] <= box[:, :, 1]).all(axis=1)]
-    origin = full[:, :, 0].min(axis=0) if len(full) else np.zeros(d, dtype=np.int64)
-    dims = (full[:, :, 1].max(axis=0) - origin + 1).tolist() if len(full) else [0] * d
-    if n * prod(dims) > VERDICT_CAP:
-        raise SizeCapExceeded(f"a verdict table of {n * prod(dims)} entries "
-                              f"exceeds the cap {VERDICT_CAP}")
-    # every offset of the hull, row-major, and the boxes that hold it
-    delta = np.indices(dims).reshape(d, -1).T + origin
-    table = ((box[:, :, 0] <= delta[:, None]) & (delta[:, None] <= box[:, :, 1])).all(axis=2)
-    table[(delta == 0).all(axis=1)] = False
-    rows, cols = table.nonzero()
-    for r, q, dl in zip(rows.tolist(), cols.tolist(), delta[rows].tolist()):
-        cross, moving, b = forms[q]
-        if all(fi * dl[i] + fj * dl[j] < bound for i, j, fi, fj, bound in cross):
-            _assert_configuration(pruned, tuple(dl), moving, b, lo, hi, S, E)
-        else:
-            table[r, q] = False
-    if not table.any():
+            box = [(max(l, -lim), min(r, lim)) for l, r in box]
+            cands.append(((c1, c2), box, cross, tuple(moving), b))
+    size = sum(prod(max(0, r - l + 1) for l, r in box) for _, box, *_ in cands)
+    if size > VERDICT_CAP:
+        raise SizeCapExceeded(f"a plan of {size} box offsets exceeds the cap {VERDICT_CAP}")
+    pairs, boxes, tables = [], [], []
+    for pair, box, cross, moving, b in cands:
+        # every offset of the box, row-major, and which are hits
+        delta = list(product(*(range(l, r + 1) for l, r in box)))
+        hit = [any(dl) and all(fi * dl[i] + fj * dl[j] < bound for i, j, fi, fj, bound
+                               in cross) for dl in delta]
+        for dl in compress(delta, hit):
+            _assert_configuration(pruned, dl, moving, b, lo, hi, S, E)
+        if any(hit):
+            # no root pair has offset 0, so only cross forms cut a box
+            if any(any(dl) > h for dl, h in zip(delta, hit)):
+                tables.append((len(pairs), np.array(hit).reshape([r - l + 1 for l, r in box])))
+            pairs.append(pair)
+            boxes.append(box)
+    if not pairs:
         return None
-    strides = [prod(dims[i + 1:]) for i in range(d)]
-    plan = _Plan(tuple(pairs), table, origin, np.array(dims, dtype=np.uint64),
-                 np.array(strides, dtype=np.int64))
-    for a in plan[1:]:
+    first, last = np.array(boxes, dtype=np.int64).transpose(2, 0, 1)
+    low = first.min(axis=0)
+    plan = _Plan(tuple(pairs), first, last, tuple(tables), low,
+                 (last.max(axis=0) - low).astype(np.uint64), first - low,
+                 (last - first).astype(np.uint64))
+    for a in (*plan[1:3], *(t for _, t in tables), *plan[4:]):
         a.flags.writeable = False  # shared by every call with this key
     return plan
 
@@ -232,9 +233,9 @@ def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address, rho, roots=Non
     digits at height h(u) differ.  The test of ``tubes.intersects`` (closed
     window ends, open coordinate bounds) becomes integer comparisons on the
     lattice of :func:`_plan`, the part of a scan that is cached, keyed on
-    rho's numerator and denominator; its verdict table is complete when
-    the plan is built and only read here.  A call checks its anchors,
-    ``roots`` and the int64 bound first; a plan it cannot build (a table
+    rho's numerator and denominator; its boxes and tables are complete
+    when the plan is built and only read here.  A call checks its anchors,
+    ``roots`` and the int64 bound first; a plan it cannot build (boxes
     over ``VERDICT_CAP``, a failing configuration check) raises.  Every
     hit has root yca u and slope yca w, so by the two-pair rule
     ``sticky_pair`` it is sticky exactly when lambda(w) > h(u).  A call
@@ -243,9 +244,9 @@ def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address, rho, roots=Non
     through the instance's root table (``sticky._root``) before the filter
     on u, so it refuses every root it reads that is off the lattice, a
     list among them.  One numpy pass over blocks of t1 keeps the root
-    pairs from different branches of u whose offset lies in the hull of
-    the plan's table and reads the verdicts of every code pair for them
-    with one gather; the records are zipped from the hit arrays.
+    pairs from different branches of u whose offset lies within the
+    boxes' overall bounds, then tests each against every box and its
+    table; the records are zipped from the hit arrays last.
     ``enumerate_E2_bruteforce`` is the independent Fraction oracle.
     """
     _check_anchors(pruned, (u,), (w,))
@@ -274,21 +275,26 @@ def enumerate_E2(pruned: PrunedSlopeTree, u: Address, w: Address, rho, roots=Non
             grp.append(branch.setdefault(t[h], len(branch)))
     if len(under) < 2:
         return []
-    pairs, table, dims, strides = plan.pairs, plan.table, plan.dims, plan.strides
+    pairs, reach, start, span = plan.pairs, plan.reach, plan.start, plan.span
     idx, grp = np.array(idx, dtype=np.int64), np.array(grp)
-    first = idx - plan.origin
+    first = idx - plan.low
 
     out = []
     rows = max(1, _PAIR_BLOCK // len(under))
     for b0 in range(0, len(under), rows):
-        # delta - origin per (t1, t2, axis); unsigned, below dims in the hull
+        # delta - low per (t1, t2, axis); unsigned, at most reach in bounds
         x = first[b0:b0 + rows, None] - idx
         keep = grp[b0:b0 + rows, None] != grp
         for i in range(d):
-            keep &= x[:, :, i].view(np.uint64) < dims[i]
+            keep &= x[:, :, i].view(np.uint64) <= reach[i]
         i1, i2 = keep.nonzero()  # row-major: t1, then t2
-        # the verdicts of every code pair per kept pair, read off its row
-        hit_p, hit_q = table[x[i1, i2] @ strides].nonzero()  # t1, t2, then (c1, c2)
+        # per kept pair and box, delta - lo per axis, unsigned, at most span
+        at = x[i1, i2, None] - start
+        inside = (at.view(np.uint64) <= span).all(axis=2)
+        for q, table in plan.tables:
+            k = inside[:, q].nonzero()[0]
+            inside[k, q] = table[tuple(at[k, q].T)]
+        hit_p, hit_q = inside.nonzero()  # t1, t2, then (c1, c2)
         out += [((under[a], pairs[q][0]), (under[b], pairs[q][1])) for a, b, q
                 in zip((i1[hit_p] + b0).tolist(), i2[hit_p].tolist(), hit_q.tolist())]
     return out
@@ -517,17 +523,10 @@ def _dist_to_child_boundary_sq(pruned, s: Address, u: Address) -> Fraction:
     containing it (0 when s = u or s touches that boundary)."""
     if len(s) <= len(u):
         return Fraction(0)
-    child = s[: len(u) + 1]
-    co = cube_origin(child, pruned.M, pruned.d)
-    so = cube_origin(s, pruned.M, pruned.d)
-    side_c = Fraction(1, pruned.M ** len(child))
-    side_s = Fraction(1, pruned.M ** len(s))
-    best = None
-    for a in range(pruned.d):
-        lo_gap = so[a] - co[a]
-        hi_gap = (co[a] + side_c) - (so[a] + side_s)
-        g = min(lo_gap, hi_gap)
-        best = g if best is None else min(best, g)
+    M, d = pruned.M, pruned.d
+    co, so = cube_origin(s[: len(u) + 1], M, d), cube_origin(s, M, d)
+    side_c, side_s = Fraction(1, M ** (len(u) + 1)), Fraction(1, M ** len(s))
+    best = min(min(x - c, c + side_c - x - side_s) for x, c in zip(so, co))
     return best * best if best > 0 else Fraction(0)
 
 
@@ -580,22 +579,16 @@ def bruteforce_E4(pruned: PrunedSlopeTree, ctype: int, anchors: dict, rho, roots
 
     out = []
     for ta, tb, tc, td in product(roots, repeat=4):
-        if len({ta, tb, tc, td}) != 4:
-            continue
-        if youngest_common_ancestor(ta, tb) != u:
-            continue
-        if youngest_common_ancestor(tc, td) != u2:
+        if len({ta, tb, tc, td}) != 4 or youngest_common_ancestor(ta, tb) != u \
+                or youngest_common_ancestor(tc, td) != u2:
             continue
         cfg = classify_roots((ta, tb, tc, td))
         if cfg.swapped or cfg.ctype != ctype:
             continue
         for (ca, cb), (cc, cd) in product(pairs, pairs2):
             prs = [(ta, ca), (tb, cb), (tc, cc), (td, cd)]
-            ok, _ = is_sticky_admissible(pruned, prs)
-            if not ok:
-                continue
-            if not meet(ta, ca, tb, cb) or not meet(tc, cc, td, cd):
-                continue
-            out.append(tuple(prs))
+            if is_sticky_admissible(pruned, prs)[0] and meet(ta, ca, tb, cb) \
+                    and meet(tc, cc, td, cd):
+                out.append(tuple(prs))
     return out
 

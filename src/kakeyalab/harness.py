@@ -78,6 +78,8 @@ class ExperimentConfig:
                 raise InvalidInput(f"{f.name} must be {_SCALARS[f.type][1]}")
         if self.seeds < 1:
             raise InvalidInput("need at least one seed")
+        if self.A0 < 0:  # every tube would end before it starts, at 10 A0 < 0
+            raise InvalidInput("A0 must be at least 0")
 
     def config_hash(self) -> str:
         payload = json.dumps(self.__dict__, sort_keys=True, default=str)

@@ -223,6 +223,29 @@ def _plans(pruned, rhos):
         pruned, w, rho.numerator, rho.denominator)) is not None]
 
 
+def _plan_arrays(plan):
+    """Every array of a plan: its box ends, scan offsets and tables."""
+    return [plan.lo, plan.hi, plan.low, plan.reach, plan.start, plan.span,
+            *(table for _, table in plan.tables)]
+
+
+def _plan_bytes(plan):
+    return plan.pairs, [q for q, _ in plan.tables], [a.tobytes() for a in _plan_arrays(plan)]
+
+
+def _plan_hits(plan):
+    """(offset, box index) of every hit of a plan: each offset other than
+    0 in a box, where the box's table, if it has one, says hit."""
+    tables = dict(plan.tables)
+    hits = []
+    for q, (lo, hi) in enumerate(zip(plan.lo.tolist(), plan.hi.tolist())):
+        for delta in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+            at = tuple(x - a for x, a in zip(delta, lo))
+            if any(delta) and (q not in tables or tables[q][at]):
+                hits.append((delta, q))
+    return hits
+
+
 def _count_configuration_checks(monkeypatch):
     """Record the arguments of every configuration check, which still runs."""
     check, checked = counting._assert_configuration, []
@@ -244,9 +267,7 @@ def test_e2_plans_check_each_configuration_once(inst3, monkeypatch):
     for rho in _SCAN_RHOS:
         lo, hi = clip_x1(*SlabWindow(rho), 10)
         for plan in _plans(inst3, [rho]):
-            for r, q in zip(*plan.table.nonzero()):
-                at = np.unravel_index(r, plan.dims.tolist())
-                delta = tuple((np.array(at) + plan.origin).tolist())
+            for delta, q in _plan_hits(plan):
                 c1, c2 = plan.pairs[q]
                 b = tuple(x - y for x, y in zip(inst3.sigma[c1], inst3.sigma[c2]))
                 expect[delta, b, lo, hi] += 1
@@ -268,20 +289,21 @@ def test_e2_plans_are_complete_and_read_only(inst3, monkeypatch):
     for call in calls:
         enumerate_E2(inst3, *call)
     plans = _plans(inst3, _SCAN_RHOS)
-    cold = [plan.table.tobytes() for plan in plans]
-    assert 0 < len(checked) == sum(int(plan.table.sum()) for plan in plans)
+    cold = [_plan_bytes(plan) for plan in plans]
+    assert 0 < len(checked) == sum(len(_plan_hits(plan)) for plan in plans)
     checked.clear()
     for call in calls:
         enumerate_E2(inst3, *call)
     assert checked == [] and all(map(operator.is_, _plans(inst3, _SCAN_RHOS), plans))
-    assert [plan.table.tobytes() for plan in plans] == cold
-    # every plan holds a hit, and (c2, c1) mirrors the box of (c1, c2), so
-    # every hull holds 0
+    assert [_plan_bytes(plan) for plan in plans] == cold
+    # every plan holds a hit; a d = 1 plan holds no table, its boxes
+    # being all hits, and (c2, c1) mirrors the box of (c1, c2)
     for plan in plans:
-        assert not any(a.flags.writeable for a in plan[1:])
-        zero = -plan.origin
-        assert (zero.view(np.uint64) < plan.dims).all()
-        assert not plan.table[zero @ plan.strides].any()
+        assert plan.tables == () and len(plan.pairs) == len(plan.lo) == len(plan.hi)
+        assert not any(a.flags.writeable for a in _plan_arrays(plan))
+        mirror = {pair: q for q, pair in enumerate(plan.pairs)}
+        for q, (c1, c2) in enumerate(plan.pairs):
+            assert (plan.lo[mirror[c2, c1]] == -plan.hi[q]).all()
 
 
 def test_e2_refuses_off_lattice_roots():
@@ -412,7 +434,7 @@ def test_calls_that_cannot_return_a_record_read_no_root(inst3, monkeypatch):
     for w, rho in product(sorted(inst3.gamma), _SCAN_RHOS):
         plan = counting._plan(inst3, w, rho.numerator, rho.denominator)
         none = w in inst3.gamma_levels[2] and rho <= F(1, 27)
-        assert (plan is None) == none and (none or plan.table.any()), (w, rho)
+        assert (plan is None) == none and (none or _plan_hits(plan)), (w, rho)
 
 
 def test_default_roots_are_built_once(monkeypatch):
@@ -649,6 +671,34 @@ def test_e2_refuses_a_verdict_table_beyond_the_cap(inst2):
     for roots in ([], [((0,),) * 31, ((1,),) * 31], []):
         with pytest.raises(SizeCapExceeded, match=f"exceeds the cap {counting.VERDICT_CAP}"):
             enumerate_E2(big, (), w, rho, roots=roots)
+
+
+def _box_offsets(plan):
+    return int((plan.hi - plan.lo + 1).prod(axis=1).sum())
+
+
+def test_e2_plans_size_boxes_not_their_hull(far):
+    # ACCEPT_CFG's N = 4 instance at the top vertex and rho = 1/3: the 128
+    # boxes lie at |offset| >= 1,702 and hold 248,896 offsets, under
+    # VERDICT_CAP, where their hull across offset 0 would hold 1,119,616
+    # entries; its E2 on nine seeded roots of all three top branches equals
+    # the oracle
+    w, rho = far.psi(()), F(1, 3)
+    plan = counting._plan(far, w, rho.numerator, rho.denominator)
+    assert len(plan.pairs) == 128 and plan.tables == ()
+    assert _box_offsets(plan) == 248_896
+    assert (np.abs(plan.lo).min(axis=1) >= 1_702).all()
+    roots = sorted(random.Random(0).sample(all_root_cubes(far), 9))
+    assert {t[0] for t in roots} == {(0,), (1,), (2,)}
+    got = enumerate_E2(far, (), w, rho, roots=roots)
+    assert len(got) == 1_992 and got == enumerate_E2_bruteforce(far, (), w, rho, roots=roots)
+
+
+def test_e2_plan_builds_at_n5():
+    # the N = 5 instance at rho = 1/81: 332,256 box offsets
+    pruned = prune(cantor_tree(25), N=5, C0=1)
+    plan = counting._plan(pruned, pruned.psi(()), 1, 81)
+    assert _box_offsets(plan) == 332_256 <= counting.VERDICT_CAP
 
 
 def test_e2_membership_structure(inst3):

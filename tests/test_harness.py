@@ -429,6 +429,8 @@ def test_cli_unreadable_config_file_exit_code(text, message, tmp_path, capsys):
     # trials run 0..seeds-1: any other is a cell no experiment computes
     ["volume", "--N", "2", "--trial", "-1"],
     ["volume", "--N", "2", "--trial", "2", "--seeds", "2"],
+    # every window would clip to the empty [0, 10 A0]
+    ["volume", "--N", "2", "--A0", "-1"],
 ])
 def test_cli_out_of_range_slices_or_seeds_exit_code(argv, capsys):
     assert cli_main(argv) == 2
@@ -468,6 +470,11 @@ def test_config_refuses_mistyped_scalars(bad):
     with pytest.raises(InvalidInput, match=f"{next(iter(bad))} must be"):
         ExperimentConfig(**bad)
     assert ExperimentConfig(A0=0).A0 == 0
+
+
+def test_config_refuses_a_negative_a0():
+    with pytest.raises(InvalidInput, match="A0 must be at least 0"):
+        ExperimentConfig(A0=-1)
 
 
 @pytest.mark.parametrize("bad", [{"n_values": (2, "3")}, {"n_values": [2, 3]},
